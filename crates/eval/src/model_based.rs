@@ -23,7 +23,7 @@ use tsgb_methods::common::{gather_step_matrices, minibatch};
 use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
-use tsgb_nn::params::Params;
+use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
 
 use crate::ts2vec::Ts2Vec;
@@ -64,33 +64,28 @@ pub fn discriminative_score(
     let head = Linear::new(&mut params, "ds.head", cfg.hidden, 1, rng);
     let mut opt = Adam::new(2e-3);
 
-    let run_logits = |params: &Params, t: &mut Tape, data: &Tensor3, idx: &[usize]| -> VarId {
-        let b = params.bind(t);
-        let steps = gather_step_matrices(data, idx);
-        let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
-        let hs = cell.run(t, &b, &xs, idx.len());
-        head.forward(t, &b, *hs.last().expect("non-empty"))
+    let run_logits = |t: &mut Tape, b: &Binding, data: &Tensor3, idx: &[usize]| {
+        let xs = feed_steps(t, data, idx);
+        let hs = cell.run(t, b, &xs, idx.len());
+        head.forward(t, b, *hs.last().expect("non-empty"))
     };
 
-    for _ in 0..cfg.epochs {
-        let idx = minibatch(n_train, 32, rng);
+    {
+        // one tape for the whole fit, recycled every step; its buffers
+        // are freed before the test forward below
         let mut t = Tape::new();
-        let b = params.bind(&mut t);
-        // real half
-        let real_steps = gather_step_matrices(real, &idx);
-        let xs_r: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
-        let hr = cell.run(&mut t, &b, &xs_r, idx.len());
-        let lr = head.forward(&mut t, &b, *hr.last().unwrap());
-        // fake half
-        let fake_steps = gather_step_matrices(generated, &idx);
-        let xs_f: Vec<VarId> = fake_steps.iter().map(|m| t.constant(m.clone())).collect();
-        let hf = cell.run(&mut t, &b, &xs_f, idx.len());
-        let lf = head.forward(&mut t, &b, *hf.last().unwrap());
-        let l = loss::gan_discriminator_loss(&mut t, lr, lf);
-        t.backward(l);
-        params.absorb_grads(&t, &b);
-        params.clip_grad_norm(5.0);
-        opt.step(&mut params);
+        for _ in 0..cfg.epochs {
+            let idx = minibatch(n_train, 32, rng);
+            t.reset();
+            let b = params.bind(&mut t);
+            let lr = run_logits(&mut t, &b, real, &idx);
+            let lf = run_logits(&mut t, &b, generated, &idx);
+            let l = loss::gan_discriminator_loss(&mut t, lr, lf);
+            t.backward(l);
+            params.absorb_grads(&t, &b);
+            params.clip_grad_norm(5.0);
+            opt.step(&mut params);
+        }
     }
 
     // test accuracy
@@ -99,7 +94,8 @@ pub fn discriminative_score(
     let mut total = 0usize;
     {
         let mut t = Tape::new();
-        let logits = run_logits(&params, &mut t, real, &test_idx);
+        let b = params.bind(&mut t);
+        let logits = run_logits(&mut t, &b, real, &test_idx);
         for r in 0..test_idx.len() {
             if t.value(logits)[(r, 0)] > 0.0 {
                 correct += 1;
@@ -109,7 +105,8 @@ pub fn discriminative_score(
     }
     {
         let mut t = Tape::new();
-        let logits = run_logits(&params, &mut t, generated, &test_idx);
+        let b = params.bind(&mut t);
+        let logits = run_logits(&mut t, &b, generated, &test_idx);
         for r in 0..test_idx.len() {
             if t.value(logits)[(r, 0)] <= 0.0 {
                 correct += 1;
@@ -119,6 +116,17 @@ pub fn discriminative_score(
     }
     let acc = correct as f64 / total as f64;
     (acc - 0.5).abs()
+}
+
+/// Gathers the `idx` windows of `data` step by step and feeds every
+/// step matrix to the tape as a pooled constant, so a recycled tape
+/// draws its input buffers from its own pool instead of retiring a
+/// fresh allocation into it each step.
+pub(crate) fn feed_steps(t: &mut Tape, data: &Tensor3, idx: &[usize]) -> Vec<VarId> {
+    gather_step_matrices(data, idx)
+        .iter()
+        .map(|m| t.constant_copy(m))
+        .collect()
 }
 
 /// Which forecasting task the predictive score trains.
@@ -153,14 +161,14 @@ pub fn predictive_score(
                    t: &mut Tape,
                    data: &Tensor3,
                    idx: &[usize]|
-     -> (VarId, Matrix, tsgb_nn::params::Binding) {
+     -> (VarId, Matrix, Binding) {
         let b = params.bind(t);
         let steps = gather_step_matrices(data, idx);
         let (inputs, targets): (&[Matrix], &[Matrix]) = match variant {
             PsVariant::NextStep => (&steps[..l - 1], &steps[1..]),
             PsVariant::Entire => (&steps[..split], &steps[split..]),
         };
-        let xs: Vec<VarId> = inputs.iter().map(|m| t.constant(m.clone())).collect();
+        let xs: Vec<VarId> = inputs.iter().map(|m| t.constant_copy(m)).collect();
         let hs = cell.run(t, &b, &xs, idx.len());
         // Linear output head: the benchmark datasets are [0, 1]-
         // normalized but the §6.3 robustness sine data is in [-1, 1],
@@ -188,16 +196,20 @@ pub fn predictive_score(
         (pred_cat, target_cat, b)
     };
 
-    // train on synthetic
-    for _ in 0..cfg.epochs {
-        let idx = minibatch(generated.samples(), 32, rng);
+    // train on synthetic, on one recycled tape that is freed before
+    // the full-set test forward
+    {
         let mut t = Tape::new();
-        let (pred, target, b) = forward(&params, &mut t, generated, &idx);
-        let l_mae = loss::mae_mean(&mut t, pred, &target);
-        t.backward(l_mae);
-        params.absorb_grads(&t, &b);
-        params.clip_grad_norm(5.0);
-        opt.step(&mut params);
+        for _ in 0..cfg.epochs {
+            let idx = minibatch(generated.samples(), 32, rng);
+            t.reset();
+            let (pred, target, b) = forward(&params, &mut t, generated, &idx);
+            let l_mae = loss::mae_mean(&mut t, pred, &target);
+            t.backward(l_mae);
+            params.absorb_grads(&t, &b);
+            params.clip_grad_norm(5.0);
+            opt.step(&mut params);
+        }
     }
 
     // test on real: MAE

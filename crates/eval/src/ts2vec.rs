@@ -11,12 +11,14 @@
 
 use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_methods::common::{gather_step_matrices, minibatch};
+use tsgb_methods::common::minibatch;
 use tsgb_nn::layers::{Activation, GruCell, Linear, Mlp};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
-use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::tape::Tape;
+
+use crate::model_based::feed_steps;
 
 /// A trained window-embedding model.
 pub struct Ts2Vec {
@@ -52,13 +54,14 @@ impl Ts2Vec {
         };
         let mut opt = Adam::new(2e-3);
         let flat = data.flatten_samples();
+        // one tape for the whole fit, recycled every step
+        let mut t = Tape::new();
         for _ in 0..epochs {
             let idx = minibatch(r, 32, rng);
-            let steps = gather_step_matrices(data, &idx);
             let target = flat.select_rows(&idx);
-            let mut t = Tape::new();
+            t.reset();
             let b = model.params.bind(&mut t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            let xs = feed_steps(&mut t, data, &idx);
             let hs = model.cell.run(&mut t, &b, &xs, idx.len());
             let z_pre = model
                 .proj
@@ -78,10 +81,9 @@ impl Ts2Vec {
     pub fn embed(&self, data: &Tensor3) -> Matrix {
         let r = data.samples();
         let idx: Vec<usize> = (0..r).collect();
-        let steps = gather_step_matrices(data, &idx);
         let mut t = Tape::new();
         let b = self.params.bind(&mut t);
-        let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+        let xs = feed_steps(&mut t, data, &idx);
         let hs = self.cell.run(&mut t, &b, &xs, r);
         let z_pre = self
             .proj

@@ -181,6 +181,10 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 /// Gaussian kernel density estimate evaluated at `points`, with
 /// Silverman's rule-of-thumb bandwidth. Used by the Distribution Plot
 /// (M10) to compare density, spread and central tendency.
+///
+/// Points are evaluated in parallel; each point's sum runs over `xs`
+/// in order on one thread, so the result is bit-identical at every
+/// thread count.
 pub fn kde(xs: &[f64], points: &[f64]) -> Vec<f64> {
     if xs.is_empty() {
         return vec![0.0; points.len()];
@@ -189,18 +193,16 @@ pub fn kde(xs: &[f64], points: &[f64]) -> Vec<f64> {
     let s = std_dev(xs).max(1e-9);
     let h = 1.06 * s * n.powf(-0.2);
     let norm = 1.0 / (n * h * (2.0 * std::f64::consts::PI).sqrt());
-    points
-        .iter()
-        .map(|&p| {
-            xs.iter()
-                .map(|&x| {
-                    let z = (p - x) / h;
-                    (-0.5 * z * z).exp()
-                })
-                .sum::<f64>()
-                * norm
-        })
-        .collect()
+    tsgb_par::parallel_map(points.len(), |k| {
+        let p = points[k];
+        xs.iter()
+            .map(|&x| {
+                let z = (p - x) / h;
+                (-0.5 * z * z).exp()
+            })
+            .sum::<f64>()
+            * norm
+    })
 }
 
 /// Ranks with ties averaged (1-based), as required by the Friedman
@@ -297,6 +299,21 @@ mod tests {
         let dens = kde(&xs, &grid);
         let integral: f64 = dens.iter().sum::<f64>() * 0.01;
         assert!((integral - 1.0).abs() < 0.05, "integral = {integral}");
+    }
+
+    #[test]
+    fn kde_is_bit_identical_across_thread_counts() {
+        let xs: Vec<f64> = (0..5000)
+            .map(|i| ((i * 7919) % 1000) as f64 / 997.0)
+            .collect();
+        let grid: Vec<f64> = (0..100).map(|i| i as f64 / 99.0).collect();
+        let bits = |threads| -> Vec<u64> {
+            tsgb_par::with_threads(threads, || kde(&xs, &grid))
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(1), bits(4));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #
 # Tier 1 (the ROADMAP contract): release build + root test suite.
 # Tier 2: full workspace tests at one and four pool threads and with
-#         the compiled plan on and off, the golden-value suite (also
+#         the compiled plan on and off, the golden-value suites (also
 #         under TSGB_EVAL_CACHE=on), the serve, monitor, and
 #         sharded-router smoke legs (including a worker-kill fault
 #         drill and a drift-injection drill), the scenario smoke leg
@@ -40,6 +40,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> tier 2: golden-value suite (fixture regression)"
     TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q
     TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_suite -q
+
+    # the model-based measures (DS, PS, PS entire, C-FID) train post-hoc
+    # networks; their bits are pinned too, whichever thread runs a job
+    echo "==> tier 2: golden-value suite (model-based measures)"
+    TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_posthoc -q
+    TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_posthoc -q
 
     # band >= window length (fixtures use l=16) is provably bit-equal
     # to the full DP, so the pinned values must not move
