@@ -7,14 +7,15 @@
 //! accelerated eval kernels (Barnes-Hut t-SNE, banded DTW) against
 //! their exact counterparts and asserts the recorded speedup floors.
 //!
-//! It also runs the GRU / LSTM train-step probes twice — once on the
-//! interpreted recycled tape (`begin_step(false)`) and once through
-//! the compiled execution plan (`begin_step(true)`, record-once /
-//! replay-many) — asserts the two leave **bit-identical weights**
-//! after the full run, asserts the plan replays with zero steady-state
-//! pool misses, checks the plan beats the recorded interpreter
-//! reference by the ≥1.5× floor, and writes both timings plus the
-//! plan lifecycle counters to `BENCH_train.json`. Build with
+//! It also runs the GRU / LSTM train-step probes twice — once
+//! recording every step on a recycled tape (`reset()`, one-shot
+//! backward sweep) and once through the compiled execution plan
+//! (`begin_step()`, record-once / replay-many) — asserts the two leave
+//! **bit-identical weights** after the full run, asserts the plan
+//! replays with zero steady-state pool misses, checks the plan beats
+//! the recorded interpreter reference by the ≥1.5× floor, and writes
+//! both timings plus the plan lifecycle counters to
+//! `BENCH_train.json`. Build with
 //! `--features alloc-count` to additionally report steady-state heap
 //! allocations per step.
 //!
@@ -415,7 +416,8 @@ const TRAIN_STEPS: usize = 300;
 const WARMUP: usize = 20;
 
 /// Times `step(tape, params)` over [`TRAIN_STEPS`] iterations on one
-/// recycled tape with the plan gate set to `plan`, reporting the best
+/// recycled tape, stepped with `begin_step()` when `plan` is set and
+/// with `reset()` otherwise, reporting the best
 /// post-warmup wall time (step boundary + forward + backward +
 /// optimizer) plus the steady-state allocation and pool-miss rates
 /// over the final 100 steps.
@@ -434,7 +436,11 @@ fn train_run(
             misses_at = tape.pool_misses();
         }
         let t0 = Instant::now();
-        tape.begin_step(plan);
+        if plan {
+            tape.begin_step();
+        } else {
+            tape.reset();
+        }
         step(tape, params);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         if s >= WARMUP {
@@ -448,8 +454,7 @@ fn train_run(
 }
 
 /// Asserts every parameter of `a` and `b` agrees bit for bit — the
-/// `fresh_tapes`-style equivalence gate between the interpreted and
-/// compiled runs.
+/// equivalence gate between the one-shot and compiled runs.
 fn assert_params_bitwise(name: &str, a: &Params, b: &Params) {
     for id in a.ids() {
         let same = a
@@ -460,7 +465,7 @@ fn assert_params_bitwise(name: &str, a: &Params, b: &Params) {
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(
             same,
-            "{name}: compiled-plan weights diverge from the interpreted tape at {}",
+            "{name}: compiled-plan weights diverge from the one-shot sweep at {}",
             a.name(id)
         );
     }
@@ -477,7 +482,7 @@ struct TrainRun {
 }
 
 /// One seeded GRU training run: identical workload and init to the
-/// pre-change reference, stepping via `begin_step(plan)`.
+/// pre-change reference, stepped as in [`train_run`].
 fn gru_run(plan: bool) -> TrainRun {
     let mut rng = seeded(42);
     let xs: Vec<Matrix> = (0..SEQ)

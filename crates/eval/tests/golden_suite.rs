@@ -95,26 +95,6 @@ fn golden_values_match_fixture_at_one_and_four_threads() {
     }
 }
 
-/// `TSGB_PLAN` must not be able to change a single evaluation bit:
-/// compiled-plan replay is specified as bit-identical to the
-/// interpreted tape, and the model-based measures train through that
-/// same nn stack. With the plan on by default, this leg keeps the
-/// interpreter path exercised and pinned against rot.
-#[test]
-fn suite_is_bit_identical_with_plan_disabled() {
-    let on: Vec<(String, u64)> = scores(&run_suite())
-        .into_iter()
-        .map(|(k, v)| (k, v.to_bits()))
-        .collect();
-    let off: Vec<(String, u64)> = tsgb_nn::with_plan_mode(false, || {
-        scores(&run_suite())
-            .into_iter()
-            .map(|(k, v)| (k, v.to_bits()))
-            .collect()
-    });
-    assert_eq!(on, off, "suite output differs between TSGB_PLAN on and off");
-}
-
 #[test]
 fn suite_is_bit_identical_across_thread_counts() {
     let serial: Vec<u64> = tsgb_par::with_threads(1, || {

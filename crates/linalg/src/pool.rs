@@ -59,27 +59,6 @@ impl MatrixPool {
         m
     }
 
-    /// Ensures at least `count` free buffers of `elems` elements are
-    /// parked, allocating the shortfall up front. Deliberate
-    /// pre-sizing (e.g. from a compiled plan's buffer manifest) is not
-    /// a pool *miss*: misses count demand the pool failed to predict,
-    /// while `reserve` is the pool being told the future.
-    pub fn reserve(&mut self, elems: usize, count: usize) {
-        if elems == 0 {
-            return;
-        }
-        let free = self.free.entry(elems).or_default();
-        while free.len() < count {
-            free.push(vec![0.0; elems]);
-        }
-    }
-
-    /// Number of free buffers of exactly `elems` elements currently
-    /// parked (diagnostics for the reserve tests).
-    pub fn parked_of(&self, elems: usize) -> usize {
-        self.free.get(&elems).map_or(0, Vec::len)
-    }
-
     /// Retires a matrix, keeping its buffer for a later `take_*`.
     pub fn put(&mut self, m: Matrix) {
         let data = m.into_vec();
@@ -137,23 +116,6 @@ mod tests {
         let src = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]).unwrap();
         let c = pool.take_copy(&src);
         assert_eq!(c, src);
-    }
-
-    #[test]
-    fn reserve_prefills_without_counting_misses() {
-        let mut pool = MatrixPool::new();
-        pool.reserve(6, 3);
-        assert_eq!(pool.parked_of(6), 3);
-        assert_eq!(pool.misses(), 0, "reserve is not demand the pool missed");
-        // Reserving less than what is parked is a no-op.
-        pool.reserve(6, 1);
-        assert_eq!(pool.parked_of(6), 3);
-        // All three takes are hits.
-        let a = pool.take_uninit(2, 3);
-        let b = pool.take_uninit(3, 2);
-        let c = pool.take_zeroed(1, 6);
-        assert_eq!(pool.misses(), 0);
-        drop((a, b, c));
     }
 
     #[test]

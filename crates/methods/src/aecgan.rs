@@ -18,7 +18,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -174,8 +174,8 @@ impl TsgMethod for AecGan {
             .map(|s| Matrix::from_fn(lc, self.features, |t_, f| train.at(s, t_, f)))
             .collect();
 
-        let mut d_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
@@ -185,7 +185,7 @@ impl TsgMethod for AecGan {
 
             // --- discriminator ---
             {
-                let t = d_tape.begin();
+                let t = d_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let cb = nets.c_params.bind(t);
                 let db = nets.d_params.bind(t);
@@ -202,7 +202,7 @@ impl TsgMethod for AecGan {
 
             // --- generator (adversarial) + corrector (de-biasing) ---
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let cb = nets.c_params.bind(t);
                 let db = nets.d_params.bind(t);

@@ -6,7 +6,6 @@ use tsgb_rand::Rng;
 use std::time::Instant;
 use tsgb_linalg::rng::sample_without_replacement;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_nn::tape::Tape;
 
 /// Identifier of one of the ten benchmarked methods (paper A1–A10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,11 +138,6 @@ pub struct TrainConfig {
     pub hidden: usize,
     /// Latent dimensionality of VAE/AE-based methods.
     pub latent: usize,
-    /// Build a fresh tape for every optimization step instead of
-    /// recycling per-phase tapes. Recycling is the default (zero
-    /// steady-state allocations) and is bit-identical to fresh tapes;
-    /// the knob exists so tests can prove that equivalence.
-    pub fresh_tapes: bool,
 }
 
 impl TrainConfig {
@@ -156,7 +150,6 @@ impl TrainConfig {
             lr: 2e-3,
             hidden: 16,
             latent: 8,
-            fresh_tapes: false,
         }
     }
 
@@ -168,7 +161,6 @@ impl TrainConfig {
             lr: 1e-3,
             hidden: 24,
             latent: 8,
-            fresh_tapes: false,
         }
     }
 
@@ -182,7 +174,6 @@ impl TrainConfig {
             lr: 1e-3,
             hidden: 64,
             latent: 8,
-            fresh_tapes: false,
         }
     }
 }
@@ -268,56 +259,6 @@ impl EpochLog {
             );
         }
         report
-    }
-}
-
-/// A training-phase tape recycled — and, by default, *compiled* —
-/// across minibatches.
-///
-/// Every method's `fit` keeps one `PhasePlan` per optimization phase
-/// (discriminator step, generator step, AE step, …). `begin` yields a
-/// tape cleared for the next step. Three regimes, strongest first:
-///
-/// * **plan** (default, `TSGB_PLAN=on`): the first recorded step is
-///   captured into a compiled execution plan; later steps only
-///   signature-check their ops and feed leaf data, with forward and
-///   backward running as frozen schedules ([`Tape::begin_step`]).
-///   Structural changes (batch size, graph shape) transparently fall
-///   back to re-recording and re-capture on the next step.
-/// * **recycle** (`TSGB_PLAN=off`): the previous step's buffers are
-///   recycled in place — PR 2's zero-allocation interpreter path.
-/// * **fresh** ([`TrainConfig::fresh_tapes`]): a brand-new tape every
-///   step, allocation-heavy, kept so tests can prove all three are
-///   bit-identical.
-pub struct PhasePlan {
-    tape: Tape,
-    fresh: bool,
-    plan: bool,
-}
-
-/// The pre-plan name of [`PhasePlan`], kept so older code and docs
-/// resolve; the behavior is identical.
-pub type PhaseTape = PhasePlan;
-
-impl PhasePlan {
-    /// A phase tape honoring the config's `fresh_tapes` knob and the
-    /// `TSGB_PLAN` gate (read once at construction).
-    pub fn new(cfg: &TrainConfig) -> Self {
-        Self {
-            tape: Tape::new(),
-            fresh: cfg.fresh_tapes,
-            plan: !cfg.fresh_tapes && tsgb_nn::plan_enabled(),
-        }
-    }
-
-    /// The tape, cleared for the next optimization step.
-    pub fn begin(&mut self) -> &mut Tape {
-        if self.fresh {
-            self.tape = Tape::new();
-        } else {
-            self.tape.begin_step(self.plan);
-        }
-        &mut self.tape
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -170,9 +170,9 @@ impl TsgMethod for CosciGan {
         let mut cd_opt = Adam::with_betas(cfg.lr, 0.5, 0.999);
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut chd_tape = PhasePlan::new(cfg);
-        let mut cd_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut chd_tape = Tape::new();
+        let mut cd_tape = Tape::new();
+        let mut g_tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
@@ -185,7 +185,7 @@ impl TsgMethod for CosciGan {
 
             // --- per-channel discriminators ---
             for (c, ch) in nets.channels.iter_mut().enumerate() {
-                let t = chd_tape.begin();
+                let t = chd_tape.begin_step();
                 let gb = ch.g_params.bind(t);
                 let db = ch.d_params.bind(t);
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
@@ -205,7 +205,7 @@ impl TsgMethod for CosciGan {
 
             // --- central discriminator ---
             {
-                let t = cd_tape.begin();
+                let t = cd_tape.begin_step();
                 let cb = nets.central_params.bind(t);
                 let mut bindings = Vec::with_capacity(n);
                 for ch in &nets.channels {
@@ -232,7 +232,7 @@ impl TsgMethod for CosciGan {
             // --- generators: channel adversarial + gamma * central ---
             let epoch_loss;
             {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let cb = nets.central_params.bind(t);
                 let mut g_bindings = Vec::with_capacity(n);
                 let mut d_bindings = Vec::with_capacity(n);

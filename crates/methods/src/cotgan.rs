@@ -15,7 +15,7 @@
 
 use crate::common::{
     minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor, vstack, EpochLog,
-    FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -160,14 +160,14 @@ impl TsgMethod for CotGan {
         // Sinkhorn is O(b^2); keep minibatches modest
         let batch_cap = cfg.batch.min(24);
 
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, batch_cap, rng);
             let idx2 = minibatch(r, batch_cap, rng);
             let batch = idx.len();
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
             let zs2: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
-            let t = tape.begin();
+            let t = tape.begin_step();
             let gb = nets.g_params.bind(t);
             let fake = self.generate_flat(&nets, t, &gb, &zs);
             let fake2 = self.generate_flat(&nets, t, &gb, &zs2);

@@ -10,7 +10,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -133,8 +133,8 @@ impl TsgMethod for CRnnGan {
         let mut d_opt = Adam::with_betas(cfg.lr, 0.5, 0.999);
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut d_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
@@ -143,7 +143,7 @@ impl TsgMethod for CRnnGan {
 
             // D step
             {
-                let t = d_tape.begin();
+                let t = d_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, &zs);
@@ -159,7 +159,7 @@ impl TsgMethod for CRnnGan {
 
             // G step
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, &zs);

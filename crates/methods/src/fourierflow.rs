@@ -18,7 +18,7 @@
 //! hidden/latent profile.
 
 use crate::common::{
-    minibatch, EpochLog, FitDims, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -208,14 +208,14 @@ impl TsgMethod for FourierFlow {
             })
             .collect();
 
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let mut epoch_nll = 0.0;
             for ch in 0..n {
                 let x = spectra[ch].select_rows(&idx);
                 let flow = &mut self.flows[ch];
-                let t = tape.begin();
+                let t = tape.begin_step();
                 let b = flow.params.bind(t);
                 let xv = t.constant(x);
                 let (z, log_det) = forward_flow(flow, t, &b, xv);

@@ -22,7 +22,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -201,8 +201,8 @@ impl TsgMethod for GtGan {
         let mut d_opt = Adam::with_betas(cfg.lr, 0.5, 0.999);
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut d_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
@@ -211,7 +211,7 @@ impl TsgMethod for GtGan {
 
             // D step
             {
-                let t = d_tape.begin();
+                let t = d_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, z0.clone());
@@ -228,7 +228,7 @@ impl TsgMethod for GtGan {
             // G step: adversarial + light moment anchoring (the
             // reconstruction warm-up stand-in for P_MLE pretraining)
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, z0);

@@ -21,7 +21,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, serial_generate_batch, split_samples, vstack, EpochLog,
-    FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -189,12 +189,12 @@ impl TsgMethod for Ls4 {
         let mut log = EpochLog::new(self.id(), cfg.epochs);
         let recon_weight = (self.seq_len * self.features) as f64;
 
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
             let steps = gather_step_matrices(train, &idx);
-            let t = tape.begin();
+            let t = tape.begin_step();
             let b = nets.params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
             let (h1, _) = nets.enc1.run(t, &b, &xs, batch, None);

@@ -12,7 +12,7 @@
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, shift_columns, split_samples,
     steps_to_tensor, vstack, Condition, ConditionalSample, EpochLog, FitDims, GenSpec, MethodId,
-    PhasePlan, TrainConfig, TrainReport, TsgMethod, WindowStream,
+    TrainConfig, TrainReport, TsgMethod, WindowStream,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -145,8 +145,8 @@ impl TsgMethod for Rgan {
         let mut d_opt = Adam::with_betas(cfg.lr, 0.5, 0.999);
         let (r, l, _) = train.shape();
         let mut log = EpochLog::new(self.id(), cfg.epochs);
-        let mut d_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::new();
 
         for _epoch in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
@@ -156,7 +156,7 @@ impl TsgMethod for Rgan {
 
             // --- discriminator step ---
             {
-                let t = d_tape.begin();
+                let t = d_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = generate_steps(&nets, t, &gb, &zs);
@@ -175,7 +175,7 @@ impl TsgMethod for Rgan {
 
             // --- generator step ---
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
                 let fake = generate_steps(&nets, t, &gb, &zs);

@@ -15,7 +15,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -146,15 +146,15 @@ impl TsgMethod for RtsGan {
         let gan_epochs = cfg.epochs.saturating_sub(ae_epochs).max(1);
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut ae_tape = PhasePlan::new(cfg);
-        let mut c_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
+        let mut ae_tape = Tape::new();
+        let mut c_tape = Tape::new();
+        let mut g_tape = Tape::new();
 
         // ---- stage 1: sequence autoencoder ----
         for _ in 0..ae_epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let steps = gather_step_matrices(train, &idx);
-            let t = ae_tape.begin();
+            let t = ae_tape.begin_step();
             let ab = nets.ae_params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
             let z = encode(&nets, t, &ab, &xs, idx.len());
@@ -177,7 +177,7 @@ impl TsgMethod for RtsGan {
             for _ in 0..3 {
                 let idx = minibatch(r, cfg.batch, rng);
                 let steps = gather_step_matrices(train, &idx);
-                let t = c_tape.begin();
+                let t = c_tape.begin_step();
                 let ab = nets.ae_params.bind(t);
                 let gb = nets.gen_params.bind(t);
                 let cb = nets.critic_params.bind(t);
@@ -198,7 +198,7 @@ impl TsgMethod for RtsGan {
             }
             // generator step
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let gb = nets.gen_params.bind(t);
                 let cb = nets.critic_params.bind(t);
                 let noise_m = noise(cfg.batch.min(r), nets.noise_dim, rng);

@@ -19,7 +19,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -145,13 +145,13 @@ impl TsgMethod for SigWgan {
         debug_assert_eq!(target.len(), sig_dim);
         let target_m = Matrix::from_vec(1, sig_dim, target).expect("sized");
 
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let batch = idx.len();
             let _ = gather_step_matrices(train, &idx); // real batch unused: target is global
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
-            let t = tape.begin();
+            let t = tape.begin_step();
             let gb = nets.g_params.bind(t);
             let fake = self.generate_steps(&nets, t, &gb, &zs);
             let sig = tape_signature_depth2(t, &fake, batch, n);

@@ -21,7 +21,7 @@
 
 use crate::common::{
     gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -183,17 +183,17 @@ impl TsgMethod for TimeGan {
         let phase = (cfg.epochs / 3).max(1);
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut ae_tape = PhasePlan::new(cfg);
-        let mut s_tape = PhasePlan::new(cfg);
-        let mut d_tape = PhasePlan::new(cfg);
-        let mut g_tape = PhasePlan::new(cfg);
-        let mut er_tape = PhasePlan::new(cfg);
+        let mut ae_tape = Tape::new();
+        let mut s_tape = Tape::new();
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::new();
+        let mut er_tape = Tape::new();
 
         // ---- phase 1: autoencoding ----
         for _ in 0..phase {
             let idx = minibatch(r, cfg.batch, rng);
             let steps = gather_step_matrices(train, &idx);
-            let t = ae_tape.begin();
+            let t = ae_tape.begin_step();
             let erb = nets.er_params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
             let hs = nets.embedder.run(t, &erb, &xs, idx.len());
@@ -220,7 +220,7 @@ impl TsgMethod for TimeGan {
         for _ in 0..phase {
             let idx = minibatch(r, cfg.batch, rng);
             let steps = gather_step_matrices(train, &idx);
-            let t = s_tape.begin();
+            let t = s_tape.begin_step();
             let erb = nets.er_params.bind(t);
             let sb = nets.s_params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
@@ -257,7 +257,7 @@ impl TsgMethod for TimeGan {
 
             // D step
             {
-                let t = d_tape.begin();
+                let t = d_tape.begin_step();
                 let erb = nets.er_params.bind(t);
                 let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind(t);
@@ -276,7 +276,7 @@ impl TsgMethod for TimeGan {
 
             // G step: adversarial + supervised + moments on recovered data
             let g_loss_val = {
-                let t = g_tape.begin();
+                let t = g_tape.begin_step();
                 let erb = nets.er_params.bind(t);
                 let sb = nets.s_params.bind(t);
                 let gb = nets.g_params.bind(t);
@@ -309,7 +309,7 @@ impl TsgMethod for TimeGan {
 
             // E/R refresh: keep the latent space reconstructive
             {
-                let t = er_tape.begin();
+                let t = er_tape.begin_step();
                 let erb = nets.er_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let hs = nets.embedder.run(t, &erb, &xs, batch);

@@ -16,7 +16,7 @@
 
 use crate::common::{
     minibatch, serial_generate_batch, shift_columns, split_samples, vstack, Condition,
-    ConditionalSample, EpochLog, FitDims, GenSpec, MethodId, PhasePlan, TrainConfig, TrainReport,
+    ConditionalSample, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport,
     TsgMethod, WindowStream,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
@@ -267,11 +267,11 @@ impl TsgMethod for TimeVae {
         // size so the ELBO balance matches its Keras implementation
         let recon_weight = (self.seq_len * self.features) as f64;
 
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch, rng);
             let x = flat.select_rows(&idx);
-            let t = tape.begin();
+            let t = tape.begin_step();
             let b = nets.params.bind(t);
             let xv = t.constant_copy(&x);
             let h = nets.encoder.forward(t, &b, xv);

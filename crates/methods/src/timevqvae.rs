@@ -19,7 +19,7 @@
 //! positional code statistics at a tiny fraction of the cost, which is
 //! the trade the CPU budget requires (see `DESIGN.md`).
 
-use crate::common::{EpochLog, minibatch, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod};
+use crate::common::{EpochLog, minibatch, MethodId, TrainConfig, TrainReport, TsgMethod};
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
@@ -121,8 +121,8 @@ impl BandVq {
 
     /// One optimization step on a `(tokens, token_dim)` batch; returns
     /// (loss value, assigned code indices).
-    fn train_step(&mut self, x: &Matrix, opt: &mut Adam, tape: &mut PhasePlan) -> (f64, Vec<usize>) {
-        let t = tape.begin();
+    fn train_step(&mut self, x: &Matrix, opt: &mut Adam, tape: &mut Tape) -> (f64, Vec<usize>) {
+        let t = tape.begin_step();
         let b = self.params.bind(t);
         let xv = t.constant(x.clone());
         let e = self.encoder.forward(t, &b, xv);
@@ -380,8 +380,8 @@ impl TsgMethod for TimeVqVae {
         let mut high = BandVq::new(high_dim, code_dim, self.codes, self.ema_decay, "high", rng);
         let mut low_opt = Adam::new(cfg.lr);
         let mut high_opt = Adam::new(cfg.lr);
-        let mut low_tape = PhasePlan::new(cfg);
-        let mut high_tape = PhasePlan::new(cfg);
+        let mut low_tape = Tape::new();
+        let mut high_tape = Tape::new();
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
         let mut prior_low = vec![vec![vec![1e-3; self.codes]; frames]; n];

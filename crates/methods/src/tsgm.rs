@@ -15,7 +15,7 @@
 //! unconditional window former is the TSG-benchmark configuration).
 
 use crate::common::{
-    minibatch, EpochLog, FitDims, MethodId, PhasePlan, TrainConfig, TrainReport, TsgMethod,
+    minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -123,7 +123,7 @@ impl TsgMethod for Tsgm {
         let (betas, alphas, abars) = Self::schedule();
         let (mut params, net) = self.build_net(cfg, rng);
         let mut opt = Adam::new(cfg.lr);
-        let mut tape = PhasePlan::new(cfg);
+        let mut tape = Tape::new();
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
         // map windows to [-1, 1]
@@ -148,7 +148,7 @@ impl TsgMethod for Tsgm {
             let emb_m = Matrix::from_fn(batch, T_EMBED, |_, c| emb[c]);
             let input = xt.hcat(&emb_m);
 
-            let t = tape.begin();
+            let t = tape.begin_step();
             let b = params.bind(t);
             let inp = t.constant(input);
             let pred = net.forward(t, &b, inp);

@@ -15,7 +15,6 @@ fn tiny_cfg() -> TrainConfig {
         hidden: 6,
         latent: 4,
         lr: 2e-3,
-        fresh_tapes: false,
     }
 }
 

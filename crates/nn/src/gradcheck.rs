@@ -118,6 +118,7 @@ mod tests {
     use super::*;
     use crate::layers::{Activation, Conv1d, GruCell, LstmCell, Mlp};
     use crate::loss;
+    use crate::tape::VarId;
     use tsgb_linalg::rng::{randn_matrix, seeded};
 
     const TOL: f64 = 1e-5;
@@ -452,5 +453,209 @@ mod tests {
             1,
         );
         assert!(report.passes(TOL), "{}", report.max_rel_err);
+    }
+
+    /// One differentiable `Op` variant under finite differences.
+    /// `label` names the variant (plus the fused activation after a
+    /// `+`), `operands` derives the operand shapes from a ragged base
+    /// shape `(r, c)`, and `build` applies the op to operand nodes.
+    struct OpCase {
+        label: &'static str,
+        /// Ln and Recip need inputs bounded away from zero.
+        positive: bool,
+        operands: fn(usize, usize) -> Vec<(usize, usize)>,
+        build: fn(&mut Tape, &[VarId]) -> VarId,
+    }
+
+    /// A unary op applied to two same-shaped operands and summed, so
+    /// it runs on the parameter and on a constant alike.
+    macro_rules! unary {
+        ($label:literal, $positive:literal, |$t:ident, $x:ident| $body:expr) => {
+            OpCase {
+                label: $label,
+                positive: $positive,
+                operands: |r, c| vec![(r, c); 2],
+                build: |$t, v| {
+                    let y0 = {
+                        let $x = v[0];
+                        $body
+                    };
+                    let y1 = {
+                        let $x = v[1];
+                        $body
+                    };
+                    $t.add(y0, y1)
+                },
+            }
+        };
+    }
+
+    /// A binary or fused op over operands of the given shapes.
+    macro_rules! nary {
+        ($label:literal, $operands:expr, |$t:ident, $v:ident| $body:expr) => {
+            OpCase {
+                label: $label,
+                positive: false,
+                operands: $operands,
+                build: |$t, $v| $body,
+            }
+        };
+    }
+
+    fn op_cases() -> Vec<OpCase> {
+        use crate::tape::FusedAct::{Identity, Relu, Sigmoid, Tanh};
+        let affine = |r: usize, c: usize| vec![(r, c), (c, r + 1), (1, r + 1)];
+        let affine2 =
+            |r: usize, c: usize| vec![(r, c), (c, r + 1), (r, c + 1), (c + 1, r + 1), (1, r + 1)];
+        vec![
+            unary!("Neg", false, |t, x| t.neg(x)),
+            unary!("Scale", false, |t, x| t.scale(x, -1.7)),
+            unary!("AddScalar", false, |t, x| t.add_scalar(x, 0.4)),
+            unary!("Sigmoid", false, |t, x| t.sigmoid(x)),
+            unary!("Tanh", false, |t, x| t.tanh(x)),
+            unary!("Relu", false, |t, x| t.relu(x)),
+            unary!("LeakyRelu", false, |t, x| t.leaky_relu(x, 0.2)),
+            unary!("Exp", false, |t, x| t.exp(x)),
+            unary!("Ln", true, |t, x| t.ln(x)),
+            unary!("Square", false, |t, x| t.square(x)),
+            unary!("Abs", false, |t, x| t.abs(x)),
+            unary!("Softplus", false, |t, x| t.softplus(x)),
+            unary!("Recip", true, |t, x| t.recip(x)),
+            unary!("Sum", false, |t, x| t.sum(x)),
+            unary!("Mean", false, |t, x| t.mean(x)),
+            unary!("RowMean", false, |t, x| t.row_mean(x)),
+            unary!("Transpose", false, |t, x| t.transpose(x)),
+            unary!("Im2Col", false, |t, x| t.im2col(x, 3)),
+            unary!("SliceCols", false, |t, x| {
+                let c = t.shape(x).1;
+                t.slice_cols(x, c / 3, c - c / 4)
+            }),
+            unary!("SliceRows", false, |t, x| {
+                let r = t.shape(x).0;
+                t.slice_rows(x, r / 3, r - r / 4)
+            }),
+            nary!("Add", |r, c| vec![(r, c); 2], |t, v| t.add(v[0], v[1])),
+            nary!("Sub", |r, c| vec![(r, c); 2], |t, v| t.sub(v[0], v[1])),
+            nary!("Mul", |r, c| vec![(r, c); 2], |t, v| t.mul(v[0], v[1])),
+            nary!("Matmul", |r, c| vec![(r, c), (c, r + 1)], |t, v| {
+                t.matmul(v[0], v[1])
+            }),
+            nary!("AddRowBroadcast", |r, c| vec![(r, c), (1, c)], |t, v| {
+                t.add_row_broadcast(v[0], v[1])
+            }),
+            nary!("MulRowBroadcast", |r, c| vec![(r, c), (1, c)], |t, v| {
+                t.mul_row_broadcast(v[0], v[1])
+            }),
+            nary!("ConcatCols", |r, c| vec![(r, c), (r, c + 1)], |t, v| {
+                t.concat_cols(v[0], v[1])
+            }),
+            nary!("ConcatRows", |r, c| vec![(r, c), (r + 1, c)], |t, v| {
+                t.concat_rows(&[v[0], v[1]])
+            }),
+            nary!("Affine+Identity", affine, |t, v| {
+                t.affine_act(v[0], v[1], v[2], Identity)
+            }),
+            nary!("Affine+Sigmoid", affine, |t, v| {
+                t.affine_act(v[0], v[1], v[2], Sigmoid)
+            }),
+            nary!("Affine+Tanh", affine, |t, v| {
+                t.affine_act(v[0], v[1], v[2], Tanh)
+            }),
+            nary!("Affine+Relu", affine, |t, v| {
+                t.affine_act(v[0], v[1], v[2], Relu)
+            }),
+            nary!("Affine2+Identity", affine2, |t, v| {
+                t.affine2_act(v[0], v[1], v[2], v[3], v[4], Identity)
+            }),
+            nary!("Affine2+Sigmoid", affine2, |t, v| {
+                t.affine2_act(v[0], v[1], v[2], v[3], v[4], Sigmoid)
+            }),
+            nary!("Affine2+Tanh", affine2, |t, v| {
+                t.affine2_act(v[0], v[1], v[2], v[3], v[4], Tanh)
+            }),
+            nary!("Affine2+Relu", affine2, |t, v| {
+                t.affine2_act(v[0], v[1], v[2], v[3], v[4], Relu)
+            }),
+        ]
+    }
+
+    /// The gradient of every differentiable op, checked directly
+    /// rather than through a layer or loss: at ragged shapes (batch 1,
+    /// width 1, non-square) and with each operand in turn as the one
+    /// parameter while the rest enter as constants, so the pruned
+    /// edges into constants run too.
+    #[test]
+    fn every_differentiable_op_gradient_checks() {
+        let mut rng = seeded(23);
+        let cases = op_cases();
+        let variants: std::collections::HashSet<&str> = cases
+            .iter()
+            .map(|c| c.label.split('+').next().unwrap())
+            .collect();
+        assert_eq!(variants.len(), 30, "one case per differentiable Op variant");
+        for case in &cases {
+            let variant = case.label.split('+').next().unwrap();
+            for (r, c) in [(1, 3), (4, 1), (3, 5)] {
+                let values: Vec<Matrix> = (case.operands)(r, c)
+                    .into_iter()
+                    .map(|(rows, cols)| {
+                        let m = randn_matrix(rows, cols, &mut rng);
+                        if case.positive {
+                            m.map(|v| v.abs() + 0.5)
+                        } else {
+                            m
+                        }
+                    })
+                    .collect();
+                // The case must really record the variant it names.
+                let mut probe = Tape::new();
+                let vars: Vec<VarId> = values.iter().map(|m| probe.constant(m.clone())).collect();
+                (case.build)(&mut probe, &vars);
+                assert!(
+                    probe.nodes.iter().any(|n| {
+                        format!("{:?}", n.op)
+                            .split(|ch: char| !ch.is_alphanumeric())
+                            .next()
+                            == Some(variant)
+                    }),
+                    "{} records no {variant} node",
+                    case.label
+                );
+                for slot in 0..values.len() {
+                    let mut p = Params::new();
+                    let pid = p.register("p", values[slot].clone());
+                    let operands = values.clone();
+                    let build = case.build;
+                    let report = check_model(
+                        &mut p,
+                        move |t, b| {
+                            let vars: Vec<VarId> = operands
+                                .iter()
+                                .enumerate()
+                                .map(|(k, m)| {
+                                    if k == slot {
+                                        b.var(pid)
+                                    } else {
+                                        t.constant(m.clone())
+                                    }
+                                })
+                                .collect();
+                            let y = build(t, &vars);
+                            let sq = t.square(y);
+                            t.mean(sq)
+                        },
+                        EPS,
+                        1,
+                    );
+                    assert!(
+                        report.passes(TOL),
+                        "{} at base {r}x{c}, parameter operand {slot}: worst {:?}: {}",
+                        case.label,
+                        report.worst,
+                        report.max_rel_err
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,11 +10,12 @@
 //!
 //! Architecture:
 //!
-//! * [`tape`] — an arena-based gradient tape. Each forward op pushes a
-//!   node (value + backward closure inputs); [`tape::Tape::backward`]
-//!   walks the arena in reverse to accumulate gradients. Building a
-//!   fresh tape per minibatch keeps lifetimes trivial and memory
-//!   bounded.
+//! * [`tape`] — an arena-based gradient tape. Each forward op checks
+//!   its inputs and pushes a node (value + operand ids);
+//!   [`tape::Tape::backward`] walks the arena in reverse to accumulate
+//!   gradients. Training loops keep one tape per phase and start each
+//!   minibatch with [`tape::Tape::begin_step`], which recycles every
+//!   buffer and replays the compiled plan of the step (see [`plan`]).
 //! * [`params`] — named parameter store decoupled from the tape, so
 //!   optimizers ([`optim`]) can hold Adam moments across steps.
 //! * [`layers`] — Linear, GRU and LSTM cells, and 1-D convolution,
@@ -23,13 +24,13 @@
 //!   losses used by the GAN methods.
 //! * [`gradcheck`] — central finite-difference verification used by the
 //!   test suite to prove every op and layer differentiates correctly.
-
 //! * [`infer32`] — tape-free `f32` replicas of the layers for the
 //!   reduced-precision serve tier (`TSGB_SERVE_DTYPE=f32`).
-//! * [`plan`] — compiled execution plans: a recorded training step is
-//!   frozen into preresolved forward/backward schedules and replayed
-//!   with zero re-recording (`TSGB_PLAN=on|off`, on by default),
-//!   bit-identical to the interpreted tape.
+//! * [`plan`] — each op's forward and backward arithmetic, written
+//!   once, and the compiled execution plans that run it: a recorded
+//!   training step is frozen into preresolved forward/backward
+//!   schedules and replayed with zero re-recording, bit-identical to
+//!   recording it again.
 
 pub mod gradcheck;
 pub mod infer32;
@@ -43,5 +44,4 @@ pub mod plan;
 pub mod tape;
 
 pub use params::{ParamId, Params};
-pub use plan::{plan_enabled, with_plan_mode};
 pub use tape::{Tape, VarId};

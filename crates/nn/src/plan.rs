@@ -1,8 +1,9 @@
-//! Compiled execution plans: record-once/replay-many training steps.
+//! Compiled execution plans: record-once/replay-many training steps,
+//! and the one copy of every op's arithmetic.
 //!
 //! Training loops re-declare the same graph topology every minibatch.
-//! Recording it on the [`crate::Tape`] is allocation-free (PR 2's
-//! arena recycling), but still pays per-step op dispatch, shape
+//! Recording it on the [`crate::Tape`] is allocation-free (arena
+//! recycling), but still pays per-step op dispatch, shape
 //! re-derivation, pool hashing, and node bookkeeping. This module
 //! freezes one recorded step into an executable **plan**:
 //!
@@ -12,26 +13,31 @@
 //!   (`sigmoid(matmul(..))` and friends);
 //! * a reverse-order backward step list that accumulates into
 //!   preresolved gradient slots, with per-edge *first-touch* flags
-//!   resolved at compile time (the interpreter discovers them
-//!   dynamically through its `Option<Matrix>` slots).
+//!   resolved at compile time.
+//!
+//! Each op's forward arithmetic lives only in [`exec_node`] and its
+//! gradient only in [`run_step`]. The tape's record methods run
+//! `exec_node` on a freshly pushed node, and a tape that is not
+//! replaying runs [`sweep`], the one-shot backward: the same reverse
+//! loop the compiled plan freezes, reading each first-touch flag off
+//! the grad slots as it goes.
 //!
 //! # Determinism argument
 //!
-//! Replay is **bit-identical** to the interpreted tape because every
-//! plan step runs the *same* scalar kernels in the *same* order on the
-//! *same* operands:
+//! Replay is **bit-identical** to the one-shot path because both run
+//! the *same* step functions in the *same* order on the *same*
+//! operands:
 //!
-//! * forward steps reuse each node's own value buffer and the exact
-//!   record-path expressions (fusion only changes *where* the
-//!   pre-activation lands, never the arithmetic — the activation is
-//!   applied to identical input bits);
-//! * backward steps replicate the interpreter's accumulate order. A
-//!   first-touch edge mirrors the interpreter's install-into-empty-slot
-//!   move: "compute the delta straight into the slot" for owned
-//!   deltas, "copy" for borrowed ones, and "zero then accumulate" for
-//!   the `*_acc_into` family (zero-then-add rather than a direct store,
-//!   so `-0.0` deltas keep the interpreter's `0.0 + -0.0 == 0.0`
-//!   bits). Later touches `add_assign` exactly like the interpreter.
+//! * forward steps reuse each node's own value buffer and `exec_node`
+//!   (fusion only changes *where* the pre-activation lands, never the
+//!   arithmetic — the activation is applied to identical input bits);
+//! * backward steps visit edges in the sweep's order with the flags it
+//!   would read. A first touch writes the delta straight into the slot
+//!   (a copy for borrowed deltas, and "zero then accumulate" for the
+//!   `*_acc_into` family, so `-0.0` deltas keep `0.0 + -0.0 == 0.0`
+//!   bits); later touches `add_assign`. The transpose and panel caches
+//!   replay reads are bit-identical to the plain `matmul_t` kernels
+//!   the sweep uses.
 //!
 //! Scalar payloads (`scale`, `add_scalar`, `leaky_relu` and `filled`
 //! leaves) are per-step *feeds*: the replaying tape writes new values
@@ -45,64 +51,12 @@
 //! [`crate::Tape::begin_step`] captures after the first recorded step
 //! and rewinds on subsequent boundaries. Any structural mismatch while
 //! replaying (changed batch size, a different graph) materializes the
-//! already-matched prefix with interpreter kernels, retires the stale
-//! suffix, and falls back to recording; the next boundary re-captures.
+//! already-matched prefix with `exec_node`, retires the stale suffix,
+//! and falls back to recording; the next boundary re-captures.
 
 use crate::tape::{FusedAct, LeafKind, Node, Op};
-use std::cell::Cell;
-use std::collections::HashMap;
 use tsgb_linalg::gemm::{matmul_prepacked_acc_into, pack_b_panels, pack_bt_panels, packed_b_len};
 use tsgb_linalg::{Matrix, MatrixPool};
-
-// ---------------------------------------------------------------------
-// Mode gating: TSGB_PLAN env + per-thread override
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// 0 = no override; 1 = plan on; 2 = plan off.
-    static PLAN_OVERRIDE: Cell<u8> = const { Cell::new(0) };
-
-    /// Cached `TSGB_PLAN` value; 0 = not read yet. Env lookups take a
-    /// process-wide lock — far too slow for a per-step check.
-    static PLAN_ENV: Cell<u8> = const { Cell::new(0) };
-}
-
-/// Whether tapes compile recorded steps into execution plans: the
-/// [`with_plan_mode`] override if active, else `TSGB_PLAN`
-/// (`on` | `off`), else on. Unrecognized values mean on.
-pub fn plan_enabled() -> bool {
-    let o = PLAN_OVERRIDE.with(Cell::get);
-    if o != 0 {
-        return o == 1;
-    }
-    let cached = PLAN_ENV.with(Cell::get);
-    let code = if cached != 0 {
-        cached
-    } else {
-        let code = match std::env::var("TSGB_PLAN").as_deref() {
-            Ok("off") | Ok("0") | Ok("false") => 2,
-            _ => 1,
-        };
-        PLAN_ENV.with(|c| c.set(code));
-        code
-    };
-    code == 1
-}
-
-/// Runs `f` with plan compilation forced on or off for the current
-/// thread (restored afterwards, also on panic). The equivalence tests
-/// use this to compare the compiled and interpreted paths without
-/// touching the process environment.
-pub fn with_plan_mode<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PLAN_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(PLAN_OVERRIDE.with(|c| c.replace(if on { 1 } else { 2 })));
-    f()
-}
 
 // ---------------------------------------------------------------------
 // Plan structure
@@ -149,9 +103,9 @@ impl PackCache {
     }
 }
 
-/// The no-prepack cache the interpreter's materialization paths
-/// ([`crate::Tape::eval`], invalidation fallback) pass to
-/// [`exec_node`]: every GEMM takes the plain kernels.
+/// The no-prepack cache the unplanned callers of [`exec_node`] pass
+/// (the record methods, [`crate::Tape::eval`], invalidation fallback):
+/// every GEMM takes the plain kernels.
 pub(crate) static EMPTY_PACKS: PackCache = PackCache {
     entries: Vec::new(),
 };
@@ -188,13 +142,13 @@ struct BwdStep {
 struct BwdPlan {
     loss: usize,
     steps: Vec<BwdStep>,
-    /// Per-edge first-touch flags, in the exact order the interpreter
-    /// visits edges; `true` mirrors "install into an empty slot".
+    /// Per-edge first-touch flags, in the exact order [`edges`]
+    /// visits them; `true` means the slot is empty until this edge.
     /// Pruned edges (into no-grad leaves) keep a placeholder slot so
     /// the positional indexing in [`run_step`] never shifts.
     flags: Vec<bool>,
-    /// Nodes the sweep reaches — exactly the slots the interpreter
-    /// would leave `Some`, minus pruned no-grad leaves.
+    /// Nodes the sweep reaches — exactly the slots [`sweep`] would
+    /// leave `Some`.
     reached: Vec<bool>,
     /// One buffer per step that needs a temporary (non-first-touch
     /// mapped deltas, fused-activation `dz`), shaped like that step's
@@ -219,11 +173,10 @@ struct BwdPlan {
     ptcache: PackCache,
 }
 
-/// Whether a node is a leaf whose gradient nobody can observe
-/// (constants, zeros padding, filled targets). The compiled backward
-/// plan prunes every edge into such leaves; the interpreter still
-/// computes them, and since pruning only removes *writes to those
-/// slots*, parameter gradients are bit-identical either way.
+/// Whether a node is a leaf whose gradient nobody reads (constants,
+/// zeros padding, filled targets). Both backward paths prune every
+/// edge into such leaves; pruning only removes *writes to those
+/// slots*, so every other gradient is unaffected.
 fn nograd(op: &Op) -> bool {
     matches!(
         op,
@@ -258,62 +211,77 @@ fn fusable_producer(op: &Op) -> bool {
     )
 }
 
+/// Visits the operands of `op` in the order its backward step folds
+/// gradients into them, each with whether the edge's delta is *mapped*:
+/// an elementwise delta computed straight into an empty slot, which on
+/// a later touch needs a scratch temporary to add from. The compiled
+/// plan, the one-shot [`sweep`] and [`run_step`]'s positional flags all
+/// follow this order. (`Detach` lists its operand for use counting;
+/// no backward step runs for it.)
+fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
+    match op {
+        Op::Leaf(_) => {}
+        Op::Sub(a, b) => {
+            f(a.0, false);
+            f(b.0, true);
+        }
+        Op::Mul(a, b) => {
+            f(a.0, true);
+            f(b.0, true);
+        }
+        Op::MulRowBroadcast(a, row) => {
+            f(a.0, true);
+            f(row.0, false);
+        }
+        Op::Add(a, b) | Op::Matmul(a, b) | Op::AddRowBroadcast(a, b) | Op::ConcatCols(a, b) => {
+            f(a.0, false);
+            f(b.0, false);
+        }
+        Op::Neg(a)
+        | Op::Scale(a, _)
+        | Op::Sigmoid(a)
+        | Op::Tanh(a)
+        | Op::Relu(a)
+        | Op::LeakyRelu(a, _)
+        | Op::Exp(a)
+        | Op::Ln(a)
+        | Op::Square(a)
+        | Op::Abs(a)
+        | Op::Softplus(a)
+        | Op::Recip(a) => f(a.0, true),
+        Op::AddScalar(a, _)
+        | Op::Detach(a)
+        | Op::Sum(a)
+        | Op::Mean(a)
+        | Op::SliceCols(a, _, _)
+        | Op::SliceRows(a, _, _)
+        | Op::Im2Col(a, _)
+        | Op::RowMean(a)
+        | Op::Transpose(a) => f(a.0, false),
+        Op::ConcatRows(parts) => parts.iter().for_each(|p| f(p.0, false)),
+        Op::Affine { x, w, b, .. } => [x, w, b].into_iter().for_each(|v| f(v.0, false)),
+        Op::Affine2 { x, w, h, u, b, .. } => {
+            [x, w, h, u, b].into_iter().for_each(|v| f(v.0, false))
+        }
+    }
+}
+
+/// Whether `op` is a fused affine with an activation, whose backward
+/// step needs a scratch buffer for its `dz`.
+fn activated(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Affine { act, .. } | Op::Affine2 { act, .. } if *act != FusedAct::Identity
+    )
+}
+
 impl Replay {
-    /// Freezes the recorded node list into a forward plan and pre-sizes
-    /// `pool` from the plan's buffer manifest, so post-invalidation
-    /// re-records and backward compiles never miss.
-    pub(crate) fn capture(nodes: &[Node], pool: &mut MatrixPool) -> Replay {
+    /// Freezes the recorded node list into a forward plan.
+    pub(crate) fn capture(nodes: &[Node]) -> Replay {
         let n = nodes.len();
         let mut uses = vec![0u32; n];
-        let mut count = |id: &crate::VarId| uses[id.0] += 1;
         for node in nodes {
-            match &node.op {
-                Op::Leaf(_) => {}
-                Op::Add(a, b)
-                | Op::Sub(a, b)
-                | Op::Mul(a, b)
-                | Op::Matmul(a, b)
-                | Op::AddRowBroadcast(a, b)
-                | Op::MulRowBroadcast(a, b)
-                | Op::ConcatCols(a, b) => {
-                    count(a);
-                    count(b);
-                }
-                Op::Neg(a)
-                | Op::Scale(a, _)
-                | Op::AddScalar(a, _)
-                | Op::Detach(a)
-                | Op::Sigmoid(a)
-                | Op::Tanh(a)
-                | Op::Relu(a)
-                | Op::LeakyRelu(a, _)
-                | Op::Exp(a)
-                | Op::Ln(a)
-                | Op::Square(a)
-                | Op::Abs(a)
-                | Op::Softplus(a)
-                | Op::Recip(a)
-                | Op::Sum(a)
-                | Op::Mean(a)
-                | Op::SliceCols(a, _, _)
-                | Op::SliceRows(a, _, _)
-                | Op::Im2Col(a, _)
-                | Op::RowMean(a)
-                | Op::Transpose(a) => count(a),
-                Op::ConcatRows(parts) => parts.iter().for_each(&mut count),
-                Op::Affine { x, w, b, .. } => {
-                    count(x);
-                    count(w);
-                    count(b);
-                }
-                Op::Affine2 { x, w, h, u, b, .. } => {
-                    count(x);
-                    count(w);
-                    count(h);
-                    count(u);
-                    count(b);
-                }
-            }
+            edges(&node.op, |t, _| uses[t] += 1);
         }
 
         // Activation fusion: a single-use Matmul / identity-Affine(2)
@@ -376,20 +344,6 @@ impl Replay {
                 })
                 .collect(),
         };
-
-        // Buffer-slot manifest -> pool pre-size. A warm re-record after
-        // an invalidation redraws every node value, and the first
-        // backward compile takes scratch buffers (all node-shaped); a
-        // small margin covers the interpreter's transient deltas.
-        let mut manifest: HashMap<usize, usize> = HashMap::new();
-        for node in nodes {
-            *manifest
-                .entry(node.value.rows() * node.value.cols())
-                .or_insert(0) += 1;
-        }
-        for (&elems, &count) in &manifest {
-            pool.reserve(elems, count + 2);
-        }
 
         Replay {
             cursor: 0,
@@ -481,10 +435,12 @@ fn mm(a: &Matrix, b_id: usize, b: &Matrix, packs: &PackCache, dst: &mut Matrix) 
     }
 }
 
-/// Recomputes node `i`'s value in place with the interpreter's own
-/// kernels and operand order — the unfused path, also used to
-/// materialize deferred prefixes for [`crate::Tape::eval`] and
-/// invalidation fallback (which pass [`EMPTY_PACKS`]).
+/// Computes node `i`'s value in place from its operands — the only
+/// copy of each op's forward arithmetic. Every shape was checked when
+/// the node was recorded, and every element of the value is written.
+/// The record methods, [`crate::Tape::eval`] and the invalidation
+/// fallback pass [`EMPTY_PACKS`]; replay passes its weight panels and
+/// runs every unfused step here.
 pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, packs: &PackCache) {
     let (lo, hi) = nodes.split_at_mut(i);
     let node = &mut hi[0];
@@ -678,15 +634,39 @@ fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool,
 // Backward compilation + execution
 // ---------------------------------------------------------------------
 
+/// Pushes the first-touch flag of each of node `i`'s backward edges,
+/// in [`edges`] order, and returns whether its step needs a scratch
+/// buffer. `touch(t)` reports whether slot `t` was still empty and
+/// marks it reached. Pruned edges (into no-grad leaves) push a
+/// placeholder that is never read, so the positional indexing in
+/// [`run_step`] matches, and leave the leaf unreached. The compiled
+/// plan and the one-shot [`sweep`] both flag edges here, so the two
+/// cannot drift apart.
+fn step_flags(
+    nodes: &[Node],
+    i: usize,
+    flags: &mut Vec<bool>,
+    mut touch: impl FnMut(usize) -> bool,
+) -> bool {
+    let mut need_scratch = activated(&nodes[i].op);
+    edges(&nodes[i].op, |t, mapped| {
+        if nograd(&nodes[t].op) {
+            flags.push(true);
+            return;
+        }
+        let fresh = touch(t);
+        flags.push(fresh);
+        need_scratch |= mapped && !fresh;
+    });
+    need_scratch
+}
+
 impl BwdPlan {
-    /// Simulates the interpreter's reverse sweep from `loss` over the
-    /// frozen graph, recording which nodes are reached, the first-touch
-    /// flag of every edge (in interpreter visit order), and which steps
-    /// need a scratch buffer — then takes those buffers from the pool.
-    ///
-    /// The edge enumeration here and the arms of [`BwdPlan::run`] must
-    /// stay in lockstep: both walk a step's edges in the same order,
-    /// consuming one flag each.
+    /// Walks the reverse sweep from `loss` over the frozen graph,
+    /// recording which nodes are reached, the first-touch flag of every
+    /// edge, which steps need a scratch buffer, and which `matmul_t`
+    /// right-hand sides to cache — then takes those buffers from the
+    /// pool.
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
         let mut has = vec![false; nodes.len()];
         has[loss] = true;
@@ -699,129 +679,40 @@ impl BwdPlan {
         let mut tneed: Vec<u32> = Vec::new();
         let mut pneed: Vec<u32> = Vec::new();
         for i in (0..=loss).rev() {
-            if !has[i] {
+            if !has[i] || matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_)) {
                 continue;
             }
             let flags_at = flags.len() as u32;
-            // Activated affines always need a dz temporary; mapped
-            // edges add one below when they are not first-touch.
-            let mut need_scratch = matches!(
-                &nodes[i].op,
-                Op::Affine { act, .. } | Op::Affine2 { act, .. } if *act != FusedAct::Identity
-            );
-            {
-                // `mapped` edges compute an elementwise delta: a
-                // non-first touch needs a temporary to add from.
-                // A live `matmul_t` right-hand side: prepacked panels
-                // when the multiply's shape is profitable, else the
-                // plain transpose cache. The deltas multiplied against
-                // the transpose are all node-`i`-shaped, so `m` is
-                // this node's row count.
-                let m = nodes[i].value.rows();
-                let mut twant = |rhs: usize| {
-                    let (n, k) = nodes[rhs].value.shape();
-                    if pack_profitable(m, k, n) {
-                        pneed.push(rhs as u32);
-                    } else {
-                        tneed.push(rhs as u32);
+            let need_scratch = step_flags(nodes, i, &mut flags, |t| {
+                !std::mem::replace(&mut has[t], true)
+            });
+            // A live `matmul_t` right-hand side: prepacked panels when
+            // the multiply's shape is profitable, else the plain
+            // transpose cache. The deltas multiplied against the
+            // transpose are all node-`i`-shaped, so `m` is this node's
+            // row count.
+            let m = nodes[i].value.rows();
+            let live = |v: &crate::VarId| !nograd(&nodes[v.0].op);
+            let mut twant = |rhs: &crate::VarId| {
+                let (n, k) = nodes[rhs.0].value.shape();
+                if pack_profitable(m, k, n) {
+                    pneed.push(rhs.0 as u32);
+                } else {
+                    tneed.push(rhs.0 as u32);
+                }
+            };
+            match &nodes[i].op {
+                Op::Matmul(a, b) if live(a) => twant(b),
+                Op::Affine { x, w, .. } if live(x) => twant(w),
+                Op::Affine2 { x, w, h, u, .. } => {
+                    if live(x) {
+                        twant(w);
                     }
-                };
-                let mut edge = |t: usize, mapped: bool| {
-                    if nograd(&nodes[t].op) {
-                        // Pruned edge: the flag slot is kept (so the
-                        // positional indexing in `run_step` matches)
-                        // but never read, and the leaf stays
-                        // unreached.
-                        flags.push(true);
-                        return;
-                    }
-                    let fresh = !has[t];
-                    has[t] = true;
-                    flags.push(fresh);
-                    if mapped && !fresh {
-                        need_scratch = true;
-                    }
-                };
-                match &nodes[i].op {
-                    Op::Leaf(_) | Op::Detach(_) => continue,
-                    Op::Add(a, b) => {
-                        edge(a.0, false);
-                        edge(b.0, false);
-                    }
-                    Op::Sub(a, b) => {
-                        edge(a.0, false);
-                        edge(b.0, true);
-                    }
-                    Op::Mul(a, b) => {
-                        edge(a.0, true);
-                        edge(b.0, true);
-                    }
-                    Op::Neg(a)
-                    | Op::Scale(a, _)
-                    | Op::Sigmoid(a)
-                    | Op::Tanh(a)
-                    | Op::Relu(a)
-                    | Op::LeakyRelu(a, _)
-                    | Op::Exp(a)
-                    | Op::Ln(a)
-                    | Op::Square(a)
-                    | Op::Abs(a)
-                    | Op::Softplus(a)
-                    | Op::Recip(a) => edge(a.0, true),
-                    Op::AddScalar(a, _) => edge(a.0, false),
-                    Op::Matmul(a, b) => {
-                        edge(a.0, false);
-                        edge(b.0, false);
-                        if !nograd(&nodes[a.0].op) {
-                            twant(b.0);
-                        }
-                    }
-                    Op::Sum(a)
-                    | Op::Mean(a)
-                    | Op::SliceCols(a, _, _)
-                    | Op::SliceRows(a, _, _)
-                    | Op::Im2Col(a, _)
-                    | Op::RowMean(a)
-                    | Op::Transpose(a) => edge(a.0, false),
-                    Op::AddRowBroadcast(a, row) => {
-                        edge(a.0, false);
-                        edge(row.0, false);
-                    }
-                    Op::MulRowBroadcast(a, row) => {
-                        edge(a.0, true);
-                        edge(row.0, false);
-                    }
-                    Op::ConcatCols(a, b) => {
-                        edge(a.0, false);
-                        edge(b.0, false);
-                    }
-                    Op::ConcatRows(parts) => {
-                        for p in parts {
-                            edge(p.0, false);
-                        }
-                    }
-                    Op::Affine { x, w, b, .. } => {
-                        edge(x.0, false);
-                        edge(w.0, false);
-                        edge(b.0, false);
-                        if !nograd(&nodes[x.0].op) {
-                            twant(w.0);
-                        }
-                    }
-                    Op::Affine2 { x, w, h, u, b, .. } => {
-                        edge(x.0, false);
-                        edge(w.0, false);
-                        edge(h.0, false);
-                        edge(u.0, false);
-                        edge(b.0, false);
-                        if !nograd(&nodes[x.0].op) {
-                            twant(w.0);
-                        }
-                        if !nograd(&nodes[h.0].op) {
-                            twant(u.0);
-                        }
+                    if live(h) {
+                        twant(u);
                     }
                 }
+                _ => {}
             }
             let scratch_idx = if need_scratch {
                 let (r, c) = nodes[i].value.shape();
@@ -869,9 +760,9 @@ impl BwdPlan {
         }
     }
 
-    /// Runs the compiled sweep. Mirrors the interpreter exactly: the
-    /// same kernels, same edge order, with the `Option` slot dance
-    /// replaced by precomputed first-touch flags.
+    /// Runs the compiled sweep: [`sweep`]'s steps in its order, with
+    /// first-touch flags and scratch buffers precomputed and the
+    /// `matmul_t` right-hand sides read from the per-run caches.
     fn run(
         &mut self,
         nodes: &[Node],
@@ -883,7 +774,7 @@ impl BwdPlan {
         if grads.len() < n {
             grads.resize_with(n, || None);
         }
-        // Slot maintenance: exactly the interpreter's end state has
+        // Slot maintenance: exactly the one-shot sweep's end state has
         // `Some` on reached nodes and `None` elsewhere. Unreached
         // leftovers (from a previous different loss) retire to the
         // pool; reached slots get a buffer whose every element the
@@ -920,6 +811,11 @@ impl BwdPlan {
         for (id, panels) in ptcache.entries.iter_mut() {
             pack_bt_panels(&nodes[*id as usize].value, panels);
         }
+        let caches = RunCaches {
+            tcache,
+            ptcache,
+            dead,
+        };
         for step in steps.iter() {
             let i = step.node as usize;
             // Contributions to node i come only from consumers (larger
@@ -928,13 +824,66 @@ impl BwdPlan {
             let g: &Matrix = hi[0].as_ref().expect("reached grads are materialized");
             let fa = step.flags_at as usize;
             let sbuf = scratch.get_mut(step.scratch as usize);
-            run_step(nodes, lo, g, i, &flags[fa..], sbuf, tcache, ptcache, dead);
+            run_step(nodes, lo, g, i, &flags[fa..], sbuf, Some(&caches));
         }
     }
 }
 
-/// Folds a borrowed delta into a slot: first touch copies (the
-/// interpreter's `take_copy` install), later touches `add_assign`.
+/// The one-shot backward sweep of a tape that is not replaying, from
+/// the `1 x 1` node `loss` into all-`None` `grads`: the reverse loop
+/// over the arena, handing each reached node to [`run_step`]. An edge
+/// is a first touch when its slot is still empty, and the slot then
+/// gets a pooled buffer for the step to overwrite; a step that needs a
+/// scratch buffer borrows one from the pool for just that step; and
+/// `matmul_t` edges take the plain kernels. `flags` is the caller's
+/// reusable buffer for the current step's flags.
+pub(crate) fn sweep(
+    nodes: &[Node],
+    grads: &mut [Option<Matrix>],
+    pool: &mut MatrixPool,
+    flags: &mut Vec<bool>,
+    loss: usize,
+) {
+    let mut seed = pool.take_uninit(1, 1);
+    seed.fill(1.0);
+    grads[loss] = Some(seed);
+    for i in (0..=loss).rev() {
+        if matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_)) {
+            continue;
+        }
+        let (lo, hi) = grads.split_at_mut(i);
+        let Some(g) = hi[0].as_ref() else { continue };
+        flags.clear();
+        let need_scratch = step_flags(nodes, i, flags, |t| {
+            let fresh = lo[t].is_none();
+            if fresh {
+                let (r, c) = nodes[t].value.shape();
+                lo[t] = Some(pool.take_uninit(r, c));
+            }
+            fresh
+        });
+        let mut sbuf = need_scratch.then(|| {
+            let (r, c) = nodes[i].value.shape();
+            pool.take_uninit(r, c)
+        });
+        run_step(nodes, lo, g, i, flags, sbuf.as_mut(), None);
+        if let Some(buf) = sbuf {
+            pool.put(buf);
+        }
+    }
+}
+
+/// A compiled plan's per-run backward state that [`run_step`] reads:
+/// the cached transposes and prepacked transpose panels of `matmul_t`
+/// right-hand sides, and which forward nodes were fused away.
+struct RunCaches<'a> {
+    tcache: &'a [(u32, Matrix)],
+    ptcache: &'a PackCache,
+    dead: &'a [bool],
+}
+
+/// Folds a borrowed delta into a slot: first touch copies, later
+/// touches `add_assign`.
 fn fold_ref(dst: &mut Matrix, fresh: bool, delta: &Matrix) {
     if fresh {
         dst.copy_from(delta);
@@ -943,9 +892,10 @@ fn fold_ref(dst: &mut Matrix, fresh: bool, delta: &Matrix) {
     }
 }
 
-/// Prepares a `*_acc_into` target: first touch zeroes the slot (the
-/// interpreter's `take_zeroed`), so accumulating kernels see the same
-/// bits either way.
+/// Prepares a `*_acc_into` target: a first touch zeroes the slot and
+/// the kernel accumulates into it. Zero-then-add, not a direct store,
+/// so a `-0.0` delta lands as `0.0 + -0.0 == 0.0`, the bits the golden
+/// fixtures pin.
 fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
     let dst = slot.as_mut().expect("reached grads are materialized");
     if fresh {
@@ -954,29 +904,29 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
     dst
 }
 
-/// `dst += a * (node rhs's value)ᵀ`, via whichever cache
-/// [`BwdPlan::compile`] routed the edge to: prepacked transpose
+/// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no caches)
+/// runs the plain `matmul_t_acc_into`; a compiled plan reads whichever
+/// cache [`BwdPlan::compile`] routed the edge to: prepacked transpose
 /// panels when the shape cleared [`pack_profitable`] (the predicate
 /// re-derives identically here — all inputs are frozen shapes), else
-/// the plain matmul against the cached transpose. Both are
-/// bit-identical to `a.matmul_t_acc_into(rhs, dst)` (equality
-/// documented on [`Matrix::matmul_t`] and [`tsgb_linalg::gemm`]).
-fn mul_t_acc(
-    nodes: &[Node],
-    tcache: &[(u32, Matrix)],
-    ptcache: &PackCache,
-    a: &Matrix,
-    rhs: usize,
-    dst: &mut Matrix,
-) {
+/// the plain matmul against the cached transpose. All three are
+/// bit-identical (equality documented on [`Matrix::matmul_t`] and
+/// [`tsgb_linalg::gemm`]).
+fn mul_t_acc(nodes: &[Node], caches: Option<&RunCaches>, a: &Matrix, rhs: usize, dst: &mut Matrix) {
+    let Some(c) = caches else {
+        a.matmul_t_acc_into(&nodes[rhs].value, dst);
+        return;
+    };
     let (n, k) = nodes[rhs].value.shape();
     if pack_profitable(a.rows(), k, n) {
-        let panels = ptcache
+        let panels = c
+            .ptcache
             .get(rhs)
             .expect("profitable matmul_t RHS has packed panels");
         matmul_prepacked_acc_into(a, panels, n, dst);
     } else {
-        let t = &tcache
+        let t = &c
+            .tcache
             .iter()
             .find(|(id, _)| *id as usize == rhs)
             .expect("live matmul_t RHS has a cached transpose")
@@ -985,20 +935,14 @@ fn mul_t_acc(
     }
 }
 
-/// Executes one backward step for node `i`: `g` is its (final)
-/// incoming gradient, `lo` the grad slots of all earlier nodes,
-/// `flags` this step's first-touch flags, `sbuf` its scratch buffer,
-/// `tcache`/`ptcache` the plan's per-run caches of transposed
-/// `matmul_t` right-hand sides (plain and prepacked).
-///
-/// Every arm replicates the interpreter arm for the same op — same
-/// kernels, same operand order, with first-touch flags standing in
-/// for the interpreter's empty-slot checks. Two sanctioned
-/// deviations, both bit-identical: edges into no-grad leaves are
-/// skipped entirely (`live` mirrors compile's pruning — nothing else
-/// reads those slots), and `x.matmul_t_acc_into(w, ..)` runs through
-/// [`mul_t_acc`].
-#[allow(clippy::too_many_arguments)]
+/// Executes one backward step for node `i` — the only copy of each
+/// op's gradient. `g` is its (final) incoming gradient, `lo` the grad
+/// slots of all earlier nodes (every live edge's slot holds a buffer),
+/// `flags` this step's first-touch flags in [`edges`] order, `sbuf`
+/// its scratch buffer, and `caches` a compiled plan's per-run state
+/// (`None` on the one-shot sweep). Edges into no-grad leaves are
+/// skipped entirely (`live` mirrors [`step_flags`]' pruning — nothing
+/// reads those slots).
 fn run_step(
     nodes: &[Node],
     lo: &mut [Option<Matrix>],
@@ -1006,9 +950,7 @@ fn run_step(
     i: usize,
     flags: &[bool],
     mut sbuf: Option<&mut Matrix>,
-    tcache: &[(u32, Matrix)],
-    ptcache: &PackCache,
-    dead: &[bool],
+    caches: Option<&RunCaches>,
 ) {
     let live = |t: usize| !nograd(&nodes[t].op);
     // A mapped (elementwise-delta) edge: first touch computes straight
@@ -1099,7 +1041,7 @@ fn run_step(
         Op::Matmul(a, b) => {
             if live(a.0) {
                 let ga = acc_slot(&mut lo[a.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, g, b.0, ga);
+                mul_t_acc(nodes, caches, g, b.0, ga);
             }
             if live(b.0) {
                 let gb = acc_slot(&mut lo[b.0], flags[1]);
@@ -1126,7 +1068,7 @@ fn run_step(
         }
         Op::Relu(a) if !live(a.0) => {}
         Op::Relu(a) => {
-            if dead[a.0] {
+            if caches.is_some_and(|c| c.dead[a.0]) {
                 // Fused pair: the pre-activation buffer is stale, but
                 // `y = max(x, 0)` makes `y > 0` decide identically to
                 // `x > 0` (x > 0 => y = x; x <= 0 => y = 0).
@@ -1320,9 +1262,7 @@ fn run_step(
                 }
             }
         }
-        Op::Im2Col(a, kernel) if !live(a.0) => {
-            let _ = kernel;
-        }
+        Op::Im2Col(a, _) if !live(a.0) => {}
         Op::Im2Col(a, kernel) => {
             let kernel = *kernel;
             let (t_len, c) = nodes[a.0].value.shape();
@@ -1374,7 +1314,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, dz, w.0, gx);
+                mul_t_acc(nodes, caches, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1395,7 +1335,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, tcache, ptcache, dz, w.0, gx);
+                mul_t_acc(nodes, caches, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1403,7 +1343,7 @@ fn run_step(
             }
             if live(h.0) {
                 let gh = acc_slot(&mut lo[h.0], flags[2]);
-                mul_t_acc(nodes, tcache, ptcache, dz, u.0, gh);
+                mul_t_acc(nodes, caches, dz, u.0, gh);
             }
             if live(u.0) {
                 let gu = acc_slot(&mut lo[u.0], flags[3]);

@@ -7,6 +7,13 @@
 //! PyTorch's dynamic graph, scaled down to the dense-matrix ops the
 //! ten TSG methods need.
 //!
+//! The tape records nodes, checks each op's inputs, and matches a
+//! replayed step against its captured signature; the arithmetic of
+//! each op lives once, in [`crate::plan`]. Recording runs
+//! `plan::exec_node` on the new node, and a backward that does not
+//! replay a compiled plan is the one-shot `plan::sweep`, which runs the
+//! same per-op backward steps replay does.
+//!
 //! # Training memory model
 //!
 //! Rebuilding the graph every minibatch does **not** mean reallocating
@@ -15,9 +22,9 @@
 //! its capacity; the next forward pass of the same graph shape then
 //! draws every buffer back out of the pool. In steady state a
 //! recycled tape performs **zero** heap allocations per training step:
-//! forward values, backward deltas, and gradient accumulators all live
-//! in pooled storage, and [`Tape::backward`] accumulates through the
-//! in-place kernels of `tsgb-linalg` (`add_assign`, `*_acc_into`)
+//! forward values, backward temporaries, and gradient accumulators all
+//! live in pooled storage, and [`Tape::backward`] accumulates through
+//! the in-place kernels of `tsgb-linalg` (`add_assign`, `*_acc_into`)
 //! rather than `grad + delta` temporaries. See `DESIGN.md` ("Training
 //! memory model") for the full contract.
 //!
@@ -87,10 +94,8 @@ impl FusedAct {
 pub(crate) enum LeafKind {
     /// Parameter or minibatch data: fed by copy every replayed step.
     /// `grad: false` marks constants ([`Tape::constant`] /
-    /// [`Tape::constant_copy`]) whose gradient nobody reads — the
-    /// compiled backward plan prunes every edge into them (the
-    /// interpreter still materializes them, which is why parameter
-    /// bits stay identical either way).
+    /// [`Tape::constant_copy`]) whose gradient nobody reads — backward
+    /// prunes every edge into them.
     Data {
         grad: bool,
     },
@@ -284,6 +289,9 @@ pub struct Tape {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Matrix>>,
     pub(crate) pool: MatrixPool,
+    /// The one-shot sweep's per-step first-touch flags, kept so that a
+    /// recycled tape's backward allocates nothing.
+    sweep_flags: Vec<bool>,
     /// Pool misses already published to the `nn.pool.miss` counter,
     /// so each [`Tape::reset`] reports only the delta.
     reported_misses: u64,
@@ -356,36 +364,23 @@ impl Tape {
         }
     }
 
-    /// Marks a step boundary under the record-once/replay-many
-    /// contract. With `plan` off this is exactly [`Tape::reset`]. With
-    /// `plan` on:
+    /// Marks a step boundary under the record-once/replay-many contract
+    /// and returns the tape, ready for the step:
     ///
     /// * an empty tape just starts recording (the capture step);
     /// * the first boundary after a recorded step **captures** it —
-    ///   freezes the node list into a compiled forward/backward plan,
-    ///   pre-sizes the pool from the plan's buffer manifest, and
-    ///   switches to replay mode;
+    ///   freezes the node list into a compiled forward/backward plan
+    ///   and switches to replay mode;
     /// * subsequent boundaries rewind the replay cursor, keeping every
     ///   buffer in place for the next step's feeds.
     ///
     /// A structural mismatch mid-step (changed batch size, different
     /// graph) transparently falls back: the already-matched prefix is
-    /// materialized with interpreter kernels, the stale suffix is
-    /// retired, recording resumes, and the next boundary re-captures.
-    pub fn begin_step(&mut self, plan: bool) {
+    /// materialized, the stale suffix is retired, recording resumes,
+    /// and the next boundary re-captures. Replay is bit-identical to
+    /// recording every step after a [`Tape::reset`].
+    pub fn begin_step(&mut self) -> &mut Self {
         self.observe_step();
-        if !plan {
-            // Plan disabled (`TSGB_PLAN=off` or fresh_tapes): plain
-            // arena recycling.
-            self.teardown_plan();
-            for node in self.nodes.drain(..) {
-                self.pool.put(node.value);
-            }
-            for g in self.grads.drain(..).flatten() {
-                self.pool.put(g);
-            }
-            return;
-        }
         match &mut self.plan {
             PlanCtl::Replay(r) => r.rewind(),
             PlanCtl::Idle if self.nodes.is_empty() => {}
@@ -402,13 +397,14 @@ impl Tape {
             }
             PlanCtl::Idle => self.capture_plan(),
         }
+        self
     }
 
     /// Freezes the recorded step into a compiled plan and enters
     /// replay mode. Called from the step boundary following a fully
     /// recorded step.
     fn capture_plan(&mut self) {
-        let replay = crate::plan::Replay::capture(&self.nodes, &mut self.pool);
+        let replay = crate::plan::Replay::capture(&self.nodes);
         self.plan = PlanCtl::Replay(Box::new(replay));
         self.captures += 1;
         if tsgb_obs::enabled() {
@@ -557,8 +553,7 @@ impl Tape {
     }
 
     /// Like [`Tape::leaf`] for non-trainable data. The gradient of a
-    /// constant is never read, so the compiled backward plan skips
-    /// computing it (the interpreter still does).
+    /// constant is never read, so backward skips computing it.
     pub fn constant(&mut self, value: Matrix) -> VarId {
         let kind = LeafKind::Data { grad: false };
         if self.replaying() {
@@ -570,8 +565,7 @@ impl Tape {
     }
 
     /// Like [`Tape::leaf_copy`] for non-trainable data (minibatches,
-    /// targets); gradient edges into it are pruned from compiled
-    /// backward plans.
+    /// targets); backward prunes gradient edges into it.
     pub fn constant_copy(&mut self, value: &Matrix) -> VarId {
         let kind = LeafKind::Data { grad: false };
         if self.replaying() {
@@ -643,7 +637,7 @@ impl Tape {
 
     /// The forward value of `id`, computing it on demand during plan
     /// replay: every deferred node up to and including `id` is
-    /// materialized with the interpreter kernels, so the returned
+    /// materialized with the record-path kernels, so the returned
     /// value is bit-identical to recording mode. Outside replay this
     /// is exactly [`Tape::value`].
     pub fn eval(&mut self, id: VarId) -> &Matrix {
@@ -663,8 +657,9 @@ impl Tape {
     }
 
     /// The gradient of the last `backward` call w.r.t. node `id`,
-    /// **copied** into a fresh matrix (zeros if the node did not
-    /// influence the loss). Hot paths should prefer
+    /// **copied** into a fresh matrix (zeros if no gradient reached
+    /// it: the node did not influence the loss, or is a constant,
+    /// zeros or filled leaf). Hot paths should prefer
     /// [`Tape::grad_ref`], which borrows the accumulator instead of
     /// cloning it; this copying form stays for API convenience.
     pub fn grad(&self, id: VarId) -> Matrix {
@@ -678,66 +673,68 @@ impl Tape {
     }
 
     /// Borrow of the gradient accumulated for node `id` by the last
-    /// `backward` call, or `None` when the node did not influence the
-    /// loss (its gradient is identically zero).
+    /// `backward` call, or `None` when no gradient reached it (see
+    /// [`Tape::grad`]).
     pub fn grad_ref(&self, id: VarId) -> Option<&Matrix> {
         self.grads.get(id.0).and_then(Option::as_ref)
     }
 
     // ---- forward ops -------------------------------------------------
 
-    /// Elementwise sum.
-    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Add(a, b)) {
+    /// Records `op`: during replay only its signature is checked;
+    /// otherwise `shape` runs the op's input checks and returns its
+    /// output shape, and the node is pushed with a pooled buffer that
+    /// [`crate::plan::exec_node`] fills — the same kernels replay runs.
+    fn record(&mut self, op: Op, shape: impl FnOnce(&Self) -> (usize, usize)) -> VarId {
+        if let Some(id) = self.replay_op(&op) {
             return id;
         }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, |x, y| x + y, &mut v);
-        self.push(v, Op::Add(a, b))
+        let (r, c) = shape(self);
+        let value = self.pool.take_uninit(r, c);
+        self.nodes.push(Node { value, op });
+        let i = self.nodes.len() - 1;
+        crate::plan::exec_node(
+            &mut self.nodes,
+            i,
+            &mut self.pool,
+            &crate::plan::EMPTY_PACKS,
+        );
+        debug_assert!(
+            self.nodes[i].value.all_finite(),
+            "non-finite value produced by {:?}",
+            self.nodes[i].op
+        );
+        VarId(i)
+    }
+
+    /// Elementwise sum.
+    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
+        self.record(Op::Add(a, b), |t| t.shape(a))
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Sub(a, b)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, |x, y| x - y, &mut v);
-        self.push(v, Op::Sub(a, b))
+        self.record(Op::Sub(a, b), |t| t.shape(a))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Mul(a, b)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, |x, y| x * y, &mut v);
-        self.push(v, Op::Mul(a, b))
+        self.record(Op::Mul(a, b), |t| t.shape(a))
     }
 
     /// Elementwise negation.
     pub fn neg(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, |x| -x, Op::Neg(a))
+        self.record(Op::Neg(a), |t| t.shape(a))
     }
 
     /// Multiplies by a constant scalar.
     pub fn scale(&mut self, a: VarId, s: f64) -> VarId {
-        self.unary_map(a, |x| x * s, Op::Scale(a, s))
+        self.record(Op::Scale(a, s), |t| t.shape(a))
     }
 
     /// Adds a constant scalar to every element.
     pub fn add_scalar(&mut self, a: VarId, s: f64) -> VarId {
-        self.unary_map(a, |x| x + s, Op::AddScalar(a, s))
+        self.record(Op::AddScalar(a, s), |t| t.shape(a))
     }
 
     /// Stop-gradient: forward is a copy of `a`, backward treats the
@@ -746,201 +743,107 @@ impl Tape {
     /// idiom: the copy happens on the tape, so nothing needs to read a
     /// value mid-graph.
     pub fn detach(&mut self, a: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Detach(a)) {
-            return id;
-        }
-        let v = self.pool.take_copy(&self.nodes[a.0].value);
-        self.push(v, Op::Detach(a))
-    }
-
-    /// Records an elementwise op computed into a pooled buffer.
-    fn unary_map(&mut self, a: VarId, f: impl Fn(f64) -> f64, op: Op) -> VarId {
-        if let Some(id) = self.replay_op(&op) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(r, c);
-        self.nodes[a.0].value.map_into(f, &mut v);
-        self.push(v, op)
+        self.record(Op::Detach(a), |t| t.shape(a))
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Matmul(a, b)) {
-            return id;
-        }
-        let m = self.nodes[a.0].value.rows();
-        let n = self.nodes[b.0].value.cols();
-        let mut v = self.pool.take_zeroed(m, n);
-        self.nodes[a.0]
-            .value
-            .matmul_acc_into(&self.nodes[b.0].value, &mut v);
-        self.push(v, Op::Matmul(a, b))
+        self.record(Op::Matmul(a, b), |t| (t.shape(a).0, t.shape(b).1))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, tsgb_linalg::detmath::sigmoid, Op::Sigmoid(a))
+        self.record(Op::Sigmoid(a), |t| t.shape(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, tsgb_linalg::detmath::tanh, Op::Tanh(a))
+        self.record(Op::Tanh(a), |t| t.shape(a))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, |x| x.max(0.0), Op::Relu(a))
+        self.record(Op::Relu(a), |t| t.shape(a))
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: VarId, slope: f64) -> VarId {
-        self.unary_map(
-            a,
-            |x| if x >= 0.0 { x } else { slope * x },
-            Op::LeakyRelu(a, slope),
-        )
+        self.record(Op::LeakyRelu(a, slope), |t| t.shape(a))
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, f64::exp, Op::Exp(a))
+        self.record(Op::Exp(a), |t| t.shape(a))
     }
 
     /// Elementwise natural log (inputs must be positive).
     pub fn ln(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, f64::ln, Op::Ln(a))
+        self.record(Op::Ln(a), |t| t.shape(a))
     }
 
     /// Elementwise square.
     pub fn square(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, |x| x * x, Op::Square(a))
+        self.record(Op::Square(a), |t| t.shape(a))
     }
 
     /// Elementwise absolute value (subgradient 0 at the kink).
     pub fn abs(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, f64::abs, Op::Abs(a))
+        self.record(Op::Abs(a), |t| t.shape(a))
     }
 
     /// Numerically stable `ln(1 + e^x)`.
     pub fn softplus(&mut self, a: VarId) -> VarId {
-        self.unary_map(
-            a,
-            |x| if x > 20.0 { x } else { (1.0 + x.exp()).ln() },
-            Op::Softplus(a),
-        )
+        self.record(Op::Softplus(a), |t| t.shape(a))
     }
 
     /// Elementwise reciprocal `1 / x` (inputs must be nonzero) — the
     /// scaling step of unrolled Sinkhorn iterations.
     pub fn recip(&mut self, a: VarId) -> VarId {
-        self.unary_map(a, |x| 1.0 / x, Op::Recip(a))
+        self.record(Op::Recip(a), |t| t.shape(a))
     }
 
     /// Sum of all elements, as `1 x 1`.
     pub fn sum(&mut self, a: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Sum(a)) {
-            return id;
-        }
-        let s = self.nodes[a.0].value.sum();
-        let mut v = self.pool.take_uninit(1, 1);
-        v.fill(s);
-        self.push(v, Op::Sum(a))
+        self.record(Op::Sum(a), |_| (1, 1))
     }
 
     /// Mean of all elements, as `1 x 1`.
     pub fn mean(&mut self, a: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Mean(a)) {
-            return id;
-        }
-        let m = self.nodes[a.0].value.mean();
-        let mut v = self.pool.take_uninit(1, 1);
-        v.fill(m);
-        self.push(v, Op::Mean(a))
+        self.record(Op::Mean(a), |_| (1, 1))
     }
 
     /// Adds a `1 x cols` bias row to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: VarId, row: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::AddRowBroadcast(a, row)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(r, c);
-        v.copy_from(&self.nodes[a.0].value);
-        v.add_row_broadcast_assign(&self.nodes[row.0].value);
-        self.push(v, Op::AddRowBroadcast(a, row))
+        self.record(Op::AddRowBroadcast(a, row), |t| t.shape(a))
     }
 
     /// Multiplies every row of `a` elementwise by a `1 x cols` row
     /// vector — the diagonal state transition of LS4's SSM layers.
     pub fn mul_row_broadcast(&mut self, a: VarId, row: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::MulRowBroadcast(a, row)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        {
-            let rv = &self.nodes[row.0].value;
-            assert_eq!(rv.rows(), 1, "broadcast operand must be a row vector");
-            assert_eq!(rv.cols(), c, "broadcast width mismatch");
-        }
-        let mut v = self.pool.take_uninit(r, c);
-        {
-            let x = &self.nodes[a.0].value;
-            let rv = &self.nodes[row.0].value;
-            for row_i in 0..r {
-                for (o, (&xv, &sv)) in v
-                    .row_mut(row_i)
-                    .iter_mut()
-                    .zip(x.row(row_i).iter().zip(rv.row(0)))
-                {
-                    *o = xv * sv;
-                }
-            }
-        }
-        self.push(v, Op::MulRowBroadcast(a, row))
+        self.record(Op::MulRowBroadcast(a, row), |t| {
+            let (rr, rc) = t.shape(row);
+            assert_eq!(rr, 1, "broadcast operand must be a row vector");
+            assert_eq!(rc, t.shape(a).1, "broadcast width mismatch");
+            t.shape(a)
+        })
     }
 
     /// `[a | b]` column concatenation.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::ConcatCols(a, b)) {
-            return id;
-        }
-        let (r, ca) = self.nodes[a.0].value.shape();
-        let cb = self.nodes[b.0].value.cols();
-        assert_eq!(
-            self.nodes[b.0].value.rows(),
-            r,
-            "concat_cols row mismatch"
-        );
-        let mut v = self.pool.take_uninit(r, ca + cb);
-        {
-            let (xa, xb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            for row in 0..r {
-                v.row_mut(row)[..ca].copy_from_slice(xa.row(row));
-                v.row_mut(row)[ca..].copy_from_slice(xb.row(row));
-            }
-        }
-        self.push(v, Op::ConcatCols(a, b))
+        self.record(Op::ConcatCols(a, b), |t| {
+            let ((r, ca), (rb, cb)) = (t.shape(a), t.shape(b));
+            assert_eq!(rb, r, "concat_cols row mismatch");
+            (r, ca + cb)
+        })
     }
 
     /// Columns `[start, end)` of `a`.
     pub fn slice_cols(&mut self, a: VarId, start: usize, end: usize) -> VarId {
-        if let Some(id) = self.replay_op(&Op::SliceCols(a, start, end)) {
-            return id;
-        }
-        let r = self.nodes[a.0].value.rows();
-        assert!(
-            start <= end && end <= self.nodes[a.0].value.cols(),
-            "column slice out of bounds"
-        );
-        let mut v = self.pool.take_uninit(r, end - start);
-        {
-            let x = &self.nodes[a.0].value;
-            for row in 0..r {
-                v.row_mut(row).copy_from_slice(&x.row(row)[start..end]);
-            }
-        }
-        self.push(v, Op::SliceCols(a, start, end))
+        self.record(Op::SliceCols(a, start, end), |t| {
+            let (r, c) = t.shape(a);
+            assert!(start <= end && end <= c, "column slice out of bounds");
+            (r, end - start)
+        })
     }
 
     /// Vertically stacks the given nodes.
@@ -959,113 +862,55 @@ impl Tape {
             }
             self.invalidate_replay();
         }
-        assert!(!parts.is_empty(), "concat_rows needs at least one part");
-        let cols = self.nodes[parts[0].0].value.cols();
-        let total: usize = parts
-            .iter()
-            .map(|p| {
-                let m = &self.nodes[p.0].value;
-                assert_eq!(m.cols(), cols, "concat_rows column mismatch");
-                m.rows()
-            })
-            .sum();
-        let mut v = self.pool.take_uninit(total, cols);
-        {
-            let mut offset = 0;
-            for p in parts {
-                let m = &self.nodes[p.0].value;
-                for row in 0..m.rows() {
-                    v.row_mut(offset + row).copy_from_slice(m.row(row));
-                }
-                offset += m.rows();
-            }
-        }
-        self.push(v, Op::ConcatRows(parts.to_vec()))
+        self.record(Op::ConcatRows(parts.to_vec()), |t| {
+            assert!(!parts.is_empty(), "concat_rows needs at least one part");
+            let cols = t.shape(parts[0]).1;
+            let rows = parts
+                .iter()
+                .map(|&p| {
+                    let (r, c) = t.shape(p);
+                    assert_eq!(c, cols, "concat_rows column mismatch");
+                    r
+                })
+                .sum();
+            (rows, cols)
+        })
     }
 
     /// Rows `[start, end)` of `a`.
     pub fn slice_rows(&mut self, a: VarId, start: usize, end: usize) -> VarId {
-        if let Some(id) = self.replay_op(&Op::SliceRows(a, start, end)) {
-            return id;
-        }
-        assert!(
-            start <= end && end <= self.nodes[a.0].value.rows(),
-            "row slice out of bounds"
-        );
-        let cols = self.nodes[a.0].value.cols();
-        let mut v = self.pool.take_uninit(end - start, cols);
-        {
-            let x = &self.nodes[a.0].value;
-            for row in start..end {
-                v.row_mut(row - start).copy_from_slice(x.row(row));
-            }
-        }
-        self.push(v, Op::SliceRows(a, start, end))
+        self.record(Op::SliceRows(a, start, end), |t| {
+            let (r, c) = t.shape(a);
+            assert!(start <= end && end <= r, "row slice out of bounds");
+            (end - start, c)
+        })
     }
 
     /// Unfolds a `(T, C)` sequence into `(T, K*C)` same-padded
     /// receptive fields; `matmul` with a `(K*C, C_out)` weight then
     /// realizes a 1-D convolution.
     pub fn im2col(&mut self, a: VarId, kernel: usize) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Im2Col(a, kernel)) {
-            return id;
-        }
-        assert!(
-            kernel % 2 == 1,
-            "im2col expects an odd kernel for same padding"
-        );
-        let (t_len, c) = self.nodes[a.0].value.shape();
-        let half = kernel / 2;
-        let mut v = self.pool.take_zeroed(t_len, kernel * c);
-        {
-            let x = &self.nodes[a.0].value;
-            for row in 0..t_len {
-                for k in 0..kernel {
-                    let src = row as isize + k as isize - half as isize;
-                    if src < 0 || src >= t_len as isize {
-                        continue;
-                    }
-                    let src_row = x.row(src as usize);
-                    v.row_mut(row)[k * c..(k + 1) * c].copy_from_slice(src_row);
-                }
-            }
-        }
-        self.push(v, Op::Im2Col(a, kernel))
+        self.record(Op::Im2Col(a, kernel), |t| {
+            assert!(
+                kernel % 2 == 1,
+                "im2col expects an odd kernel for same padding"
+            );
+            let (t_len, c) = t.shape(a);
+            (t_len, kernel * c)
+        })
     }
 
     /// Row-wise mean: `(R, C) -> (R, 1)`.
     pub fn row_mean(&mut self, a: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::RowMean(a)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let inv = 1.0 / c as f64;
-        let mut v = self.pool.take_uninit(r, 1);
-        {
-            let x = &self.nodes[a.0].value;
-            for row in 0..r {
-                v.row_mut(row)[0] = x.row(row).iter().sum::<f64>() * inv;
-            }
-        }
-        self.push(v, Op::RowMean(a))
+        self.record(Op::RowMean(a), |t| (t.shape(a).0, 1))
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: VarId) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Transpose(a)) {
-            return id;
-        }
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take_uninit(c, r);
-        {
-            let x = &self.nodes[a.0].value;
-            for row in 0..r {
-                for col in 0..c {
-                    v[(col, row)] = x[(row, col)];
-                }
-            }
-        }
-        self.push(v, Op::Transpose(a))
+        self.record(Op::Transpose(a), |t| {
+            let (r, c) = t.shape(a);
+            (c, r)
+        })
     }
 
     // ---- fused ops ---------------------------------------------------
@@ -1079,22 +924,15 @@ impl Tape {
 
     /// Fused `act(x W + b)` — a whole Linear layer in one node.
     pub fn affine_act(&mut self, x: VarId, w: VarId, b: VarId, act: FusedAct) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Affine { x, w, b, act }) {
-            return id;
-        }
-        let m = self.nodes[x.0].value.rows();
-        let n = self.nodes[w.0].value.cols();
-        let mut v = self.pool.take_zeroed(m, n);
-        self.nodes[x.0]
-            .value
-            .matmul_acc_into(&self.nodes[w.0].value, &mut v);
-        v.add_row_broadcast_assign(&self.nodes[b.0].value);
-        act.apply(&mut v);
-        self.push(v, Op::Affine { x, w, b, act })
+        self.record(Op::Affine { x, w, b, act }, |t| {
+            (t.shape(x).0, t.shape(w).1)
+        })
     }
 
     /// Fused `act(x W + h U + b)` — the recurrent-gate shape shared by
-    /// every GRU and LSTM gate, recorded as a single node.
+    /// every GRU and LSTM gate, recorded as a single node. `h U` is
+    /// accumulated into its own buffer and then added, which keeps the
+    /// summation order of the unfused `add(matmul(x, w), matmul(h, u))`.
     pub fn affine2_act(
         &mut self,
         x: VarId,
@@ -1104,46 +942,28 @@ impl Tape {
         b: VarId,
         act: FusedAct,
     ) -> VarId {
-        if let Some(id) = self.replay_op(&Op::Affine2 { x, w, h, u, b, act }) {
-            return id;
-        }
-        let m = self.nodes[x.0].value.rows();
-        let n = self.nodes[w.0].value.cols();
-        assert_eq!(
-            self.nodes[h.0].value.rows(),
-            m,
-            "affine2_act: x and h row mismatch"
-        );
-        let mut v = self.pool.take_zeroed(m, n);
-        self.nodes[x.0]
-            .value
-            .matmul_acc_into(&self.nodes[w.0].value, &mut v);
-        // h U is accumulated into a separate buffer then added, which
-        // keeps the summation order identical to the unfused graph
-        // (`add(matmul(x, w), matmul(h, u))`).
-        let mut hu = self.pool.take_zeroed(m, n);
-        self.nodes[h.0]
-            .value
-            .matmul_acc_into(&self.nodes[u.0].value, &mut hu);
-        v.add_assign(&hu);
-        self.pool.put(hu);
-        v.add_row_broadcast_assign(&self.nodes[b.0].value);
-        act.apply(&mut v);
-        self.push(v, Op::Affine2 { x, w, h, u, b, act })
+        self.record(Op::Affine2 { x, w, h, u, b, act }, |t| {
+            let m = t.shape(x).0;
+            assert_eq!(t.shape(h).0, m, "affine2_act: x and h row mismatch");
+            (m, t.shape(w).1)
+        })
     }
 
     // ---- backward ----------------------------------------------------
 
     /// Runs reverse-mode accumulation from `loss`, which must be a
     /// `1 x 1` node. Gradients are then readable via [`Tape::grad_ref`]
-    /// (borrowing) or [`Tape::grad`] (copying).
+    /// (borrowing) or [`Tape::grad`] (copying). Only nodes that
+    /// influence the loss through a differentiable path get a gradient;
+    /// edges into constants, zeros and filled leaves are skipped, so
+    /// those read as zero.
     ///
-    /// Gradient accumulators are pooled buffers, and every op's
-    /// backward either writes its delta into a pooled temporary and
-    /// folds it in with `add_assign`, or — for the matmul family —
-    /// accumulates directly into the target buffer via the
-    /// `*_acc_into` kernels. No per-node `grad + delta` temporaries
-    /// are materialized.
+    /// A replaying tape whose whole step matched runs the compiled
+    /// plan. Otherwise this is the one-shot sweep
+    /// ([`crate::plan::sweep`]): the same per-op steps, with gradient
+    /// accumulators and temporaries drawn from the pool and the
+    /// matmul family accumulating in place through the `*_acc_into`
+    /// kernels.
     pub fn backward(&mut self, loss: VarId) {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
@@ -1152,9 +972,6 @@ impl Tape {
         );
         if let PlanCtl::Replay(r) = &mut self.plan {
             if r.cursor == self.nodes.len() {
-                // The whole step matched the captured structure: run
-                // the compiled forward (fused, preresolved slots) and
-                // the compiled backward (preresolved grad slots).
                 let Tape {
                     nodes,
                     grads,
@@ -1173,398 +990,22 @@ impl Tape {
                 return;
             }
             // The step re-declared fewer ops than captured: the graph
-            // shrank. Fall back to the interpreter for this step.
+            // shrank. Sweep this step once and re-capture.
             self.invalidate_replay();
         }
-        let n = self.nodes.len();
         // Retire the previous sweep's accumulators (repeated backward
         // without reset is allowed) and start from all-None.
         for g in self.grads.drain(..).flatten() {
             self.pool.put(g);
         }
-        self.grads.resize_with(n, || None);
-
-        let Tape { nodes, grads, pool, .. } = self;
-        let mut seed = pool.take_uninit(1, 1);
-        seed.fill(1.0);
-        grads[loss.0] = Some(seed);
-
-        for i in (0..n).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            match &nodes[i].op {
-                Op::Leaf(_) => {}
-                Op::Detach(_) => {}
-                Op::Add(a, b) => {
-                    Self::acc_ref(grads, nodes, pool, *a, &g);
-                    Self::acc_ref(grads, nodes, pool, *b, &g);
-                }
-                Op::Sub(a, b) => {
-                    Self::acc_ref(grads, nodes, pool, *a, &g);
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.map_into(|x| -x, &mut d);
-                    Self::acc(grads, nodes, pool, *b, d);
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let mut da = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[b.0].value, |gi, bi| gi * bi, &mut da);
-                    Self::acc(grads, nodes, pool, a, da);
-                    let mut db = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[a.0].value, |gi, ai| gi * ai, &mut db);
-                    Self::acc(grads, nodes, pool, b, db);
-                }
-                Op::Neg(a) => {
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.map_into(|x| -x, &mut d);
-                    Self::acc(grads, nodes, pool, *a, d);
-                }
-                Op::Scale(a, s) => {
-                    let s = *s;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.map_into(|x| x * s, &mut d);
-                    Self::acc(grads, nodes, pool, *a, d);
-                }
-                Op::AddScalar(a, _) => Self::acc_ref(grads, nodes, pool, *a, &g),
-                Op::Matmul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    g.matmul_t_acc_into(&nodes[b.0].value, ga);
-                    let gb = Self::grad_slot(grads, nodes, pool, b);
-                    nodes[a.0].value.t_matmul_acc_into(&g, gb);
-                }
-                Op::Sigmoid(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[i].value, |gi, yi| gi * yi * (1.0 - yi), &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Tanh(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[i].value, |gi, yi| gi * (1.0 - yi * yi), &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Relu(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(
-                        &nodes[a.0].value,
-                        |gi, xi| if xi > 0.0 { gi } else { 0.0 },
-                        &mut d,
-                    );
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let (a, slope) = (*a, *slope);
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(
-                        &nodes[a.0].value,
-                        |gi, xi| if xi >= 0.0 { gi } else { slope * gi },
-                        &mut d,
-                    );
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Exp(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[i].value, |gi, yi| gi * yi, &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Ln(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[a.0].value, |gi, xi| gi / xi, &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Square(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[a.0].value, |gi, xi| 2.0 * xi * gi, &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Abs(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(
-                        &nodes[a.0].value,
-                        |gi, xi| gi * xi.signum() * (xi != 0.0) as u8 as f64,
-                        &mut d,
-                    );
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Softplus(a) => {
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(
-                        &nodes[a.0].value,
-                        |gi, xi| gi / (1.0 + (-xi).exp()),
-                        &mut d,
-                    );
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Recip(a) => {
-                    // d(1/x)/dx = -1/x^2 = -y^2
-                    let a = *a;
-                    let mut d = pool.take_uninit(g.rows(), g.cols());
-                    g.zip_map_into(&nodes[i].value, |gi, yi| -gi * yi * yi, &mut d);
-                    Self::acc(grads, nodes, pool, a, d);
-                }
-                Op::Sum(a) => {
-                    let a = *a;
-                    let g00 = g[(0, 0)];
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    ga.map_inplace(|v| v + g00);
-                }
-                Op::Mean(a) => {
-                    let a = *a;
-                    let (r, c) = nodes[a.0].value.shape();
-                    let gm = g[(0, 0)] / (r * c) as f64;
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    ga.map_inplace(|v| v + gm);
-                }
-                Op::AddRowBroadcast(a, row) => {
-                    let (a, row) = (*a, *row);
-                    Self::acc_ref(grads, nodes, pool, a, &g);
-                    // bias grad: column sums of g
-                    let gr = Self::grad_slot(grads, nodes, pool, row);
-                    g.col_sums_acc_into(gr);
-                }
-                Op::MulRowBroadcast(a, row) => {
-                    let (a, row) = (*a, *row);
-                    let mut da = pool.take_uninit(g.rows(), g.cols());
-                    {
-                        let rv = &nodes[row.0].value;
-                        for r in 0..g.rows() {
-                            for (o, (&gi, &sv)) in da
-                                .row_mut(r)
-                                .iter_mut()
-                                .zip(g.row(r).iter().zip(rv.row(0)))
-                            {
-                                *o = gi * sv;
-                            }
-                        }
-                    }
-                    Self::acc(grads, nodes, pool, a, da);
-                    let x_id = a;
-                    let grow = Self::grad_slot(grads, nodes, pool, row);
-                    let x = &nodes[x_id.0].value;
-                    for r in 0..g.rows() {
-                        for (o, (&gi, &xi)) in grow
-                            .row_mut(0)
-                            .iter_mut()
-                            .zip(g.row(r).iter().zip(x.row(r)))
-                        {
-                            *o += gi * xi;
-                        }
-                    }
-                }
-                Op::ConcatCols(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ca = nodes[a.0].value.cols();
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for r in 0..g.rows() {
-                        for (o, &v) in ga.row_mut(r).iter_mut().zip(&g.row(r)[..ca]) {
-                            *o += v;
-                        }
-                    }
-                    let gb = Self::grad_slot(grads, nodes, pool, b);
-                    for r in 0..g.rows() {
-                        for (o, &v) in gb.row_mut(r).iter_mut().zip(&g.row(r)[ca..]) {
-                            *o += v;
-                        }
-                    }
-                }
-                Op::SliceCols(a, start, end) => {
-                    let (a, start, end) = (*a, *start, *end);
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for r in 0..g.rows() {
-                        for (o, &v) in ga.row_mut(r)[start..end].iter_mut().zip(g.row(r)) {
-                            *o += v;
-                        }
-                    }
-                }
-                Op::ConcatRows(parts) => {
-                    let parts = parts.clone();
-                    let mut offset = 0;
-                    for p in parts {
-                        let rows = nodes[p.0].value.rows();
-                        let gp = Self::grad_slot(grads, nodes, pool, p);
-                        for r in 0..rows {
-                            for (o, &v) in gp.row_mut(r).iter_mut().zip(g.row(offset + r)) {
-                                *o += v;
-                            }
-                        }
-                        offset += rows;
-                    }
-                }
-                Op::SliceRows(a, start, _end) => {
-                    let (a, start) = (*a, *start);
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for r in 0..g.rows() {
-                        for (o, &v) in ga.row_mut(start + r).iter_mut().zip(g.row(r)) {
-                            *o += v;
-                        }
-                    }
-                }
-                Op::Im2Col(a, kernel) => {
-                    let (a, kernel) = (*a, *kernel);
-                    let (t_len, c) = nodes[a.0].value.shape();
-                    let half = kernel / 2;
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for row in 0..t_len {
-                        for k in 0..kernel {
-                            let src = row as isize + k as isize - half as isize;
-                            if src < 0 || src >= t_len as isize {
-                                continue;
-                            }
-                            let gs = &g.row(row)[k * c..(k + 1) * c];
-                            for (o, &v) in ga.row_mut(src as usize).iter_mut().zip(gs) {
-                                *o += v;
-                            }
-                        }
-                    }
-                }
-                Op::RowMean(a) => {
-                    let a = *a;
-                    let (r, c) = nodes[a.0].value.shape();
-                    let inv = 1.0 / c as f64;
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for row in 0..r {
-                        let gv = g[(row, 0)] * inv;
-                        for o in ga.row_mut(row) {
-                            *o += gv;
-                        }
-                    }
-                }
-                Op::Transpose(a) => {
-                    let a = *a;
-                    let ga = Self::grad_slot(grads, nodes, pool, a);
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            ga[(c, r)] += g[(r, c)];
-                        }
-                    }
-                }
-                Op::Affine { x, w, b, act } => {
-                    let (x, w, b, act) = (*x, *w, *b, *act);
-                    let dz_buf = if act == FusedAct::Identity {
-                        None
-                    } else {
-                        let mut d = pool.take_uninit(g.rows(), g.cols());
-                        act.dz_into(&g, &nodes[i].value, &mut d);
-                        Some(d)
-                    };
-                    let dz = dz_buf.as_ref().unwrap_or(&g);
-                    {
-                        let gx = Self::grad_slot(grads, nodes, pool, x);
-                        dz.matmul_t_acc_into(&nodes[w.0].value, gx);
-                    }
-                    {
-                        let gw = Self::grad_slot(grads, nodes, pool, w);
-                        nodes[x.0].value.t_matmul_acc_into(dz, gw);
-                    }
-                    {
-                        let gb = Self::grad_slot(grads, nodes, pool, b);
-                        dz.col_sums_acc_into(gb);
-                    }
-                    if let Some(d) = dz_buf {
-                        pool.put(d);
-                    }
-                }
-                Op::Affine2 { x, w, h, u, b, act } => {
-                    let (x, w, h, u, b, act) = (*x, *w, *h, *u, *b, *act);
-                    let dz_buf = if act == FusedAct::Identity {
-                        None
-                    } else {
-                        let mut d = pool.take_uninit(g.rows(), g.cols());
-                        act.dz_into(&g, &nodes[i].value, &mut d);
-                        Some(d)
-                    };
-                    let dz = dz_buf.as_ref().unwrap_or(&g);
-                    {
-                        let gx = Self::grad_slot(grads, nodes, pool, x);
-                        dz.matmul_t_acc_into(&nodes[w.0].value, gx);
-                    }
-                    {
-                        let gw = Self::grad_slot(grads, nodes, pool, w);
-                        nodes[x.0].value.t_matmul_acc_into(dz, gw);
-                    }
-                    {
-                        let gh = Self::grad_slot(grads, nodes, pool, h);
-                        dz.matmul_t_acc_into(&nodes[u.0].value, gh);
-                    }
-                    {
-                        let gu = Self::grad_slot(grads, nodes, pool, u);
-                        nodes[h.0].value.t_matmul_acc_into(dz, gu);
-                    }
-                    {
-                        let gb = Self::grad_slot(grads, nodes, pool, b);
-                        dz.col_sums_acc_into(gb);
-                    }
-                    if let Some(d) = dz_buf {
-                        pool.put(d);
-                    }
-                }
-            }
-            grads[i] = Some(g);
-        }
-    }
-
-    /// Folds an owned delta into the accumulator of `id`: installs it
-    /// when the slot is empty, otherwise adds in place and retires the
-    /// delta's buffer back to the pool.
-    fn acc(
-        grads: &mut [Option<Matrix>],
-        nodes: &[Node],
-        pool: &mut MatrixPool,
-        id: VarId,
-        delta: Matrix,
-    ) {
-        debug_assert_eq!(
-            nodes[id.0].value.shape(),
-            delta.shape(),
-            "gradient shape mismatch for node {id:?}"
+        self.grads.resize_with(self.nodes.len(), || None);
+        crate::plan::sweep(
+            &self.nodes,
+            &mut self.grads,
+            &mut self.pool,
+            &mut self.sweep_flags,
+            loss.0,
         );
-        match &mut grads[id.0] {
-            Some(g) => {
-                g.add_assign(&delta);
-                pool.put(delta);
-            }
-            slot @ None => *slot = Some(delta),
-        }
-    }
-
-    /// Folds a borrowed delta into the accumulator of `id` without
-    /// copying when the slot already exists.
-    fn acc_ref(
-        grads: &mut [Option<Matrix>],
-        nodes: &[Node],
-        pool: &mut MatrixPool,
-        id: VarId,
-        delta: &Matrix,
-    ) {
-        debug_assert_eq!(
-            nodes[id.0].value.shape(),
-            delta.shape(),
-            "gradient shape mismatch for node {id:?}"
-        );
-        match &mut grads[id.0] {
-            Some(g) => g.add_assign(delta),
-            slot @ None => *slot = Some(pool.take_copy(delta)),
-        }
-    }
-
-    /// The gradient accumulator of `id`, created zeroed (from the
-    /// pool) on first touch — the target of the in-place `*_acc_into`
-    /// backward kernels.
-    fn grad_slot<'g>(
-        grads: &'g mut [Option<Matrix>],
-        nodes: &[Node],
-        pool: &mut MatrixPool,
-        id: VarId,
-    ) -> &'g mut Matrix {
-        let (r, c) = nodes[id.0].value.shape();
-        grads[id.0].get_or_insert_with(|| pool.take_zeroed(r, c))
     }
 }
 

@@ -1,10 +1,11 @@
 //! Compiled-plan equivalence properties: replaying a frozen execution
 //! plan must be a pure performance optimization. Every test here
-//! trains the same seeded workload twice — once with plan compilation
-//! on (record once, replay every later step) and once on the
-//! interpreted tape — and demands bit-for-bit identical parameters,
-//! while also pinning the capture/replay/invalidation counters the
-//! plan machinery reports.
+//! trains the same seeded workload twice — once stepping with
+//! `begin_step` (record once, replay every later step) and once with
+//! `reset`, which records every step and runs the one-shot backward
+//! sweep — and demands bit-for-bit identical parameters, while also
+//! pinning the capture/replay/invalidation counters the plan machinery
+//! reports.
 
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::Matrix;
@@ -39,8 +40,9 @@ fn make_steps(
 }
 
 /// Trains a GRU + linear head on `data`, recycling one tape across
-/// steps, with plan compilation on or off. Returns the final
-/// parameters and the tape's (captures, replays, invalidations).
+/// steps: stepped with `begin_step` when `plan` is set, else with
+/// `reset`. Returns the final parameters and the tape's (captures,
+/// replays, invalidations).
 fn train(plan: bool, data: &[StepData], features: usize, hidden: usize) -> (Params, (u64, u64, u64)) {
     let mut rng = seeded(7);
     let mut p = Params::new();
@@ -50,7 +52,11 @@ fn train(plan: bool, data: &[StepData], features: usize, hidden: usize) -> (Para
     let mut tape = Tape::new();
     let mut binding = p.bind(&mut tape);
     for (xs, target) in data {
-        tape.begin_step(plan);
+        if plan {
+            tape.begin_step();
+        } else {
+            tape.reset();
+        }
         let t = &mut tape;
         p.rebind(t, &mut binding);
         let mut h = t.zeros(xs[0].rows(), hidden);
@@ -69,7 +75,7 @@ fn train(plan: bool, data: &[StepData], features: usize, hidden: usize) -> (Para
 }
 
 /// Bitwise parameter comparison — not tolerance-based: the plan runs
-/// the interpreter's own kernels against the same bits, so any
+/// the one-shot sweep's own step functions on the same bits, so any
 /// difference at all is a bug.
 fn assert_params_bitwise(ctx: &str, a: &Params, b: &Params) {
     for id in a.ids() {
@@ -79,14 +85,14 @@ fn assert_params_bitwise(ctx: &str, a: &Params, b: &Params) {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "{ctx}: param {:?}[{i}] diverged: plan {x:e} vs tape {y:e}",
+                "{ctx}: param {:?}[{i}] diverged: plan {x:e} vs one-shot {y:e}",
                 a.name(id)
             );
         }
     }
 }
 
-/// Replay == interpretation, bitwise, across ragged shapes: batch=1,
+/// Replay == one-shot sweep, bitwise, across ragged shapes: batch=1,
 /// hidden=1, and non-square everything.
 #[test]
 fn plan_matches_tape_bitwise_on_ragged_shapes() {
@@ -97,8 +103,12 @@ fn plan_matches_tape_bitwise_on_ragged_shapes() {
         let (plan_params, plan_stats) = train(true, &data, features, hidden);
         let ctx = format!("batch={batch} seq={seq} features={features} hidden={hidden}");
         assert_params_bitwise(&ctx, &plan_params, &tape_params);
-        assert_eq!(tape_stats, (0, 0, 0), "{ctx}: plan-off tape compiled something");
-        // Step 0 records and is interpreted; the capture happens at
+        assert_eq!(
+            tape_stats,
+            (0, 0, 0),
+            "{ctx}: reset tape compiled something"
+        );
+        // Step 0 records and sweeps once; the capture happens at
         // the next step boundary; every later step replays.
         assert_eq!(
             plan_stats,
@@ -109,7 +119,7 @@ fn plan_matches_tape_bitwise_on_ragged_shapes() {
 }
 
 /// A mid-training batch-size change must invalidate the plan
-/// (leaf-shape mismatch), fall back to the interpreter for that step,
+/// (leaf-shape mismatch), fall back to recording for that step,
 /// re-capture warm at the next boundary — and stay bit-identical
 /// throughout.
 #[test]
@@ -120,7 +130,7 @@ fn mid_training_batch_change_invalidates_and_recaptures() {
     let (plan_params, plan_stats) = train(true, &data, 4, 5);
     assert_params_bitwise("batch 3->2", &plan_params, &tape_params);
     // Capture after step 0; replay steps 1..5; step 6 diverges
-    // (batch 3 -> 2) and interprets; re-capture after it; replay the
+    // (batch 3 -> 2) and records; re-capture after it; replay the
     // rest.
     assert_eq!(
         plan_stats,
@@ -160,7 +170,7 @@ fn steady_state_replay_has_zero_pool_misses() {
     let mut binding = p.bind(&mut tape);
     let mut warm_misses = 0;
     for (i, (xs, target)) in data.iter().enumerate() {
-        tape.begin_step(true);
+        tape.begin_step();
         let t = &mut tape;
         p.rebind(t, &mut binding);
         let mut h = t.zeros(xs[0].rows(), 5);

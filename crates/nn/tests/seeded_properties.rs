@@ -1,6 +1,7 @@
-//! Deterministic seeded-loop fallbacks for the proptest properties in
-//! `autodiff_properties.rs` (opt-in via the `proptest` feature). These
-//! always run, with no external deps.
+//! Seeded-loop properties of the gradient tape: linearity of
+//! differentiation, finite-difference agreement on random composite
+//! graphs, accumulation over reuse, and zero gradients for unused
+//! leaves.
 
 use tsgb_linalg::rng::{seeded, uniform_matrix};
 use tsgb_nn::gradcheck;

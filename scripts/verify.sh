@@ -2,14 +2,14 @@
 # Repository verification gate.
 #
 # Tier 1 (the ROADMAP contract): release build + root test suite.
-# Tier 2: full workspace tests at one and four pool threads and with
-#         the compiled plan on and off, the golden-value suites (also
-#         under TSGB_EVAL_CACHE=on), the serve, monitor, and
-#         sharded-router smoke legs (including a worker-kill fault
-#         drill and a drift-injection drill), the scenario smoke leg
-#         (streamed chunks + conditional identity + the scenario
-#         engine end-to-end with its golden fixtures), and a
-#         warning-free clippy pass.
+# Tier 2: full workspace tests at one and four pool threads (every
+#         golden fixture, training's included, runs in both), the
+#         golden-value suites (also under TSGB_EVAL_CACHE=on), the
+#         serve, monitor, and sharded-router smoke legs (including a
+#         worker-kill fault drill and a drift-injection drill), the
+#         scenario smoke leg (streamed chunks + conditional identity +
+#         the scenario engine end-to-end with its golden fixtures), and
+#         a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -28,14 +28,6 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> tier 2: cargo test --workspace -q (TSGB_THREADS=4)"
     TSGB_THREADS=4 cargo test --workspace -q
-
-    # both rows of the compiled-plan matrix: replay (the default) and
-    # the interpreted tape must keep producing the same bits
-    echo "==> tier 2: cargo test --workspace -q (TSGB_PLAN=on)"
-    TSGB_PLAN=on cargo test --workspace -q
-
-    echo "==> tier 2: cargo test --workspace -q (TSGB_PLAN=off)"
-    TSGB_PLAN=off cargo test --workspace -q
 
     echo "==> tier 2: golden-value suite (fixture regression)"
     TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q

@@ -64,7 +64,6 @@ impl SearchSpace {
             latent: u(self.latent.0, self.latent.1, rng),
             batch: u(self.batch.0, self.batch.1, rng),
             lr,
-            fresh_tapes: false,
         }
     }
 }
