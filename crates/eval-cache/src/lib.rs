@@ -49,7 +49,7 @@ pub use encoding::{
 pub use store::{CacheKey, CacheStats, Codable, EvalCache};
 // Re-exported so consumers hash parameter blocks with the same
 // function the keys use, without a direct tsgb-wire dependency.
-pub use tsgb_wire::digest::{fnv1a64, Fnv64};
+pub use tsgb_wire::digest::Fnv64;
 
 use std::sync::OnceLock;
 

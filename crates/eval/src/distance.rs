@@ -8,23 +8,11 @@
 //! ([`lb_keogh`], `O(l·features)` after an `O(l)` Lemire envelope
 //! sweep) that never exceeds the banded DTW cost, and a pruned 1-NN
 //! search ([`dtw_nn`]) that skips the DP whenever the bound already
-//! beats a running cutoff. The `TSGB_DTW_BAND` environment variable
-//! routes the M12 measure through the banded kernel.
+//! beats a running cutoff. `EvalConfig::dtw_band` routes the M12
+//! measure through the banded kernel.
 
 use std::collections::VecDeque;
 use tsgb_linalg::Tensor3;
-
-/// The Sakoe-Chiba band width requested via `TSGB_DTW_BAND` (positive
-/// integer), if any. Read per measure call, not per pair — the env
-/// lookup takes a process-global lock.
-pub fn env_band() -> Option<usize> {
-    std::env::var("TSGB_DTW_BAND")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&b| b > 0)
-}
 
 /// Counts the windows a distance measure silently drops when the two
 /// sample sets have unequal sizes — previously invisible to operators.
@@ -98,18 +86,18 @@ pub fn dtw_pair(a: &Tensor3, ai: usize, b: &Tensor3, bi: usize) -> f64 {
 }
 
 /// M12 — Dynamic Time Warping. Pairs windows by index like [`ed`] and
-/// averages the multivariate DTW alignment cost. Honors
-/// `TSGB_DTW_BAND` (see [`dtw_with_band`]).
+/// averages the multivariate DTW alignment cost, by the exact DP (see
+/// [`dtw_with_band`] for the banded one).
 pub fn dtw(real: &Tensor3, generated: &Tensor3) -> f64 {
-    dtw_with_band(real, generated, env_band())
+    dtw_with_band(real, generated, None)
 }
 
 /// [`dtw`] with an explicit Sakoe-Chiba band: `Some(w)` runs the
 /// banded DP ([`dtw_pair_banded`]), `None` the exact one. With
 /// `w >= seq_len` the banded DP performs the identical float
 /// operations in the identical order as the exact DP, so the two are
-/// bit-equal — the property `scripts/verify.sh` pins by re-running the
-/// golden suite under `TSGB_DTW_BAND=<window length>`.
+/// bit-equal — the property `golden_suite` pins by re-running the
+/// golden fixture with `dtw_band: Some(<window length>)`.
 pub fn dtw_with_band(real: &Tensor3, generated: &Tensor3, band: Option<usize>) -> f64 {
     let pairs = real.samples().min(generated.samples());
     assert!(pairs > 0, "DTW needs at least one pair");

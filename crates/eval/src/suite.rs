@@ -110,10 +110,9 @@ pub struct EvalConfig {
     pub model_based: bool,
     /// Whether to include the entire-sequence PS variant.
     pub ps_entire: bool,
-    /// Sakoe-Chiba band for M12: `Some(w)` forces the banded DP,
-    /// `None` defers to `TSGB_DTW_BAND` (exact DP when unset). A band
-    /// `>= seq_len` is bit-equal to the exact DP, so the golden
-    /// fixtures hold under it.
+    /// Sakoe-Chiba band for M12: `Some(w)` runs the banded DP, `None`
+    /// the exact one. A band `>= seq_len` is bit-equal to the exact DP,
+    /// so the golden fixtures hold under it.
     pub dtw_band: Option<usize>,
 }
 
@@ -442,13 +441,10 @@ fn evaluate_inner(
         })
     });
     out.set(Measure::Ed, det(ed));
-    // resolving the band here (config first, then env) is equivalent
-    // to the dtw()/dtw_with_band() split it replaces
-    let band = cfg.dtw_band.or(distance::env_band());
-    let p_dtw = band.map_or(u64::MAX, |w| w as u64);
+    let p_dtw = cfg.dtw_band.map_or(u64::MAX, |w| w as u64);
     let dtw = timed(Measure::Dtw, || {
         cached_f64(ec, cache_kind(Measure::Dtw), dr, dg, p_dtw, || {
-            distance::dtw_with_band(real, generated, band)
+            distance::dtw_with_band(real, generated, cfg.dtw_band)
         })
     });
     out.set(Measure::Dtw, det(dtw));

@@ -19,9 +19,8 @@
 //!   the per-iteration `parallel_map` fan-out is bit-identical at any
 //!   thread count.
 //!
-//! `TSGB_TSNE_MODE=bh` flips the default mode process-wide (see
-//! [`TsneMode::from_env`]); `TsneConfig { mode, theta, .. }` does it
-//! per call.
+//! `TsneConfig { mode, theta, .. }` picks the engine per call; the
+//! default is exact.
 
 use tsgb_index::QuadTree;
 use tsgb_rand::rngs::SmallRng;
@@ -37,25 +36,6 @@ pub enum TsneMode {
     BarnesHut,
 }
 
-impl TsneMode {
-    /// Reads `TSGB_TSNE_MODE`: `bh` / `barnes-hut` / `barneshut`
-    /// (case-insensitive) select [`TsneMode::BarnesHut`]; anything
-    /// else — including unset — keeps the exact default.
-    pub fn from_env() -> Self {
-        match std::env::var("TSGB_TSNE_MODE") {
-            Ok(v) => {
-                let v = v.trim().to_ascii_lowercase();
-                if matches!(v.as_str(), "bh" | "barnes-hut" | "barneshut" | "barnes_hut") {
-                    TsneMode::BarnesHut
-                } else {
-                    TsneMode::Exact
-                }
-            }
-            Err(_) => TsneMode::Exact,
-        }
-    }
-}
-
 /// t-SNE hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TsneConfig {
@@ -67,7 +47,7 @@ pub struct TsneConfig {
     pub learning_rate: f64,
     /// Early-exaggeration factor applied for the first quarter.
     pub exaggeration: f64,
-    /// Gradient engine; the default honors `TSGB_TSNE_MODE`.
+    /// Gradient engine; the default is [`TsneMode::Exact`].
     pub mode: TsneMode,
     /// Barnes-Hut opening angle: a quadtree cell of side `s` at
     /// distance `d` is summarized when `s/d < theta`. `0.0` degrades
@@ -84,7 +64,7 @@ impl Default for TsneConfig {
             iterations: 250,
             learning_rate: 100.0,
             exaggeration: 4.0,
-            mode: TsneMode::from_env(),
+            mode: TsneMode::Exact,
             theta: 0.5,
         }
     }
@@ -630,9 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_from_env_defaults_to_exact() {
-        // the test environment does not set TSGB_TSNE_MODE
-        assert_eq!(TsneMode::from_env(), TsneMode::Exact);
+    fn default_mode_is_exact() {
         assert_eq!(TsneConfig::default().mode, TsneMode::Exact);
     }
 

@@ -74,13 +74,8 @@ pub enum GemmMode {
 }
 
 thread_local! {
-    /// 0 = no override; 1 = packed; 2 = band.
-    static MODE_OVERRIDE: Cell<u8> = const { Cell::new(0) };
-
-    /// Cached `TSGB_GEMM` value; 0 = not read yet. Same rationale as
-    /// the `tsgb-par` thread cache: an env lookup takes a process-wide
-    /// lock, far too slow for a per-matmul check.
-    static MODE_ENV: Cell<u8> = const { Cell::new(0) };
+    /// The [`with_gemm_mode`] override active on this thread, if any.
+    static MODE_OVERRIDE: Cell<Option<GemmMode>> = const { Cell::new(None) };
 
     /// Per-thread recycling pool for pack buffers. On the caller's
     /// thread (the serial path, and the B-pack of the parallel path)
@@ -89,50 +84,23 @@ thread_local! {
     static PACK_POOL: RefCell<MatrixPool> = RefCell::new(MatrixPool::new());
 }
 
-fn mode_code(mode: GemmMode) -> u8 {
-    match mode {
-        GemmMode::Packed => 1,
-        GemmMode::Band => 2,
-    }
-}
-
 /// The GEMM path the next matmul on this thread will take: the
-/// [`with_gemm_mode`] override if active, else `TSGB_GEMM`
-/// (`packed` | `band`), else packed. Unrecognized values mean packed.
+/// [`with_gemm_mode`] override if active, else packed.
 pub fn gemm_mode() -> GemmMode {
-    let o = MODE_OVERRIDE.with(Cell::get);
-    if o != 0 {
-        return if o == 2 { GemmMode::Band } else { GemmMode::Packed };
-    }
-    let cached = MODE_ENV.with(Cell::get);
-    let code = if cached != 0 {
-        cached
-    } else {
-        let code = match std::env::var("TSGB_GEMM").as_deref() {
-            Ok("band") => 2,
-            _ => 1,
-        };
-        MODE_ENV.with(|c| c.set(code));
-        code
-    };
-    if code == 2 {
-        GemmMode::Band
-    } else {
-        GemmMode::Packed
-    }
+    MODE_OVERRIDE.with(Cell::get).unwrap_or(GemmMode::Packed)
 }
 
 /// Runs `f` with the GEMM mode forced on the current thread (restored
-/// afterwards, also on panic). Tests and benches use this to compare
-/// paths without touching the process environment.
+/// afterwards, also on panic). Tests and benches use this to run the
+/// band kernel as the packed path's reference.
 pub fn with_gemm_mode<R>(mode: GemmMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
+    struct Restore(Option<GemmMode>);
     impl Drop for Restore {
         fn drop(&mut self) {
             MODE_OVERRIDE.with(|c| c.set(self.0));
         }
     }
-    let _guard = Restore(MODE_OVERRIDE.with(|c| c.replace(mode_code(mode))));
+    let _guard = Restore(MODE_OVERRIDE.with(|c| c.replace(Some(mode))));
     f()
 }
 

@@ -234,13 +234,14 @@ impl Matrix {
     /// Matrix product `self * rhs`.
     ///
     /// Large products take the packed microkernel path
-    /// ([`crate::gemm`], selectable via `TSGB_GEMM`); the rest run the
-    /// cache-blocked band kernel. Both use row-band parallel dispatch
-    /// above [`PAR_WORK_THRESHOLD`] and accumulate every output
-    /// element as the same strict `k`-ascending left fold, so the
-    /// result is bit-identical across kernels and thread counts and
-    /// agrees exactly with [`Matrix::t_matmul`] / [`Matrix::matmul_t`]
-    /// on transposed operands.
+    /// ([`crate::gemm`]; [`crate::gemm::with_gemm_mode`] can force the
+    /// band kernel); the rest run the cache-blocked band kernel. Both
+    /// use row-band parallel dispatch above [`PAR_WORK_THRESHOLD`] and
+    /// accumulate every output element as the same strict
+    /// `k`-ascending left fold, so the result is bit-identical across
+    /// kernels and thread counts and agrees exactly with
+    /// [`Matrix::t_matmul`] / [`Matrix::matmul_t`] on transposed
+    /// operands.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_acc_into(rhs, &mut out);

@@ -1,11 +1,11 @@
-//! Deterministic seeded-loop fallbacks for the proptest properties in
-//! `matrix_properties.rs` / `eigen_properties.rs` (opt-in via the
-//! `proptest` feature), plus the parallel-determinism contract of the
-//! blocked matmul kernels. These always run, with no external deps.
+//! Seeded-loop property tests on the matrix/tensor substrate and the
+//! symmetric eigensolver — the algebraic laws every other crate
+//! silently relies on — plus the parallel-determinism contract of the
+//! blocked matmul kernels.
 
 use tsgb_linalg::eigen::{row_covariance, sqrtm_psd, sym_eigen};
 use tsgb_linalg::rng::{seeded, uniform_matrix};
-use tsgb_linalg::{stats, Matrix};
+use tsgb_linalg::{stats, Matrix, Tensor3};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 
@@ -45,6 +45,12 @@ fn matmul_algebraic_laws_seeded() {
         for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
             approx(*x, *y, 1e-7);
         }
+        // the Frobenius norm is a norm: non-negative, subadditive,
+        // absolutely homogeneous
+        let (nd, ne) = (d.frobenius_norm(), e.frobenius_norm());
+        assert!(nd >= 0.0);
+        assert!((&d + &e).frobenius_norm() <= nd + ne + 1e-9);
+        assert!((d.scale(-2.0).frobenius_norm() - 2.0 * nd).abs() < 1e-9 * (1.0 + nd));
     }
 }
 
@@ -59,6 +65,15 @@ fn fused_transpose_kernels_agree_seeded() {
         assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
         let c = uniform_matrix(5, 3, -100.0, 100.0, &mut rng);
         assert_eq!(a.matmul_t(&c), a.matmul(&c.transpose()));
+        // slicing inverts concatenation
+        let h = a.hcat(&b);
+        assert_eq!((h.slice_cols(0, 3), h.slice_cols(3, 8)), (a.clone(), b.clone()));
+        let v = a.vcat(&c);
+        assert_eq!((v.slice_rows(0, 4), v.slice_rows(4, 9)), (a.clone(), c));
+        // both tensor flattenings keep the row-major value order
+        let t = Tensor3::from_vec(2, 5, 2, b.as_slice().to_vec()).expect("sized");
+        assert_eq!(t.flatten_samples().as_slice(), b.as_slice());
+        assert_eq!(t.stack_steps().as_slice(), b.as_slice());
     }
 }
 
@@ -130,6 +145,7 @@ fn stats_invariants_seeded() {
         let h = stats::Histogram::of(&xs, 16);
         let total: f64 = h.density.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
+        assert!(h.density.iter().all(|&d| d >= 0.0));
         let (q25, q50, q75) = (
             stats::quantile(&xs, 0.25),
             stats::quantile(&xs, 0.5),

@@ -61,9 +61,7 @@ fn method_names_are_unique_and_stable() {
     assert_eq!(names.len(), before, "duplicate method names");
 }
 
-/// Deterministic seeded-loop fallback for the proptest shape property
-/// (`tests/method_properties.rs`, opt-in): sampled small window shapes
-/// never break the cheap methods.
+/// Sampled small window shapes never break the cheap methods.
 #[test]
 fn shape_robustness_fast_methods_seeded() {
     use tsgb_rand::Rng;

@@ -28,27 +28,26 @@
 //!
 //! # Configuration
 //!
-//! | env variable             | default | meaning                                   |
-//! |--------------------------|---------|-------------------------------------------|
-//! | `TSGB_ROUTER_ADDR`       | `127.0.0.1:7979` | router bind address (`:0` = ephemeral) |
-//! | `TSGB_ROUTER_WORKERS`    | `2`     | worker processes to spawn                 |
-//! | `TSGB_ROUTER_REPLICAS`   | `2`     | workers per model (clamped to the fleet)  |
-//! | `TSGB_ROUTER_HEALTH_MS`  | `200`   | supervisor probe interval                 |
-//! | `TSGB_ROUTER_FAILOVER_MS`| `10000` | bound on waiting for a respawn when every replica of a model is dead |
+//! [`RouterConfig`] holds the settings; `tsgbench route` sets its
+//! bind address and replica count from `--addr` (default
+//! `127.0.0.1:7979`; `:0` picks an ephemeral port) and `--replicas`
+//! (default `2`, clamped to the fleet), and the fleet size from
+//! `--workers` (default `2`). Spawned workers inherit the
+//! `TSGB_SERVE_*` environment, plus [`RouterConfig::worker_env`].
 
 pub mod health;
 pub mod ring;
 pub mod server;
 pub mod worker;
 
-pub use ring::{fnv1a64, shard_assignment, Ring};
+pub use ring::{shard_assignment, Ring};
 pub use server::Router;
 pub use worker::Worker;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Router configuration; see the crate docs for the env mapping.
+/// Router configuration; see the crate docs for the CLI mapping.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Router bind address (`host:port`; port `0` picks an ephemeral
@@ -86,36 +85,6 @@ impl Default for RouterConfig {
             worker_env: Vec::new(),
         }
     }
-}
-
-impl RouterConfig {
-    /// Reads the `TSGB_ROUTER_*` environment variables over the
-    /// defaults; unparsable values fall back to the default.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            addr: std::env::var("TSGB_ROUTER_ADDR").unwrap_or(d.addr),
-            replicas: env_parse("TSGB_ROUTER_REPLICAS", d.replicas).max(1),
-            health_interval: Duration::from_millis(env_parse(
-                "TSGB_ROUTER_HEALTH_MS",
-                d.health_interval.as_millis() as u64,
-            )),
-            probe_timeout: d.probe_timeout,
-            failover_wait: Duration::from_millis(env_parse(
-                "TSGB_ROUTER_FAILOVER_MS",
-                d.failover_wait.as_millis() as u64,
-            )),
-            request_timeout: d.request_timeout,
-            worker_env: Vec::new(),
-        }
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
 }
 
 /// The router's live counters, mirrored into `tsgb-obs` as

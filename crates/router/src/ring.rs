@@ -17,17 +17,17 @@
 //! across router restarts (see `Registry::scan_model_names` for the
 //! equally deterministic key universe).
 
+// FNV-1a, 64-bit, with a splitmix64-style finalizer — the hash the
+// eval cache's content addressing shares. Bare FNV mixes a trailing
+// counter byte through a single multiply, which clusters the vnode
+// points of sequential labels badly enough to break the remapping
+// bound; the finalizer's xor-shift-multiply cascade spreads them
+// uniformly.
+use tsgb_wire::digest::fnv1a64;
+
 /// Virtual nodes per worker slot. 64 keeps the balance bound tight
 /// without making ring construction or lookup measurable.
 pub const VNODES_PER_WORKER: usize = 64;
-
-/// FNV-1a, 64-bit, with a splitmix64-style finalizer — re-exported
-/// from [`tsgb_wire::digest`], where the eval cache's content
-/// addressing shares the same hash. Bare FNV mixes a trailing counter
-/// byte through a single multiply, which clusters the vnode points of
-/// sequential labels badly enough to break the remapping bound; the
-/// finalizer's xor-shift-multiply cascade spreads them uniformly.
-pub use tsgb_wire::digest::fnv1a64;
 
 /// The ring: hash points sorted clockwise, each tagged with its
 /// worker slot.

@@ -13,8 +13,9 @@ use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_methods::{MethodId, TrainConfig, TsgMethod};
 use tsgb_router::{Router, RouterConfig};
-use tsgb_serve::{Json, Registry, ServeConfig, Server};
+use tsgb_serve::{Registry, ServeConfig, Server};
 use tsgb_wire::client::request_once;
+use tsgb_wire::Json;
 
 fn fitted_vae(seed: u64) -> Box<dyn TsgMethod> {
     let data = Tensor3::from_fn(10, 8, 2, |s, t, f| {

@@ -28,6 +28,16 @@ pub struct ConditionalScenario {
     pub strength: f64,
 }
 
+impl Default for ConditionalScenario {
+    fn default() -> Self {
+        Self {
+            classes: 3,
+            per_class: 16,
+            strength: 1.0,
+        }
+    }
+}
+
 impl Scenario for ConditionalScenario {
     fn name(&self) -> &'static str {
         "conditional"

@@ -35,6 +35,18 @@ pub struct ImputationScenario {
     pub candidates: usize,
 }
 
+impl Default for ImputationScenario {
+    fn default() -> Self {
+        Self {
+            spec: MaskSpec {
+                rate: 0.15,
+                span_len: 3,
+            },
+            candidates: 4,
+        }
+    }
+}
+
 impl Scenario for ImputationScenario {
     fn name(&self) -> &'static str {
         "imputation"

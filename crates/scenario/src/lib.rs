@@ -31,8 +31,9 @@
 //! the same discipline `tsgb-eval`'s suite uses. Golden fixtures in
 //! `tests/golden_scenarios.rs` pin the exact values.
 //!
-//! Configuration comes from `TSGB_SCENARIO_*` environment variables
-//! via [`ScenarioConfig::from_env`]; see the README table.
+//! Each scenario struct carries its own task sizes, and its `Default`
+//! impl holds the values the CLI and the golden fixtures run; [`all`]
+//! and [`by_name`] hand out the built-in scenarios at those defaults.
 
 pub mod conditional;
 pub mod imputation;
@@ -114,104 +115,20 @@ impl ScenarioReport {
     }
 }
 
-/// Configuration of the three built-in scenarios, one knob namespace
-/// (`TSGB_SCENARIO_*`) shared by the CLI and the runner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioConfig {
-    /// Windows the streaming scenario samples (`TSGB_SCENARIO_N`).
-    pub n: usize,
-    /// Streaming chunk size (`TSGB_SCENARIO_CHUNK`).
-    pub chunk: usize,
-    /// Masked fraction per channel (`TSGB_SCENARIO_MASK_RATE`).
-    pub mask_rate: f64,
-    /// Masked span length (`TSGB_SCENARIO_SPAN`).
-    pub span_len: usize,
-    /// Candidate pool size for imputation (`TSGB_SCENARIO_CANDIDATES`).
-    pub candidates: usize,
-    /// Class count for conditional generation (`TSGB_SCENARIO_CLASSES`).
-    pub classes: u32,
-    /// Conditioning strength (`TSGB_SCENARIO_STRENGTH`).
-    pub strength: f64,
+/// The three built-in scenarios at their defaults, in the engine's
+/// canonical order.
+pub fn all() -> Vec<Box<dyn Scenario>> {
+    vec![
+        Box::new(StreamingScenario::default()),
+        Box::new(ConditionalScenario::default()),
+        Box::new(ImputationScenario::default()),
+    ]
 }
 
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        Self {
-            n: 16,
-            chunk: 4,
-            mask_rate: 0.15,
-            span_len: 3,
-            candidates: 4,
-            classes: 3,
-            strength: 1.0,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// Reads `TSGB_SCENARIO_*` over the defaults; unparsable values
-    /// fall back to the default.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            n: env_parse("TSGB_SCENARIO_N", d.n).max(1),
-            chunk: env_parse("TSGB_SCENARIO_CHUNK", d.chunk).max(1),
-            mask_rate: env_parse("TSGB_SCENARIO_MASK_RATE", d.mask_rate),
-            span_len: env_parse("TSGB_SCENARIO_SPAN", d.span_len),
-            candidates: env_parse("TSGB_SCENARIO_CANDIDATES", d.candidates).max(1),
-            classes: env_parse("TSGB_SCENARIO_CLASSES", d.classes).max(1),
-            strength: env_parse("TSGB_SCENARIO_STRENGTH", d.strength),
-        }
-    }
-
-    /// The streaming scenario under this config.
-    pub fn streaming(&self) -> StreamingScenario {
-        StreamingScenario {
-            n: self.n,
-            chunk: self.chunk,
-        }
-    }
-
-    /// The conditional scenario under this config.
-    pub fn conditional(&self) -> ConditionalScenario {
-        ConditionalScenario {
-            classes: self.classes,
-            per_class: self.n,
-            strength: self.strength,
-        }
-    }
-
-    /// The imputation scenario under this config.
-    pub fn imputation(&self) -> ImputationScenario {
-        ImputationScenario {
-            spec: tsgb_data::MaskSpec {
-                rate: self.mask_rate,
-                span_len: self.span_len,
-            },
-            candidates: self.candidates,
-        }
-    }
-
-    /// All three scenarios, in the engine's canonical order.
-    pub fn all(&self) -> Vec<Box<dyn Scenario>> {
-        vec![
-            Box::new(self.streaming()),
-            Box::new(self.conditional()),
-            Box::new(self.imputation()),
-        ]
-    }
-
-    /// The scenario with the given [`Scenario::name`], if any.
-    pub fn by_name(&self, name: &str) -> Option<Box<dyn Scenario>> {
-        self.all().into_iter().find(|s| s.name() == name)
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+/// The built-in scenario with the given [`Scenario::name`], at its
+/// defaults, if any.
+pub fn by_name(name: &str) -> Option<Box<dyn Scenario>> {
+    all().into_iter().find(|s| s.name() == name)
 }
 
 /// Pre-draws `k` independent sub-seeds off the scenario seed. Every
@@ -242,23 +159,23 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults_are_documented_values() {
-        let c = ScenarioConfig::default();
-        assert_eq!((c.n, c.chunk), (16, 4));
-        assert_eq!((c.mask_rate, c.span_len), (0.15, 3));
-        assert_eq!((c.candidates, c.classes), (4, 3));
-        assert_eq!(c.strength, 1.0);
+    fn defaults_are_documented_values() {
+        let s = StreamingScenario::default();
+        assert_eq!((s.n, s.chunk), (16, 4));
+        let c = ConditionalScenario::default();
+        assert_eq!((c.classes, c.per_class, c.strength), (3, 16, 1.0));
+        let i = ImputationScenario::default();
+        assert_eq!((i.spec.rate, i.spec.span_len, i.candidates), (0.15, 3, 4));
     }
 
     #[test]
     fn all_names_are_unique_and_resolvable() {
-        let c = ScenarioConfig::default();
-        let names: Vec<&str> = c.all().iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = all().iter().map(|s| s.name()).collect();
         assert_eq!(names, ["streaming", "conditional", "imputation"]);
         for n in names {
-            assert!(c.by_name(n).is_some());
+            assert!(by_name(n).is_some());
         }
-        assert!(c.by_name("nope").is_none());
+        assert!(by_name("nope").is_none());
     }
 
     #[test]

@@ -28,6 +28,12 @@ pub struct StreamingScenario {
     pub chunk: usize,
 }
 
+impl Default for StreamingScenario {
+    fn default() -> Self {
+        Self { n: 16, chunk: 4 }
+    }
+}
+
 impl Scenario for StreamingScenario {
     fn name(&self) -> &'static str {
         "streaming"

@@ -8,7 +8,7 @@ use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_methods::timevae::TimeVae;
 use tsgb_methods::{TrainConfig, TsgMethod};
-use tsgb_scenario::ScenarioConfig;
+use tsgb_scenario::ImputationScenario;
 
 fn reference() -> Tensor3 {
     Tensor3::from_fn(24, 8, 2, |s, t, f| {
@@ -26,7 +26,7 @@ fn imputation_report_is_bit_identical_cold_warm_and_uncached() {
     };
     vae.fit(&data, &cfg, &mut seeded(7));
 
-    let scenario = ScenarioConfig::default().imputation();
+    let scenario = ImputationScenario::default();
     let plain = scenario.run_with_cache(&vae, &data, 42, None);
     let ec = EvalCache::in_memory();
     let cold = scenario.run_with_cache(&vae, &data, 42, Some(&ec));

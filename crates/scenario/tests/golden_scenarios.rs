@@ -14,7 +14,7 @@ use tsgb_linalg::Tensor3;
 use tsgb_methods::fourierflow::FourierFlow;
 use tsgb_methods::timevae::TimeVae;
 use tsgb_methods::{TrainConfig, TsgMethod};
-use tsgb_scenario::{Scenario, ScenarioConfig, ScenarioReport};
+use tsgb_scenario::{ConditionalScenario, Scenario, ScenarioReport};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -40,17 +40,16 @@ fn trained(method: &mut dyn TsgMethod, seed: u64) {
 /// unsupported branch), flattened to `scenario.metric` rows.
 fn run_all() -> Vec<(String, f64)> {
     let data = reference();
-    let cfg = ScenarioConfig::default();
     let mut vae = TimeVae::new(8, 2);
     trained(&mut vae, 7);
     let mut rows = Vec::new();
-    for s in cfg.all() {
+    for s in tsgb_scenario::all() {
         let report = s.run(&vae, &data, 42);
         flatten(&report, &mut rows);
     }
     let mut flow = FourierFlow::new(8, 2);
     trained(&mut flow, 8);
-    let unsupported = cfg.conditional().run(&flow, &data, 42);
+    let unsupported = ConditionalScenario::default().run(&flow, &data, 42);
     assert_eq!(unsupported.metric("cond.supported"), Some(0.0));
     flatten(&unsupported, &mut rows);
     rows

@@ -5,8 +5,9 @@
 //! Correctness rests on the `generate_batch` contract (bit-exact
 //! equivalence with one serial `generate` per request), so batching is
 //! *invisible* to clients: the response for `(n, seed)` is identical
-//! at every batch size. The worker lingers up to `linger` after the
-//! first job arrives to let a batch fill, bounded by `max_batch`.
+//! at every batch size. The worker lingers up to `linger_ms` after the
+//! first job arrives to let a batch fill, bounded by `max_batch` (both
+//! [`ServeConfig`] fields).
 //!
 //! Backpressure is explicit: the pending queue is bounded
 //! (`queue_cap`), a full queue rejects at submit time
@@ -25,31 +26,7 @@ use tsgb_linalg::Tensor3;
 use tsgb_methods::common::GenSpec;
 
 use crate::registry::ModelEntry;
-use crate::ServeDtype;
-
-/// Batching knobs (see [`crate::ServeConfig`] for the env mapping).
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// Most requests fused into one forward pass.
-    pub max_batch: usize,
-    /// How long the worker waits for a batch to fill after the first
-    /// job arrives.
-    pub linger: Duration,
-    /// Bounded pending-queue capacity; beyond it submits are rejected.
-    pub queue_cap: usize,
-    /// Fault injection: artificial sleep before every fused forward
-    /// pass (`TSGB_SERVE_FWD_DELAY_MS`; zero in production). Lets the
-    /// fault-injection tests kill a worker with requests reliably in
-    /// flight, and the router scaling probe emulate model latency on
-    /// core-starved hosts.
-    pub fwd_delay: Duration,
-    /// Compute tier for the fused forward pass. `F32` tries
-    /// [`generate_batch_f32`](tsgb_methods::TsgMethod::generate_batch_f32)
-    /// first and falls back to the f64 path (counted by
-    /// `serve.f32_fallback`) when the model has no reduced-precision
-    /// implementation.
-    pub dtype: ServeDtype,
-}
+use crate::{ServeConfig, ServeDtype};
 
 /// Terminal state of one submitted job.
 #[derive(Debug)]
@@ -86,7 +63,7 @@ struct Queue {
 struct State {
     q: Mutex<Queue>,
     cv: Condvar,
-    cfg: BatchConfig,
+    cfg: ServeConfig,
     entry: Arc<ModelEntry>,
 }
 
@@ -97,8 +74,10 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns the worker thread for one model.
-    pub fn start(entry: Arc<ModelEntry>, cfg: BatchConfig) -> Self {
+    /// Spawns the worker thread for one model. It reads the batching
+    /// fields of `cfg`: `max_batch`, `linger_ms`, `queue_cap`, `dtype`
+    /// and `fwd_delay_ms`.
+    pub fn start(entry: Arc<ModelEntry>, cfg: ServeConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         let state = Arc::new(State {
             q: Mutex::new(Queue {
@@ -182,8 +161,8 @@ fn worker_loop(state: &State) {
         }
         // linger to let the batch fill (skipped when draining: latency
         // no longer matters and the queue should flush)
-        if state.cfg.max_batch > 1 && !state.cfg.linger.is_zero() {
-            let fill_by = Instant::now() + state.cfg.linger;
+        if state.cfg.max_batch > 1 && state.cfg.linger_ms > 0 {
+            let fill_by = Instant::now() + Duration::from_millis(state.cfg.linger_ms);
             while q.jobs.len() < state.cfg.max_batch && !q.draining {
                 let now = Instant::now();
                 if now >= fill_by {
@@ -216,8 +195,9 @@ fn worker_loop(state: &State) {
             continue;
         }
         tsgb_obs::observe("serve.batch_size", live.len() as f64);
-        if !state.cfg.fwd_delay.is_zero() {
-            std::thread::sleep(state.cfg.fwd_delay);
+        // fault injection (`TSGB_SERVE_FWD_DELAY_MS`; zero in production)
+        if state.cfg.fwd_delay_ms > 0 {
+            std::thread::sleep(Duration::from_millis(state.cfg.fwd_delay_ms));
         }
         let specs: Vec<GenSpec> = live.iter().map(|j| j.spec).collect();
         let fwd = Instant::now();
@@ -261,13 +241,12 @@ mod tests {
         Arc::clone(r.get("m").unwrap())
     }
 
-    fn cfg(max_batch: usize, queue_cap: usize) -> BatchConfig {
-        BatchConfig {
+    fn cfg(max_batch: usize, queue_cap: usize) -> ServeConfig {
+        ServeConfig {
             max_batch,
-            linger: Duration::from_millis(10),
+            linger_ms: 10,
             queue_cap,
-            fwd_delay: Duration::ZERO,
-            dtype: ServeDtype::F64,
+            ..ServeConfig::default()
         }
     }
 

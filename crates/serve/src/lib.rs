@@ -24,11 +24,9 @@
 //!   request; zero in-flight requests are dropped.
 //!
 //! Everything is `std`-only: the HTTP layer sits on
-//! `std::net::TcpListener` ([`http`]), and the wire format is a
-//! hand-rolled JSON codec ([`json`]) — both live in the shared
-//! [`tsgb_wire`] crate (the router and the load generator speak the
-//! same protocol) and are re-exported here so existing paths such as
-//! `tsgb_serve::Json` keep working.
+//! `std::net::TcpListener`, and the wire format is a hand-rolled JSON
+//! codec — both live in the shared [`tsgb_wire`] crate, so the router
+//! and the load generator speak the same protocol.
 //!
 //! Beyond generation, the crate hosts the continuous-quality tier of
 //! the incremental evaluation engine: [`monitor`] tails generated
@@ -52,14 +50,14 @@
 //!
 //! | env variable           | default          | meaning                         |
 //! |------------------------|------------------|---------------------------------|
-//! | `TSGB_SERVE_ADDR`      | `127.0.0.1:7878` | bind address (`:0` = ephemeral) |
 //! | `TSGB_SERVE_BATCH`     | `8`              | max requests fused per batch    |
 //! | `TSGB_SERVE_LINGER_MS` | `2`              | batch-fill wait after 1st job   |
 //! | `TSGB_SERVE_QUEUE`     | `64`             | per-model pending-queue bound   |
 //! | `TSGB_SERVE_DTYPE`     | `f64`            | compute tier: `f64` (bit-exact) or `f32` (fast) |
 //! | `TSGB_SERVE_FWD_DELAY_MS` | `0`           | fault injection: sleep before every fused forward pass |
-//! | `TSGB_STREAM_CHUNK`    | `8`              | default windows per `/generate/stream` chunk |
-//! | `TSGB_STREAM_INFLIGHT` | `2`              | bounded in-flight chunks between sampler and socket |
+//!
+//! The bind address is `tsgbench serve --addr` (default
+//! `127.0.0.1:7878`; `:0` picks an ephemeral port).
 //!
 //! `TSGB_SERVE_FWD_DELAY_MS` exists for the test and bench harness
 //! only: it injects artificial model latency so the fault-injection
@@ -80,19 +78,10 @@ pub mod monitor;
 pub mod registry;
 pub mod server;
 
-// The codec moved to the shared `tsgb-wire` crate when the router
-// tier arrived; these re-exports keep the original module paths
-// (`tsgb_serve::json::Json`, `tsgb_serve::http::read_request`, ...)
-// compiling so every pre-router caller and test stays covered.
-pub use tsgb_wire::error;
-pub use tsgb_wire::http;
-pub use tsgb_wire::json;
-
-pub use batch::{BatchConfig, Batcher, JobOutcome, SubmitError};
+pub use batch::{Batcher, JobOutcome, SubmitError};
 pub use monitor::{Monitor, MonitorConfig};
 pub use registry::{LoadFailure, ModelEntry, ModelInfo, Registry};
 pub use server::Server;
-pub use tsgb_wire::{HttpError, Json};
 
 /// Which compute tier the service generates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,21 +118,12 @@ pub struct ServeConfig {
     /// Bounded per-model pending-queue capacity; beyond it requests
     /// are rejected with `503`.
     pub queue_cap: usize,
-    /// Largest accepted per-request sample count.
-    pub max_n: usize,
     /// Compute tier (`TSGB_SERVE_DTYPE`).
     pub dtype: ServeDtype,
     /// Fault injection (`TSGB_SERVE_FWD_DELAY_MS`): artificial sleep
     /// before every fused forward pass, for the test/bench harness.
     /// `0` (the default) disables it.
     pub fwd_delay_ms: u64,
-    /// Default windows per `/generate/stream` chunk when the request
-    /// does not pass `"chunk"` (`TSGB_STREAM_CHUNK`).
-    pub stream_chunk: usize,
-    /// Bounded in-flight chunks between the sampling thread and the
-    /// socket writer — the stream's backpressure window
-    /// (`TSGB_STREAM_INFLIGHT`).
-    pub stream_inflight: usize,
 }
 
 impl Default for ServeConfig {
@@ -153,18 +133,16 @@ impl Default for ServeConfig {
             max_batch: 8,
             linger_ms: 2,
             queue_cap: 64,
-            max_n: 4096,
             dtype: ServeDtype::F64,
             fwd_delay_ms: 0,
-            stream_chunk: 8,
-            stream_inflight: 2,
         }
     }
 }
 
 impl ServeConfig {
     /// Reads the `TSGB_SERVE_*` environment variables over the
-    /// defaults; unparsable values fall back to the default.
+    /// defaults; unparsable values fall back to the default. The bind
+    /// address is not an env knob: the CLI's `--addr` sets it.
     pub fn from_env() -> Self {
         let d = Self::default();
         let dtype = match std::env::var("TSGB_SERVE_DTYPE").as_deref() {
@@ -172,15 +150,12 @@ impl ServeConfig {
             _ => ServeDtype::F64,
         };
         Self {
-            addr: std::env::var("TSGB_SERVE_ADDR").unwrap_or(d.addr),
             max_batch: env_parse("TSGB_SERVE_BATCH", d.max_batch).max(1),
             linger_ms: env_parse("TSGB_SERVE_LINGER_MS", d.linger_ms),
             queue_cap: env_parse("TSGB_SERVE_QUEUE", d.queue_cap),
-            max_n: d.max_n,
             dtype,
             fwd_delay_ms: env_parse("TSGB_SERVE_FWD_DELAY_MS", d.fwd_delay_ms),
-            stream_chunk: env_parse("TSGB_STREAM_CHUNK", d.stream_chunk).max(1),
-            stream_inflight: env_parse("TSGB_STREAM_INFLIGHT", d.stream_inflight).max(1),
+            ..d
         }
     }
 }
@@ -206,7 +181,5 @@ mod tests {
         assert_eq!(c.dtype, ServeDtype::F64);
         assert_eq!(c.dtype.name(), "f64");
         assert_eq!(c.fwd_delay_ms, 0, "fault injection must be off by default");
-        assert_eq!(c.stream_chunk, 8);
-        assert_eq!(c.stream_inflight, 2);
     }
 }

@@ -22,7 +22,7 @@
 //! `{"done":true,...}` trailer. A sampling thread runs the method's
 //! [`open_stream`](tsgb_methods::TsgMethod::open_stream) and hands
 //! rendered chunks to the connection thread over a channel bounded by
-//! `stream_inflight` — a slow client therefore pauses sampling
+//! `STREAM_INFLIGHT` chunks — a slow client therefore pauses sampling
 //! (backpressure) instead of buffering the whole response. The
 //! deadline is re-checked per chunk; on expiry the stream ends with an
 //! `{"error":...}` object instead of the trailer. Because streamed
@@ -62,13 +62,24 @@ use tsgb_methods::common::{Condition, GenSpec};
 use tsgb_wire::server::{spawn_accept_loop, Lifecycle, Reply, StreamProducer};
 use tsgb_wire::{HttpError, Json, Request};
 
-use crate::batch::{BatchConfig, Batcher, JobOutcome, SubmitError};
+use crate::batch::{Batcher, JobOutcome, SubmitError};
 use crate::registry::{ModelEntry, Registry};
 use crate::{ServeConfig, ServeDtype};
 
 /// How long [`Server::shutdown`] waits for handler threads to finish
 /// writing their responses.
 const DRAIN_WAIT: Duration = Duration::from_secs(10);
+
+/// Largest accepted per-request sample count.
+const MAX_N: usize = 4096;
+
+/// Windows per `/generate/stream` chunk when the request does not pass
+/// `"chunk"`.
+const STREAM_CHUNK: usize = 8;
+
+/// Rendered chunks in flight between a stream's sampling thread and
+/// the socket writer — the stream's backpressure window.
+const STREAM_INFLIGHT: usize = 2;
 
 struct Worker {
     entry: Arc<ModelEntry>,
@@ -94,18 +105,11 @@ impl Server {
     pub fn start(registry: Registry, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let batch_cfg = BatchConfig {
-            max_batch: cfg.max_batch,
-            linger: Duration::from_millis(cfg.linger_ms),
-            queue_cap: cfg.queue_cap,
-            dtype: cfg.dtype,
-            fwd_delay: Duration::from_millis(cfg.fwd_delay_ms),
-        };
         let workers: BTreeMap<String, Worker> = registry
             .entries()
             .map(|entry| {
                 let entry = Arc::clone(entry);
-                let batcher = Batcher::start(Arc::clone(&entry), batch_cfg.clone());
+                let batcher = Batcher::start(Arc::clone(&entry), cfg.clone());
                 (entry.info.name.clone(), Worker { entry, batcher })
             })
             .collect();
@@ -266,11 +270,8 @@ fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest
         .get("n")
         .and_then(Json::as_u64)
         .ok_or_else(|| HttpError::bad_request("missing integer field \"n\""))? as usize;
-    if n == 0 || n > shared.cfg.max_n {
-        return Err(HttpError::bad_request(format!(
-            "\"n\" must be in 1..={}",
-            shared.cfg.max_n
-        )));
+    if n == 0 || n > MAX_N {
+        return Err(HttpError::bad_request(format!("\"n\" must be in 1..={MAX_N}")));
     }
     let seed = match body.get("seed") {
         None => 0,
@@ -392,7 +393,7 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
 /// docs). The handler validates the request, then returns a streaming
 /// [`Reply`] whose producer runs on the connection thread: a sampling
 /// thread walks the method's `open_stream` and the producer forwards
-/// each rendered chunk to the socket, bounded by `stream_inflight`
+/// each rendered chunk to the socket, bounded by `STREAM_INFLIGHT`
 /// chunks in flight.
 fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let g = parse_gen_request(req, shared)?;
@@ -402,7 +403,7 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         ));
     }
     let chunk = match g.body.get("chunk") {
-        None => shared.cfg.stream_chunk,
+        None => STREAM_CHUNK,
         Some(v) => v
             .as_u64()
             .ok_or_else(|| HttpError::bad_request("\"chunk\" must be a positive integer"))?
@@ -422,7 +423,6 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let spec = g.spec;
     let deadline = g.deadline;
     let dtype = shared.cfg.dtype;
-    let inflight = shared.cfg.stream_inflight;
     let head = format!(
         "{{\"model\":{},\"method\":{},\"n\":{},\"seed\":{},\"seq_len\":{},\"features\":{},\"chunk\":{}}}",
         Json::Str(entry.info.name.clone()).encode(),
@@ -439,7 +439,7 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         // the sampling thread owns the model Arc; the bounded channel
         // is the backpressure window — when the client reads slowly the
         // sampler blocks on `send` instead of materializing the tensor
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, String)>(inflight);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, String)>(STREAM_INFLIGHT);
         let sampler_entry = Arc::clone(&entry);
         let sampler = std::thread::spawn(move || {
             let mut stream = sampler_entry.model.open_stream(spec);

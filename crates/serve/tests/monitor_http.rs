@@ -10,7 +10,8 @@ use tsgb_data::drift::DriftKind;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_rand::Rng;
-use tsgb_serve::{Json, Monitor, MonitorConfig};
+use tsgb_serve::{Monitor, MonitorConfig};
+use tsgb_wire::Json;
 
 // ---------------------------------------------------------------- helpers
 

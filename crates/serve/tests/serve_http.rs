@@ -14,7 +14,8 @@ use tsgb_methods::common::GenSpec;
 use tsgb_methods::persist::{PersistError, SnapshotWriter};
 use tsgb_methods::{MethodId, TrainConfig, TrainReport, TsgMethod};
 use tsgb_rand::rngs::SmallRng;
-use tsgb_serve::{Json, Registry, ServeConfig, Server};
+use tsgb_serve::{Registry, ServeConfig, Server};
+use tsgb_wire::Json;
 
 // ---------------------------------------------------------------- helpers
 

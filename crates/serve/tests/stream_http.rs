@@ -15,8 +15,8 @@ use tsgb_methods::{
     GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod, WindowStream,
 };
 use tsgb_rand::rngs::SmallRng;
-use tsgb_serve::{Json, Registry, ServeConfig, Server};
-use tsgb_wire::{http_request, http_request_stream};
+use tsgb_serve::{Registry, ServeConfig, Server};
+use tsgb_wire::{http_request, http_request_stream, Json};
 
 fn ephemeral() -> ServeConfig {
     ServeConfig {

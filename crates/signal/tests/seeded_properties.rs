@@ -1,6 +1,6 @@
-//! Deterministic seeded-loop fallbacks for the proptest properties in
-//! `signal_properties.rs` (opt-in via the `proptest` feature). These
-//! always run, with no external deps.
+//! Seeded-loop property tests on the spectral substrate: exact
+//! invertibility and analytic bounds that the flows and measures rely
+//! on.
 
 use tsgb_linalg::Matrix;
 use tsgb_rand::rngs::SmallRng;

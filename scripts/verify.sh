@@ -3,13 +3,13 @@
 #
 # Tier 1 (the ROADMAP contract): release build + root test suite.
 # Tier 2: full workspace tests at one and four pool threads (every
-#         golden fixture, training's included, runs in both), the
-#         golden-value suites (also under TSGB_EVAL_CACHE=on), the
-#         serve, monitor, and sharded-router smoke legs (including a
-#         worker-kill fault drill and a drift-injection drill), the
-#         scenario smoke leg (streamed chunks + conditional identity +
-#         the scenario engine end-to-end with its golden fixtures), and
-#         a warning-free clippy pass.
+#         golden fixture — suite, post-hoc, training, scenarios — runs
+#         in both), the golden suite and the scenario fixtures under
+#         TSGB_EVAL_CACHE=on, the serve, monitor, and sharded-router
+#         smoke legs (including a worker-kill fault drill and a
+#         drift-injection drill), the scenario smoke leg (streamed
+#         chunks + conditional identity + the scenario engine
+#         end-to-end), and a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -28,28 +28,6 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> tier 2: cargo test --workspace -q (TSGB_THREADS=4)"
     TSGB_THREADS=4 cargo test --workspace -q
-
-    echo "==> tier 2: golden-value suite (fixture regression)"
-    TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q
-    TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_suite -q
-
-    # the model-based measures (DS, PS, PS entire, C-FID) train post-hoc
-    # networks; their bits are pinned too, whichever thread runs a job
-    echo "==> tier 2: golden-value suite (model-based measures)"
-    TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_posthoc -q
-    TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_posthoc -q
-
-    # band >= window length (fixtures use l=16) is provably bit-equal
-    # to the full DP, so the pinned values must not move
-    echo "==> tier 2: golden-value suite (TSGB_DTW_BAND=16, exact regime)"
-    TSGB_DTW_BAND=16 cargo test -p tsgb-eval --test golden_suite -q
-
-    # the packed microkernel GEMM must be bit-identical to the band
-    # kernels: the committed fixture values may not move under it, at
-    # one thread or four
-    echo "==> tier 2: golden-value suite (TSGB_GEMM=packed)"
-    TSGB_GEMM=packed TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q
-    TSGB_GEMM=packed TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_suite -q
 
     # the content-addressed eval cache must leave the committed fixture
     # values bit-for-bit unchanged, at one thread and four
@@ -122,9 +100,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     curl -fsS -X POST "http://$ADDR/shutdown" > /dev/null
     wait "$MONITOR_PID"
     grep -q 'drained' "$CKPT_DIR/monitor.log"
-
-    echo "==> tier 2: router env knobs (TSGB_ROUTER_HEALTH_MS=50, TSGB_ROUTER_REPLICAS=2)"
-    TSGB_ROUTER_HEALTH_MS=50 TSGB_ROUTER_REPLICAS=2 cargo test -p tsgb-router -q
 
     echo "==> tier 2: router smoke test (train -> route 2 workers -> kill one -> generate -> drain)"
     ./target/release/tsgbench train --out "$CKPT_DIR/tier" --dataset Stock \
@@ -200,8 +175,7 @@ if [[ "${1:-}" != "--quick" ]]; then
         > "$CKPT_DIR/scenario_reports_cached.jsonl"
     diff "$CKPT_DIR/scenario_reports.jsonl" "$CKPT_DIR/scenario_reports_cached.jsonl"
 
-    echo "==> tier 2: scenario golden fixtures"
-    TSGB_THREADS=1 cargo test -p tsgb-scenario --test golden_scenarios -q
+    echo "==> tier 2: scenario golden fixtures (TSGB_EVAL_CACHE=on)"
     TSGB_EVAL_CACHE=on cargo test -p tsgb-scenario --test golden_scenarios -q
 
     echo "==> tier 2: cargo clippy --workspace --all-targets -- -D warnings"

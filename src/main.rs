@@ -55,17 +55,15 @@ train options:
 
 serve options:
   --ckpt-dir DIR     directory of *.tsgbnn checkpoints (required)
-  --addr HOST:PORT   bind address (overrides TSGB_SERVE_ADDR)
+  --addr HOST:PORT   bind address (default: 127.0.0.1:7878)
   --models A,B       load only these checkpoints (the worker's shard;
                      an empty shard is legal and serves health only)
 
 route options:
   --ckpt-dir DIR     directory of *.tsgbnn checkpoints (required)
-  --addr HOST:PORT   router bind address (overrides TSGB_ROUTER_ADDR)
-  --workers N        worker processes to spawn (default: 2, or
-                     TSGB_ROUTER_WORKERS)
-  --replicas R       workers per model (default: 2, or
-                     TSGB_ROUTER_REPLICAS; clamped to N)
+  --addr HOST:PORT   router bind address (default: 127.0.0.1:7979)
+  --workers N        worker processes to spawn (default: 2)
+  --replicas R       workers per model (default: 2; clamped to N)
 
 monitor options:
   --dataset NAME     reference dataset (default: Stock)
@@ -96,15 +94,10 @@ scenario options:
 scenario output: one JSON object per line,
 {\"model\":\"...\",\"scenario\":\"...\",\"metrics\":{...}}.
 
-serve also reads TSGB_SERVE_ADDR / TSGB_SERVE_BATCH /
-TSGB_SERVE_LINGER_MS / TSGB_SERVE_QUEUE / TSGB_SERVE_DTYPE /
-TSGB_STREAM_CHUNK / TSGB_STREAM_INFLIGHT from the environment; route
-also reads TSGB_ROUTER_ADDR / TSGB_ROUTER_WORKERS /
-TSGB_ROUTER_REPLICAS / TSGB_ROUTER_HEALTH_MS / TSGB_ROUTER_FAILOVER_MS
-(workers inherit the TSGB_SERVE_* environment); scenario also reads
-the TSGB_SCENARIO_* knobs (N, CHUNK, MASK_RATE, SPAN, CANDIDATES,
-CLASSES, STRENGTH) and honors TSGB_EVAL_CACHE for the imputation
-measures.";
+serve also reads TSGB_SERVE_BATCH / TSGB_SERVE_LINGER_MS /
+TSGB_SERVE_QUEUE / TSGB_SERVE_DTYPE from the environment (route's
+workers inherit them); scenario runs each family at its default task
+sizes and honors TSGB_EVAL_CACHE for the imputation measures.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -345,10 +338,9 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let max_len: usize = flags.parsed("max-len", 24)?;
     let seed: u64 = flags.parsed("seed", 7)?;
 
-    let cfg = tsgb_scenario::ScenarioConfig::from_env();
     let scenarios = match flags.get("scenario") {
-        None => cfg.all(),
-        Some(name) => vec![cfg.by_name(name).ok_or_else(|| {
+        None => tsgb_scenario::all(),
+        Some(name) => vec![tsgb_scenario::by_name(name).ok_or_else(|| {
             format!("unknown scenario `{name}` (one of: streaming, conditional, imputation)")
         })?],
     };
@@ -400,15 +392,11 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         .get("ckpt-dir")
         .ok_or("route requires --ckpt-dir DIR")?
         .into();
-    let mut cfg = RouterConfig::from_env();
+    let mut cfg = RouterConfig::default();
     if let Some(addr) = flags.get("addr") {
         cfg.addr = addr.to_string();
     }
-    let env_workers = std::env::var("TSGB_ROUTER_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(2);
-    let workers: usize = flags.parsed("workers", env_workers)?;
+    let workers: usize = flags.parsed("workers", 2)?;
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }

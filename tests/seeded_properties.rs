@@ -1,6 +1,6 @@
-//! Deterministic seeded-loop fallbacks for the proptest invariants in
-//! `tests/properties.rs` (opt-in via the `proptest` feature). These
-//! always run, with no external deps.
+//! Seeded-loop property tests on the benchmark's core invariants:
+//! transform round-trips, DTW's metric-like laws, normalization,
+//! windowing, ranking, and the pipeline split.
 
 use tsgb_data::pipeline::{NormParams, Pipeline, WindowLength};
 use tsgb_eval::distance;
