@@ -1,14 +1,12 @@
 //! `loadgen` — a closed-loop load probe for `tsgb-serve`.
 //!
-//! Trains a TimeVAE in-process, serves it three times — batching
-//! disabled (`max_batch = 1`), default fused batching
-//! (`max_batch = 8`), and fused batching on the f32 compute tier —
+//! Trains a TimeVAE in-process, serves it twice — batching disabled
+//! (`max_batch = 1`) and default fused batching (`max_batch = 8`) —
 //! and drives each server with closed-loop clients at concurrency 1
 //! and 8. Writes the measured throughput and latency percentiles
-//! (p50/p95/p99) to `BENCH_serve.json` and asserts the two wins the
+//! (p50/p95/p99) to `BENCH_serve.json` and asserts the win the
 //! service is built around: at concurrency 8, fused batches must
-//! deliver at least 2× the unbatched throughput, and the f32 tier at
-//! least 1.8× the batched f64 throughput. The workload is sized so
+//! deliver at least 2× the unbatched throughput. The workload is sized so
 //! the fixed per-call cost of a decoder pass dominates the per-sample
 //! cost (`l = 256`, one window per request): fusing 8 requests into
 //! one forward pass then costs far less than 8 serial passes, which
@@ -44,7 +42,7 @@ use std::time::{Duration, Instant};
 use tsgb_data::sine::sine_dataset;
 use tsgb_linalg::rng::seeded;
 use tsgb_methods::{MethodId, TrainConfig};
-use tsgb_serve::{Registry, ServeConfig, ServeDtype, Server};
+use tsgb_serve::{Registry, ServeConfig, Server};
 use tsgb_wire::client::{http_request, http_request_stream};
 
 const MODEL: &str = "timevae";
@@ -82,7 +80,6 @@ struct Probe {
     name: String,
     max_batch: usize,
     concurrency: usize,
-    dtype: ServeDtype,
     rps: f64,
     p50_ms: f64,
     p95_ms: f64,
@@ -98,25 +95,19 @@ fn main() {
     let registry = trained_registry();
     let mut probes: Vec<Probe> = Vec::new();
 
-    let setups = [
-        ("unbatched", 1usize, ServeDtype::F64),
-        ("batched", 8, ServeDtype::F64),
-        ("batched_f32", 8, ServeDtype::F32),
-    ];
-    for (label, max_batch, dtype) in setups {
+    for (label, max_batch) in [("unbatched", 1usize), ("batched", 8)] {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),
             max_batch,
             linger_ms: if max_batch == 1 { 0 } else { 5 },
             queue_cap: 256,
-            dtype,
             ..ServeConfig::default()
         };
         let server = Server::start(rebuild(&registry), cfg).expect("start server");
         let addr = server.addr().to_string();
         for concurrency in CONCURRENCIES {
             tsgb_obs::reset();
-            let probe = run_probe(&addr, label, max_batch, dtype, concurrency);
+            let probe = run_probe(&addr, label, max_batch, concurrency);
             println!(
                 "{:<16} concurrency {concurrency}: {:>8.1} req/s  p50 {:>6.2} ms  p95 {:>6.2} ms  p99 {:>6.2} ms  mean batch {:.2}",
                 probe.name, probe.rps, probe.p50_ms, probe.p95_ms, probe.p99_ms, probe.mean_batch
@@ -137,18 +128,10 @@ fn main() {
     let rps_of = |name: &str| probes.iter().find(|p| p.name == name).unwrap().rps;
     let speedup_c8 = rps_of("batched_c8") / rps_of("unbatched_c8");
     println!("batching speedup at concurrency 8: {speedup_c8:.2}x");
-    let f32_tier_speedup_c8 = rps_of("batched_f32_c8") / rps_of("batched_c8");
-    println!("f32 tier speedup at concurrency 8: {f32_tier_speedup_c8:.2}x");
     let router_scaling_w2 = rps_of("router_w2_c8") / rps_of("router_w1_c8");
     println!("router aggregate scaling at 2 workers: {router_scaling_w2:.2}x");
 
-    let json = render_json(
-        &probes,
-        &stream_probes,
-        speedup_c8,
-        f32_tier_speedup_c8,
-        router_scaling_w2,
-    );
+    let json = render_json(&probes, &stream_probes, speedup_c8, router_scaling_w2);
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");
 
@@ -167,10 +150,6 @@ fn main() {
     assert!(
         speedup_c8 >= 2.0,
         "fused batching must be >= 2x unbatched at concurrency 8, got {speedup_c8:.2}x"
-    );
-    assert!(
-        f32_tier_speedup_c8 >= 1.8,
-        "f32 tier must be >= 1.8x the batched f64 tier at concurrency 8, got {f32_tier_speedup_c8:.2}x"
     );
     assert!(
         router_scaling_w2 >= 1.7,
@@ -221,7 +200,7 @@ fn run_router_probe(ckpt: &[u8], workers: usize) -> Probe {
     let router = Router::start_spawned(bin, dir.clone(), workers, cfg).expect("start router tier");
     let addr = router.addr().to_string();
     tsgb_obs::reset(); // worker processes own their histograms; clear ours
-    let probe = run_probe(&addr, &format!("router_w{workers}"), ROUTER_WORKER_BATCH, ServeDtype::F64, 8);
+    let probe = run_probe(&addr, &format!("router_w{workers}"), ROUTER_WORKER_BATCH, 8);
     router.shutdown();
     std::fs::remove_dir_all(&dir).ok();
     Probe {
@@ -327,13 +306,7 @@ fn rebuild(ckpt: &[u8]) -> Registry {
     registry
 }
 
-fn run_probe(
-    addr: &str,
-    label: &str,
-    max_batch: usize,
-    dtype: ServeDtype,
-    concurrency: usize,
-) -> Probe {
+fn run_probe(addr: &str, label: &str, max_batch: usize, concurrency: usize) -> Probe {
     let start = Instant::now();
     let latencies: Vec<Duration> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..concurrency)
@@ -376,7 +349,6 @@ fn run_probe(
         name: format!("{label}_c{concurrency}"),
         max_batch,
         concurrency,
-        dtype,
         rps: total as f64 / wall.as_secs_f64(),
         p50_ms: pct(0.50),
         p95_ms: pct(0.95),
@@ -399,7 +371,6 @@ fn render_json(
     probes: &[Probe],
     stream_probes: &[StreamProbe],
     speedup_c8: f64,
-    f32_tier_speedup_c8: f64,
     router_scaling_w2: f64,
 ) -> String {
     let mut out = String::from("{\n");
@@ -409,11 +380,10 @@ fn render_json(
     out.push_str("  \"probes\": [\n");
     for (i, p) in probes.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"max_batch\": {}, \"concurrency\": {}, \"dtype\": \"{}\", \"rps\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_batch\": {:.2}, \"fwd_delay_ms\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"max_batch\": {}, \"concurrency\": {}, \"rps\": {:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_batch\": {:.2}, \"fwd_delay_ms\": {}}}{}\n",
             p.name,
             p.max_batch,
             p.concurrency,
-            p.dtype.name(),
             p.rps,
             p.p50_ms,
             p.p95_ms,
@@ -439,9 +409,6 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"speedup_c8\": {speedup_c8:.2},\n"));
-    out.push_str(&format!(
-        "  \"f32_tier_speedup_c8\": {f32_tier_speedup_c8:.2},\n"
-    ));
     out.push_str(&format!(
         "  \"router_scaling_w2\": {router_scaling_w2:.2}\n"
     ));

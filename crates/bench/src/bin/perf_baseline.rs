@@ -3,9 +3,9 @@
 //! cached MMD estimator, and the deterministic-only evaluation suite —
 //! each once with the pool forced to one thread and once with the
 //! machine default — verifies the two results are bit-identical, and
-//! writes the timings to `BENCH_baseline.json`. It also times the
-//! accelerated eval kernels (Barnes-Hut t-SNE, banded DTW) against
-//! their exact counterparts and asserts the recorded speedup floors.
+//! writes the timings to `BENCH_baseline.json`. It also times two
+//! kernels against their reference in the same run — banded vs exact
+//! DTW pairs, packed vs band GEMM — and asserts each speedup floor.
 //!
 //! It also runs the GRU / LSTM train-step probes twice — once
 //! recording every step on a recycled tape (`reset()`, one-shot
@@ -13,7 +13,7 @@
 //! (`begin_step()`, record-once / replay-many) — asserts the two leave
 //! **bit-identical weights** after the full run, asserts the plan
 //! replays with zero steady-state pool misses, checks the plan beats
-//! the recorded interpreter reference by the ≥1.5× floor, and writes
+//! the interpreted leg of the same run by the ≥1.5× floor, and writes
 //! both timings plus the plan lifecycle counters to
 //! `BENCH_train.json`. Build with
 //! `--features alloc-count` to additionally report steady-state heap
@@ -31,11 +31,10 @@
 //! ```
 
 use std::time::Instant;
-use tsgb_eval::distance::dtw_with_band;
+use tsgb_eval::distance::{dtw_pair, dtw_pair_banded};
 use tsgb_eval::mmd::mmd2;
 use tsgb_eval::suite::{evaluate, evaluate_cached, EvalConfig};
 use tsgb_evalcache::EvalCache;
-use tsgb_eval::tsne::{tsne, TsneConfig, TsneMode};
 use tsgb_linalg::rng::{randn_matrix, seeded, uniform_matrix};
 use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_nn::layers::{GruCell, Linear, LstmCell};
@@ -45,28 +44,9 @@ use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
 use tsgb_rand::Rng;
 
-/// Pre-recycling reference timings (ms, best-of-280 on the reference
-/// machine, commit afa9f85): fresh `Tape::new()` per step, unfused
-/// Linear/GRU/LSTM graphs. The train probes below run the identical
-/// workload through the recycled + fused path.
-const PRE_GRU_TRAIN_STEP_MS: f64 = 8.7983;
-const PRE_LSTM_TRAIN_STEP_MS: f64 = 11.7974;
-
-/// Recorded interpreter-path timings (ms, best-of-300 on the reference
-/// machine): the `best_ms` the last pre-plan run wrote to
-/// `BENCH_train.json` (recycled tape, per-node op dispatch). The
-/// compiled plan must replay the identical step at least
-/// [`PLAN_SPEEDUP_FLOOR`]× faster with bit-identical weights.
-const PRE_PLAN_GRU_TRAIN_STEP_MS: f64 = 2.436265;
-const PRE_PLAN_LSTM_TRAIN_STEP_MS: f64 = 3.711341;
+/// Floor for the compiled plan's step time against the interpreted
+/// tape's, both timed in the same run on the same seeded workload.
 const PLAN_SPEEDUP_FLOOR: f64 = 1.5;
-
-/// Recorded band-kernel timing (ms) for the `matmul_256` triple
-/// (matmul + t_matmul + matmul_t at 256², serial, best-of-3 on the
-/// reference machine): the `serial_ms` the last pre-packed run wrote
-/// to `BENCH_baseline.json`. The packed-GEMM probe below must beat it
-/// by its recorded floor.
-const PRE_BAND_MATMUL_256_MS: f64 = 15.640104;
 
 struct Probe {
     name: String,
@@ -110,8 +90,9 @@ fn probe(name: &str, reps: usize, f: impl Fn() -> Vec<f64>) -> Probe {
     }
 }
 
-/// An exact-kernel vs accelerated-kernel timing (same workload, same
-/// answer semantics — not the serial/parallel split of [`Probe`]).
+/// A reference-kernel vs accelerated-kernel timing, both sides timed
+/// live on the same workload (not the serial/parallel split of
+/// [`Probe`]).
 struct KernelProbe {
     name: &'static str,
     baseline_ms: f64,
@@ -138,114 +119,44 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Reads the optimize-phase span an obs-enabled `tsne` run recorded.
-fn optimize_span_ms() -> f64 {
-    let snap = tsgb_obs::snapshot();
-    snap.histograms
-        .iter()
-        .find(|(n, _)| n == "span.eval.tsne.optimize_ms")
-        .map(|(_, h)| h.sum)
-        .expect("tsne optimize span recorded")
-}
-
-/// Exact vs Barnes-Hut t-SNE at n=500 joint points, and exact vs
-/// banded (band = l/8) DTW at l=256 — the two eval kernels
-/// `tsgb-index` accelerates.
+/// Exact vs banded (band = l/8) DTW on the same 40 window pairs at
+/// l=256, and band vs packed GEMM at 256² and 512².
 fn kernel_probes() -> Vec<KernelProbe> {
     let mut out = Vec::new();
-
-    {
-        // 500 flattened windows from two seeded populations. Both
-        // engines share the identical O(n²·d) affinity setup, so the
-        // probe times the gradient-optimization phase — the kernel the
-        // quadtree replaces — via the per-phase obs spans.
-        let mut rng = seeded(7);
-        let x = Matrix::from_fn(500, 32, |r, _| {
-            let center = if r < 250 { 0.0 } else { 4.0 };
-            center + rng.gen_range(-1.0f64..1.0)
-        });
-        let exact_cfg = TsneConfig {
-            mode: TsneMode::Exact,
-            ..TsneConfig::default()
-        };
-        let bh_cfg = TsneConfig {
-            mode: TsneMode::BarnesHut,
-            theta: 0.9,
-            perplexity: 12.0,
-            ..TsneConfig::default()
-        };
-        // the BH embedding must be bit-identical serial vs pooled
-        let bh_serial: Vec<u64> = tsgb_par::with_threads(1, || {
-            let mut r = seeded(8);
-            tsne(&x, &bh_cfg, &mut r).as_slice().iter().map(|v| v.to_bits()).collect()
-        });
-        tsgb_obs::set_enabled(true);
-        let mut bh_ms = f64::INFINITY;
-        let mut exact_ms = f64::INFINITY;
-        for _ in 0..3 {
-            tsgb_obs::reset();
-            let mut r = seeded(8);
-            let bh = tsne(&x, &bh_cfg, &mut r);
-            bh_ms = bh_ms.min(optimize_span_ms());
-            let same = bh
-                .as_slice()
-                .iter()
-                .zip(&bh_serial)
-                .all(|(v, &b)| v.to_bits() == b);
-            assert!(same, "tsne_bh: pooled embedding differs from serial");
-            tsgb_obs::reset();
-            let mut r = seeded(8);
-            let _ = tsne(&x, &exact_cfg, &mut r);
-            exact_ms = exact_ms.min(optimize_span_ms());
-        }
-        tsgb_obs::set_enabled(false);
-        tsgb_obs::reset();
-        out.push(KernelProbe {
-            name: "tsne_exact_vs_bh_500",
-            baseline_ms: exact_ms,
-            accelerated_ms: bh_ms,
-            floor: 3.0,
-            detail: "optimize-phase span, 250 iters, n=500 d=32; BH theta=0.9 perplexity=12"
-                .into(),
-        });
-    }
 
     {
         let mut rng = seeded(9);
         let a = Tensor3::from_fn(40, 256, 2, |_, _, _| rng.gen_range(-1.0f64..1.0));
         let b = Tensor3::from_fn(40, 256, 2, |_, _, _| rng.gen_range(-1.0f64..1.0));
         let exact_ms = best_of(3, || {
-            std::hint::black_box(dtw_with_band(&a, &b, None));
+            for s in 0..40 {
+                std::hint::black_box(dtw_pair(&a, s, &b, s));
+            }
         });
         let banded_ms = best_of(3, || {
-            std::hint::black_box(dtw_with_band(&a, &b, Some(256 / 8)));
+            for s in 0..40 {
+                std::hint::black_box(dtw_pair_banded(&a, s, &b, s, 256 / 8));
+            }
         });
         out.push(KernelProbe {
             name: "dtw_banded_256",
             baseline_ms: exact_ms,
             accelerated_ms: banded_ms,
             floor: 2.0,
-            detail: "M12 DTW measure, 40x40 pairs, l=256 f=2, band=32 (l/8)".into(),
+            detail:
+                "dtw_pair vs dtw_pair_banded on 40 index pairs, l=256 f=2, band=32 (l/8), serial"
+                    .into(),
         });
     }
 
     {
         // Packed vs band GEMM: the same matmul/t_matmul/matmul_t
         // triple the matmul_{size} probes time, with the path forced
-        // per side via the thread-local override. At 256 the band side
-        // is the recorded pre-packed baseline (the matmul_256
-        // serial_ms the band kernels last wrote), so the floor guards
-        // the packed rewrite against the recorded reference; at 512
-        // both sides run live.
+        // per side via the thread-local override.
         use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
-        for &(size, name, recorded, floor) in &[
-            (
-                256usize,
-                "gemm_256_packed_vs_band",
-                Some(PRE_BAND_MATMUL_256_MS),
-                3.0,
-            ),
-            (512, "gemm_512_packed_vs_band", None, 2.0),
+        for &(size, name, floor) in &[
+            (256usize, "gemm_256_packed_vs_band", 3.0),
+            (512, "gemm_512_packed_vs_band", 2.0),
         ] {
             let mut rng = seeded(size as u64);
             let a = uniform_matrix(size, size, -1.0, 1.0, &mut rng);
@@ -272,10 +183,8 @@ fn kernel_probes() -> Vec<KernelProbe> {
             let packed_ms = best_of(reps, || {
                 std::hint::black_box(triple(GemmMode::Packed));
             });
-            let band_ms = recorded.unwrap_or_else(|| {
-                best_of(reps, || {
-                    std::hint::black_box(triple(GemmMode::Band));
-                })
+            let band_ms = best_of(reps, || {
+                std::hint::black_box(triple(GemmMode::Band));
             });
             // 3 products of 2·size³ flops each
             let gflops = 3.0 * 2.0 * (size as f64).powi(3) / (packed_ms * 1e-3) / 1e9;
@@ -285,8 +194,7 @@ fn kernel_probes() -> Vec<KernelProbe> {
                 accelerated_ms: packed_ms,
                 floor,
                 detail: format!(
-                    "matmul+t_matmul+matmul_t triple at {size}x{size}, serial; band side {}; packed {gflops:.1} GFLOP/s",
-                    if recorded.is_some() { "recorded pre-packed baseline" } else { "timed live" },
+                    "matmul+t_matmul+matmul_t triple at {size}x{size}, serial; packed {gflops:.1} GFLOP/s"
                 ),
             });
         }
@@ -381,14 +289,12 @@ fn recorded_train_field(prev: &str, name: &str, key: &str) -> Option<String> {
 /// One plan-vs-tape train-step probe over a `(BATCH, SEQ, FEATURES)`
 /// sequence workload: the same seeded run executed once on the
 /// interpreted recycled tape and once through the compiled plan.
-/// `best_ms` is the plan-mode figure; the allocation figure is `None`
-/// without the `alloc-count` feature.
+/// `best_ms` is the plan-mode figure, `tape_ms` the interpreted one;
+/// the allocation figure is `None` without the `alloc-count` feature.
 struct TrainProbe {
     name: &'static str,
     best_ms: f64,
     tape_ms: f64,
-    pre_plan_ms: f64,
-    pre_ms: f64,
     allocs_per_step: Option<u64>,
     pool_misses: u64,
     /// Pool misses over the final 100 (steady-state) plan steps.
@@ -397,15 +303,10 @@ struct TrainProbe {
     stats: (u64, u64, u64),
 }
 
-impl TrainProbe {
-    fn speedup(&self) -> f64 {
-        self.pre_ms / self.best_ms.max(1e-9)
-    }
-    /// Speedup over the recorded interpreter reference — the ≥1.5×
-    /// acceptance figure.
-    fn plan_speedup(&self) -> f64 {
-        self.pre_plan_ms / self.best_ms.max(1e-9)
-    }
+/// The compiled plan's speedup over the interpreted tape — the ≥1.5×
+/// acceptance figure.
+fn plan_speedup(tape_ms: f64, plan_ms: f64) -> f64 {
+    tape_ms / plan_ms.max(1e-9)
 }
 
 const BATCH: usize = 32;
@@ -481,8 +382,7 @@ struct TrainRun {
     params: Params,
 }
 
-/// One seeded GRU training run: identical workload and init to the
-/// pre-change reference, stepped as in [`train_run`].
+/// One seeded GRU training run, stepped as in [`train_run`].
 fn gru_run(plan: bool) -> TrainRun {
     let mut rng = seeded(42);
     let xs: Vec<Matrix> = (0..SEQ)
@@ -559,63 +459,24 @@ fn lstm_run(plan: bool) -> TrainRun {
     }
 }
 
-/// Machine-speed scale between this run and the BENCH recording
-/// epoch: the recorded [`PRE_BAND_MATMUL_256_MS`] workload (band
-/// kernels, untouched by the plan work) re-timed live, as a ratio to
-/// its recorded time. The plan floor compares live step times against
-/// *recorded* references, so on a shared machine a throttling window
-/// would fail the gate without any algorithmic regression; scaling
-/// the recorded reference by this ratio compares like machine state
-/// with like. Clamped to ≥1 — a machine *faster* than the recording
-/// never loosens the gate.
-fn machine_scale() -> f64 {
-    use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
-    let mut rng = seeded(256);
-    let a = uniform_matrix(256, 256, -1.0, 1.0, &mut rng);
-    let b = uniform_matrix(256, 256, -1.0, 1.0, &mut rng);
-    let live = best_of(5, || {
-        with_gemm_mode(GemmMode::Band, || {
-            tsgb_par::with_threads(1, || {
-                std::hint::black_box((a.matmul(&b), a.t_matmul(&b), a.matmul_t(&b)));
-            })
-        })
-    });
-    (live / PRE_BAND_MATMUL_256_MS).max(1.0)
-}
-
-/// GRU and LSTM plan-vs-tape train-step probes on the same workload
-/// the pre-change reference used. Each cell runs the identical seeded
-/// training twice — interpreted, then compiled — and the final weights
-/// must agree bit for bit. `scale` is [`machine_scale`], applied to
-/// the recorded reference when deciding whether a retry is needed.
-fn train_probes(scale: f64) -> Vec<TrainProbe> {
+/// GRU and LSTM plan-vs-tape train-step probes. Each cell runs the
+/// identical seeded training twice — interpreted, then compiled — and
+/// the final weights must agree bit for bit.
+fn train_probes() -> Vec<TrainProbe> {
     let mut out = Vec::new();
-    for (name, pre_plan_ms, pre_ms, run) in [
-        (
-            "gru_train_step",
-            PRE_PLAN_GRU_TRAIN_STEP_MS,
-            PRE_GRU_TRAIN_STEP_MS,
-            gru_run as fn(bool) -> TrainRun,
-        ),
-        (
-            "lstm_train_step",
-            PRE_PLAN_LSTM_TRAIN_STEP_MS,
-            PRE_LSTM_TRAIN_STEP_MS,
-            lstm_run,
-        ),
+    for (name, run) in [
+        ("gru_train_step", gru_run as fn(bool) -> TrainRun),
+        ("lstm_train_step", lstm_run),
     ] {
         let mut interpreted = run(false);
         let mut compiled = run(true);
         assert_params_bitwise(name, &interpreted.params, &compiled.params);
-        // A shared machine throttles in multi-second windows that
-        // slow every probe in a run by 1.3-1.5×, and the plan floor
-        // compares against a *recorded* reference, not a live one —
-        // so ride a bad window out by retrying the seeded pair and
-        // keeping the best wall times. The bitwise equivalence gate
-        // runs on every attempt.
-        let floor_ms = pre_plan_ms * scale / PLAN_SPEEDUP_FLOOR;
+        // A shared machine throttles in multi-second windows that can
+        // land on one leg and not the other, so ride a bad window out
+        // by retrying the seeded pair and keeping each leg's best wall
+        // time. The bitwise equivalence gate runs on every attempt.
         for _ in 0..3 {
-            if compiled.best_ms <= floor_ms {
+            if plan_speedup(interpreted.best_ms, compiled.best_ms) >= PLAN_SPEEDUP_FLOOR {
                 break;
             }
             let i_retry = run(false);
@@ -628,8 +489,6 @@ fn train_probes(scale: f64) -> Vec<TrainProbe> {
             name,
             best_ms: compiled.best_ms,
             tape_ms: interpreted.best_ms,
-            pre_plan_ms,
-            pre_ms,
             allocs_per_step: compiled.allocs_per_step,
             pool_misses: compiled.pool_misses,
             steady_misses: compiled.steady_misses,
@@ -799,11 +658,7 @@ fn main() {
         ec.warm_ms
     );
 
-    let scale = machine_scale();
-    if scale > 1.02 {
-        println!("machine scale vs BENCH recording: {scale:.2}x slower (band matmul_256 canary)");
-    }
-    let trains = train_probes(scale);
+    let trains = train_probes();
 
     // A build without `alloc-count` must not clobber allocation figures
     // a previous alloc-count run recorded: carry unmeasured fields
@@ -824,26 +679,22 @@ fn main() {
         });
         let (captures, replays, invalidations) = tp.stats;
         println!(
-            "{:>24}: plan {:8.4} ms  tape {:8.4} ms  pre-plan {:8.4} ms  plan speedup {:.2}x (floor {:.1}x)  allocs/step {}  steady misses {}",
+            "{:>24}: plan {:8.4} ms  tape {:8.4} ms  plan speedup {:.2}x (floor {:.1}x)  allocs/step {}  steady misses {}",
             tp.name,
             tp.best_ms,
             tp.tape_ms,
-            tp.pre_plan_ms,
-            tp.plan_speedup(),
+            plan_speedup(tp.tape_ms, tp.best_ms),
             PLAN_SPEEDUP_FLOOR,
             allocs.as_deref().unwrap_or("n/a"),
             tp.steady_misses
         );
         let alloc_field = allocs.map_or(String::new(), |a| format!(", \"allocs_per_step\": {a}"));
         train_rows.push(format!(
-            "    {{\"name\": \"{}\", \"best_ms\": {:.6}, \"tape_ms\": {:.6}, \"pre_plan_ms\": {:.6}, \"pre_change_ms\": {:.6}, \"speedup\": {:.4}, \"plan_speedup\": {:.4}, \"plan_floor\": {:.1}{}, \"pool_misses\": {}, \"steady_misses\": {}, \"plan_captures\": {}, \"plan_replays\": {}, \"plan_invalidations\": {}}}",
+            "    {{\"name\": \"{}\", \"best_ms\": {:.6}, \"tape_ms\": {:.6}, \"plan_speedup\": {:.4}, \"plan_floor\": {:.1}{}, \"pool_misses\": {}, \"steady_misses\": {}, \"plan_captures\": {}, \"plan_replays\": {}, \"plan_invalidations\": {}}}",
             tp.name,
             tp.best_ms,
             tp.tape_ms,
-            tp.pre_plan_ms,
-            tp.pre_ms,
-            tp.speedup(),
-            tp.plan_speedup(),
+            plan_speedup(tp.tape_ms, tp.best_ms),
             PLAN_SPEEDUP_FLOOR,
             alloc_field,
             tp.pool_misses,
@@ -865,25 +716,19 @@ fn main() {
     std::fs::write("BENCH_train.json", &train_json).expect("write BENCH_train.json");
     println!("wrote BENCH_train.json");
 
-    // Plan acceptance gates: ≥1.5× over the recorded interpreter
-    // reference, zero steady-state pool misses once the plan has
-    // pre-sized the pool from its buffer manifest, exactly one capture
-    // with no mid-run invalidation.
+    // Plan acceptance gates: ≥1.5× over the interpreted leg of this
+    // run, zero steady-state pool misses, exactly one capture with no
+    // mid-run invalidation.
     for tp in &trains {
         let (captures, replays, invalidations) = tp.stats;
-        // `scale` maps the recorded reference onto the current
-        // machine speed (see `machine_scale`); raw and normalized
-        // speedups are equal when the machine matches the recording.
         assert!(
-            tp.plan_speedup() * scale >= PLAN_SPEEDUP_FLOOR,
-            "{}: plan speedup {:.2}x (normalized {:.2}x) below the {:.1}x floor (plan {:.4} ms vs recorded {:.4} ms, machine scale {:.2}x)",
+            plan_speedup(tp.tape_ms, tp.best_ms) >= PLAN_SPEEDUP_FLOOR,
+            "{}: plan speedup {:.2}x below the {:.1}x floor (plan {:.4} ms vs tape {:.4} ms)",
             tp.name,
-            tp.plan_speedup(),
-            tp.plan_speedup() * scale,
+            plan_speedup(tp.tape_ms, tp.best_ms),
             PLAN_SPEEDUP_FLOOR,
             tp.best_ms,
-            tp.pre_plan_ms,
-            scale
+            tp.tape_ms
         );
         assert_eq!(
             tp.steady_misses, 0,
@@ -907,12 +752,8 @@ fn main() {
     // shared machine is too noisy for a hard gate.
     if let Some(prev) = &prev {
         for tp in &trains {
-            // Compare the interpreted path like-for-like: pre-plan
-            // files only recorded `best_ms` (then the interpreter
-            // figure), newer files record it as `tape_ms`.
-            let Some(rec) = recorded_train_field(prev, tp.name, "tape_ms")
-                .or_else(|| recorded_train_field(prev, tp.name, "best_ms"))
-                .and_then(|t| t.parse::<f64>().ok())
+            let Some(rec) =
+                recorded_train_field(prev, tp.name, "tape_ms").and_then(|t| t.parse::<f64>().ok())
             else {
                 continue;
             };

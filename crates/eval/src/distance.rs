@@ -1,15 +1,14 @@
 //! Distance-based measures (paper §4.2, M11–M12) — the paper's
 //! efficient, deterministic alternatives to DS/PS.
 //!
-//! Besides the exact `O(l^2)` DTW dynamic program this module carries
-//! the accelerated kernels of the eval hot path: a Sakoe-Chiba
-//! **banded** DP ([`dtw_pair_banded`], `O(l·band)`) that is bit-equal
-//! to the exact DP once `band >= l`, an **LB_Keogh** lower bound
-//! ([`lb_keogh`], `O(l·features)` after an `O(l)` Lemire envelope
-//! sweep) that never exceeds the banded DTW cost, and a pruned 1-NN
-//! search ([`dtw_nn`]) that skips the DP whenever the bound already
-//! beats a running cutoff. `EvalConfig::dtw_band` routes the M12
-//! measure through the banded kernel.
+//! M12 runs the exact `O(l^2)` DTW dynamic program. The monitor's
+//! DTW nearest-neighbor search runs the banded kernels kept here: a
+//! Sakoe-Chiba **banded** DP ([`dtw_pair_banded`], `O(l·band)`) that
+//! is bit-equal to the exact DP once `band >= l`, an **LB_Keogh**
+//! lower bound ([`lb_keogh`], `O(l·features)` after an `O(l)` Lemire
+//! envelope sweep) that never exceeds the banded DTW cost, and a
+//! pruned 1-NN search ([`dtw_nn`], [`DtwNnPool`]) that skips the DP
+//! whenever the bound already beats a running cutoff.
 
 use std::collections::VecDeque;
 use tsgb_linalg::Tensor3;
@@ -86,28 +85,14 @@ pub fn dtw_pair(a: &Tensor3, ai: usize, b: &Tensor3, bi: usize) -> f64 {
 }
 
 /// M12 — Dynamic Time Warping. Pairs windows by index like [`ed`] and
-/// averages the multivariate DTW alignment cost, by the exact DP (see
-/// [`dtw_with_band`] for the banded one).
+/// averages the multivariate DTW alignment cost of the exact DP.
 pub fn dtw(real: &Tensor3, generated: &Tensor3) -> f64 {
-    dtw_with_band(real, generated, None)
-}
-
-/// [`dtw`] with an explicit Sakoe-Chiba band: `Some(w)` runs the
-/// banded DP ([`dtw_pair_banded`]), `None` the exact one. With
-/// `w >= seq_len` the banded DP performs the identical float
-/// operations in the identical order as the exact DP, so the two are
-/// bit-equal — the property `golden_suite` pins by re-running the
-/// golden fixture with `dtw_band: Some(<window length>)`.
-pub fn dtw_with_band(real: &Tensor3, generated: &Tensor3, band: Option<usize>) -> f64 {
     let pairs = real.samples().min(generated.samples());
     assert!(pairs > 0, "DTW needs at least one pair");
     record_truncation("dtw", real, generated);
     // each alignment is independent; fold the per-pair costs in pair
     // order so the mean is thread-count independent
-    let costs = tsgb_par::parallel_map(pairs, |s| match band {
-        Some(w) => dtw_pair_banded(real, s, generated, s, w),
-        None => dtw_pair(real, s, generated, s),
-    });
+    let costs = tsgb_par::parallel_map(pairs, |s| dtw_pair(real, s, generated, s));
     costs.into_iter().sum::<f64>() / pairs as f64
 }
 
@@ -223,26 +208,6 @@ pub fn lb_keogh(a: &Tensor3, ai: usize, b: &Tensor3, bi: usize, band: usize) -> 
     acc.iter().map(|v| v.sqrt()).sum()
 }
 
-/// Banded DTW guarded by the [`lb_keogh`] pre-check: returns `None`
-/// without running the DP when the lower bound already exceeds
-/// `cutoff` (a prune "hit"). Hit/miss totals land in the
-/// `eval.dtw.band_prune_{hits,misses}` counters.
-pub fn dtw_pair_pruned(
-    a: &Tensor3,
-    ai: usize,
-    b: &Tensor3,
-    bi: usize,
-    band: usize,
-    cutoff: f64,
-) -> Option<f64> {
-    if lb_keogh(a, ai, b, bi, band) > cutoff {
-        tsgb_obs::counter_add("eval.dtw.band_prune_hits", 1);
-        return None;
-    }
-    tsgb_obs::counter_add("eval.dtw.band_prune_misses", 1);
-    Some(dtw_pair_banded(a, ai, b, bi, band))
-}
-
 /// 1-nearest-neighbor of window `qi` of `query` among the windows of
 /// `pool` under banded DTW, `(pool index, distance)`. Candidates are
 /// visited in ascending `(LB_Keogh, index)` order with the running
@@ -258,23 +223,26 @@ pub fn dtw_nn(query: &Tensor3, qi: usize, pool: &Tensor3, band: usize) -> (usize
 
 /// The prune-ordered search shared by [`dtw_nn`] and
 /// [`DtwNnPool::nn`]: given per-candidate lower bounds, visit in
-/// ascending `(bound, index)` order with the running best as cutoff.
-/// Both callers produce bit-equal bounds, so both produce identical
-/// results.
+/// ascending `(bound, index)` order with the running best as cutoff,
+/// running the banded DP only for candidates whose bound does not
+/// exceed it. Both callers produce bit-equal bounds, so both produce
+/// identical results. Pruned and searched candidates land in the
+/// `eval.dtw.band_prune_{hits,misses}` counters.
 fn nn_search(query: &Tensor3, qi: usize, pool: &Tensor3, band: usize, bounds: &[f64]) -> (usize, f64) {
     let m = pool.samples();
     let mut order: Vec<(f64, usize)> = bounds.iter().copied().zip(0..m).collect();
     order.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
     let mut best = (order[0].1, f64::INFINITY);
-    for (k, &(_, c)) in order.iter().enumerate() {
-        match dtw_pair_pruned(query, qi, pool, c, band, best.1) {
-            Some(d) if d < best.1 => best = (c, d),
-            Some(_) => {}
-            None => {
-                // sorted by bound: everything after c prunes too
-                tsgb_obs::counter_add("eval.dtw.band_prune_hits", (m - k - 1) as u64);
-                break;
-            }
+    for (k, &(bound, c)) in order.iter().enumerate() {
+        if bound > best.1 {
+            // sorted by bound: c and everything after it prune
+            tsgb_obs::counter_add("eval.dtw.band_prune_hits", (m - k) as u64);
+            break;
+        }
+        tsgb_obs::counter_add("eval.dtw.band_prune_misses", 1);
+        let d = dtw_pair_banded(query, qi, pool, c, band);
+        if d < best.1 {
+            best = (c, d);
         }
     }
     best
@@ -553,15 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_pair_respects_cutoff() {
-        let a = tensor_of(&[&[0.0, 0.0, 0.0, 0.0]]);
-        let far = tensor_of(&[&[9.0, 9.0, 9.0, 9.0]]);
-        assert_eq!(dtw_pair_pruned(&a, 0, &far, 0, 2, 1.0), None);
-        let full = dtw_pair_pruned(&a, 0, &far, 0, 2, f64::INFINITY);
-        assert_eq!(full, Some(dtw_pair_banded(&a, 0, &far, 0, 2)));
-    }
-
-    #[test]
     fn dtw_nn_finds_the_closest_window() {
         let query = tensor_of(&[&[0.5, 0.6, 0.7, 0.8]]);
         let pool = tensor_of(&[
@@ -622,14 +581,5 @@ mod tests {
         ]);
         let pool = DtwNnPool::build(&pool_t, 4, 2);
         assert_eq!(dtw_nn_mean(&q, &pool), 0.0);
-    }
-
-    #[test]
-    fn explicit_band_matches_banded_pairs() {
-        let a = tensor_of(&[&[0.1, 0.9, 0.3, 0.7], &[0.6, 0.2, 0.8, 0.4]]);
-        let b = tensor_of(&[&[0.4, 0.2, 0.8, 0.5], &[0.3, 0.7, 0.1, 0.9]]);
-        let via_measure = dtw_with_band(&a, &b, Some(1));
-        let manual = (dtw_pair_banded(&a, 0, &b, 0, 1) + dtw_pair_banded(&a, 1, &b, 1, 1)) / 2.0;
-        assert_eq!(via_measure.to_bits(), manual.to_bits());
     }
 }

@@ -110,10 +110,6 @@ pub struct EvalConfig {
     pub model_based: bool,
     /// Whether to include the entire-sequence PS variant.
     pub ps_entire: bool,
-    /// Sakoe-Chiba band for M12: `Some(w)` runs the banded DP, `None`
-    /// the exact one. A band `>= seq_len` is bit-equal to the exact DP,
-    /// so the golden fixtures hold under it.
-    pub dtw_band: Option<usize>,
 }
 
 impl EvalConfig {
@@ -129,7 +125,6 @@ impl EvalConfig {
             embed_epochs: 40,
             model_based: true,
             ps_entire: false,
-            dtw_band: None,
         }
     }
 
@@ -145,7 +140,6 @@ impl EvalConfig {
             embed_epochs: 400,
             model_based: true,
             ps_entire: true,
-            dtw_band: None,
         }
     }
 
@@ -229,9 +223,7 @@ fn cache_kind(m: Measure) -> &'static str {
 /// on. Fields that only steer orchestration (`repeats`,
 /// `model_based`, `ps_entire`) are deliberately excluded — a per-job
 /// value is fully determined by its seed and the model capacity, so
-/// runs with different repeat counts still share entries. The DTW
-/// band is keyed separately per measure because it can come from the
-/// environment, not just the config.
+/// runs with different repeat counts still share entries.
 fn cfg_param_digest(cfg: &EvalConfig) -> u64 {
     let mut h = Fnv64::new();
     h.update(b"tsgb.evalcfg");
@@ -409,8 +401,8 @@ fn evaluate_inner(
     }
 
     // the deterministic measures take no configuration (p = 0) except
-    // DTW, whose key carries the effective band — it can come from the
-    // environment, and a banded value must never serve an exact run
+    // DTW, whose parameter is the fixed marker `u64::MAX` for the exact
+    // DP; keeping that marker keeps existing cache entries valid
     let mdd = timed(Measure::Mdd, || {
         cached_f64(ec, cache_kind(Measure::Mdd), dr, dg, 0, || {
             feature_based::mdd(real, generated)
@@ -441,10 +433,9 @@ fn evaluate_inner(
         })
     });
     out.set(Measure::Ed, det(ed));
-    let p_dtw = cfg.dtw_band.map_or(u64::MAX, |w| w as u64);
     let dtw = timed(Measure::Dtw, || {
-        cached_f64(ec, cache_kind(Measure::Dtw), dr, dg, p_dtw, || {
-            distance::dtw_with_band(real, generated, cfg.dtw_band)
+        cached_f64(ec, cache_kind(Measure::Dtw), dr, dg, u64::MAX, || {
+            distance::dtw(real, generated)
         })
     });
     out.set(Measure::Dtw, det(dtw));

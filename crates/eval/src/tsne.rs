@@ -1,40 +1,15 @@
 //! M9 — t-SNE (van der Maaten & Hinton, 2008) for the visualization
-//! measure, with an optional Barnes-Hut accelerated gradient
-//! (van der Maaten, 2014).
+//! measure.
 //!
 //! The benchmark embeds the original and generated windows (flattened)
 //! into 2-D with one joint t-SNE run, so overlap in the plane reflects
-//! distributional overlap. Two gradient engines share the perplexity
-//! calibration, early exaggeration and momentum schedule:
-//!
-//! * [`TsneMode::Exact`] — the O(n^2)-per-iteration reference
-//!   algorithm, the default, bit-identical to the pre-acceleration
-//!   implementation (and trivially thread-count independent: it runs
-//!   serially).
-//! * [`TsneMode::BarnesHut`] — O(n log n) per iteration: the
-//!   attractive term is restricted to each point's top `3·perplexity`
-//!   input-space neighbors and the repulsive term is approximated by
-//!   a `tsgb-index` quadtree opened under the `theta` criterion.
-//!   Per-point traversals are pure functions of the (fixed) tree, so
-//!   the per-iteration `parallel_map` fan-out is bit-identical at any
-//!   thread count.
-//!
-//! `TsneConfig { mode, theta, .. }` picks the engine per call; the
-//! default is exact.
+//! distributional overlap. The gradient is the exact O(n^2)-per-
+//! iteration one, computed serially, so the embedding is trivially
+//! thread-count independent.
 
-use tsgb_index::QuadTree;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::rng::randn;
 use tsgb_linalg::{Matrix, Tensor3};
-
-/// Which gradient engine [`tsne`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TsneMode {
-    /// The exact O(n^2) gradient — the default.
-    Exact,
-    /// Quadtree-approximated repulsion + sparse attraction.
-    BarnesHut,
-}
 
 /// t-SNE hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,14 +22,6 @@ pub struct TsneConfig {
     pub learning_rate: f64,
     /// Early-exaggeration factor applied for the first quarter.
     pub exaggeration: f64,
-    /// Gradient engine; the default is [`TsneMode::Exact`].
-    pub mode: TsneMode,
-    /// Barnes-Hut opening angle: a quadtree cell of side `s` at
-    /// distance `d` is summarized when `s/d < theta`. `0.0` degrades
-    /// to per-leaf enumeration (exact repulsion, different summation
-    /// order than [`TsneMode::Exact`]); `0.5` is the standard
-    /// speed/quality trade-off. Ignored in exact mode.
-    pub theta: f64,
 }
 
 impl Default for TsneConfig {
@@ -64,8 +31,6 @@ impl Default for TsneConfig {
             iterations: 250,
             learning_rate: 100.0,
             exaggeration: 4.0,
-            mode: TsneMode::Exact,
-            theta: 0.5,
         }
     }
 }
@@ -97,9 +62,8 @@ pub fn tsne_joint(
     }
 }
 
-/// t-SNE of the rows of `x` into 2-D with the engine picked by
-/// `cfg.mode`. Both modes share the perplexity calibration and the
-/// random initialization, so the same seed feeds both identically.
+/// t-SNE of the rows of `x` into 2-D: perplexity calibration, a seeded
+/// random initialization, then the exact gradient loop.
 pub fn tsne(x: &Matrix, cfg: &TsneConfig, rng: &mut SmallRng) -> Matrix {
     let _total = tsgb_obs::span("eval.tsne");
     let n = x.rows();
@@ -117,10 +81,7 @@ pub fn tsne(x: &Matrix, cfg: &TsneConfig, rng: &mut SmallRng) -> Matrix {
         .collect();
     {
         let _optimize = tsgb_obs::span("eval.tsne.optimize");
-        match cfg.mode {
-            TsneMode::Exact => optimize_exact(&pj, &mut y, cfg),
-            TsneMode::BarnesHut => optimize_barnes_hut(&pj, perplexity, &mut y, cfg),
-        }
+        optimize(&pj, &mut y, cfg);
     }
 
     Matrix::from_fn(n, 2, |r, c| y[r][c])
@@ -128,8 +89,7 @@ pub fn tsne(x: &Matrix, cfg: &TsneConfig, rng: &mut SmallRng) -> Matrix {
 
 /// The symmetrized input-space affinity matrix `pj` (row-major
 /// `n * n`): per-point sigmas from a binary search matching
-/// `log(perplexity)`, then symmetrization. Shared by both engines —
-/// this is the pre-acceleration code, unchanged.
+/// `log(perplexity)`, then symmetrization.
 fn joint_affinities(x: &Matrix, perplexity: f64) -> Vec<f64> {
     let n = x.rows();
     // pairwise squared distances in input space
@@ -205,9 +165,9 @@ fn joint_affinities(x: &Matrix, perplexity: f64) -> Vec<f64> {
     pj
 }
 
-/// The exact O(n^2) gradient loop — the pre-acceleration code,
-/// unchanged (bit-identical to the original implementation).
-fn optimize_exact(pj: &[f64], y: &mut [[f64; 2]], cfg: &TsneConfig) {
+/// The exact O(n^2) gradient loop with momentum, early exaggeration
+/// for the first quarter of the iterations, and recentring.
+fn optimize(pj: &[f64], y: &mut [[f64; 2]], cfg: &TsneConfig) {
     let n = y.len();
     let mut vel = vec![[0.0f64; 2]; n];
     let exag_until = cfg.iterations / 4;
@@ -262,189 +222,37 @@ fn optimize_exact(pj: &[f64], y: &mut [[f64; 2]], cfg: &TsneConfig) {
     }
 }
 
-/// Sparse attraction rows: for every point, the `3·perplexity`
-/// neighbors with the largest symmetrized affinity, selected by
-/// `(value desc, index asc)` — a pure function of `pj`. Kept weights
-/// are rescaled so they sum to one, like the dense matrix they stand
-/// in for.
-struct SparseAffinities {
-    neighbors: Vec<u32>,
-    weights: Vec<f64>,
-    offsets: Vec<usize>,
-}
-
-fn sparsify(pj: &[f64], n: usize, perplexity: f64) -> SparseAffinities {
-    let k = ((3.0 * perplexity).ceil() as usize).clamp(1, n - 1);
-    let rows: Vec<Vec<(f64, u32)>> = tsgb_par::parallel_map(n, |i| {
-        let mut row: Vec<(f64, u32)> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| (pj[i * n + j], j as u32))
-            .collect();
-        row.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        row.truncate(k);
-        // ascend by index inside the row: fixed accumulation order
-        row.sort_by_key(|&(_, j)| j);
-        row
-    });
-    let total: f64 = rows.iter().flatten().map(|&(w, _)| w).sum();
-    let scale = 1.0 / total.max(1e-300);
-    let mut out = SparseAffinities {
-        neighbors: Vec::with_capacity(n * k),
-        weights: Vec::with_capacity(n * k),
-        offsets: Vec::with_capacity(n + 1),
-    };
-    out.offsets.push(0);
-    for row in &rows {
-        for &(w, j) in row {
-            out.neighbors.push(j);
-            out.weights.push(w * scale);
-        }
-        out.offsets.push(out.neighbors.len());
-    }
-    out
-}
-
-/// Per-point force terms from one Barnes-Hut traversal.
-struct PointForce {
-    rep: [f64; 2],
-    z: f64,
-    attr: [f64; 2],
-    visits: u64,
-    interactions: u64,
-}
-
-/// The Barnes-Hut gradient loop: per iteration, one deterministic
-/// quadtree build over the embedding, then a `parallel_map` fan-out
-/// in which every point accumulates its approximate repulsion
-/// (far-field cells summarized under `theta`) and its sparse
-/// attraction. Each point's traversal depends only on the tree and
-/// its own coordinates, and the normalizer `Z` folds in index order,
-/// so the result is bit-identical at any thread count.
-fn optimize_barnes_hut(pj: &[f64], perplexity: f64, y: &mut [[f64; 2]], cfg: &TsneConfig) {
-    let n = y.len();
-    let sparse = sparsify(pj, n, perplexity);
-    let mut vel = vec![[0.0f64; 2]; n];
-    let exag_until = cfg.iterations / 4;
-    let theta = cfg.theta;
-    for iter in 0..cfg.iterations {
-        let exag = if iter < exag_until {
-            cfg.exaggeration
-        } else {
-            1.0
-        };
-        let tree = QuadTree::build(y);
-        let forces: Vec<PointForce> = tsgb_par::parallel_map(n, |i| {
-            let yi = y[i];
-            let mut rep = [0.0f64; 2];
-            let mut z = 0.0f64;
-            let mut interactions = 0u64;
-            let mut pairwise = |px: f64, py: f64, mass: f64| {
-                let dx = yi[0] - px;
-                let dy = yi[1] - py;
-                let q = 1.0 / (1.0 + dx * dx + dy * dy);
-                z += mass * q;
-                let qq = mass * q * q;
-                rep[0] += qq * dx;
-                rep[1] += qq * dy;
-            };
-            let stats = tree.for_each_summary(yi, theta, |mass, com, leaf| {
-                if let Some((_, coords)) = leaf {
-                    // bucketed leaf: enumerate every resident from the
-                    // node-local coordinate copy — including the query
-                    // itself, corrected exactly below
-                    interactions += coords.len() as u64;
-                    for c in coords {
-                        pairwise(c[0], c[1], 1.0);
-                    }
-                    return;
-                }
-                interactions += 1;
-                pairwise(com[0], com[1], mass);
-            });
-            // The tree never summarizes a cell containing the query, so
-            // point i was enumerated in its own leaf exactly once: a
-            // bit-exact q = 1/(1+0) in z and a zero force term.
-            z -= 1.0;
-            let mut attr = [0.0f64; 2];
-            for idx in sparse.offsets[i]..sparse.offsets[i + 1] {
-                let j = sparse.neighbors[idx] as usize;
-                let w = sparse.weights[idx];
-                let dx = yi[0] - y[j][0];
-                let dy = yi[1] - y[j][1];
-                let q = 1.0 / (1.0 + dx * dx + dy * dy);
-                attr[0] += w * q * dx;
-                attr[1] += w * q * dy;
-            }
-            PointForce {
-                rep,
-                z,
-                attr,
-                visits: stats.nodes_visited,
-                interactions,
-            }
-        });
-        // fold Z and the work counters in index order
-        let z = forces.iter().map(|f| f.z).sum::<f64>().max(1e-300);
-        if tsgb_obs::enabled() {
-            tsgb_obs::counter_add(
-                "eval.tsne.bh_node_visits",
-                forces.iter().map(|f| f.visits).sum(),
-            );
-            tsgb_obs::counter_add(
-                "eval.tsne.bh_interactions",
-                forces.iter().map(|f| f.interactions).sum(),
-            );
-            tsgb_obs::gauge_set("eval.tsne.tree_depth", tree.depth() as f64);
-        }
-        let momentum = if iter < 20 { 0.5 } else { 0.8 };
-        for (v, f) in vel.iter_mut().zip(&forces) {
-            for (d, vd) in v.iter_mut().enumerate() {
-                let g = 4.0 * (exag * f.attr[d] - f.rep[d] / z);
-                *vd = momentum * *vd - cfg.learning_rate * g;
-            }
-        }
-        for i in 0..n {
-            y[i][0] += vel[i][0];
-            y[i][1] += vel[i][1];
-        }
-        // recentre
-        let cx: f64 = y.iter().map(|p| p[0]).sum::<f64>() / n as f64;
-        let cy: f64 = y.iter().map(|p| p[1]).sum::<f64>() / n as f64;
-        for pt in y.iter_mut() {
-            pt[0] -= cx;
-            pt[1] -= cy;
-        }
-    }
-}
-
 /// A crude overlap statistic for a joint embedding: the fraction of
 /// generated points whose nearest neighbor is a real point. Values
 /// near the real-data fraction indicate well-mixed clouds; values near
 /// 0 indicate separated clouds. Used by tests and the reproduce report
 /// to quantify what the t-SNE plot shows.
 ///
-/// Queries run against a `tsgb-index` KD-tree, O(n log n) overall.
-/// The tree's tie-broken nearest is exactly the brute-force
-/// `min_by (d², index)` answer, so this produces the same statistic
-/// the old O(n²) scan did (pinned by a test below).
+/// Each generated point's nearest neighbor is the other point with
+/// the smallest `(d², index)`, found by a serial O(n²) scan; the
+/// Figure-6 clouds hold at most 120 points.
 pub fn nn_overlap(embedding: &TsneEmbedding) -> f64 {
-    let n = embedding.points.rows();
-    let n_real = embedding.n_real;
+    let p = &embedding.points;
+    let (n, n_real) = (p.rows(), embedding.n_real);
     if n_real == 0 || n_real == n {
         return 0.0;
     }
-    let pts: Vec<[f64; 2]> = (0..n)
-        .map(|r| [embedding.points[(r, 0)], embedding.points[(r, 1)]])
-        .collect();
-    let tree = tsgb_index::KdTree::build(&pts);
-    let hits: Vec<u8> = tsgb_par::parallel_map(n - n_real, |k| {
-        let i = n_real + k;
-        match tree.nearest(pts[i], i) {
-            Some((j, _)) if j < n_real => 1,
-            _ => 0,
+    let mut hits = 0usize;
+    for i in n_real..n {
+        let mut best = (f64::INFINITY, usize::MAX);
+        for j in (0..n).filter(|&j| j != i) {
+            let dx = p[(i, 0)] - p[(j, 0)];
+            let dy = p[(i, 1)] - p[(j, 1)];
+            let d = dx * dx + dy * dy;
+            if d < best.0 {
+                best = (d, j);
+            }
         }
-    });
-    hits.iter().map(|&h| h as usize).sum::<usize>() as f64 / (n - n_real) as f64
+        if best.1 < n_real {
+            hits += 1;
+        }
+    }
+    hits as f64 / (n - n_real) as f64
 }
 
 impl TsneEmbedding {
@@ -569,7 +377,7 @@ mod tests {
             ..TsneConfig::default()
         };
         let e = tsne_joint(&real, &gen, &cfg, &mut rng);
-        // the pre-index O(n^2) statistic, verbatim
+        // the reference statistic: min by (d², index), scanned inline
         let (n, n_real) = (e.points.rows(), e.n_real);
         let mut hits = 0usize;
         for i in n_real..n {
@@ -593,25 +401,6 @@ mod tests {
         }
         let brute = hits as f64 / (n - n_real) as f64;
         assert_eq!(nn_overlap(&e).to_bits(), brute.to_bits());
-    }
-
-    #[test]
-    fn barnes_hut_embedding_is_finite() {
-        let mut rng = seeded(21);
-        let x = Matrix::from_fn(60, 6, |r, c| ((r * 7 + c * 3) % 17) as f64 / 17.0);
-        let cfg = TsneConfig {
-            iterations: 80,
-            mode: TsneMode::BarnesHut,
-            ..TsneConfig::default()
-        };
-        let y = tsne(&x, &cfg, &mut rng);
-        assert_eq!(y.shape(), (60, 2));
-        assert!(y.all_finite());
-    }
-
-    #[test]
-    fn default_mode_is_exact() {
-        assert_eq!(TsneConfig::default().mode, TsneMode::Exact);
     }
 
     #[test]

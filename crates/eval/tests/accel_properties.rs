@@ -1,19 +1,16 @@
-//! Properties of the accelerated eval kernels (Barnes-Hut t-SNE and
-//! banded/pruned DTW), over seeded random tensors:
+//! Properties of the banded/pruned DTW kernels behind the monitor's
+//! DTW-NN search, and of t-SNE, over seeded random tensors:
 //!
 //! * a band covering the whole window is **bit-equal** to the exact
 //!   DTW dynamic program;
 //! * LB_Keogh never exceeds the banded DTW cost it bounds (and, with a
 //!   full band, never exceeds the exact cost);
-//! * both t-SNE engines are bit-identical across 1/2/4/8 pool
-//!   threads;
-//! * Barnes-Hut at θ=0.5 still separates a seeded bimodal
-//!   real/generated fixture.
+//! * the pruned 1-NN search agrees with an unpruned scan;
+//! * t-SNE is bit-identical across 1/2/4/8 pool threads and separates
+//!   a seeded bimodal real/generated fixture.
 
-use tsgb_eval::distance::{
-    dtw_nn, dtw_pair, dtw_pair_banded, dtw_pair_pruned, dtw_with_band, ed, lb_keogh,
-};
-use tsgb_eval::tsne::{self, nn_overlap, TsneConfig, TsneMode};
+use tsgb_eval::distance::{dtw, dtw_nn, dtw_pair, dtw_pair_banded, ed, lb_keogh};
+use tsgb_eval::tsne::{self, nn_overlap, TsneConfig};
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_rand::Rng;
@@ -40,18 +37,6 @@ fn full_band_is_bit_equal_to_exact_dp_seeded() {
                 "seed {seed} l {l} band {band}: {banded} != {exact}"
             );
         }
-    }
-}
-
-#[test]
-fn full_band_measure_is_bit_equal_to_exact_measure_seeded() {
-    // the aggregated M12 measure, through the suite entry point
-    for seed in 0..4u64 {
-        let a = random_tensor(9, 16, 2, 0x11 + seed);
-        let b = random_tensor(9, 16, 2, 0x22 + seed);
-        let exact = dtw_with_band(&a, &b, None);
-        let banded = dtw_with_band(&a, &b, Some(16));
-        assert_eq!(banded.to_bits(), exact.to_bits(), "seed {seed}");
     }
 }
 
@@ -94,8 +79,7 @@ fn lb_keogh_handles_unequal_lengths() {
 
 /// Serializes the tests that touch the pruned-DTW path against the
 /// one that enables process-global metric recording: a concurrent
-/// `dtw_pair_pruned` would otherwise leak into its exact counter
-/// assertions.
+/// `dtw_nn` would otherwise leak into its exact counter assertions.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
@@ -131,23 +115,20 @@ fn embed_bits(x: &Matrix, cfg: &TsneConfig, threads: usize) -> Vec<u64> {
 }
 
 #[test]
-fn tsne_bit_identical_across_thread_counts_both_modes() {
+fn tsne_bit_identical_across_thread_counts() {
     let mut rng = seeded(5);
     let x = Matrix::from_fn(36, 8, |_, _| rng.gen_range(-1.0..1.0));
-    for mode in [TsneMode::Exact, TsneMode::BarnesHut] {
-        let cfg = TsneConfig {
-            iterations: 50,
-            mode,
-            ..TsneConfig::default()
-        };
-        let serial = embed_bits(&x, &cfg, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                embed_bits(&x, &cfg, threads),
-                serial,
-                "{mode:?} differs at {threads} threads"
-            );
-        }
+    let cfg = TsneConfig {
+        iterations: 50,
+        ..TsneConfig::default()
+    };
+    let serial = embed_bits(&x, &cfg, 1);
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            embed_bits(&x, &cfg, threads),
+            serial,
+            "differs at {threads} threads"
+        );
     }
 }
 
@@ -160,12 +141,10 @@ fn bimodal() -> (Tensor3, Tensor3) {
 }
 
 #[test]
-fn barnes_hut_preserves_bimodal_cluster_split() {
+fn tsne_preserves_bimodal_cluster_split() {
     let (real, gen) = bimodal();
     let cfg = TsneConfig {
         iterations: 150,
-        mode: TsneMode::BarnesHut,
-        theta: 0.5,
         ..TsneConfig::default()
     };
     let mut rng = seeded(32);
@@ -197,7 +176,7 @@ fn barnes_hut_preserves_bimodal_cluster_split() {
     );
 }
 
-/// The obs counters behind the new kernels. One test owns every
+/// The obs counters behind the DTW and t-SNE kernels. One test owns every
 /// enabled-recording scenario in this binary: the registry is
 /// process-global and tests run concurrently.
 #[test]
@@ -206,30 +185,23 @@ fn obs_counters_record_pruning_and_truncation() {
     tsgb_obs::set_enabled(true);
     tsgb_obs::reset();
 
-    // forced prune hit + miss
+    // forced prune miss + hit: a two-window pool of the query itself
+    // (searched, distance 0) and a copy shifted far away (pruned)
     let a = random_tensor(1, 12, 1, 900);
-    let far = {
-        let mut t = random_tensor(1, 12, 1, 901);
-        for v in t.as_mut_slice() {
-            *v += 50.0;
-        }
-        t
-    };
-    assert_eq!(dtw_pair_pruned(&a, 0, &far, 0, 3, 0.5), None);
-    assert!(dtw_pair_pruned(&a, 0, &a, 0, 3, f64::INFINITY).is_some());
+    let pool = Tensor3::from_fn(2, 12, 1, |s, t, f| a.at(0, t, f) + 50.0 * s as f64);
+    assert_eq!(dtw_nn(&a, 0, &pool, 3), (0, 0.0));
 
     // silent min(pairs) truncation on unequal sample counts
     let many = random_tensor(7, 12, 1, 902);
     let few = random_tensor(4, 12, 1, 903);
     let _ = ed(&many, &few);
-    let _ = dtw_with_band(&many, &few, Some(12));
+    let _ = dtw(&many, &few);
 
-    // Barnes-Hut node visits + tree depth
+    // t-SNE phase spans
     let mut rng = seeded(904);
     let x = Matrix::from_fn(40, 4, |_, _| rng.gen_range(-1.0..1.0));
     let cfg = TsneConfig {
         iterations: 5,
-        mode: TsneMode::BarnesHut,
         ..TsneConfig::default()
     };
     let _ = tsne::tsne(&x, &cfg, &mut rng);
@@ -246,12 +218,6 @@ fn obs_counters_record_pruning_and_truncation() {
     assert_eq!(counter("eval.dtw.band_prune_misses"), Some(1));
     assert_eq!(counter("eval.distance.truncated_pairs.ed"), Some(3));
     assert_eq!(counter("eval.distance.truncated_pairs.dtw"), Some(3));
-    let visits = counter("eval.tsne.bh_node_visits").unwrap_or(0);
-    assert!(visits > 0, "no BH node visits recorded");
-    assert!(
-        snap.gauges.iter().any(|(n, v)| n == "eval.tsne.tree_depth" && *v >= 1.0),
-        "tree depth gauge missing"
-    );
     assert!(
         snap.histograms
             .iter()

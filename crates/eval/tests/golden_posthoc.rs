@@ -1,7 +1,9 @@
 //! Golden-value regression suite for the model-based measures: pins
 //! the exact bits (mean and repeat std) of DS, PS, PS (entire) and
 //! C-FID under `EvalConfig::fast()` at the two Table-4 window lengths
-//! (l = 24 and 125) against a committed fixture.
+//! (l = 24 and 125) against a committed fixture. The same fixture pins
+//! the Figure-6 pair at both lengths: a digest of the joint t-SNE
+//! embedding's bits at 120 iterations and its NN-overlap statistic.
 //!
 //! These measures train post-hoc networks, so the fixture guards the
 //! whole training stack behind them — tape, optimizer, GRU cells and
@@ -16,6 +18,8 @@
 //! ```
 
 use tsgb_eval::suite::{evaluate, EvalConfig, Measure};
+use tsgb_eval::tsne::{nn_overlap, tsne_joint, TsneConfig};
+use tsgb_evalcache::Fnv64;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_rand::Rng;
@@ -52,7 +56,8 @@ fn sines(l: usize, amp: f64, seed: u64) -> Tensor3 {
 }
 
 /// `(key, bits)` for the mean and std of every pinned measure at both
-/// window lengths, in fixture order.
+/// window lengths, then the Figure-6 pair at both lengths, in fixture
+/// order.
 fn pinned_bits() -> Vec<(String, u64)> {
     let cfg = EvalConfig {
         ps_entire: true,
@@ -68,6 +73,23 @@ fn pinned_bits() -> Vec<(String, u64)> {
             out.push((format!("l{l}.{}.mean", m.label()), s.mean.to_bits()));
             out.push((format!("l{l}.{}.std", m.label()), s.std.to_bits()));
         }
+    }
+    // Figure 6 as `reproduce` runs it: 120 t-SNE iterations on the
+    // joint cloud, then the NN-overlap statistic of the embedding
+    let tsne_cfg = TsneConfig {
+        iterations: 120,
+        ..TsneConfig::default()
+    };
+    for l in [24usize, 125] {
+        let real = sines(l, 1.0, 1);
+        let generated = sines(l, 0.8, 2);
+        let emb = tsne_joint(&real, &generated, &tsne_cfg, &mut seeded(4));
+        let mut h = Fnv64::new();
+        for &v in emb.points.as_slice() {
+            h.update_u64(v.to_bits());
+        }
+        out.push((format!("l{l}.tsne.points_digest"), h.finish()));
+        out.push((format!("l{l}.tsne.nn_overlap"), nn_overlap(&emb).to_bits()));
     }
     out
 }

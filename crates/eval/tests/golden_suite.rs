@@ -2,7 +2,7 @@
 //! deterministic twelve-measure suite on the `suite_deterministic_80`
 //! workload (the shape `perf_baseline` times) against a committed
 //! fixture, and asserts the values are bit-identical across thread
-//! counts and under a Sakoe-Chiba DTW band as wide as the window.
+//! counts.
 //!
 //! Regenerate the fixture after an *intentional* numeric change:
 //!
@@ -30,15 +30,11 @@ fn sines(r: usize, seed: u64) -> Tensor3 {
     })
 }
 
-fn run_suite_with(cfg: &EvalConfig) -> EvalResult {
+fn run_suite() -> EvalResult {
     let x = sines(80, 1);
     let y = sines(80, 2);
     let mut rng = seeded(3);
-    evaluate(&x, &y, cfg, &mut rng)
-}
-
-fn run_suite() -> EvalResult {
-    run_suite_with(&EvalConfig::deterministic_only())
+    evaluate(&x, &y, &EvalConfig::deterministic_only(), &mut rng)
 }
 
 fn scores(res: &EvalResult) -> Vec<(String, f64)> {
@@ -119,32 +115,5 @@ fn suite_is_bit_identical_across_thread_counts() {
                 .collect()
         });
         assert_eq!(par, serial, "suite output differs at {threads} threads");
-    }
-}
-
-/// A band as wide as the window (`l = 16`) sends M12 through the banded
-/// DTW kernel, which performs the exact DP's float operations in the
-/// same order: every value must match the fixture bit for bit.
-#[test]
-fn full_width_dtw_band_matches_fixture_bit_for_bit() {
-    if std::env::var_os("TSGB_UPDATE_GOLDEN").is_some() {
-        return; // the fixture is being rewritten by the test above
-    }
-    let cfg = EvalConfig {
-        dtw_band: Some(16),
-        ..EvalConfig::deterministic_only()
-    };
-    let expected = fixture();
-    for threads in [1usize, 4] {
-        let vals = tsgb_par::with_threads(threads, || scores(&run_suite_with(&cfg)));
-        assert_eq!(vals.len(), expected.len(), "measure count changed vs fixture");
-        for ((label, got), (exp_label, exp)) in vals.iter().zip(&expected) {
-            assert_eq!(label, exp_label, "measure order changed vs fixture");
-            assert_eq!(
-                got.to_bits(),
-                exp.to_bits(),
-                "{label} moved under dtw_band 16 at {threads} threads: got {got}, fixture {exp}"
-            );
-        }
     }
 }

@@ -382,143 +382,6 @@ pub fn matmul_prepacked_acc_into(a: &Matrix, bpack: &[f64], n: usize, out: &mut 
     packed_band(0, out.as_mut_slice(), n, k, bpack, &|i, kk| ad[i * k + kk]);
 }
 
-// ---------------------------------------------------------------------------
-// f32 tier
-// ---------------------------------------------------------------------------
-
-/// f32 microkernel row-tile height (same as the f64 tile).
-pub const MR32: usize = 8;
-
-/// f32 microkernel column-tile width — one AVX-512 `f32` vector.
-pub const NR32: usize = 16;
-
-/// Work threshold below which the f32 path uses the plain `ikj` loop
-/// instead of packing. Both compute identical bits (see
-/// [`gemm_f32`]), so the threshold is purely a performance knob.
-const F32_PACK_THRESHOLD: usize = 1 << 15;
-
-/// `out += a * b` in `f32`, serial. `a` is `m x k`, `b` is `k x n`,
-/// both row-major.
-///
-/// The f32 tier has no bit contract against the f64 kernels — it is
-/// the opt-in reduced-precision serve path — but it keeps the same
-/// *internal* discipline: every output element is one strict
-/// `k`-ascending multiply-then-add fold (never FMA-contracted), and
-/// rows are computed independently. Both the naive and the packed
-/// variant build exactly that chain, so results are bit-stable across
-/// the size threshold and across batch sizes (a row's value never
-/// depends on which other rows share the call).
-pub(crate) fn gemm_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if m * n * k < F32_PACK_THRESHOLD {
-        for i in 0..m {
-            let row = &mut out[i * n..(i + 1) * n];
-            for kk in 0..k {
-                let av = a[i * k + kk];
-                let bv = &b[kk * n..(kk + 1) * n];
-                for (o, &bx) in row.iter_mut().zip(bv) {
-                    *o += av * bx;
-                }
-            }
-        }
-        return;
-    }
-    let n_panels = n.div_ceil(NR32);
-    let m_panels = m.div_ceil(MR32);
-    let mut bpack = vec![0.0f32; n_panels * k * NR32];
-    for (q, panel) in bpack.chunks_exact_mut(k * NR32).enumerate() {
-        let j0 = q * NR32;
-        let width = NR32.min(n - j0);
-        for (kk, slot) in panel.chunks_exact_mut(NR32).enumerate() {
-            for (jj, s) in slot.iter_mut().enumerate() {
-                *s = if jj < width { b[kk * n + j0 + jj] } else { 0.0 };
-            }
-        }
-    }
-    let mut apack = vec![0.0f32; m_panels * k * MR32];
-    for (p, panel) in apack.chunks_exact_mut(k * MR32).enumerate() {
-        let i0 = p * MR32;
-        let height = MR32.min(m - i0);
-        for (kk, slot) in panel.chunks_exact_mut(MR32).enumerate() {
-            for (ii, s) in slot.iter_mut().enumerate() {
-                *s = if ii < height { a[(i0 + ii) * k + kk] } else { 0.0 };
-            }
-        }
-    }
-    let mut kb = 0;
-    while kb < k {
-        let ke = (kb + KC).min(k);
-        for q in 0..n_panels {
-            let bp = &bpack[q * k * NR32 + kb * NR32..q * k * NR32 + ke * NR32];
-            let j0 = q * NR32;
-            let nr = NR32.min(n - j0);
-            for p in 0..m_panels {
-                let ap = &apack[p * k * MR32 + kb * MR32..p * k * MR32 + ke * MR32];
-                let i0 = p * MR32;
-                let mr = MR32.min(m - i0);
-                let mut acc = [[0.0f32; NR32]; MR32];
-                for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                    row[..nr].copy_from_slice(&out[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr]);
-                }
-                microkernel_f32(ap, bp, &mut acc);
-                for (i, row) in acc.iter().enumerate().take(mr) {
-                    out[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr].copy_from_slice(&row[..nr]);
-                }
-            }
-        }
-        kb = ke;
-    }
-}
-
-/// f32 register tile, same discipline as [`microkernel`]: strict
-/// multiply-then-add per lane, no FMA, so the AVX-512 and portable
-/// variants (and the naive small-size loop) all produce identical
-/// bits.
-#[inline]
-fn microkernel_f32(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR32]; MR32]) {
-    #[cfg(target_arch = "x86_64")]
-    if cpu_has_avx512() {
-        // SAFETY: feature-checked; panels are whole multiples of the
-        // tile by construction.
-        unsafe { microkernel_f32_avx512(ap, bp, acc) };
-        return;
-    }
-    for (av, bv) in ap.chunks_exact(MR32).zip(bp.chunks_exact(NR32)) {
-        for (i, row) in acc.iter_mut().enumerate() {
-            let a = av[i];
-            for (j, c) in row.iter_mut().enumerate() {
-                *c += a * bv[j];
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_f32_avx512(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR32]; MR32]) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(ap.len() / MR32, bp.len() / NR32);
-    let mut c: [__m512; MR32] = [_mm512_setzero_ps(); MR32];
-    for (i, row) in acc.iter().enumerate() {
-        c[i] = _mm512_loadu_ps(row.as_ptr());
-    }
-    for (av, bv) in ap.chunks_exact(MR32).zip(bp.chunks_exact(NR32)) {
-        let b = _mm512_loadu_ps(bv.as_ptr());
-        for (i, ci) in c.iter_mut().enumerate() {
-            let a = _mm512_set1_ps(av[i]);
-            *ci = _mm512_add_ps(*ci, _mm512_mul_ps(a, b));
-        }
-    }
-    for (i, row) in acc.iter_mut().enumerate() {
-        _mm512_storeu_ps(row.as_mut_ptr(), c[i]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,30 +409,6 @@ mod tests {
         let mut out = Matrix::zeros(96, 96);
         matmul_packed(&a, &b, &mut out);
         assert_eq!(out, band);
-    }
-
-    #[test]
-    fn f32_paths_match_the_scalar_fold_bitwise() {
-        // One shape under the pack threshold (naive ikj loop), one
-        // over it (packed microkernel), both ragged against the tile;
-        // both must equal the strict k-ascending scalar fold exactly.
-        for (m, n, k, seed) in [(3, 17, 9, 1u64), (40, 70, 33, 2)] {
-            let mut rng = crate::rng::seeded(seed);
-            let a: Vec<f32> = (0..m * k).map(|_| crate::rng::randn(&mut rng) as f32).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| crate::rng::randn(&mut rng) as f32).collect();
-            let warm: Vec<f32> = (0..m * n).map(|_| crate::rng::randn(&mut rng) as f32).collect();
-            let mut out = warm.clone();
-            gemm_f32(m, n, k, &a, &b, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = warm[i * n + j];
-                    for kk in 0..k {
-                        acc += a[i * k + kk] * b[kk * n + j];
-                    }
-                    assert_eq!(out[i * n + j].to_bits(), acc.to_bits(), "({i},{j})");
-                }
-            }
-        }
     }
 
     #[test]

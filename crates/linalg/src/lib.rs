@@ -21,13 +21,11 @@ pub mod detmath;
 pub mod eigen;
 pub mod gemm;
 pub mod matrix;
-pub mod matrix_f32;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod tensor;
 
 pub use matrix::Matrix;
-pub use matrix_f32::MatrixF32;
 pub use pool::MatrixPool;
 pub use tensor::Tensor3;

@@ -387,24 +387,6 @@ pub trait TsgMethod: Send + Sync {
         serial_generate_batch(self, specs)
     }
 
-    /// Reduced-precision batched generation for the f32 serve tier
-    /// (`TSGB_SERVE_DTYPE=f32`): the forward pass runs in `f32`
-    /// through tape-free replica networks, roughly doubling batched
-    /// throughput on wide-SIMD hardware. Returns `None` when the
-    /// method has no f32 path (or is unfitted) — the caller falls back
-    /// to the bit-exact f64 [`TsgMethod::generate_batch`].
-    ///
-    /// The f32 tier keeps its own batching contract: every returned
-    /// tensor is a pure function of its `(n, seed)` spec, independent
-    /// of which other requests share the batch (rows are computed
-    /// independently and the f32 kernels are bit-stable across batch
-    /// size). It is *not* bit-comparable to the f64 path — that is the
-    /// tier's documented trade.
-    fn generate_batch_f32(&self, specs: &[GenSpec]) -> Option<Vec<Tensor3>> {
-        let _ = specs;
-        None
-    }
-
     /// Opens a window stream for one request. The chunks yielded by
     /// the returned [`WindowStream`] concatenate to exactly
     /// `self.generate(spec.n, &mut spec.rng())`, bit for bit, for any
@@ -576,8 +558,8 @@ pub fn shift_columns(m: &mut Matrix, shift: &[f64]) {
 /// The conditional-sampling capability: class-/covariate-conditioned
 /// noise shaping for methods whose generator consumes an explicit
 /// noise/latent stream (RGAN shifts its per-step noise, TimeVAE its
-/// latent draw). Exposed on [`TsgMethod::conditional`] the way
-/// `generate_batch_f32` gates the f32 tier.
+/// latent draw). Exposed on [`TsgMethod::conditional`], which is
+/// `None` for methods without it.
 pub trait ConditionalSample {
     /// Draws `n` windows conditioned on `cond`. The contract mirrors
     /// [`TsgMethod::generate`]: a pure function of

@@ -1,6 +1,5 @@
 //! Method-level checkpoint format: a self-describing envelope around
-//! the `TSGBNN01`/`TSGBNN02` parameter snapshots of
-//! [`tsgb_nn::persist`].
+//! the `TSGBNN01` parameter snapshots of [`tsgb_nn::persist`].
 //!
 //! A parameter snapshot alone cannot restore a trained method: every
 //! method also needs its architecture dims (hidden width, latent
@@ -12,22 +11,18 @@
 //! ```text
 //! magic "TSGBCK02"
 //! method name (u32 len + UTF-8), seq_len u32, features u32
-//! dtype u8 (1 = f64, 2 = f32)
+//! dtype u8 (always 1 = f64)
 //! section*:  kind u8 | name (u32 len + UTF-8) | payload
 //!   kind 1 dim:    u64
-//!   kind 2 float:  one value at dtype width (LE)
-//!   kind 3 floats: u64 count + count values
-//!   kind 4 matrix: u32 rows, u32 cols, rows*cols values
-//!   kind 5 params: u64 byte len + one TSGBNN01/TSGBNN02 blob
+//!   kind 2 float:  one f64 (LE)
+//!   kind 3 floats: u64 count + count f64 values
+//!   kind 4 matrix: u32 rows, u32 cols, rows*cols f64 values
+//!   kind 5 params: u64 byte len + one TSGBNN01 blob
 //! ```
 //!
-//! The dtype byte scales every float payload: an f64 checkpoint
-//! stores 8-byte values (and `TSGBNN01` blobs), an f32 checkpoint —
-//! produced by [`transcode_to_f32`] — stores 4-byte values (and
-//! `TSGBNN02` blobs), halving the file. Readers widen f32 to f64 on
-//! load; an invalid dtype byte is a decode error, never a silent
+//! Any dtype byte other than `1` is a decode error, never a silent
 //! reinterpretation. The predecessor `TSGBCK01` format (no dtype
-//! byte, always f64) still loads unchanged.
+//! byte) still loads unchanged.
 //!
 //! Sections are written and read in one fixed order per method (the
 //! reader verifies each name and kind), integers and floats are
@@ -45,34 +40,8 @@ pub use tsgb_nn::persist::PersistError;
 const MAGIC_V1: &[u8; 8] = b"TSGBCK01";
 const MAGIC_V2: &[u8; 8] = b"TSGBCK02";
 
-/// Value width of a checkpoint's float payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CkptDtype {
-    /// 8-byte values; bit-exact round trip (the default).
-    #[default]
-    F64,
-    /// 4-byte values; half the file, f32-rounded weights.
-    F32,
-}
-
-impl CkptDtype {
-    fn code(self) -> u8 {
-        match self {
-            CkptDtype::F64 => 1,
-            CkptDtype::F32 => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, PersistError> {
-        match code {
-            1 => Ok(CkptDtype::F64),
-            2 => Ok(CkptDtype::F32),
-            other => Err(PersistError::StructureMismatch {
-                detail: format!("unsupported checkpoint dtype byte {other}"),
-            }),
-        }
-    }
-}
+/// The one dtype byte a `TSGBCK02` header may carry: `f64` payloads.
+const DTYPE_F64: u8 = 1;
 
 const KIND_DIM: u8 = 1;
 const KIND_FLOAT: u8 = 2;
@@ -100,12 +69,9 @@ pub struct SnapshotHeader {
     pub seq_len: usize,
     /// Feature count the model was trained for.
     pub features: usize,
-    /// Float payload width (`TSGBCK01` is always [`CkptDtype::F64`]).
-    pub dtype: CkptDtype,
 }
 
-/// Builds a `TSGBCK02` checkpoint section by section. Methods always
-/// write f64; f32 checkpoints come from [`transcode_to_f32`].
+/// Builds a `TSGBCK02` checkpoint section by section.
 pub struct SnapshotWriter {
     buf: Vec<u8>,
 }
@@ -118,7 +84,7 @@ impl SnapshotWriter {
         push_name(&mut buf, id.name());
         buf.extend_from_slice(&(seq_len as u32).to_le_bytes());
         buf.extend_from_slice(&(features as u32).to_le_bytes());
-        buf.push(CkptDtype::F64.code());
+        buf.push(DTYPE_F64);
         Self { buf }
     }
 
@@ -180,25 +146,18 @@ fn push_name(buf: &mut Vec<u8>, name: &str) {
 /// Sequential reader over a `TSGBCK01`/`TSGBCK02` checkpoint. Every
 /// accessor verifies the next section's kind and name, so a reordered
 /// or foreign buffer fails with a precise [`PersistError`] instead of
-/// silently misloading values. f32 payloads are widened to `f64` as
-/// they are read, so callers never see the dtype — only the header
-/// records it.
+/// silently misloading values.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     pos: usize,
-    dtype: CkptDtype,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// Parses the header only — what a registry needs to construct the
     /// right method instance before loading.
     pub fn peek_header(bytes: &'a [u8]) -> Result<SnapshotHeader, PersistError> {
-        let mut r = Self {
-            buf: bytes,
-            pos: 0,
-            dtype: CkptDtype::F64,
-        };
+        let mut r = Self { buf: bytes, pos: 0 };
         let v2 = match r.take(8)? {
             m if m == MAGIC_V2 => true,
             m if m == MAGIC_V1 => false,
@@ -210,22 +169,23 @@ impl<'a> SnapshotReader<'a> {
         })?;
         let seq_len = r.u32()? as usize;
         let features = r.u32()? as usize;
-        let dtype = if v2 {
-            CkptDtype::from_code(r.take(1)?[0])?
-        } else {
-            CkptDtype::F64
-        };
+        if v2 {
+            let dtype = r.take(1)?[0];
+            if dtype != DTYPE_F64 {
+                return Err(PersistError::StructureMismatch {
+                    detail: format!("unsupported checkpoint dtype byte {dtype}"),
+                });
+            }
+        }
         Ok(SnapshotHeader {
             id,
             seq_len,
             features,
-            dtype,
         })
     }
 
     /// Opens a checkpoint for a specific method instance, verifying the
-    /// identity block matches `(id, seq_len, features)`. Either dtype
-    /// loads: f32 values are widened on read.
+    /// identity block matches `(id, seq_len, features)`.
     pub fn open(
         id: MethodId,
         seq_len: usize,
@@ -253,11 +213,7 @@ impl<'a> SnapshotReader<'a> {
         } else {
             v1_len + 1
         };
-        Ok(Self {
-            buf: bytes,
-            pos,
-            dtype: header.dtype,
-        })
+        Ok(Self { buf: bytes, pos })
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
@@ -279,25 +235,6 @@ impl<'a> SnapshotReader<'a> {
 
     fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("size")))
-    }
-
-    /// Width of one float payload value at this checkpoint's dtype.
-    fn val_size(&self) -> usize {
-        match self.dtype {
-            CkptDtype::F64 => 8,
-            CkptDtype::F32 => 4,
-        }
-    }
-
-    /// One float payload value, widened to `f64` when the checkpoint
-    /// stores f32.
-    fn val(&mut self) -> Result<f64, PersistError> {
-        match self.dtype {
-            CkptDtype::F64 => self.f64(),
-            CkptDtype::F32 => Ok(f64::from(f32::from_le_bytes(
-                self.take(4)?.try_into().expect("size"),
-            ))),
-        }
     }
 
     fn name(&mut self) -> Result<String, PersistError> {
@@ -330,17 +267,17 @@ impl<'a> SnapshotReader<'a> {
     /// Reads the next section as a named scalar.
     pub fn float(&mut self, name: &str) -> Result<f64, PersistError> {
         self.section(KIND_FLOAT, name)?;
-        self.val()
+        self.f64()
     }
 
     /// Reads the next section as a named `f64` list.
     pub fn floats(&mut self, name: &str) -> Result<Vec<f64>, PersistError> {
         self.section(KIND_FLOATS, name)?;
         let n = self.u64()? as usize;
-        if self.pos + n.saturating_mul(self.val_size()) > self.buf.len() {
+        if self.pos + n.saturating_mul(8) > self.buf.len() {
             return Err(PersistError::Truncated);
         }
-        (0..n).map(|_| self.val()).collect()
+        (0..n).map(|_| self.f64()).collect()
     }
 
     /// Reads the next section as a named matrix.
@@ -349,10 +286,10 @@ impl<'a> SnapshotReader<'a> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
         let n = rows.saturating_mul(cols);
-        if self.pos + n.saturating_mul(self.val_size()) > self.buf.len() {
+        if self.pos + n.saturating_mul(8) > self.buf.len() {
             return Err(PersistError::Truncated);
         }
-        let data: Vec<f64> = (0..n).map(|_| self.val()).collect::<Result<_, _>>()?;
+        let data: Vec<f64> = (0..n).map(|_| self.f64()).collect::<Result<_, _>>()?;
         Matrix::from_vec(rows, cols, data).map_err(|_| PersistError::StructureMismatch {
             detail: format!("{name}: invalid {rows}x{cols} matrix shape"),
         })
@@ -381,70 +318,9 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// Rewrites a checkpoint (either version, either dtype) as a
-/// `TSGBCK02` f32 checkpoint: every float payload and embedded
-/// parameter blob is demoted to `f32`, roughly halving the file and
-/// the registry bytes behind it. Structure — section order, names,
-/// dims — is untouched, so the result loads through the same reader.
-/// An already-f32 checkpoint is returned unchanged.
-pub fn transcode_to_f32(bytes: &[u8]) -> Result<Vec<u8>, PersistError> {
-    let header = SnapshotReader::peek_header(bytes)?;
-    if header.dtype == CkptDtype::F32 {
-        return Ok(bytes.to_vec());
-    }
-    let mut r = SnapshotReader::open(header.id, header.seq_len, header.features, bytes)?;
-    let mut out = Vec::with_capacity(bytes.len() / 2 + 64);
-    out.extend_from_slice(MAGIC_V2);
-    push_name(&mut out, header.id.name());
-    out.extend_from_slice(&(header.seq_len as u32).to_le_bytes());
-    out.extend_from_slice(&(header.features as u32).to_le_bytes());
-    out.push(CkptDtype::F32.code());
-    while r.pos < r.buf.len() {
-        let kind = r.take(1)?[0];
-        let name = r.name()?;
-        out.push(kind);
-        push_name(&mut out, &name);
-        match kind {
-            KIND_DIM => out.extend_from_slice(r.take(8)?),
-            KIND_FLOAT => out.extend_from_slice(&(r.f64()? as f32).to_le_bytes()),
-            KIND_FLOATS => {
-                let n = r.u64()?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for _ in 0..n {
-                    out.extend_from_slice(&(r.f64()? as f32).to_le_bytes());
-                }
-            }
-            KIND_MATRIX => {
-                let rows = r.u32()?;
-                let cols = r.u32()?;
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&cols.to_le_bytes());
-                for _ in 0..(rows as usize).saturating_mul(cols as usize) {
-                    out.extend_from_slice(&(r.f64()? as f32).to_le_bytes());
-                }
-            }
-            KIND_PARAMS => {
-                let len = r.u64()? as usize;
-                let blob = r.take(len)?;
-                let narrow = tsgb_nn::persist::transcode_f32(blob)?;
-                out.extend_from_slice(&(narrow.len() as u64).to_le_bytes());
-                out.extend_from_slice(&narrow);
-            }
-            other => {
-                return Err(PersistError::StructureMismatch {
-                    detail: format!("unknown section kind {other} in {name:?}"),
-                })
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Reconstructs a trained method from checkpoint bytes: reads the
 /// identity block, instantiates via [`MethodId::create`], and loads
 /// the state. This is the entry point the serving registry uses.
-/// `TSGBCK01`, `TSGBCK02`/f64 and `TSGBCK02`/f32 all load; an f32
-/// checkpoint yields a model whose weights are f32-rounded.
 pub fn load_method(bytes: &[u8]) -> Result<Box<dyn TsgMethod>, PersistError> {
     let header = SnapshotReader::peek_header(bytes)?;
     let mut method = header.id.create(header.seq_len, header.features);
@@ -503,11 +379,9 @@ mod tests {
     }
 
     /// Rewrites a v2 checkpoint as its v1 (`TSGBCK01`) equivalent:
-    /// old magic, no dtype byte. Payloads are identical — v1 is
-    /// always f64.
+    /// old magic, no dtype byte. Payloads are identical.
     fn as_v1(bytes: &[u8]) -> Vec<u8> {
         let header = SnapshotReader::peek_header(bytes).unwrap();
-        assert_eq!(header.dtype, CkptDtype::F64);
         let dtype_at = 8 + 4 + header.id.name().len() + 8;
         let mut v1 = Vec::with_capacity(bytes.len() - 1);
         v1.extend_from_slice(MAGIC_V1);
@@ -525,7 +399,6 @@ mod tests {
         let v2 = w.finish();
         let v1 = as_v1(&v2);
         let h = SnapshotReader::peek_header(&v1).unwrap();
-        assert_eq!(h.dtype, CkptDtype::F64);
         assert_eq!((h.id, h.seq_len, h.features), (MethodId::Rgan, 8, 2));
         let mut r = SnapshotReader::open(MethodId::Rgan, 8, 2, &v1).unwrap();
         assert_eq!(r.dim("hidden").unwrap(), 16);
@@ -541,40 +414,16 @@ mod tests {
         let mut bytes = w.finish();
         let dtype_at = 8 + 4 + MethodId::Rgan.name().len() + 8;
         assert_eq!(bytes[dtype_at], 1, "dtype byte location");
-        bytes[dtype_at] = 7;
-        let err = SnapshotReader::peek_header(&bytes).unwrap_err();
-        assert!(err.to_string().contains("dtype byte 7"), "{err}");
-        assert!(SnapshotReader::open(MethodId::Rgan, 8, 2, &bytes).is_err());
-    }
-
-    #[test]
-    fn f32_transcode_halves_values_and_loads() {
-        let m = Matrix::from_fn(3, 5, |r, c| 0.1 + r as f64 * 0.7 + c as f64 * 0.013);
-        let mut w = SnapshotWriter::new(MethodId::Rgan, 8, 2);
-        w.dim("hidden", 16);
-        w.float("beta", 0.1);
-        w.floats("sched", &[0.3, 0.7]);
-        w.matrix("m", &m);
-        let wide = w.finish();
-        let narrow = transcode_to_f32(&wide).unwrap();
-        assert!(narrow.len() < wide.len());
-        assert_eq!(transcode_to_f32(&narrow).unwrap(), narrow, "idempotent");
-        let h = SnapshotReader::peek_header(&narrow).unwrap();
-        assert_eq!(h.dtype, CkptDtype::F32);
-        let mut r = SnapshotReader::open(MethodId::Rgan, 8, 2, &narrow).unwrap();
-        assert_eq!(r.dim("hidden").unwrap(), 16);
-        assert_eq!(r.float("beta").unwrap(), f64::from(0.1f32));
-        assert_eq!(
-            r.floats("sched").unwrap(),
-            vec![f64::from(0.3f32), f64::from(0.7f32)]
-        );
-        let got = r.matrix("m").unwrap();
-        for (g, w) in got.as_slice().iter().zip(m.as_slice()) {
-            assert_eq!(*g, f64::from(*w as f32));
+        // 2 was the retired f32 layout; it fails like any other byte
+        for dtype in [2u8, 7] {
+            bytes[dtype_at] = dtype;
+            let err = SnapshotReader::peek_header(&bytes).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("dtype byte {dtype}")),
+                "{err}"
+            );
+            assert!(SnapshotReader::open(MethodId::Rgan, 8, 2, &bytes).is_err());
         }
-        r.finish().unwrap();
-        // v1 input transcodes too
-        assert_eq!(transcode_to_f32(&as_v1(&wide)).unwrap(), narrow);
     }
 
     #[test]

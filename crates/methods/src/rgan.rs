@@ -16,12 +16,10 @@ use crate::common::{
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
-use std::sync::OnceLock;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
-use tsgb_linalg::{Matrix, MatrixF32, Tensor3};
-use tsgb_nn::infer32::{apply_activation_f32, GruCellF32, LinearF32, ParamsF32};
-use tsgb_nn::layers::{Activation, GruCell, Linear};
+use tsgb_linalg::{Matrix, Tensor3};
+use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
@@ -35,38 +33,6 @@ struct Nets {
     d_cell: GruCell,
     d_head: Linear,
     noise_dim: usize,
-    /// Lazily built f32 generator replica for the serve tier.
-    gen32: OnceLock<GeneratorF32>,
-}
-
-/// Tape-free f32 replica of the recurrent generator.
-struct GeneratorF32 {
-    cell: GruCellF32,
-    head: LinearF32,
-}
-
-impl GeneratorF32 {
-    fn build(nets: &Nets) -> Self {
-        let p32 = ParamsF32::from_params(&nets.g_params);
-        Self {
-            cell: GruCellF32::from_params(&p32, "g.gru"),
-            head: LinearF32::from_params(&p32, "g.head"),
-        }
-    }
-
-    /// The f32 counterpart of [`generate_steps`]: GRU over the
-    /// per-step noise, sigmoid head per hidden state.
-    fn run(&self, zs: &[MatrixF32], batch: usize) -> Vec<MatrixF32> {
-        self.cell
-            .run(zs, batch)
-            .into_iter()
-            .map(|h| {
-                let mut o = self.head.forward(&h);
-                apply_activation_f32(Activation::Sigmoid, &mut o);
-                o
-            })
-            .collect()
-    }
 }
 
 /// The RGAN method.
@@ -104,7 +70,6 @@ impl Rgan {
             d_cell,
             d_head,
             noise_dim,
-            gen32: OnceLock::new(),
         }
     }
 }
@@ -268,32 +233,6 @@ impl TsgMethod for Rgan {
         Some(self)
     }
 
-    fn generate_batch_f32(&self, specs: &[GenSpec]) -> Option<Vec<Tensor3>> {
-        if specs.is_empty() || specs.iter().any(|s| s.n == 0) {
-            return None;
-        }
-        let nets = self.nets.as_ref()?;
-        let g32 = nets.gen32.get_or_init(|| GeneratorF32::build(nets));
-        // per-request noise from each request's own stream, in the
-        // f64 path's draw order, demoted once
-        let per_req: Vec<Vec<Matrix>> = specs
-            .iter()
-            .map(|s| {
-                let mut rng = s.rng();
-                (0..self.seq_len)
-                    .map(|_| noise(s.n, nets.noise_dim, &mut rng))
-                    .collect()
-            })
-            .collect();
-        let zs: Vec<MatrixF32> = (0..self.seq_len)
-            .map(|t| MatrixF32::from_f64(&vstack(per_req.iter().map(|r| &r[t]))))
-            .collect();
-        let batch = zs[0].rows();
-        let mats: Vec<Matrix> = g32.run(&zs, batch).iter().map(MatrixF32::to_f64).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        Some(split_samples(&steps_to_tensor(&mats), &counts))
-    }
-
     fn save(&self) -> Option<Vec<u8>> {
         let nets = self.nets.as_ref()?;
         let dims = self.dims?;
@@ -415,29 +354,6 @@ mod tests {
         let m = Rgan::new(8, 3);
         let mut rng = seeded(2);
         let _ = m.generate(1, &mut rng);
-    }
-
-    #[test]
-    fn f32_tier_tracks_f64_and_is_batch_invariant() {
-        let mut rng = seeded(3);
-        let data = toy_data(24, 8, 3);
-        let mut m = Rgan::new(8, 3);
-        let cfg = TrainConfig {
-            epochs: 5,
-            ..TrainConfig::fast()
-        };
-        m.fit(&data, &cfg, &mut rng);
-        let specs = [GenSpec { n: 2, seed: 11 }, GenSpec { n: 3, seed: 12 }];
-        let wide = m.generate_batch(&specs);
-        let narrow = m.generate_batch_f32(&specs).expect("RGAN has an f32 tier");
-        for (w, n) in wide.iter().zip(&narrow) {
-            assert_eq!(w.shape(), n.shape());
-            for (a, b) in w.as_slice().iter().zip(n.as_slice()) {
-                assert!((a - b).abs() < 1e-3, "tiers diverged: {a} vs {b}");
-            }
-        }
-        let solo = m.generate_batch_f32(&specs[..1]).unwrap();
-        assert_eq!(solo[0].as_slice(), narrow[0].as_slice());
     }
 
     #[test]

@@ -21,11 +21,9 @@ use crate::common::{
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
-use std::sync::OnceLock;
 use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
-use tsgb_linalg::{Matrix, MatrixF32, Tensor3};
-use tsgb_nn::infer32::{LinearF32, MlpF32, ParamsF32};
+use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_nn::layers::{Activation, Linear, Mlp};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
@@ -50,67 +48,6 @@ struct Nets {
     trend_basis: Matrix,
     /// `(l, 2 * HARMONICS)` Fourier time basis.
     season_basis: Matrix,
-    /// Lazily built f32 decoder replica for the serve tier; rebuilt
-    /// with the nets (fresh `Nets` per fit/load), so it can never go
-    /// stale.
-    dec32: OnceLock<DecoderF32>,
-}
-
-/// Tape-free f32 replica of the structured decoder.
-struct DecoderF32 {
-    trend: LinearF32,
-    season: LinearF32,
-    residual: MlpF32,
-    /// `(l, TREND_DEGREE)` row-major.
-    trend_basis: Vec<f32>,
-    /// `(l, 2 * HARMONICS)` row-major.
-    season_basis: Vec<f32>,
-}
-
-impl DecoderF32 {
-    fn build(nets: &Nets) -> Self {
-        let p32 = ParamsF32::from_params(&nets.params);
-        Self {
-            trend: LinearF32::from_params(&p32, "trend"),
-            season: LinearF32::from_params(&p32, "season"),
-            residual: MlpF32::from_params(&p32, "resid", Activation::Relu, Activation::None),
-            trend_basis: nets.trend_basis.as_slice().iter().map(|&v| v as f32).collect(),
-            season_basis: nets.season_basis.as_slice().iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// The f32 counterpart of [`decode`]: residual MLP plus the
-    /// basis-weighted trend/seasonality heads, then sigmoid. Every row
-    /// is computed independently, so the output for a sample does not
-    /// depend on which other samples share the batch.
-    fn decode(&self, z: &MatrixF32, seq_len: usize, features: usize) -> MatrixF32 {
-        let coef_t = self.trend.forward(z);
-        let coef_s = self.season.forward(z);
-        let mut out = self.residual.forward(z);
-        let batch = z.rows();
-        for s in 0..batch {
-            let ct = coef_t.row(s);
-            let cs = coef_s.row(s);
-            let row =
-                &mut out.as_mut_slice()[s * seq_len * features..(s + 1) * seq_len * features];
-            for step in 0..seq_len {
-                let tb = &self.trend_basis[step * TREND_DEGREE..(step + 1) * TREND_DEGREE];
-                let sb = &self.season_basis[step * 2 * HARMONICS..(step + 1) * 2 * HARMONICS];
-                for f in 0..features {
-                    let mut v = 0.0f32;
-                    for (d, &b) in tb.iter().enumerate() {
-                        v += b * ct[d * features + f];
-                    }
-                    for (k, &b) in sb.iter().enumerate() {
-                        v += b * cs[k * features + f];
-                    }
-                    row[step * features + f] += v;
-                }
-            }
-        }
-        out.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
-        out
-    }
 }
 
 /// The TimeVAE method.
@@ -195,7 +132,6 @@ impl TimeVae {
             latent,
             trend_basis,
             season_basis,
-            dec32: OnceLock::new(),
         }
     }
 }
@@ -369,27 +305,6 @@ impl TsgMethod for TimeVae {
         Some(self)
     }
 
-    fn generate_batch_f32(&self, specs: &[GenSpec]) -> Option<Vec<Tensor3>> {
-        if specs.is_empty() || specs.iter().any(|s| s.n == 0) {
-            return None;
-        }
-        let nets = self.nets.as_ref()?;
-        let dec = nets.dec32.get_or_init(|| DecoderF32::build(nets));
-        // same noise streams as the f64 path (drawn in f64, demoted
-        // once), so the tiers sample the same latent points
-        let per_req: Vec<Matrix> = specs
-            .iter()
-            .map(|s| randn_matrix(s.n, nets.latent, &mut s.rng()))
-            .collect();
-        let fused = MatrixF32::from_f64(&vstack(per_req.iter()));
-        let flat = dec.decode(&fused, self.seq_len, self.features);
-        let data: Vec<f64> = flat.as_slice().iter().map(|&v| f64::from(v)).collect();
-        let all = Tensor3::from_vec(fused.rows(), self.seq_len, self.features, data)
-            .expect("decoder output has exact size");
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        Some(split_samples(&all, &counts))
-    }
-
     fn save(&self) -> Option<Vec<u8>> {
         let nets = self.nets.as_ref()?;
         let dims = self.dims?;
@@ -528,35 +443,6 @@ mod tests {
         let gen = m.generate(8, &mut rng);
         assert_eq!(gen.shape(), (8, 10, 3));
         assert!(gen.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn f32_tier_tracks_f64_and_is_batch_invariant() {
-        let mut rng = seeded(64);
-        let data = toy_data(20, 10, 3);
-        let mut m = TimeVae::new(10, 3);
-        let cfg = TrainConfig {
-            epochs: 10,
-            ..TrainConfig::fast()
-        };
-        m.fit(&data, &cfg, &mut rng);
-        let specs = [GenSpec { n: 3, seed: 41 }, GenSpec { n: 2, seed: 42 }];
-        let wide = m.generate_batch(&specs);
-        let narrow = m.generate_batch_f32(&specs).expect("TimeVAE has an f32 tier");
-        assert_eq!(narrow.len(), 2);
-        for (w, n) in wide.iter().zip(&narrow) {
-            assert_eq!(w.shape(), n.shape());
-            for (a, b) in w.as_slice().iter().zip(n.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "tiers diverged: {a} vs {b}");
-            }
-        }
-        // a request's output must not depend on its batch companions
-        let solo = m.generate_batch_f32(&specs[..1]).unwrap();
-        assert_eq!(solo[0].as_slice(), narrow[0].as_slice());
-        // unfitted model has no f32 tier
-        assert!(TimeVae::new(10, 3).generate_batch_f32(&specs).is_none());
-        // degenerate specs fall back to the f64 path
-        assert!(m.generate_batch_f32(&[GenSpec { n: 0, seed: 1 }]).is_none());
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //!   losses used by the GAN methods.
 //! * [`gradcheck`] — central finite-difference verification used by the
 //!   test suite to prove every op and layer differentiates correctly.
-//! * [`infer32`] — tape-free `f32` replicas of the layers for the
-//!   reduced-precision serve tier (`TSGB_SERVE_DTYPE=f32`).
 //! * [`plan`] — each op's forward and backward arithmetic, written
 //!   once, and the compiled execution plans that run it: a recorded
 //!   training step is frozen into preresolved forward/backward
@@ -33,7 +31,6 @@
 //!   recording it again.
 
 pub mod gradcheck;
-pub mod infer32;
 pub mod init;
 pub mod layers;
 pub mod loss;

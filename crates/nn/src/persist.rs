@@ -6,21 +6,14 @@
 //! parameter the name (length-prefixed UTF-8), the shape, and the
 //! little-endian values. Optimizer moments are deliberately not
 //! persisted: a restored model is for inference or fresh fine-tuning.
-//!
-//! Two value widths share the layout: `TSGBNN01` blobs store `f64`
-//! values (the bit-exact default) and `TSGBNN02` blobs store `f32`
-//! (the reduced-precision serve tier — half the bytes). Only the
-//! per-value width differs; names, counts and shapes are identical.
-//! [`restore`] accepts both, widening `f32` values on read;
-//! [`transcode_f32`] demotes an existing `f64` blob without needing
-//! the model that produced it.
+//! Values are stored as `f64` under the `TSGBNN01` magic, so a restore
+//! is bit-exact.
 
 use crate::params::{ParamId, Params};
 use std::fmt;
 use tsgb_linalg::Matrix;
 
 const MAGIC: &[u8; 8] = b"TSGBNN01";
-const MAGIC_F32: &[u8; 8] = b"TSGBNN02";
 
 /// Errors from decoding a parameter snapshot.
 #[derive(Debug, PartialEq, Eq)]
@@ -98,69 +91,16 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("size")))
     }
-
-    fn f32(&mut self) -> Result<f32, PersistError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("size")))
-    }
-
-    /// One stored value at the blob's width, widened to `f64`.
-    fn value(&mut self, wide: bool) -> Result<f64, PersistError> {
-        if wide {
-            self.f64()
-        } else {
-            Ok(f64::from(self.f32()?))
-        }
-    }
-}
-
-/// Rewrites a `TSGBNN01` blob as `TSGBNN02` with every value demoted
-/// to `f32` (round-to-nearest). Structure — names, count, shapes — is
-/// preserved byte for byte; a `TSGBNN02` input is returned unchanged.
-pub fn transcode_f32(bytes: &[u8]) -> Result<Vec<u8>, PersistError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    match r.take(8)? {
-        m if m == MAGIC_F32 => return Ok(bytes.to_vec()),
-        m if m == MAGIC => {}
-        _ => return Err(PersistError::BadMagic),
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 2 + 64);
-    out.extend_from_slice(MAGIC_F32);
-    let count = r.u64()?;
-    out.extend_from_slice(&count.to_le_bytes());
-    for _ in 0..count {
-        let name_len = r.u32()? as usize;
-        out.extend_from_slice(&(name_len as u32).to_le_bytes());
-        let name = r.take(name_len)?;
-        std::str::from_utf8(name).map_err(|_| PersistError::BadName)?;
-        out.extend_from_slice(name);
-        let rows = r.u32()?;
-        let cols = r.u32()?;
-        out.extend_from_slice(&rows.to_le_bytes());
-        out.extend_from_slice(&cols.to_le_bytes());
-        for _ in 0..(rows as usize) * (cols as usize) {
-            out.extend_from_slice(&(r.f64()? as f32).to_le_bytes());
-        }
-    }
-    if r.pos != bytes.len() {
-        return Err(PersistError::StructureMismatch {
-            detail: format!("blob has {} unread trailing bytes", bytes.len() - r.pos),
-        });
-    }
-    Ok(out)
 }
 
 /// Restores a snapshot into an existing store built with the *same
 /// architecture* (same registration order, names and shapes). Values
-/// are overwritten; optimizer moments are untouched. `TSGBNN02`
-/// (`f32`) blobs are widened on read, so the restored store is a
-/// regular `f64` model whose values happen to be `f32`-representable.
+/// are overwritten; optimizer moments are untouched.
 pub fn restore(params: &mut Params, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = Reader { buf: bytes, pos: 0 };
-    let wide = match r.take(8)? {
-        m if m == MAGIC => true,
-        m if m == MAGIC_F32 => false,
-        _ => return Err(PersistError::BadMagic),
-    };
+    if r.take(8)? != MAGIC {
+        return Err(PersistError::BadMagic);
+    }
     let count = r.u64()? as usize;
     if count != params.len() {
         return Err(PersistError::StructureMismatch {
@@ -192,7 +132,7 @@ pub fn restore(params: &mut Params, bytes: &[u8]) -> Result<(), PersistError> {
         }
         let mut data = Vec::with_capacity(rows * cols);
         for _ in 0..rows * cols {
-            data.push(r.value(wide)?);
+            data.push(r.f64()?);
         }
         params.set_value(
             id,
@@ -229,43 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn f32_transcode_roundtrips_at_reduced_precision() {
-        let src = model(8);
-        let wide = save(&src);
-        let narrow = transcode_f32(&wide).unwrap();
-        assert!(narrow.len() < wide.len(), "f32 blob must shrink");
-        // idempotent on an already-narrow blob
-        assert_eq!(transcode_f32(&narrow).unwrap(), narrow);
-        let mut dst = model(9);
-        restore(&mut dst, &narrow).unwrap();
-        for (i, id) in src.ids().enumerate() {
-            let did = dst.ids().nth(i).unwrap();
-            let got = dst.value(did).as_slice();
-            let want = src.value(id).as_slice();
-            for (g, w) in got.iter().zip(want) {
-                assert_eq!(*g, f64::from(*w as f32), "value must be f32-rounded");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_transcode_rejects_garbage() {
-        assert_eq!(transcode_f32(b"NOTMAGIC...."), Err(PersistError::BadMagic));
-        let mut blob = save(&model(10));
-        blob.push(0);
-        assert!(matches!(
-            transcode_f32(&blob),
-            Err(PersistError::StructureMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let mut dst = model(3);
         assert_eq!(
             restore(&mut dst, b"NOTMAGIC........"),
             Err(PersistError::BadMagic)
         );
+        // the retired f32 layout's header does not load either
+        let mut blob = save(&model(3));
+        blob[..8].copy_from_slice(b"TSGBNN02");
+        assert_eq!(restore(&mut dst, &blob), Err(PersistError::BadMagic));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use tsgb_linalg::Tensor3;
 use tsgb_methods::common::GenSpec;
 
 use crate::registry::ModelEntry;
-use crate::{ServeConfig, ServeDtype};
+use crate::ServeConfig;
 
 /// Terminal state of one submitted job.
 #[derive(Debug)]
@@ -75,8 +75,8 @@ pub struct Batcher {
 
 impl Batcher {
     /// Spawns the worker thread for one model. It reads the batching
-    /// fields of `cfg`: `max_batch`, `linger_ms`, `queue_cap`, `dtype`
-    /// and `fwd_delay_ms`.
+    /// fields of `cfg`: `max_batch`, `linger_ms`, `queue_cap` and
+    /// `fwd_delay_ms`.
     pub fn start(entry: Arc<ModelEntry>, cfg: ServeConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         let state = Arc::new(State {
@@ -201,14 +201,7 @@ fn worker_loop(state: &State) {
         }
         let specs: Vec<GenSpec> = live.iter().map(|j| j.spec).collect();
         let fwd = Instant::now();
-        let outputs = if state.cfg.dtype == ServeDtype::F32 {
-            state.entry.model.generate_batch_f32(&specs).unwrap_or_else(|| {
-                tsgb_obs::counter_add("serve.f32_fallback", 1);
-                state.entry.model.generate_batch(&specs)
-            })
-        } else {
-            state.entry.model.generate_batch(&specs)
-        };
+        let outputs = state.entry.model.generate_batch(&specs);
         tsgb_obs::observe("serve.forward_ms", fwd.elapsed().as_secs_f64() * 1e3);
         debug_assert_eq!(outputs.len(), specs.len());
         for (job, tensor) in live.into_iter().zip(outputs) {
@@ -262,41 +255,6 @@ mod tests {
                 JobOutcome::Done(t) => {
                     let want = entry.model.generate(2, &mut seeded(100 + i as u64));
                     assert_eq!(t.as_slice(), want.as_slice(), "request {i}");
-                }
-                other => panic!("request {i}: {other:?}"),
-            }
-        }
-        b.drain();
-    }
-
-    #[test]
-    fn f32_tier_is_batch_invariant_and_distinct_from_f64() {
-        let entry = entry();
-        let mut f32_cfg = cfg(8, 16);
-        f32_cfg.dtype = ServeDtype::F32;
-        let b = Batcher::start(Arc::clone(&entry), f32_cfg);
-        let rxs: Vec<_> = (0..4)
-            .map(|i| b.submit(GenSpec { n: 2, seed: 300 + i }, None).unwrap())
-            .collect();
-        for (i, rx) in rxs.into_iter().enumerate() {
-            match rx.recv().unwrap() {
-                JobOutcome::Done(t) => {
-                    let spec = GenSpec {
-                        n: 2,
-                        seed: 300 + i as u64,
-                    };
-                    let solo = entry
-                        .model
-                        .generate_batch_f32(&[spec])
-                        .expect("TimeVAE implements the f32 tier")
-                        .remove(0);
-                    assert_eq!(t.as_slice(), solo.as_slice(), "request {i}");
-                    let f64_out = entry.model.generate(2, &mut seeded(300 + i as u64));
-                    assert_ne!(
-                        t.as_slice(),
-                        f64_out.as_slice(),
-                        "f32 tier should not be bit-identical to f64"
-                    );
                 }
                 other => panic!("request {i}: {other:?}"),
             }

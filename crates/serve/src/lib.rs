@@ -53,7 +53,6 @@
 //! | `TSGB_SERVE_BATCH`     | `8`              | max requests fused per batch    |
 //! | `TSGB_SERVE_LINGER_MS` | `2`              | batch-fill wait after 1st job   |
 //! | `TSGB_SERVE_QUEUE`     | `64`             | per-model pending-queue bound   |
-//! | `TSGB_SERVE_DTYPE`     | `f64`            | compute tier: `f64` (bit-exact) or `f32` (fast) |
 //! | `TSGB_SERVE_FWD_DELAY_MS` | `0`           | fault injection: sleep before every fused forward pass |
 //!
 //! The bind address is `tsgbench serve --addr` (default
@@ -64,14 +63,6 @@
 //! suite can reliably kill a worker with requests in flight, and so
 //! the router scaling probe can measure tier aggregation on hosts
 //! with fewer cores than workers. It must stay `0` in production.
-//!
-//! The f32 tier trades the bit-exact response contract for roughly
-//! double the batched throughput: models that implement
-//! [`generate_batch_f32`](tsgb_methods::TsgMethod::generate_batch_f32)
-//! run a tape-free `f32` forward pass (responses stay deterministic
-//! per `(n, seed)` and batch-size invariant — just not bit-comparable
-//! to the f64 tier), and models without an f32 path fall back to f64
-//! per batch (counted by `serve.f32_fallback`).
 
 pub mod batch;
 pub mod monitor;
@@ -82,28 +73,6 @@ pub use batch::{Batcher, JobOutcome, SubmitError};
 pub use monitor::{Monitor, MonitorConfig};
 pub use registry::{LoadFailure, ModelEntry, ModelInfo, Registry};
 pub use server::Server;
-
-/// Which compute tier the service generates with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeDtype {
-    /// Bit-exact `f64` generation (the default).
-    #[default]
-    F64,
-    /// Reduced-precision `f32` generation — roughly 2× batched
-    /// throughput; deterministic per request but not bit-comparable
-    /// to the f64 tier.
-    F32,
-}
-
-impl ServeDtype {
-    /// The wire/config name (`"f64"` / `"f32"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeDtype::F64 => "f64",
-            ServeDtype::F32 => "f32",
-        }
-    }
-}
 
 /// Service configuration; see the crate docs for the env mapping.
 #[derive(Debug, Clone)]
@@ -118,8 +87,6 @@ pub struct ServeConfig {
     /// Bounded per-model pending-queue capacity; beyond it requests
     /// are rejected with `503`.
     pub queue_cap: usize,
-    /// Compute tier (`TSGB_SERVE_DTYPE`).
-    pub dtype: ServeDtype,
     /// Fault injection (`TSGB_SERVE_FWD_DELAY_MS`): artificial sleep
     /// before every fused forward pass, for the test/bench harness.
     /// `0` (the default) disables it.
@@ -133,7 +100,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             linger_ms: 2,
             queue_cap: 64,
-            dtype: ServeDtype::F64,
             fwd_delay_ms: 0,
         }
     }
@@ -145,15 +111,10 @@ impl ServeConfig {
     /// address is not an env knob: the CLI's `--addr` sets it.
     pub fn from_env() -> Self {
         let d = Self::default();
-        let dtype = match std::env::var("TSGB_SERVE_DTYPE").as_deref() {
-            Ok(v) if v.trim().eq_ignore_ascii_case("f32") => ServeDtype::F32,
-            _ => ServeDtype::F64,
-        };
         Self {
             max_batch: env_parse("TSGB_SERVE_BATCH", d.max_batch).max(1),
             linger_ms: env_parse("TSGB_SERVE_LINGER_MS", d.linger_ms),
             queue_cap: env_parse("TSGB_SERVE_QUEUE", d.queue_cap),
-            dtype,
             fwd_delay_ms: env_parse("TSGB_SERVE_FWD_DELAY_MS", d.fwd_delay_ms),
             ..d
         }
@@ -178,8 +139,6 @@ mod tests {
         assert_eq!(c.max_batch, 8);
         assert_eq!(c.linger_ms, 2);
         assert_eq!(c.queue_cap, 64);
-        assert_eq!(c.dtype, ServeDtype::F64);
-        assert_eq!(c.dtype.name(), "f64");
         assert_eq!(c.fwd_delay_ms, 0, "fault injection must be off by default");
     }
 }

@@ -64,7 +64,7 @@ use tsgb_wire::{HttpError, Json, Request};
 
 use crate::batch::{Batcher, JobOutcome, SubmitError};
 use crate::registry::{ModelEntry, Registry};
-use crate::{ServeConfig, ServeDtype};
+use crate::ServeConfig;
 
 /// How long [`Server::shutdown`] waits for handler threads to finish
 /// writing their responses.
@@ -224,7 +224,6 @@ fn healthz(shared: &Shared) -> String {
         ),
         ("models".into(), Json::Num(shared.workers.len() as f64)),
         ("queue_depth".into(), Json::Num(depth as f64)),
-        ("dtype".into(), Json::Str(shared.cfg.dtype.name().into())),
         ("pid".into(), Json::Num(std::process::id() as f64)),
     ])
     .encode()
@@ -363,7 +362,6 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
             worker.entry.info.method,
             spec,
             &tensor,
-            shared.cfg.dtype,
         )));
     }
 
@@ -380,7 +378,6 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
             worker.entry.info.method,
             spec,
             &tensor,
-            shared.cfg.dtype,
         ))),
         Ok(JobOutcome::Expired) => Err(HttpError::deadline_exceeded(format!(
             "deadline passed before the batch worker reached the request (model {model_name:?})"
@@ -422,7 +419,6 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let entry = Arc::clone(&g.worker.entry);
     let spec = g.spec;
     let deadline = g.deadline;
-    let dtype = shared.cfg.dtype;
     let head = format!(
         "{{\"model\":{},\"method\":{},\"n\":{},\"seed\":{},\"seq_len\":{},\"features\":{},\"chunk\":{}}}",
         Json::Str(entry.info.name.clone()).encode(),
@@ -451,7 +447,7 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
                 let count = part.samples();
                 let mut body =
                     format!("{{\"offset\":{offset},\"count\":{count},\"samples\":");
-                render_sample_array(&part, dtype, &mut body);
+                render_sample_array(&part, &mut body);
                 body.push('}');
                 offset += count;
                 if tx.send((count, body)).is_err() {
@@ -512,11 +508,8 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
 /// Renders the generate response. Floats use the same
 /// shortest-roundtrip encoding as [`Json`], so the body is a pure
 /// function of the tensor bits — the property the batching
-/// bit-identity test compares whole bodies with. On the f32 tier the
-/// values already carry at most f32 precision, so they are formatted
-/// at f32 width (shortest roundtrip of the demoted value), roughly
-/// halving body size.
-fn render_samples(name: &str, method: &str, spec: GenSpec, t: &Tensor3, dtype: ServeDtype) -> String {
+/// bit-identity test compares whole bodies with.
+fn render_samples(name: &str, method: &str, spec: GenSpec, t: &Tensor3) -> String {
     use std::fmt::Write as _;
     let (r, l, f) = t.shape();
     let mut out = String::with_capacity(r * l * f * 20 + 128);
@@ -529,7 +522,7 @@ fn render_samples(name: &str, method: &str, spec: GenSpec, t: &Tensor3, dtype: S
         spec.seed,
     );
     out.pop(); // render_sample_array writes its own brackets
-    render_sample_array(t, dtype, &mut out);
+    render_sample_array(t, &mut out);
     out.push('}');
     out
 }
@@ -537,7 +530,7 @@ fn render_samples(name: &str, method: &str, spec: GenSpec, t: &Tensor3, dtype: S
 /// Renders the nested `[[[f,...],...],...]` sample array — shared by
 /// the one-shot body and the per-chunk stream frames, which is what
 /// keeps their float encodings byte-comparable.
-fn render_sample_array(t: &Tensor3, dtype: ServeDtype, out: &mut String) {
+fn render_sample_array(t: &Tensor3, out: &mut String) {
     use std::fmt::Write as _;
     let (r, l, f) = t.shape();
     out.push('[');
@@ -555,14 +548,7 @@ fn render_sample_array(t: &Tensor3, dtype: ServeDtype, out: &mut String) {
                 if feat > 0 {
                     out.push(',');
                 }
-                match dtype {
-                    ServeDtype::F64 => {
-                        let _ = write!(out, "{}", t.at(s, step, feat));
-                    }
-                    ServeDtype::F32 => {
-                        let _ = write!(out, "{}", t.at(s, step, feat) as f32);
-                    }
-                }
+                let _ = write!(out, "{}", t.at(s, step, feat));
             }
             out.push(']');
         }

@@ -387,29 +387,3 @@ fn f64_values_roundtrip_bit_exactly_through_the_codec() {
         );
     }
 }
-
-#[test]
-fn f32_tier_values_roundtrip_bit_exactly() {
-    // the f32 serve tier formats `value as f32` with the same
-    // shortest-roundtrip Display; parsing back as f64 then demoting
-    // must recover the identical f32 bits
-    let mut rng = Rng(0x5EED_0005);
-    let mut values = vec![0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, f32::MAX, 1e-40];
-    for _ in 0..500 {
-        let v = f32::from_bits(rng.next() as u32);
-        if v.is_finite() {
-            values.push(v);
-        }
-    }
-    for v in values {
-        let encoded = format!("[{v}]");
-        let parsed = Json::parse(&encoded).unwrap();
-        let Json::Arr(items) = parsed else { panic!("not an array") };
-        let Some(Json::Num(back)) = items.first() else { panic!("not a number") };
-        assert_eq!(
-            (*back as f32).to_bits(),
-            v.to_bits(),
-            "f32 {v:e} drifted: {encoded} -> {back:e}"
-        );
-    }
-}

@@ -5,11 +5,12 @@
 # Tier 2: full workspace tests at one and four pool threads (every
 #         golden fixture — suite, post-hoc, training, scenarios — runs
 #         in both), the golden suite and the scenario fixtures under
-#         TSGB_EVAL_CACHE=on, the serve, monitor, and sharded-router
-#         smoke legs (including a worker-kill fault drill and a
-#         drift-injection drill), the scenario smoke leg (streamed
-#         chunks + conditional identity + the scenario engine
-#         end-to-end), and a warning-free clippy pass.
+#         TSGB_EVAL_CACHE=on, the benchmark's self-tests built against
+#         this tree (perfbench/), the serve, monitor, and
+#         sharded-router smoke legs (including a worker-kill fault
+#         drill and a drift-injection drill), the scenario smoke leg
+#         (streamed chunks + conditional identity + the scenario
+#         engine end-to-end), and a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -35,6 +36,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     TSGB_EVAL_CACHE=on TSGB_THREADS=1 cargo test -p tsgb-eval --test golden_suite -q
     TSGB_EVAL_CACHE=on TSGB_THREADS=4 cargo test -p tsgb-eval --test golden_suite -q
 
+    # the benchmark builds against the tree by path: a public-API change
+    # that breaks it must fail here, not in the benchmark run
+    echo "==> tier 2: perfbench self-tests"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
     echo "==> tier 2: serve smoke test (train -> serve -> generate -> drain)"
     CKPT_DIR="$(mktemp -d)"
     trap 'rm -rf "$CKPT_DIR"' EXIT
@@ -49,23 +55,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     done
     ADDR="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$CKPT_DIR/serve.log" | head -1)"
     curl -fsS "http://$ADDR/healthz" | grep -q '"status":"ok"'
-    curl -fsS -X POST "http://$ADDR/generate" -d '{"model":"timevae","n":2,"seed":5}' \
-        | grep -q '"samples"'
-    curl -fsS -X POST "http://$ADDR/shutdown" > /dev/null
-    wait "$SERVE_PID"
-
-    echo "==> tier 2: f32 serve smoke test (f32 checkpoints, TSGB_SERVE_DTYPE=f32)"
-    ./target/release/tsgbench train --out "$CKPT_DIR/f32" --dataset Stock \
-        --methods TimeVAE --epochs 3 --max-samples 24 --max-len 12 --ckpt-dtype f32
-    TSGB_SERVE_DTYPE=f32 ./target/release/tsgbench serve --ckpt-dir "$CKPT_DIR/f32" \
-        --addr 127.0.0.1:0 > "$CKPT_DIR/serve32.log" 2>&1 &
-    SERVE_PID=$!
-    for _ in $(seq 100); do
-        grep -q 'listening on' "$CKPT_DIR/serve32.log" && break
-        sleep 0.1
-    done
-    ADDR="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$CKPT_DIR/serve32.log" | head -1)"
-    curl -fsS "http://$ADDR/healthz" | grep -q '"dtype":"f32"'
     curl -fsS -X POST "http://$ADDR/generate" -d '{"model":"timevae","n":2,"seed":5}' \
         | grep -q '"samples"'
     curl -fsS -X POST "http://$ADDR/shutdown" > /dev/null

@@ -1,6 +1,6 @@
 //! The `tsgbench` command-line entry point.
 //!
-//! Two subcommands connect the offline benchmark to the online
+//! The subcommands connect the offline benchmark to the online
 //! service:
 //!
 //! * `tsgbench train` fits methods on a (scaled) benchmark dataset
@@ -49,9 +49,6 @@ train options:
   --max-samples R    cap on training windows (default: 64)
   --max-len L        cap on window length (default: 24)
   --seed S           pipeline/training seed (default: 7)
-  --ckpt-dtype D     checkpoint float width: f64 (default) or f32
-                     (half the file size; serve output then carries
-                     f32 precision on either tier)
 
 serve options:
   --ckpt-dir DIR     directory of *.tsgbnn checkpoints (required)
@@ -94,10 +91,12 @@ scenario options:
 scenario output: one JSON object per line,
 {\"model\":\"...\",\"scenario\":\"...\",\"metrics\":{...}}.
 
+Every command rejects a flag its options list does not name.
+
 serve also reads TSGB_SERVE_BATCH / TSGB_SERVE_LINGER_MS /
-TSGB_SERVE_QUEUE / TSGB_SERVE_DTYPE from the environment (route's
-workers inherit them); scenario runs each family at its default task
-sizes and honors TSGB_EVAL_CACHE for the imputation measures.";
+TSGB_SERVE_QUEUE from the environment (route's workers inherit them);
+scenario runs each family at its default task sizes and honors
+TSGB_EVAL_CACHE for the imputation measures.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,19 +121,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal `--flag value` parser shared by both subcommands.
+/// Minimal `--flag value` parser shared by the subcommands.
 struct Flags {
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `--name value` pairs. A name outside `known` — the
+    /// subcommand's options as USAGE lists them — is an error.
+    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{flag}`"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag `--{name}`\n\n{USAGE}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("--{name} needs a value"))?;
@@ -178,7 +182,18 @@ fn resolve_dataset(name: &str) -> Result<DatasetSpec, String> {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "out",
+            "dataset",
+            "methods",
+            "epochs",
+            "max-samples",
+            "max-len",
+            "seed",
+        ],
+    )?;
     let out: PathBuf = flags.get("out").ok_or("train requires --out DIR")?.into();
     let spec = resolve_dataset(flags.get("dataset").unwrap_or("Stock"))?;
     let methods: Vec<MethodId> = flags
@@ -191,12 +206,6 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let max_samples: usize = flags.parsed("max-samples", 64)?;
     let max_len: usize = flags.parsed("max-len", 24)?;
     let seed: u64 = flags.parsed("seed", 7)?;
-    let f32_ckpts = match flags.get("ckpt-dtype") {
-        None => false,
-        Some(d) if d.eq_ignore_ascii_case("f64") => false,
-        Some(d) if d.eq_ignore_ascii_case("f32") => true,
-        Some(d) => return Err(format!("--ckpt-dtype: `{d}` is not f64 or f32")),
-    };
 
     let scaled = spec.scaled(max_samples).with_max_len(max_len);
     let data = scaled.materialize(seed);
@@ -213,14 +222,6 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         let report = method.fit(&data.train, &cfg, &mut rng);
         let path = write_checkpoint(&out, method.as_ref())
             .map_err(|e| format!("writing {} checkpoint: {e}", id.name()))?;
-        if f32_ckpts {
-            let bytes = std::fs::read(&path)
-                .map_err(|e| format!("rereading {}: {e}", path.display()))?;
-            let demoted = tsgb_methods::persist::transcode_to_f32(&bytes)
-                .map_err(|e| format!("transcoding {} to f32: {e}", path.display()))?;
-            std::fs::write(&path, demoted)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
         println!(
             "trained {} ({epochs} epochs, {:.1}s) → {}",
             id.name(),
@@ -232,7 +233,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["ckpt-dir", "addr", "models"])?;
     let ckpt_dir: PathBuf = flags
         .get("ckpt-dir")
         .ok_or("serve requires --ckpt-dir DIR")?
@@ -272,12 +273,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(addr) = flags.get("addr") {
         cfg.addr = addr.to_string();
     }
-    let dtype = cfg.dtype;
     let server = Server::start(registry, cfg).map_err(|e| format!("starting server: {e}"))?;
     println!(
-        "listening on http://{} (POST /generate, GET /models, GET /healthz, POST /shutdown; {} tier)",
-        server.addr(),
-        dtype.name()
+        "listening on http://{} (POST /generate, GET /models, GET /healthz, POST /shutdown)",
+        server.addr()
     );
     server.wait();
     server.shutdown();
@@ -286,7 +285,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_monitor(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "dataset",
+            "max-samples",
+            "max-len",
+            "seed",
+            "addr",
+            "calibrate",
+            "stride",
+            "min-eval",
+            "refresh-every",
+            "drift-factor",
+        ],
+    )?;
     let spec = resolve_dataset(flags.get("dataset").unwrap_or("Stock"))?;
     let max_samples: usize = flags.parsed("max-samples", 128)?;
     let max_len: usize = flags.parsed("max-len", 24)?;
@@ -328,7 +341,18 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "ckpt-dir",
+            "model",
+            "scenario",
+            "dataset",
+            "max-samples",
+            "max-len",
+            "seed",
+        ],
+    )?;
     let ckpt_dir: PathBuf = flags
         .get("ckpt-dir")
         .ok_or("scenario requires --ckpt-dir DIR")?
@@ -387,7 +411,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["ckpt-dir", "addr", "workers", "replicas"])?;
     let ckpt_dir: PathBuf = flags
         .get("ckpt-dir")
         .ok_or("route requires --ckpt-dir DIR")?

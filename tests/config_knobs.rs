@@ -2,7 +2,8 @@
 //! named in the code and scripts (`crates/`, `src/`, `tests/`,
 //! `scripts/`) must be exactly the ones README's "Configuration" table
 //! lists. A new knob cannot land undocumented, and a deleted one
-//! cannot linger in the table.
+//! cannot linger in the table. On the CLI side, `tsgbench` must reject
+//! a flag its subcommand does not know rather than ignore it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -86,4 +87,28 @@ fn prefixes_are_not_knobs() {
     );
     let want: BTreeSet<String> = ["TSGB_OBS_FILE", "TSGB_THREADS"].map(String::from).into();
     assert_eq!(names, want);
+}
+
+/// `tsgbench train` fails on a flag it does not know — a removed one
+/// (`--ckpt-dtype`) or a misspelt one (`--epoch`) — and names it,
+/// instead of ignoring it and training with the defaults.
+#[test]
+fn train_rejects_unknown_flags() {
+    for (flag, value) in [("--ckpt-dtype", "f32"), ("--epoch", "5")] {
+        let out =
+            std::env::temp_dir().join(format!("tsgb-unknown-flag-{}{flag}", std::process::id()));
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_tsgbench"))
+            .args(["train", "--out"])
+            .arg(&out)
+            .args([flag, value])
+            .output()
+            .expect("tsgbench runs");
+        let _ = std::fs::remove_dir_all(&out);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "train accepted {flag} {value}");
+        assert!(
+            stderr.contains(flag),
+            "the error does not name {flag}: {stderr}"
+        );
+    }
 }
