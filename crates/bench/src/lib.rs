@@ -2,18 +2,16 @@
 
 //! `tsgb-bench`: the benchmark harness.
 //!
-//! Two entry points:
+//! The `reproduce` binary (`cargo run -p tsgb-bench --release --bin
+//! reproduce -- --all`) regenerates every table and figure of the
+//! paper at reduced scale, printing the same row/column structure and
+//! writing CSV artifacts under `results/`. Beside it, `perf_baseline`
+//! times the kernels, `loadgen` probes the serving tier and `ps_probe`
+//! diagnoses PS convergence.
 //!
-//! * the `reproduce` binary (`cargo run -p tsgb-bench --release --bin
-//!   reproduce -- --all`) regenerates every table and figure of the
-//!   paper at reduced scale, printing the same row/column structure and
-//!   writing CSV artifacts under `results/`;
-//! * the Criterion benches (`cargo bench -p tsgb-bench`) time the
-//!   pieces the paper's training-efficiency row (M8) and our ablation
-//!   studies rely on.
-//!
-//! The library part hosts the shared experiment drivers so the binary
-//! and the benches do not duplicate orchestration logic.
+//! The library part hosts the experiment code ([`experiments`]), so
+//! `reproduce` and the benchmark in `perfbench/` share one
+//! orchestration.
 
 pub mod experiments;
 

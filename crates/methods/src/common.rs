@@ -315,7 +315,7 @@ impl GenSpec {
 
 /// The reference semantics of [`TsgMethod::generate_batch`]: one
 /// independent `generate` call per spec, each on its own seeded
-/// stream. Fused overrides must match this bit-exactly.
+/// stream. The fused batch must match this bit-exactly.
 pub fn serial_generate_batch<M: TsgMethod + ?Sized>(method: &M, specs: &[GenSpec]) -> Vec<Tensor3> {
     specs
         .iter()
@@ -324,7 +324,7 @@ pub fn serial_generate_batch<M: TsgMethod + ?Sized>(method: &M, specs: &[GenSpec
 }
 
 /// Vertically stacks same-width matrices into one row-major batch.
-pub fn vstack<'a>(mats: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
+fn vstack<'a>(mats: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
     let mats: Vec<&Matrix> = mats.into_iter().collect();
     assert!(!mats.is_empty(), "cannot stack zero matrices");
     let cols = mats[0].cols();
@@ -338,7 +338,7 @@ pub fn vstack<'a>(mats: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
 }
 
 /// Splits a fused `(Σn, l, N)` tensor back into per-request tensors.
-pub fn split_samples(fused: &Tensor3, counts: &[usize]) -> Vec<Tensor3> {
+fn split_samples(fused: &Tensor3, counts: &[usize]) -> Vec<Tensor3> {
     let mut out = Vec::with_capacity(counts.len());
     let mut off = 0;
     for &c in counts {
@@ -347,6 +347,45 @@ pub fn split_samples(fused: &Tensor3, counts: &[usize]) -> Vec<Tensor3> {
     }
     assert_eq!(off, fused.samples(), "split counts must cover the batch");
     out
+}
+
+/// The two halves of a method's sampler: all of a request's noise,
+/// then one forward pass over it.
+///
+/// RGAN, TimeGAN, RTSGAN, TimeVAE, GT-GAN, LS4, C-RNN-GAN, Sig-WGAN and
+/// COT-GAN implement it, and their `generate` is
+/// `decode(&draw(n, rng))`. Because the decode is row-independent, the
+/// other entry points are derived from the same two functions, bit for
+/// bit: [`TsgMethod::generate_batch`] stacks several requests' draws
+/// into one decode, [`TsgMethod::open_stream`] decodes each chunk's
+/// rows on pull, and [`decode_conditioned`] shifts the draw before the
+/// decode.
+pub trait NoiseDecoder: Sync {
+    /// Draws all of an `n`-window request's noise, in the order
+    /// `generate` draws it. Every matrix has `n` rows.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix>;
+
+    /// The forward pass from noise to windows. Row `i` of the output
+    /// depends only on row `i` of each matrix, bit for bit, however
+    /// many rows the matrices hold.
+    fn decode(&self, noise: &[Matrix]) -> Tensor3;
+}
+
+/// Conditioned sampling through a [`NoiseDecoder`]: draws the
+/// request's noise, shifts every matrix by the condition's direction
+/// in its column space, and decodes. At strength 0 the shift is a
+/// no-op, so the result is bit-identical to `generate(n, rng)`.
+pub fn decode_conditioned(
+    decoder: &dyn NoiseDecoder,
+    n: usize,
+    cond: &Condition,
+    rng: &mut SmallRng,
+) -> Tensor3 {
+    let mut noise = decoder.draw(n, rng);
+    for z in &mut noise {
+        shift_columns(z, &cond.direction(z.cols()));
+    }
+    decoder.decode(&noise)
 }
 
 /// A synthetic time-series generator trainable on `(R, l, N)` windows
@@ -373,33 +412,67 @@ pub trait TsgMethod: Send + Sync {
     /// Panics when called before `fit`.
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3;
 
+    /// The method's sampler split into noise and decode, when it has
+    /// one (see [`NoiseDecoder`]). `None` — the default — leaves the
+    /// method on serial batches and the eager stream.
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        None
+    }
+
     /// Generates for several independent seeded requests in one call.
     ///
     /// The contract is bit-exact equivalence with the serial path:
     /// element `i` of the result equals
     /// `self.generate(specs[i].n, &mut seeded(specs[i].seed))`.
-    /// The default delegates to exactly that; methods whose forward
-    /// pass is row-independent override it with a fused single-pass
-    /// implementation (per-request noise drawn from each request's own
-    /// stream, one concatenated forward, rows split per request),
-    /// which is what makes request coalescing in `tsgb-serve` pay.
+    /// A method with a [`NoiseDecoder`] fuses the batch: each request
+    /// draws its noise from its own stream, the draws are stacked into
+    /// one decode, and the rows are split back per request. Row
+    /// independence of the decode makes that exact, and it is what
+    /// makes request coalescing in `tsgb-serve` pay. Methods without a
+    /// decoder (COSCI-GAN, AEC-GAN, TimeVQVAE, FourierFlow, TSGM), a
+    /// lone request and a batch holding an empty request take
+    /// [`serial_generate_batch`].
     fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        serial_generate_batch(self, specs)
+        let fusable = specs.len() >= 2 && specs.iter().all(|s| s.n > 0);
+        let Some(decoder) = self.noise_decoder().filter(|_| fusable) else {
+            return serial_generate_batch(self, specs);
+        };
+        let draws: Vec<Vec<Matrix>> = specs
+            .iter()
+            .map(|s| decoder.draw(s.n, &mut s.rng()))
+            .collect();
+        // noise position k of every request, stacked into one matrix
+        let stacked: Vec<Matrix> = (0..draws[0].len())
+            .map(|k| vstack(draws.iter().map(|d| &d[k])))
+            .collect();
+        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
+        split_samples(&decoder.decode(&stacked), &counts)
     }
 
     /// Opens a window stream for one request. The chunks yielded by
     /// the returned [`WindowStream`] concatenate to exactly
     /// `self.generate(spec.n, &mut spec.rng())`, bit for bit, for any
     /// chunk-size sequence — streaming is invisible in the samples,
-    /// the same way batching is. The default materializes the one-shot
-    /// tensor up front and slices it (trivially identical, but the
-    /// first chunk costs the whole forward pass); methods whose noise
-    /// draw order is row-major over samples override it with an
-    /// incremental sampler that defers each chunk's forward pass until
-    /// the chunk is pulled (see `rgan`/`timevae`), which is what gives
-    /// the streaming endpoint its time-to-first-chunk advantage.
+    /// the same way batching is. A method with a [`NoiseDecoder`]
+    /// draws the request's noise when the stream opens and decodes
+    /// each chunk's rows when the chunk is pulled; row independence of
+    /// the decode makes the slices exact, and deferring the forward
+    /// pass gives the streaming endpoint its time-to-first-chunk
+    /// advantage. Methods without a decoder materialize the one-shot
+    /// tensor up front and hand it out slice by slice.
     fn open_stream(&self, spec: GenSpec) -> Box<dyn WindowStream + '_> {
-        Box::new(EagerStream::new(self.generate(spec.n, &mut spec.rng())))
+        match self.noise_decoder() {
+            Some(decoder) => Box::new(DecodeStream {
+                decoder,
+                noise: decoder.draw(spec.n, &mut spec.rng()),
+                n: spec.n,
+                offset: 0,
+            }),
+            None => Box::new(EagerStream {
+                tensor: self.generate(spec.n, &mut spec.rng()),
+                offset: 0,
+            }),
+        }
     }
 
     /// The conditional-sampling capability, when the method has one
@@ -437,18 +510,12 @@ pub trait WindowStream: Send {
     fn remaining(&self) -> usize;
 }
 
-/// The default [`TsgMethod::open_stream`] backend: the fully
-/// materialized one-shot tensor, handed out slice by slice.
-pub struct EagerStream {
+/// The [`TsgMethod::open_stream`] backend of a method without a
+/// [`NoiseDecoder`]: the fully materialized one-shot tensor, handed
+/// out slice by slice.
+struct EagerStream {
     tensor: Tensor3,
     offset: usize,
-}
-
-impl EagerStream {
-    /// Wraps an already-generated tensor.
-    pub fn new(tensor: Tensor3) -> Self {
-        Self { tensor, offset: 0 }
-    }
 }
 
 impl WindowStream for EagerStream {
@@ -464,6 +531,36 @@ impl WindowStream for EagerStream {
 
     fn remaining(&self) -> usize {
         self.tensor.samples() - self.offset
+    }
+}
+
+/// The [`TsgMethod::open_stream`] backend of a method with a
+/// [`NoiseDecoder`]: the request's noise, drawn when the stream opens,
+/// with each chunk's rows decoded on pull.
+struct DecodeStream<'a> {
+    decoder: &'a dyn NoiseDecoder,
+    noise: Vec<Matrix>,
+    n: usize,
+    offset: usize,
+}
+
+impl WindowStream for DecodeStream<'_> {
+    fn next_chunk(&mut self, len: usize) -> Option<Tensor3> {
+        if self.offset >= self.n {
+            return None;
+        }
+        let end = (self.offset + len.max(1)).min(self.n);
+        let rows: Vec<Matrix> = self
+            .noise
+            .iter()
+            .map(|z| z.slice_rows(self.offset, end))
+            .collect();
+        self.offset = end;
+        Some(self.decoder.decode(&rows))
+    }
+
+    fn remaining(&self) -> usize {
+        self.n - self.offset
     }
 }
 
@@ -558,8 +655,8 @@ pub fn shift_columns(m: &mut Matrix, shift: &[f64]) {
 /// The conditional-sampling capability: class-/covariate-conditioned
 /// noise shaping for methods whose generator consumes an explicit
 /// noise/latent stream (RGAN shifts its per-step noise, TimeVAE its
-/// latent draw). Exposed on [`TsgMethod::conditional`], which is
-/// `None` for methods without it.
+/// latent draw, both through [`decode_conditioned`]). Exposed on
+/// [`TsgMethod::conditional`], which is `None` for methods without it.
 pub trait ConditionalSample {
     /// Draws `n` windows conditioned on `cond`. The contract mirrors
     /// [`TsgMethod::generate`]: a pure function of

@@ -14,8 +14,8 @@
 //! method's identity and are kept).
 
 use crate::common::{
-    minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor, vstack, EpochLog,
-    FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId, NoiseDecoder, TrainConfig,
+    TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -89,6 +89,10 @@ impl CotGan {
             flat = t.concat_cols(flat, s);
         }
         flat
+    }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("COT-GAN sampled before fit")
     }
 }
 
@@ -194,63 +198,11 @@ impl TsgMethod for CotGan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("COT-GAN::generate called before fit");
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| noise(n, nets.noise_dim, rng))
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-        let hs = nets.g_cell.run(&mut t, &gb, &z_vars, n);
-        let mats: Vec<Matrix> = hs
-            .iter()
-            .map(|&h| {
-                let o = nets.g_head.forward(&mut t, &gb, h);
-                let s = t.sigmoid(o);
-                t.value(s).clone()
-            })
-            .collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("COT-GAN::generate_batch called before fit");
-        let per_req: Vec<Vec<Matrix>> = specs
-            .iter()
-            .map(|s| {
-                let mut rng = s.rng();
-                (0..self.seq_len)
-                    .map(|_| noise(s.n, nets.noise_dim, &mut rng))
-                    .collect()
-            })
-            .collect();
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|t| vstack(per_req.iter().map(|r| &r[t])))
-            .collect();
-        let total: usize = specs.iter().map(|s| s.n).sum();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-        let hs = nets.g_cell.run(&mut t, &gb, &z_vars, total);
-        let mats: Vec<Matrix> = hs
-            .iter()
-            .map(|&h| {
-                let o = nets.g_head.forward(&mut t, &gb, h);
-                let s = t.sigmoid(o);
-                t.value(s).clone()
-            })
-            .collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -275,6 +227,34 @@ impl TsgMethod for CotGan {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for CotGan {
+    /// One `(n, noise_dim)` matrix per time step.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        let noise_dim = self.nets().noise_dim;
+        (0..self.seq_len)
+            .map(|_| noise(n, noise_dim, rng))
+            .collect()
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let n = zs[0].rows();
+        let mut t = Tape::new();
+        let gb = nets.g_params.bind(&mut t);
+        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
+        let hs = nets.g_cell.run(&mut t, &gb, &z_vars, n);
+        let mats: Vec<Matrix> = hs
+            .iter()
+            .map(|&h| {
+                let o = nets.g_head.forward(&mut t, &gb, h);
+                let s = t.sigmoid(o);
+                t.value(s).clone()
+            })
+            .collect();
+        steps_to_tensor(&mats)
     }
 }
 

@@ -9,8 +9,8 @@
 //! forward-only at reduced scale — documented deviation).
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
+    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -118,6 +118,10 @@ impl CRnnGan {
         }
         t.scale(acc, 1.0 / logits.len() as f64)
     }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("C-RNN-GAN sampled before fit")
+    }
 }
 
 impl TsgMethod for CRnnGan {
@@ -180,46 +184,11 @@ impl TsgMethod for CRnnGan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("C-RNN-GAN::generate called before fit");
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| noise(n, nets.noise_dim, rng))
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("C-RNN-GAN::generate_batch called before fit");
-        let per_req: Vec<Vec<Matrix>> = specs
-            .iter()
-            .map(|s| {
-                let mut rng = s.rng();
-                (0..self.seq_len)
-                    .map(|_| noise(s.n, nets.noise_dim, &mut rng))
-                    .collect()
-            })
-            .collect();
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|t| vstack(per_req.iter().map(|r| &r[t])))
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -246,6 +215,25 @@ impl TsgMethod for CRnnGan {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for CRnnGan {
+    /// One `(n, noise_dim)` matrix per time step.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        let noise_dim = self.nets().noise_dim;
+        (0..self.seq_len)
+            .map(|_| noise(n, noise_dim, rng))
+            .collect()
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let gb = nets.g_params.bind(&mut t);
+        let steps = self.generate_steps(nets, &mut t, &gb, zs);
+        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        steps_to_tensor(&mats)
     }
 }
 

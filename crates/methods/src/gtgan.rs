@@ -17,12 +17,12 @@
 //! Documented substitutions: the original uses adaptive-step solvers
 //! with per-dataset tolerances (§5); a fixed-step Euler at matched
 //! resolution exercises the same continuous-time code path and keeps
-//! gradients exact through the unrolled solver. An RK4 option exists
-//! for the `bench_ode` ablation.
+//! gradients exact through the unrolled solver. An RK4 option
+//! ([`GtGan::with_solver`]) exists as an ablation.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
+    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -43,7 +43,7 @@ const SUBSTEPS: usize = 2;
 pub enum OdeSolver {
     /// First-order Euler (the default).
     Euler,
-    /// Classical fourth-order Runge–Kutta (the `bench_ode` ablation).
+    /// Classical fourth-order Runge–Kutta (an ablation).
     Rk4,
 }
 
@@ -185,6 +185,10 @@ impl GtGan {
         }
         nets.d_head.forward(t, db, h)
     }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("GT-GAN sampled before fit")
+    }
 }
 
 impl TsgMethod for GtGan {
@@ -260,37 +264,11 @@ impl TsgMethod for GtGan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("GT-GAN::generate called before fit");
-        let z0 = noise(n, nets.hidden, rng);
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, z0);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("GT-GAN::generate_batch called before fit");
-        let per_req: Vec<Matrix> = specs
-            .iter()
-            .map(|s| noise(s.n, nets.hidden, &mut s.rng()))
-            .collect();
-        let z0 = vstack(per_req.iter());
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, z0);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -334,6 +312,22 @@ impl TsgMethod for GtGan {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for GtGan {
+    /// One `(n, hidden)` matrix: the ODE's initial state.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        vec![noise(n, self.nets().hidden, rng)]
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let gb = nets.g_params.bind(&mut t);
+        let steps = self.generate_steps(nets, &mut t, &gb, zs[0].clone());
+        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        steps_to_tensor(&mats)
     }
 }
 

@@ -43,7 +43,7 @@ pub mod timevqvae;
 pub mod tsgm;
 
 pub use common::{
-    Condition, ConditionalSample, EagerStream, FitDims, GenSpec, MethodId, TrainConfig,
-    TrainReport, TsgMethod, WindowStream,
+    Condition, ConditionalSample, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    WindowStream,
 };
 pub use persist::{load_method, PersistError, SnapshotHeader};

@@ -20,8 +20,8 @@
 //! rest of the CPU profile.
 
 use crate::common::{
-    gather_step_matrices, minibatch, serial_generate_batch, split_samples, vstack, EpochLog,
-    FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    gather_step_matrices, minibatch, EpochLog, FitDims, MethodId, NoiseDecoder, TrainConfig,
+    TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -157,6 +157,10 @@ impl Ls4 {
             latent,
         }
     }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("LS4 sampled before fit")
+    }
 }
 
 /// Decodes a latent batch into per-step sigmoid outputs.
@@ -229,35 +233,11 @@ impl TsgMethod for Ls4 {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self.nets.as_ref().expect("LS4::generate called before fit");
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant(randn_matrix(n, nets.latent, rng));
-        let steps = decode(nets, &mut t, &b, z, self.seq_len);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        crate::common::steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("LS4::generate_batch called before fit");
-        let per_req: Vec<Matrix> = specs
-            .iter()
-            .map(|s| randn_matrix(s.n, nets.latent, &mut s.rng()))
-            .collect();
-        let fused = vstack(per_req.iter());
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant(fused);
-        let steps = decode(nets, &mut t, &b, z, self.seq_len);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&crate::common::steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -282,6 +262,23 @@ impl TsgMethod for Ls4 {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for Ls4 {
+    /// One `(n, latent)` matrix of standard normals.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        vec![randn_matrix(n, self.nets().latent, rng)]
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let b = nets.params.bind(&mut t);
+        let z = t.constant_copy(&zs[0]);
+        let steps = decode(nets, &mut t, &b, z, self.seq_len);
+        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        crate::common::steps_to_tensor(&mats)
     }
 }
 

@@ -10,9 +10,9 @@
 //! preserves the adversarial dynamics that matter to the benchmark.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, serial_generate_batch, shift_columns, split_samples,
-    steps_to_tensor, vstack, Condition, ConditionalSample, EpochLog, FitDims, GenSpec, MethodId,
-    TrainConfig, TrainReport, TsgMethod, WindowStream,
+    decode_conditioned, gather_step_matrices, minibatch, noise, steps_to_tensor, Condition,
+    ConditionalSample, EpochLog, FitDims, MethodId, NoiseDecoder, TrainConfig, TrainReport,
+    TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -71,6 +71,10 @@ impl Rgan {
             d_head,
             noise_dim,
         }
+    }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("RGAN sampled before fit")
     }
 }
 
@@ -161,72 +165,11 @@ impl TsgMethod for Rgan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RGAN::generate called before fit");
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| noise(n, nets.noise_dim, rng))
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = generate_steps(nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RGAN::generate_batch called before fit");
-        // every request draws its per-step noise from its own stream,
-        // in the exact order the serial path would
-        let per_req: Vec<Vec<Matrix>> = specs
-            .iter()
-            .map(|s| {
-                let mut rng = s.rng();
-                (0..self.seq_len)
-                    .map(|_| noise(s.n, nets.noise_dim, &mut rng))
-                    .collect()
-            })
-            .collect();
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|t| vstack(per_req.iter().map(|r| &r[t])))
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = generate_steps(nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
-    }
-
-    fn open_stream(&self, spec: GenSpec) -> Box<dyn WindowStream + '_> {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RGAN::open_stream called before fit");
-        // the one-shot path draws all per-step noise before the
-        // forward pass, so streaming pre-draws the same matrices in
-        // the same order and defers only the (expensive) recurrent
-        // forward to each chunk pull; the forward is row-independent
-        // and bit-stable across batch size — the property the fused
-        // generate_batch already relies on — so row slices reproduce
-        // the one-shot bits
-        let mut rng = spec.rng();
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| noise(spec.n, nets.noise_dim, &mut rng))
-            .collect();
-        Box::new(RganStream {
-            nets,
-            zs,
-            n: spec.n,
-            offset: 0,
-        })
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn conditional(&self) -> Option<&dyn ConditionalSample> {
@@ -260,34 +203,22 @@ impl TsgMethod for Rgan {
     }
 }
 
-/// Incremental window stream: noise pre-drawn in the one-shot order,
-/// the recurrent forward deferred to each chunk pull.
-struct RganStream<'a> {
-    nets: &'a Nets,
-    /// Per-step `(n, noise_dim)` noise of the *whole* request.
-    zs: Vec<Matrix>,
-    n: usize,
-    offset: usize,
-}
-
-impl WindowStream for RganStream<'_> {
-    fn next_chunk(&mut self, len: usize) -> Option<Tensor3> {
-        if self.offset >= self.n {
-            return None;
-        }
-        let end = (self.offset + len.max(1)).min(self.n);
-        let rows: Vec<usize> = (self.offset..end).collect();
-        let zs: Vec<Matrix> = self.zs.iter().map(|m| m.select_rows(&rows)).collect();
-        let mut t = Tape::new();
-        let gb = self.nets.g_params.bind(&mut t);
-        let steps = generate_steps(self.nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        self.offset = end;
-        Some(steps_to_tensor(&mats))
+impl NoiseDecoder for Rgan {
+    /// One `(n, noise_dim)` matrix per time step.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        let noise_dim = self.nets().noise_dim;
+        (0..self.seq_len)
+            .map(|_| noise(n, noise_dim, rng))
+            .collect()
     }
 
-    fn remaining(&self) -> usize {
-        self.n - self.offset
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let gb = nets.g_params.bind(&mut t);
+        let steps = generate_steps(nets, &mut t, &gb, zs);
+        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        steps_to_tensor(&mats)
     }
 }
 
@@ -295,26 +226,10 @@ impl ConditionalSample for Rgan {
     /// Class-/covariate-conditioned noise shaping: every per-step
     /// noise draw is shifted by the condition's direction in noise
     /// space, steering the recurrent generator into a stable region
-    /// per label. Strength 0 short-circuits to the untouched draws
-    /// (bit-identical to [`TsgMethod::generate`]).
+    /// per label. Strength 0 leaves the draws untouched (bit-identical
+    /// to [`TsgMethod::generate`]).
     fn generate_conditioned(&self, n: usize, cond: &Condition, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RGAN::generate_conditioned called before fit");
-        let shift = cond.direction(nets.noise_dim);
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| {
-                let mut z = noise(n, nets.noise_dim, rng);
-                shift_columns(&mut z, &shift);
-                z
-            })
-            .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = generate_steps(nets, &mut t, &gb, &zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        decode_conditioned(self, n, cond, rng)
     }
 }
 

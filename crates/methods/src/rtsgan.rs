@@ -14,8 +14,8 @@
 //! implement; clipping enforces the same Lipschitz constraint.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
+    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -100,6 +100,10 @@ impl RtsGan {
             critic,
             noise_dim,
         }
+    }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("RTSGAN sampled before fit")
     }
 }
 
@@ -221,43 +225,11 @@ impl TsgMethod for RtsGan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RTSGAN::generate called before fit");
-        let mut t = Tape::new();
-        let ab = nets.ae_params.bind(&mut t);
-        let gb = nets.gen_params.bind(&mut t);
-        let nz = t.constant(noise(n, nets.noise_dim, rng));
-        let z = nets.generator.forward(&mut t, &gb, nz);
-        let steps = decode(nets, &mut t, &ab, z, self.seq_len, n);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("RTSGAN::generate_batch called before fit");
-        let per_req: Vec<Matrix> = specs
-            .iter()
-            .map(|s| noise(s.n, nets.noise_dim, &mut s.rng()))
-            .collect();
-        let fused = vstack(per_req.iter());
-        let total = fused.rows();
-        let mut t = Tape::new();
-        let ab = nets.ae_params.bind(&mut t);
-        let gb = nets.gen_params.bind(&mut t);
-        let nz = t.constant(fused);
-        let z = nets.generator.forward(&mut t, &gb, nz);
-        let steps = decode(nets, &mut t, &ab, z, self.seq_len, total);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -286,6 +258,25 @@ impl TsgMethod for RtsGan {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for RtsGan {
+    /// One `(n, noise_dim)` matrix for the latent generator.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        vec![noise(n, self.nets().noise_dim, rng)]
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let ab = nets.ae_params.bind(&mut t);
+        let gb = nets.gen_params.bind(&mut t);
+        let nz = t.constant_copy(&zs[0]);
+        let z = nets.generator.forward(&mut t, &gb, nz);
+        let steps = decode(nets, &mut t, &ab, z, self.seq_len, zs[0].rows());
+        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        steps_to_tensor(&mats)
     }
 }
 

@@ -20,8 +20,8 @@
 //! moment loss uses first and second moments exactly as the original.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, serial_generate_batch, split_samples, steps_to_tensor,
-    vstack, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod,
+    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
+    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -137,6 +137,10 @@ impl TimeGan {
             discriminator,
             noise_dim,
         }
+    }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("TimeGAN sampled before fit")
     }
 }
 
@@ -334,53 +338,11 @@ impl TsgMethod for TimeGan {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeGAN::generate called before fit");
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|_| noise(n, nets.noise_dim, rng))
-            .collect();
-        let mut t = Tape::new();
-        let erb = nets.er_params.bind(&mut t);
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-        let h_fake = nets.generator.run(&mut t, &gb, &z_vars, n);
-        let x_fake = nets.recovery.run(&mut t, &erb, &h_fake, n);
-        let mats: Vec<Matrix> = x_fake.iter().map(|&s| t.value(s).clone()).collect();
-        steps_to_tensor(&mats)
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeGAN::generate_batch called before fit");
-        let per_req: Vec<Vec<Matrix>> = specs
-            .iter()
-            .map(|s| {
-                let mut rng = s.rng();
-                (0..self.seq_len)
-                    .map(|_| noise(s.n, nets.noise_dim, &mut rng))
-                    .collect()
-            })
-            .collect();
-        let zs: Vec<Matrix> = (0..self.seq_len)
-            .map(|t| vstack(per_req.iter().map(|r| &r[t])))
-            .collect();
-        let total: usize = specs.iter().map(|s| s.n).sum();
-        let mut t = Tape::new();
-        let erb = nets.er_params.bind(&mut t);
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-        let h_fake = nets.generator.run(&mut t, &gb, &z_vars, total);
-        let x_fake = nets.recovery.run(&mut t, &erb, &h_fake, total);
-        let mats: Vec<Matrix> = x_fake.iter().map(|&s| t.value(s).clone()).collect();
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&steps_to_tensor(&mats), &counts)
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn save(&self) -> Option<Vec<u8>> {
@@ -411,6 +373,29 @@ impl TsgMethod for TimeGan {
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
+    }
+}
+
+impl NoiseDecoder for TimeGan {
+    /// One `(n, noise_dim)` matrix per time step.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        let noise_dim = self.nets().noise_dim;
+        (0..self.seq_len)
+            .map(|_| noise(n, noise_dim, rng))
+            .collect()
+    }
+
+    fn decode(&self, zs: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let n = zs[0].rows();
+        let mut t = Tape::new();
+        let erb = nets.er_params.bind(&mut t);
+        let gb = nets.g_params.bind(&mut t);
+        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
+        let h_fake = nets.generator.run(&mut t, &gb, &z_vars, n);
+        let x_fake = nets.recovery.run(&mut t, &erb, &h_fake, n);
+        let mats: Vec<Matrix> = x_fake.iter().map(|&s| t.value(s).clone()).collect();
+        steps_to_tensor(&mats)
     }
 }
 

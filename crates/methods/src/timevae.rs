@@ -15,9 +15,8 @@
 //! paper's convention) plus the Gaussian KL.
 
 use crate::common::{
-    minibatch, serial_generate_batch, shift_columns, split_samples, vstack, Condition,
-    ConditionalSample, EpochLog, FitDims, GenSpec, MethodId, TrainConfig, TrainReport,
-    TsgMethod, WindowStream,
+    decode_conditioned, minibatch, Condition, ConditionalSample, EpochLog, FitDims, MethodId,
+    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use tsgb_rand::rngs::SmallRng;
@@ -134,6 +133,10 @@ impl TimeVae {
             season_basis,
         }
     }
+
+    fn nets(&self) -> &Nets {
+        self.nets.as_ref().expect("TimeVAE sampled before fit")
+    }
 }
 
 /// Decodes a latent batch to `(batch, l * n)` reconstructions:
@@ -146,8 +149,6 @@ fn decode(
     seq_len: usize,
     features: usize,
 ) -> VarId {
-    let batch = t.shape(z).0;
-
     // trend: coefficients (batch, deg * n) x basis (l, deg)
     let coef_t = nets.trend_head.forward(t, b, z);
     let coef_s = nets.season_head.forward(t, b, z);
@@ -183,7 +184,6 @@ fn decode(
     }
     let resid = nets.residual.forward(t, b, z);
     let sum = t.add(structured, resid);
-    let _ = batch;
     t.sigmoid(sum)
 }
 
@@ -237,68 +237,11 @@ impl TsgMethod for TimeVae {
     }
 
     fn generate(&self, n: usize, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeVAE::generate called before fit");
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant(randn_matrix(n, nets.latent, rng));
-        let flat = decode(nets, &mut t, &b, z, self.seq_len, self.features);
-        Tensor3::from_vec(
-            n,
-            self.seq_len,
-            self.features,
-            t.value(flat).as_slice().to_vec(),
-        )
-        .expect("decoder output has exact size")
+        self.decode(&self.draw(n, rng))
     }
 
-    fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
-        if specs.len() < 2 || specs.iter().any(|s| s.n == 0) {
-            return serial_generate_batch(self, specs);
-        }
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeVAE::generate_batch called before fit");
-        let per_req: Vec<Matrix> = specs
-            .iter()
-            .map(|s| randn_matrix(s.n, nets.latent, &mut s.rng()))
-            .collect();
-        let fused = vstack(per_req.iter());
-        let total = fused.rows();
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant(fused);
-        let flat = decode(nets, &mut t, &b, z, self.seq_len, self.features);
-        let all = Tensor3::from_vec(
-            total,
-            self.seq_len,
-            self.features,
-            t.value(flat).as_slice().to_vec(),
-        )
-        .expect("decoder output has exact size");
-        let counts: Vec<usize> = specs.iter().map(|s| s.n).collect();
-        split_samples(&all, &counts)
-    }
-
-    fn open_stream(&self, spec: GenSpec) -> Box<dyn WindowStream + '_> {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeVAE::open_stream called before fit");
-        // the one-shot latent draw is row-major over samples, so a
-        // continuing RNG yields exactly the one-shot prefix rows; the
-        // dense decode is row-independent and bit-stable across batch
-        // size (the fused generate_batch property), so each chunk's
-        // decode reproduces the one-shot bits
-        Box::new(TimeVaeStream {
-            method: self,
-            nets,
-            rng: spec.rng(),
-            remaining: spec.n,
-        })
+    fn noise_decoder(&self) -> Option<&dyn NoiseDecoder> {
+        Some(self)
     }
 
     fn conditional(&self) -> Option<&dyn ConditionalSample> {
@@ -330,47 +273,25 @@ impl TsgMethod for TimeVae {
     }
 }
 
-/// Incremental window stream: the latent stream continues across
-/// chunks (row-major draws), each chunk decoded on pull.
-struct TimeVaeStream<'a> {
-    method: &'a TimeVae,
-    nets: &'a Nets,
-    rng: SmallRng,
-    remaining: usize,
-}
-
-impl WindowStream for TimeVaeStream<'_> {
-    fn next_chunk(&mut self, len: usize) -> Option<Tensor3> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let take = len.max(1).min(self.remaining);
-        let z_rows = randn_matrix(take, self.nets.latent, &mut self.rng);
-        let mut t = Tape::new();
-        let b = self.nets.params.bind(&mut t);
-        let z = t.constant(z_rows);
-        let flat = decode(
-            self.nets,
-            &mut t,
-            &b,
-            z,
-            self.method.seq_len,
-            self.method.features,
-        );
-        self.remaining -= take;
-        Some(
-            Tensor3::from_vec(
-                take,
-                self.method.seq_len,
-                self.method.features,
-                t.value(flat).as_slice().to_vec(),
-            )
-            .expect("decoder output has exact size"),
-        )
+impl NoiseDecoder for TimeVae {
+    /// One `(n, latent)` matrix of standard normals.
+    fn draw(&self, n: usize, rng: &mut SmallRng) -> Vec<Matrix> {
+        vec![randn_matrix(n, self.nets().latent, rng)]
     }
 
-    fn remaining(&self) -> usize {
-        self.remaining
+    fn decode(&self, noise: &[Matrix]) -> Tensor3 {
+        let nets = self.nets();
+        let mut t = Tape::new();
+        let b = nets.params.bind(&mut t);
+        let z = t.constant_copy(&noise[0]);
+        let flat = decode(nets, &mut t, &b, z, self.seq_len, self.features);
+        Tensor3::from_vec(
+            noise[0].rows(),
+            self.seq_len,
+            self.features,
+            t.value(flat).as_slice().to_vec(),
+        )
+        .expect("decoder output has exact size")
     }
 }
 
@@ -378,27 +299,10 @@ impl ConditionalSample for TimeVae {
     /// Label-conditioned latent shaping: the latent draw is shifted by
     /// the condition's direction in latent space before decoding, so
     /// each class decodes from a stable latent region. Strength 0
-    /// short-circuits to the untouched draw (bit-identical to
+    /// leaves the draw untouched (bit-identical to
     /// [`TsgMethod::generate`]).
     fn generate_conditioned(&self, n: usize, cond: &Condition, rng: &mut SmallRng) -> Tensor3 {
-        let nets = self
-            .nets
-            .as_ref()
-            .expect("TimeVAE::generate_conditioned called before fit");
-        let shift = cond.direction(nets.latent);
-        let mut z_rows = randn_matrix(n, nets.latent, rng);
-        shift_columns(&mut z_rows, &shift);
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant(z_rows);
-        let flat = decode(nets, &mut t, &b, z, self.seq_len, self.features);
-        Tensor3::from_vec(
-            n,
-            self.seq_len,
-            self.features,
-            t.value(flat).as_slice().to_vec(),
-        )
-        .expect("decoder output has exact size")
+        decode_conditioned(self, n, cond, rng)
     }
 }
 

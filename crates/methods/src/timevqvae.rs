@@ -265,8 +265,8 @@ impl TimeVqVae {
         }
     }
 
-    /// Overrides the per-band codebook size and EMA decay — the
-    /// `bench_vq` ablation knobs.
+    /// Overrides the per-band codebook size and EMA decay (an
+    /// ablation).
     pub fn with_codebook(mut self, codes: usize, ema_decay: f64) -> Self {
         assert!(codes >= 2 && (0.0..1.0).contains(&ema_decay));
         self.codes = codes;

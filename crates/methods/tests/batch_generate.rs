@@ -49,16 +49,21 @@ fn assert_batch_matches_serial(m: &dyn TsgMethod, specs: &[GenSpec]) {
 #[test]
 fn batched_generation_is_bit_identical_to_serial() {
     // mixed sizes plus a duplicated seed: identical seeds must yield
-    // identical windows regardless of their position in the batch
+    // identical windows regardless of their position in the batch; the
+    // same batch with a zero-size request inside takes the serial
+    // fallback and must match too
     let specs = [
         GenSpec { n: 3, seed: 11 },
         GenSpec { n: 1, seed: 400 },
         GenSpec { n: 2, seed: 11 },
         GenSpec { n: 4, seed: 7 },
     ];
+    let mut with_empty = specs.to_vec();
+    with_empty.insert(2, GenSpec { n: 0, seed: 5 });
     for id in all_methods() {
         let m = trained(id);
         assert_batch_matches_serial(m.as_ref(), &specs);
+        assert_batch_matches_serial(m.as_ref(), &with_empty);
     }
 }
 

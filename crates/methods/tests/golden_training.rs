@@ -1,7 +1,9 @@
 //! Golden-value regression suite for training: pins the exact bits of
 //! every method's loss history and of four windows it generates after
 //! training, for all fourteen methods (the paper's ten plus the four
-//! extensions), against a committed fixture.
+//! extensions), against a committed fixture. Methods with the
+//! conditional-sampling capability also pin one class-shaped and one
+//! covariate-shaped draw.
 //!
 //! Every `fit` records the first step of each optimization phase on
 //! the tape's one-shot sweep and replays the compiled plan for the
@@ -16,8 +18,9 @@
 //! TSGB_UPDATE_GOLDEN=1 cargo test -p tsgb-methods --test golden_training
 //! ```
 
+use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
-use tsgb_methods::common::{MethodId, TrainConfig};
+use tsgb_methods::common::{Condition, MethodId, TrainConfig};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::SeedableRng;
 
@@ -49,7 +52,8 @@ fn toy_data() -> Tensor3 {
 }
 
 /// `(key, bits)` rows for one method: its loss history, then each
-/// generated window.
+/// generated window, then (for a conditional method) one class- and
+/// one covariate-conditioned draw, each on its own seeded stream.
 fn pinned_bits(mid: MethodId) -> Vec<(String, Vec<u64>)> {
     let data = toy_data();
     let mut rng = SmallRng::seed_from_u64(42);
@@ -63,6 +67,30 @@ fn pinned_bits(mid: MethodId) -> Vec<(String, Vec<u64>)> {
             format!("{}.window{w}", mid.name()),
             bits(out.sample_slice(w)),
         ));
+    }
+    if let Some(cs) = m.conditional() {
+        let conditions = [
+            (
+                "cond_class",
+                Condition::Class {
+                    label: 3,
+                    strength: 2.0,
+                },
+                7,
+            ),
+            (
+                "cond_covariate",
+                Condition::Covariate {
+                    values: vec![0.4, -0.2, 1.0],
+                    strength: 1.5,
+                },
+                8,
+            ),
+        ];
+        for (what, cond, seed) in conditions {
+            let shaped = cs.generate_conditioned(GENERATED, &cond, &mut seeded(seed));
+            rows.push((format!("{}.{what}", mid.name()), bits(shaped.as_slice())));
+        }
     }
     rows
 }

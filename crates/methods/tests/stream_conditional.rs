@@ -2,8 +2,8 @@
 //!
 //! * [`TsgMethod::open_stream`] — chunk concatenation is bit-identical
 //!   to the one-shot `generate(n, seed)` for any chunk-size sequence,
-//!   on both the incremental overrides (RGAN, TimeVAE) and the eager
-//!   default.
+//!   on every method: the nine that decode each chunk on pull and the
+//!   five on the eager default.
 //! * [`ConditionalSample`] — strength 0 is bit-identical to the
 //!   unconditional draw, conditioning is deterministic per condition,
 //!   and distinct classes separate.
@@ -11,10 +11,9 @@
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_methods::common::Condition;
-use tsgb_methods::fourierflow::FourierFlow;
 use tsgb_methods::rgan::Rgan;
 use tsgb_methods::timevae::TimeVae;
-use tsgb_methods::{GenSpec, TrainConfig, TsgMethod};
+use tsgb_methods::{GenSpec, MethodId, TrainConfig, TsgMethod};
 
 fn toy_data(r: usize, l: usize, n: usize) -> Tensor3 {
     Tensor3::from_fn(r, l, n, |s, t, f| {
@@ -61,27 +60,17 @@ fn assert_stream_matches_one_shot(method: &dyn TsgMethod, what: &str) {
     }
 }
 
-#[test]
-fn rgan_stream_is_bit_identical_to_one_shot() {
-    let mut m = Rgan::new(8, 2);
-    fit(&mut m, 7);
-    assert_stream_matches_one_shot(&m, "rgan");
+fn all_methods() -> impl Iterator<Item = MethodId> {
+    MethodId::ALL.into_iter().chain(MethodId::EXTENDED)
 }
 
 #[test]
-fn timevae_stream_is_bit_identical_to_one_shot() {
-    let mut m = TimeVae::new(8, 2);
-    fit(&mut m, 8);
-    assert_stream_matches_one_shot(&m, "timevae");
-}
-
-#[test]
-fn eager_default_stream_is_bit_identical_to_one_shot() {
-    // FourierFlow has no override: the default eager stream must
-    // satisfy the same contract
-    let mut m = FourierFlow::new(8, 2);
-    fit(&mut m, 9);
-    assert_stream_matches_one_shot(&m, "fourierflow");
+fn every_stream_is_bit_identical_to_one_shot() {
+    for id in all_methods() {
+        let mut m = id.create(8, 2);
+        fit(m.as_mut(), id as u64 + 7);
+        assert_stream_matches_one_shot(m.as_ref(), id.name());
+    }
 }
 
 #[test]
@@ -157,6 +146,9 @@ fn covariate_condition_shapes_consistently() {
 
 #[test]
 fn methods_without_the_capability_report_none() {
-    let m = FourierFlow::new(8, 2);
-    assert!(m.conditional().is_none());
+    for id in all_methods() {
+        let m = id.create(8, 2);
+        let expected = matches!(id, MethodId::Rgan | MethodId::TimeVae);
+        assert_eq!(m.conditional().is_some(), expected, "{}", id.name());
+    }
 }

@@ -35,7 +35,8 @@
 //! A `"condition"` object on `/generate` — `{"class":k,"strength":s}`
 //! or `{"covariates":[...],"strength":s}` — routes to the model's
 //! [`ConditionalSample`](tsgb_methods::ConditionalSample) capability.
-//! Models without it answer `400`. Conditional requests bypass the
+//! Models without it answer `400`, and so does a non-finite `strength`
+//! or covariate or a `class` beyond `u32`. Conditional requests bypass the
 //! batcher (their noise shaping is per-request), so they trade batch
 //! fusion for the capability; `strength: 0` is bit-identical to the
 //! unconditional draw.
@@ -299,35 +300,40 @@ fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest
 }
 
 /// Parses the optional `"condition"` object of a generate request.
+/// Numbers must be finite (the JSON parser reads `1e999` as infinity,
+/// which would shift the noise to NaN) and a class must fit in `u32`.
 fn parse_condition(body: &Json) -> Result<Option<Condition>, HttpError> {
     let Some(v) = body.get("condition") else {
         return Ok(None);
     };
+    let finite = |x: &Json| x.as_f64().filter(|f| f.is_finite());
     let strength = match v.get("strength") {
         None => 1.0,
-        Some(s) => s
-            .as_f64()
-            .ok_or_else(|| HttpError::bad_request("\"condition.strength\" must be a number"))?,
+        Some(s) => finite(s).ok_or_else(|| {
+            HttpError::bad_request("\"condition.strength\" must be a finite number")
+        })?,
     };
     if let Some(c) = v.get("class") {
-        let label = c.as_u64().ok_or_else(|| {
-            HttpError::bad_request("\"condition.class\" must be a non-negative integer")
-        })? as u32;
+        let label = c
+            .as_u64()
+            .and_then(|l| u32::try_from(l).ok())
+            .ok_or_else(|| {
+                HttpError::bad_request(
+                    "\"condition.class\" must be an integer from 0 to 4294967295",
+                )
+            })?;
         return Ok(Some(Condition::Class { label, strength }));
     }
     if let Some(c) = v.get("covariates") {
+        let not_numbers = || {
+            HttpError::bad_request("\"condition.covariates\" must be an array of finite numbers")
+        };
         let Json::Arr(items) = c else {
-            return Err(HttpError::bad_request(
-                "\"condition.covariates\" must be an array of numbers",
-            ));
+            return Err(not_numbers());
         };
         let values = items
             .iter()
-            .map(|x| {
-                x.as_f64().ok_or_else(|| {
-                    HttpError::bad_request("\"condition.covariates\" must be an array of numbers")
-                })
-            })
+            .map(|x| finite(x).ok_or_else(not_numbers))
             .collect::<Result<Vec<f64>, _>>()?;
         return Ok(Some(Condition::Covariate { values, strength }));
     }

@@ -304,4 +304,19 @@ fn conditional_generate_rejects_unsupported_models_and_bad_bodies() {
     let (status, _) = post(addr, "/generate/stream", "{\"model\":\"slow\",\"n\":2,\"chunk\":0}");
     assert_eq!(status, 400);
     server.shutdown();
+
+    // a model with the capability still rejects a non-finite strength or
+    // covariate (1e999 parses as infinity) and a class beyond u32
+    let server = Server::start(vae_registry(), ephemeral()).unwrap();
+    let addr = server.addr();
+    for bad in [
+        "{\"model\":\"vae\",\"n\":2,\"condition\":{\"class\":1,\"strength\":1e999}}",
+        "{\"model\":\"vae\",\"n\":2,\"condition\":{\"covariates\":[0.5,-1e999]}}",
+        "{\"model\":\"vae\",\"n\":2,\"condition\":{\"class\":4294967297}}",
+    ] {
+        let (status, text) = post(addr, "/generate", bad);
+        assert_eq!(status, 400, "{bad}: {text}");
+        assert!(text.contains("\"condition."), "{bad}: {text}");
+    }
+    server.shutdown();
 }

@@ -9,7 +9,8 @@
 #         this tree (perfbench/), the serve, monitor, and
 #         sharded-router smoke legs (including a worker-kill fault
 #         drill and a drift-injection drill), the scenario smoke leg
-#         (streamed chunks + conditional identity + the scenario
+#         (streamed chunks from TimeVAE and RGAN, conditional identity,
+#         a non-finite condition rejected with 400, and the scenario
 #         engine end-to-end), and a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
@@ -139,6 +140,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "$STREAM" | grep -q '"offset":0'
     echo "$STREAM" | grep -q '"offset":4'
     echo "$STREAM" | grep -q '"done":true,"chunks":3,"windows":6'
+    # RGAN streams through the same derived draw/decode path
+    STREAM="$(curl -fsS -X POST "http://$ADDR/generate/stream" \
+        -d '{"model":"rgan","n":6,"seed":5,"chunk":4}')"
+    echo "$STREAM" | grep -q '"done":true,"chunks":2,"windows":6'
     # conditional generation: strength 0 must be byte-identical to the
     # unconditional response, a real condition must move it
     PLAIN="$(curl -fsS -X POST "http://$ADDR/generate" -d '{"model":"timevae","n":4,"seed":9}')"
@@ -148,6 +153,10 @@ if [[ "${1:-}" != "--quick" ]]; then
         -d '{"model":"timevae","n":4,"seed":9,"condition":{"class":1,"strength":2.0}}')"
     [ "$PLAIN" = "$ZERO" ] || { echo "strength 0 changed the response body"; exit 1; }
     [ "$PLAIN" != "$SHAPED" ] || { echo "conditioning did not shape the draw"; exit 1; }
+    # 1e999 parses as infinity: a non-finite strength is a 400, not NaN windows
+    STATUS="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/generate" \
+        -d '{"model":"timevae","n":2,"seed":1,"condition":{"class":1,"strength":1e999}}')"
+    [ "$STATUS" = 400 ] || { echo "non-finite strength answered $STATUS"; exit 1; }
     curl -fsS -X POST "http://$ADDR/shutdown" > /dev/null
     wait "$SERVE_PID"
     grep -q 'drained' "$CKPT_DIR/scenario.log"
