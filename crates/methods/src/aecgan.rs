@@ -186,8 +186,8 @@ impl TsgMethod for AecGan {
             // --- discriminator ---
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind(t);
-                let cb = nets.c_params.bind(t);
+                let gb = nets.g_params.bind_frozen(t);
+                let cb = nets.c_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.rollout(&nets, t, &gb, &cb, &context, &zs, true);
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
@@ -205,7 +205,7 @@ impl TsgMethod for AecGan {
                 let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
                 let cb = nets.c_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let fake = self.rollout(&nets, t, &gb, &cb, &context, &zs, true);
                 let fl = discriminate(&nets, t, &db, &fake, batch);
                 let adv = loss::gan_generator_loss(t, fl);

@@ -186,7 +186,7 @@ impl TsgMethod for CosciGan {
             // --- per-channel discriminators ---
             for (c, ch) in nets.channels.iter_mut().enumerate() {
                 let t = chd_tape.begin_step();
-                let gb = ch.g_params.bind(t);
+                let gb = ch.g_params.bind_frozen(t);
                 let db = ch.d_params.bind(t);
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
                 let fake = gen_channel(ch, t, &gb, &z_vars, batch);
@@ -209,7 +209,7 @@ impl TsgMethod for CosciGan {
                 let cb = nets.central_params.bind(t);
                 let mut bindings = Vec::with_capacity(n);
                 for ch in &nets.channels {
-                    bindings.push(ch.g_params.bind(t));
+                    bindings.push(ch.g_params.bind_frozen(t));
                 }
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
                 let per_ch: Vec<Vec<VarId>> = nets
@@ -233,12 +233,12 @@ impl TsgMethod for CosciGan {
             let epoch_loss;
             {
                 let t = g_tape.begin_step();
-                let cb = nets.central_params.bind(t);
+                let cb = nets.central_params.bind_frozen(t);
                 let mut g_bindings = Vec::with_capacity(n);
                 let mut d_bindings = Vec::with_capacity(n);
                 for ch in &nets.channels {
                     g_bindings.push(ch.g_params.bind(t));
-                    d_bindings.push(ch.d_params.bind(t));
+                    d_bindings.push(ch.d_params.bind_frozen(t));
                 }
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
                 let per_ch: Vec<Vec<VarId>> = nets

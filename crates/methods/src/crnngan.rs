@@ -148,7 +148,7 @@ impl TsgMethod for CRnnGan {
             // D step
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, &zs);
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
@@ -165,7 +165,7 @@ impl TsgMethod for CRnnGan {
             let g_loss_val = {
                 let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let fake = self.generate_steps(&nets, t, &gb, &zs);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
                 let g_loss = loss::gan_generator_loss(t, fl);

@@ -216,7 +216,7 @@ impl TsgMethod for GtGan {
             // D step
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let fake = self.generate_steps(&nets, t, &gb, z0.clone());
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
@@ -234,7 +234,7 @@ impl TsgMethod for GtGan {
             let g_loss_val = {
                 let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let fake = self.generate_steps(&nets, t, &gb, z0);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
                 let adv = loss::gan_generator_loss(t, fl);

@@ -126,7 +126,7 @@ impl TsgMethod for Rgan {
             // --- discriminator step ---
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let fake = generate_steps(&nets, t, &gb, &zs);
                 let real: Vec<VarId> = real_steps_data
@@ -146,7 +146,7 @@ impl TsgMethod for Rgan {
             let g_loss_val = {
                 let t = g_tape.begin_step();
                 let gb = nets.g_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let fake = generate_steps(&nets, t, &gb, &zs);
                 let fake_logit = discriminate(&nets, t, &db, &fake);
                 let g_loss = loss::gan_generator_loss(t, fake_logit);

@@ -182,17 +182,15 @@ impl TsgMethod for RtsGan {
                 let idx = minibatch(r, cfg.batch, rng);
                 let steps = gather_step_matrices(train, &idx);
                 let t = c_tape.begin_step();
-                let ab = nets.ae_params.bind(t);
-                let gb = nets.gen_params.bind(t);
+                let ab = nets.ae_params.bind_frozen(t);
+                let gb = nets.gen_params.bind_frozen(t);
                 let cb = nets.critic_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let z_real = encode(&nets, t, &ab, &xs, idx.len());
-                // stop-gradient into the AE from the critic objective
-                let z_real_c = t.detach(z_real);
                 let noise_m = noise(idx.len(), nets.noise_dim, rng);
                 let nz = t.constant(noise_m);
                 let z_fake = nets.generator.forward(t, &gb, nz);
-                let s_real = nets.critic.forward(t, &cb, z_real_c);
+                let s_real = nets.critic.forward(t, &cb, z_real);
                 let s_fake = nets.critic.forward(t, &cb, z_fake);
                 let c_loss = loss::wgan_critic_loss(t, s_real, s_fake);
                 t.backward(c_loss);
@@ -204,7 +202,7 @@ impl TsgMethod for RtsGan {
             let g_loss_val = {
                 let t = g_tape.begin_step();
                 let gb = nets.gen_params.bind(t);
-                let cb = nets.critic_params.bind(t);
+                let cb = nets.critic_params.bind_frozen(t);
                 let noise_m = noise(cfg.batch.min(r), nets.noise_dim, rng);
                 let nz = t.constant(noise_m);
                 let z_fake = nets.generator.forward(t, &gb, nz);

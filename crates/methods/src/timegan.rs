@@ -225,22 +225,18 @@ impl TsgMethod for TimeGan {
             let idx = minibatch(r, cfg.batch, rng);
             let steps = gather_step_matrices(train, &idx);
             let t = s_tape.begin_step();
-            let erb = nets.er_params.bind(t);
+            let erb = nets.er_params.bind_frozen(t);
             let sb = nets.s_params.bind(t);
             let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            // E is frozen here, so S trains alone and the embeddings
+            // carry no gradient
             let hs = nets.embedder.run(t, &erb, &xs, idx.len());
-            // stop-gradient into E: detach the embeddings on-tape so S
-            // trains alone (same bits as copying them into constants,
-            // but replayable by a compiled plan)
-            let h_const: Vec<VarId> = hs.iter().map(|&h| t.detach(h)).collect();
-            let preds = nets
-                .supervisor
-                .run(t, &sb, &h_const[..l - 1], idx.len());
+            let preds = nets.supervisor.run(t, &sb, &hs[..l - 1], idx.len());
             let pred_cat = t.concat_rows(&preds);
-            // on-tape MSE against the detached next-step embeddings --
-            // the op sequence of `loss::mse_mean` with the target
-            // concatenated on the tape instead of copied off it
-            let target_cat = t.concat_rows(&h_const[1..]);
+            // on-tape MSE against the next-step embeddings -- the op
+            // sequence of `loss::mse_mean` with the target concatenated
+            // on the tape instead of copied off it
+            let target_cat = t.concat_rows(&hs[1..]);
             let d = t.sub(pred_cat, target_cat);
             let sq = t.square(d);
             let sup = t.mean(sq);
@@ -262,8 +258,8 @@ impl TsgMethod for TimeGan {
             // D step
             {
                 let t = d_tape.begin_step();
-                let erb = nets.er_params.bind(t);
-                let gb = nets.g_params.bind(t);
+                let erb = nets.er_params.bind_frozen(t);
+                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let h_real = nets.embedder.run(t, &erb, &xs, batch);
@@ -281,10 +277,10 @@ impl TsgMethod for TimeGan {
             // G step: adversarial + supervised + moments on recovered data
             let g_loss_val = {
                 let t = g_tape.begin_step();
-                let erb = nets.er_params.bind(t);
-                let sb = nets.s_params.bind(t);
+                let erb = nets.er_params.bind_frozen(t);
+                let sb = nets.s_params.bind_frozen(t);
                 let gb = nets.g_params.bind(t);
-                let db = nets.d_params.bind(t);
+                let db = nets.d_params.bind_frozen(t);
                 let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
                 let h_fake = nets.generator.run(t, &gb, &z_vars, batch);
                 let fake_logit = nets.discriminator.run_last(t, &db, &h_fake, batch);

@@ -10,6 +10,14 @@
 //!    binding;
 //! 3. after `backward`, [`Params::absorb_grads`] copies the tape's
 //!    gradients back into the store where the optimizer finds them.
+//!
+//! A phase that reads a network but does not train it — a GAN's
+//! discriminator step running the generator, say — binds that store
+//! with [`Params::bind_frozen`] instead. Its parameters then enter the
+//! tape as constants, so backward computes no gradient for them nor
+//! for anything the tape computes only from them, and the frozen
+//! store is never absorbed. The arithmetic of every gradient that is
+//! computed stays bit-identical to a [`Params::bind`].
 
 use crate::tape::{Tape, VarId};
 use tsgb_linalg::Matrix;
@@ -115,6 +123,20 @@ impl Params {
             .entries
             .iter()
             .map(|e| tape.leaf_copy(&e.value))
+            .collect();
+        Binding { vars }
+    }
+
+    /// Like [`Params::bind`] for a network this step reads but does not
+    /// train: every parameter enters through
+    /// [`Tape::constant_copy`], so backward skips its gradients and
+    /// every node computed only from it. The binding must not be
+    /// absorbed (it would read zeros).
+    pub fn bind_frozen(&self, tape: &mut Tape) -> Binding {
+        let vars = self
+            .entries
+            .iter()
+            .map(|e| tape.constant_copy(&e.value))
             .collect();
         Binding { vars }
     }

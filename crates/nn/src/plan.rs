@@ -144,9 +144,12 @@ struct BwdPlan {
     steps: Vec<BwdStep>,
     /// Per-edge first-touch flags, in the exact order [`edges`]
     /// visits them; `true` means the slot is empty until this edge.
-    /// Pruned edges (into no-grad leaves) keep a placeholder slot so
-    /// the positional indexing in [`run_step`] never shifts.
+    /// Pruned edges (into nodes that are not live) keep a placeholder
+    /// slot so the positional indexing in [`run_step`] never shifts.
     flags: Vec<bool>,
+    /// The [`liveness`] mask of the frozen graph, computed once at
+    /// compile; [`run_step`] prunes by it on every run.
+    live: Vec<bool>,
     /// Nodes the sweep reaches — exactly the slots [`sweep`] would
     /// leave `Some`.
     reached: Vec<bool>,
@@ -173,15 +176,30 @@ struct BwdPlan {
     ptcache: PackCache,
 }
 
-/// Whether a node is a leaf whose gradient nobody reads (constants,
-/// zeros padding, filled targets). Both backward paths prune every
-/// edge into such leaves; pruning only removes *writes to those
-/// slots*, so every other gradient is unaffected.
-fn nograd(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Leaf(LeafKind::Data { grad: false } | LeafKind::Zeros | LeafKind::Filled(_))
-    )
+/// Fills `live` with the liveness mask of `nodes[..=loss]`: a node is
+/// live when it is a trainable leaf ([`crate::Tape::leaf`] /
+/// [`crate::Tape::leaf_copy`]) or when any of its operands is live.
+/// Constant, zeros and filled leaves and `Detach` outputs are not, and
+/// neither is anything computed only from them — a frozen network's
+/// whole forward pass, say. Both backward paths prune every edge into
+/// a node that is not live. That removes only writes into slots
+/// nothing reads: every live slot sees the same edges, in the same
+/// order, with the same first-touch flags, so every gradient that is
+/// computed keeps its bits.
+fn liveness(nodes: &[Node], loss: usize, live: &mut Vec<bool>) {
+    live.clear();
+    for node in &nodes[..=loss] {
+        let is_live = match &node.op {
+            Op::Leaf(kind) => *kind == LeafKind::Data { grad: true },
+            Op::Detach(_) => false,
+            op => {
+                let mut any = false;
+                edges(op, |t, _| any |= live[t]);
+                any
+            }
+        };
+        live.push(is_live);
+    }
 }
 
 /// A captured step: the forward schedule plus lazily compiled backward
@@ -637,20 +655,21 @@ fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool,
 /// Pushes the first-touch flag of each of node `i`'s backward edges,
 /// in [`edges`] order, and returns whether its step needs a scratch
 /// buffer. `touch(t)` reports whether slot `t` was still empty and
-/// marks it reached. Pruned edges (into no-grad leaves) push a
-/// placeholder that is never read, so the positional indexing in
-/// [`run_step`] matches, and leave the leaf unreached. The compiled
+/// marks it reached. Pruned edges (into nodes that are not `live`)
+/// push a placeholder that is never read, so the positional indexing
+/// in [`run_step`] matches, and leave the node unreached. The compiled
 /// plan and the one-shot [`sweep`] both flag edges here, so the two
 /// cannot drift apart.
 fn step_flags(
     nodes: &[Node],
+    live: &[bool],
     i: usize,
     flags: &mut Vec<bool>,
     mut touch: impl FnMut(usize) -> bool,
 ) -> bool {
     let mut need_scratch = activated(&nodes[i].op);
     edges(&nodes[i].op, |t, mapped| {
-        if nograd(&nodes[t].op) {
+        if !live[t] {
             flags.push(true);
             return;
         }
@@ -663,11 +682,13 @@ fn step_flags(
 
 impl BwdPlan {
     /// Walks the reverse sweep from `loss` over the frozen graph,
-    /// recording which nodes are reached, the first-touch flag of every
-    /// edge, which steps need a scratch buffer, and which `matmul_t`
-    /// right-hand sides to cache — then takes those buffers from the
-    /// pool.
+    /// recording its liveness mask, which nodes are reached, the
+    /// first-touch flag of every edge, which steps need a scratch
+    /// buffer, and which `matmul_t` right-hand sides to cache — then
+    /// takes those buffers from the pool.
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
+        let mut live = Vec::new();
+        liveness(nodes, loss, &mut live);
         let mut has = vec![false; nodes.len()];
         has[loss] = true;
         let mut steps = Vec::new();
@@ -679,11 +700,11 @@ impl BwdPlan {
         let mut tneed: Vec<u32> = Vec::new();
         let mut pneed: Vec<u32> = Vec::new();
         for i in (0..=loss).rev() {
-            if !has[i] || matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_)) {
+            if !has[i] || !live[i] || matches!(nodes[i].op, Op::Leaf(_)) {
                 continue;
             }
             let flags_at = flags.len() as u32;
-            let need_scratch = step_flags(nodes, i, &mut flags, |t| {
+            let need_scratch = step_flags(nodes, &live, i, &mut flags, |t| {
                 !std::mem::replace(&mut has[t], true)
             });
             // A live `matmul_t` right-hand side: prepacked panels when
@@ -692,7 +713,6 @@ impl BwdPlan {
             // transpose are all node-`i`-shaped, so `m` is this node's
             // row count.
             let m = nodes[i].value.rows();
-            let live = |v: &crate::VarId| !nograd(&nodes[v.0].op);
             let mut twant = |rhs: &crate::VarId| {
                 let (n, k) = nodes[rhs.0].value.shape();
                 if pack_profitable(m, k, n) {
@@ -702,13 +722,13 @@ impl BwdPlan {
                 }
             };
             match &nodes[i].op {
-                Op::Matmul(a, b) if live(a) => twant(b),
-                Op::Affine { x, w, .. } if live(x) => twant(w),
+                Op::Matmul(a, b) if live[a.0] => twant(b),
+                Op::Affine { x, w, .. } if live[x.0] => twant(w),
                 Op::Affine2 { x, w, h, u, .. } => {
-                    if live(x) {
+                    if live[x.0] {
                         twant(w);
                     }
-                    if live(h) {
+                    if live[h.0] {
                         twant(u);
                     }
                 }
@@ -753,6 +773,7 @@ impl BwdPlan {
             loss,
             steps,
             flags,
+            live,
             reached: has,
             scratch,
             tcache,
@@ -797,6 +818,7 @@ impl BwdPlan {
         let BwdPlan {
             steps,
             flags,
+            live,
             scratch,
             tcache,
             ptcache,
@@ -817,44 +839,44 @@ impl BwdPlan {
             dead,
         };
         for step in steps.iter() {
-            let i = step.node as usize;
-            // Contributions to node i come only from consumers (larger
-            // indices, already processed), so grads[i] is final here.
-            let (lo, hi) = grads.split_at_mut(i);
-            let g: &Matrix = hi[0].as_ref().expect("reached grads are materialized");
-            let fa = step.flags_at as usize;
+            let (i, fa) = (step.node as usize, step.flags_at as usize);
             let sbuf = scratch.get_mut(step.scratch as usize);
-            run_step(nodes, lo, g, i, &flags[fa..], sbuf, Some(&caches));
+            run_step(nodes, live, grads, i, &flags[fa..], sbuf, Some(&caches));
         }
     }
 }
 
 /// The one-shot backward sweep of a tape that is not replaying, from
-/// the `1 x 1` node `loss` into all-`None` `grads`: the reverse loop
-/// over the arena, handing each reached node to [`run_step`]. An edge
-/// is a first touch when its slot is still empty, and the slot then
-/// gets a pooled buffer for the step to overwrite; a step that needs a
-/// scratch buffer borrows one from the pool for just that step; and
-/// `matmul_t` edges take the plain kernels. `flags` is the caller's
-/// reusable buffer for the current step's flags.
+/// the `1 x 1` node `loss` into all-`None` `grads`: the [`liveness`]
+/// pass, then the reverse loop over the arena, handing each reached
+/// live node to [`run_step`]. An edge is a first touch when its slot
+/// is still empty, and the slot then gets a pooled buffer for the step
+/// to overwrite; a step that needs a scratch buffer borrows one from
+/// the pool for just that step; and `matmul_t` edges take the plain
+/// kernels. `live` and `flags` are the caller's reusable buffers for
+/// the mask and for the current step's flags.
 pub(crate) fn sweep(
     nodes: &[Node],
     grads: &mut [Option<Matrix>],
     pool: &mut MatrixPool,
+    live: &mut Vec<bool>,
     flags: &mut Vec<bool>,
     loss: usize,
 ) {
+    liveness(nodes, loss, live);
     let mut seed = pool.take_uninit(1, 1);
     seed.fill(1.0);
     grads[loss] = Some(seed);
     for i in (0..=loss).rev() {
-        if matches!(nodes[i].op, Op::Leaf(_) | Op::Detach(_)) {
+        if !live[i] || matches!(nodes[i].op, Op::Leaf(_)) {
             continue;
         }
         let (lo, hi) = grads.split_at_mut(i);
-        let Some(g) = hi[0].as_ref() else { continue };
+        if hi[0].is_none() {
+            continue;
+        }
         flags.clear();
-        let need_scratch = step_flags(nodes, i, flags, |t| {
+        let need_scratch = step_flags(nodes, live, i, flags, |t| {
             let fresh = lo[t].is_none();
             if fresh {
                 let (r, c) = nodes[t].value.shape();
@@ -866,7 +888,7 @@ pub(crate) fn sweep(
             let (r, c) = nodes[i].value.shape();
             pool.take_uninit(r, c)
         });
-        run_step(nodes, lo, g, i, flags, sbuf.as_mut(), None);
+        run_step(nodes, live, grads, i, flags, sbuf.as_mut(), None);
         if let Some(buf) = sbuf {
             pool.put(buf);
         }
@@ -936,23 +958,26 @@ fn mul_t_acc(nodes: &[Node], caches: Option<&RunCaches>, a: &Matrix, rhs: usize,
 }
 
 /// Executes one backward step for node `i` — the only copy of each
-/// op's gradient. `g` is its (final) incoming gradient, `lo` the grad
-/// slots of all earlier nodes (every live edge's slot holds a buffer),
-/// `flags` this step's first-touch flags in [`edges`] order, `sbuf`
-/// its scratch buffer, and `caches` a compiled plan's per-run state
-/// (`None` on the one-shot sweep). Edges into no-grad leaves are
-/// skipped entirely (`live` mirrors [`step_flags`]' pruning — nothing
-/// reads those slots).
+/// op's gradient. `grads[i]` holds its (final) incoming gradient and
+/// every live edge's slot below `i` holds a buffer; `flags` are this
+/// step's first-touch flags in [`edges`] order, `sbuf` its scratch
+/// buffer, and `caches` a compiled plan's per-run state (`None` on the
+/// one-shot sweep). Edges into nodes that are not `live` are skipped
+/// entirely, as [`step_flags`] pruned them — nothing reads those slots.
 fn run_step(
     nodes: &[Node],
-    lo: &mut [Option<Matrix>],
-    g: &Matrix,
+    live: &[bool],
+    grads: &mut [Option<Matrix>],
     i: usize,
     flags: &[bool],
     mut sbuf: Option<&mut Matrix>,
     caches: Option<&RunCaches>,
 ) {
-    let live = |t: usize| !nograd(&nodes[t].op);
+    // Contributions to node i come only from consumers (larger
+    // indices, already processed), so grads[i] is final here.
+    let (lo, hi) = grads.split_at_mut(i);
+    let g: &Matrix = hi[0].as_ref().expect("reached grads are materialized");
+    let live = |t: usize| live[t];
     // A mapped (elementwise-delta) edge: first touch computes straight
     // into the slot; later touches compute into scratch and add.
     macro_rules! mapped {
@@ -973,7 +998,7 @@ fn run_step(
         }};
     }
     match &nodes[i].op {
-        Op::Leaf(_) | Op::Detach(_) => unreachable!("no backward steps are compiled for these"),
+        Op::Leaf(_) | Op::Detach(_) => unreachable!("no backward steps run for these"),
         Op::Add(a, b) => {
             if live(a.0) {
                 fold_ref(

@@ -94,8 +94,9 @@ impl FusedAct {
 pub(crate) enum LeafKind {
     /// Parameter or minibatch data: fed by copy every replayed step.
     /// `grad: false` marks constants ([`Tape::constant`] /
-    /// [`Tape::constant_copy`]) whose gradient nobody reads — backward
-    /// prunes every edge into them.
+    /// [`Tape::constant_copy`]) whose gradient nobody reads — they are
+    /// not live, so backward prunes every edge into them and into
+    /// whatever is computed only from them.
     Data {
         grad: bool,
     },
@@ -289,8 +290,10 @@ pub struct Tape {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Matrix>>,
     pub(crate) pool: MatrixPool,
-    /// The one-shot sweep's per-step first-touch flags, kept so that a
-    /// recycled tape's backward allocates nothing.
+    /// The one-shot sweep's liveness mask and per-step first-touch
+    /// flags, kept so that a recycled tape's backward allocates
+    /// nothing.
+    sweep_live: Vec<bool>,
     sweep_flags: Vec<bool>,
     /// Pool misses already published to the `nn.pool.miss` counter,
     /// so each [`Tape::reset`] reports only the delta.
@@ -553,7 +556,8 @@ impl Tape {
     }
 
     /// Like [`Tape::leaf`] for non-trainable data. The gradient of a
-    /// constant is never read, so backward skips computing it.
+    /// constant is never read, so backward skips computing it, and
+    /// everything computed only from constants.
     pub fn constant(&mut self, value: Matrix) -> VarId {
         let kind = LeafKind::Data { grad: false };
         if self.replaying() {
@@ -658,8 +662,10 @@ impl Tape {
 
     /// The gradient of the last `backward` call w.r.t. node `id`,
     /// **copied** into a fresh matrix (zeros if no gradient reached
-    /// it: the node did not influence the loss, or is a constant,
-    /// zeros or filled leaf). Hot paths should prefer
+    /// it: the node did not influence the loss, or depends on no
+    /// trainable leaf — constant, zeros and filled leaves, `detach`
+    /// outputs, and anything computed only from those). Hot paths
+    /// should prefer
     /// [`Tape::grad_ref`], which borrows the accumulator instead of
     /// cloning it; this copying form stays for API convenience.
     pub fn grad(&self, id: VarId) -> Matrix {
@@ -673,8 +679,9 @@ impl Tape {
     }
 
     /// Borrow of the gradient accumulated for node `id` by the last
-    /// `backward` call, or `None` when no gradient reached it (see
-    /// [`Tape::grad`]).
+    /// `backward` call, or `None` when no gradient reached it. A node
+    /// that depends on no trainable leaf gets no gradient slot at all,
+    /// and that includes `detach` outputs (see [`Tape::grad`]).
     pub fn grad_ref(&self, id: VarId) -> Option<&Matrix> {
         self.grads.get(id.0).and_then(Option::as_ref)
     }
@@ -953,10 +960,12 @@ impl Tape {
 
     /// Runs reverse-mode accumulation from `loss`, which must be a
     /// `1 x 1` node. Gradients are then readable via [`Tape::grad_ref`]
-    /// (borrowing) or [`Tape::grad`] (copying). Only nodes that
-    /// influence the loss through a differentiable path get a gradient;
-    /// edges into constants, zeros and filled leaves are skipped, so
-    /// those read as zero.
+    /// (borrowing) or [`Tape::grad`] (copying). Only *live* nodes that
+    /// influence the loss through a differentiable path get a gradient:
+    /// a node is live when it is a trainable leaf or has a live
+    /// operand. Edges into constants, zeros and filled leaves, `detach`
+    /// outputs, and whatever is computed only from them are skipped,
+    /// so those read as zero.
     ///
     /// A replaying tape whose whole step matched runs the compiled
     /// plan. Otherwise this is the one-shot sweep
@@ -1003,6 +1012,7 @@ impl Tape {
             &self.nodes,
             &mut self.grads,
             &mut self.pool,
+            &mut self.sweep_live,
             &mut self.sweep_flags,
             loss.0,
         );

@@ -5,7 +5,8 @@
 //! `reset`, which records every step and runs the one-shot backward
 //! sweep — and demands bit-for-bit identical parameters, while also
 //! pinning the capture/replay/invalidation counters the plan machinery
-//! reports.
+//! reports. The liveness test also checks that backward gives no
+//! gradient slot to a node that depends on no trainable leaf.
 
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::Matrix;
@@ -192,4 +193,116 @@ fn steady_state_replay_has_zero_pool_misses() {
         warm_misses,
         "pool missed after the plan was warm"
     );
+}
+
+/// Asserts two gradient lists equal bit for bit.
+fn assert_grads_bitwise(ctx: &str, a: &[Matrix], b: &[Matrix]) {
+    assert_eq!(a.len(), b.len(), "{ctx}: gradient count");
+    for (k, (ga, gb)) in a.iter().zip(b).enumerate() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ga), bits(gb), "{ctx}: gradient {k} diverged");
+    }
+}
+
+/// The liveness rule: a GRU bound with `bind_frozen` feeds a trainable
+/// `Linear` head, and a `matmul` of two constants and a `detach` of
+/// the prediction join the loss. On the one-shot sweep (`reset`) and
+/// on replay (`begin_step`) alike, no node that depends on no
+/// trainable leaf gets a gradient slot: the frozen weights, every
+/// hidden state, the constants, their product and the detached copy.
+/// The head's gradients stay bit-equal to the same graph with the GRU
+/// bound trainable.
+#[test]
+fn nodes_that_depend_on_no_trainable_leaf_get_no_gradient_slot() {
+    const STEPS: usize = 4;
+    let (batch, features, hidden) = (3, 2, 5);
+    let data = make_steps(STEPS, |_| 4, |_| batch, features);
+    let mut crng = seeded(5);
+    let ca = randn_matrix(batch, 3, &mut crng);
+    let cb = randn_matrix(3, features, &mut crng);
+
+    // Trains only the head, with the GRU bound frozen or trainable.
+    // Returns every step's head gradients and the tape's counters.
+    let run = |frozen: bool, plan: bool| {
+        let mut rng = seeded(7);
+        let mut gru_p = Params::new();
+        let cell = GruCell::new(&mut gru_p, "g", features, hidden, &mut rng);
+        let mut head_p = Params::new();
+        let head = Linear::new(&mut head_p, "h", hidden, features, &mut rng);
+        let mut opt = Adam::new(1e-2);
+        let mut tape = Tape::new();
+        let mut head_grads = Vec::new();
+        for (step, (xs, target)) in data.iter().enumerate() {
+            if plan {
+                tape.begin_step();
+            } else {
+                tape.reset();
+            }
+            let t = &mut tape;
+            let gb = if frozen {
+                gru_p.bind_frozen(t)
+            } else {
+                gru_p.bind(t)
+            };
+            let hb = head_p.bind(t);
+            let mut h = t.zeros(batch, hidden);
+            let mut no_slot: Vec<_> = gru_p.ids().map(|id| gb.var(id)).collect();
+            for x in xs {
+                let xv = t.constant_copy(x);
+                h = cell.step(t, &gb, xv, h);
+                no_slot.extend([xv, h]);
+            }
+            let pred = head.forward(t, &hb, h);
+            let a = t.constant_copy(&ca);
+            let b = t.constant_copy(&cb);
+            let c = t.matmul(a, b);
+            let d = t.detach(pred);
+            let shifted = t.add(pred, c);
+            let mixed = t.add(shifted, d);
+            let l = loss::mse_mean(t, mixed, target);
+            t.backward(l);
+            let ctx = format!("frozen={frozen} plan={plan} step {step}");
+            assert!(
+                t.grad_ref(pred).is_some(),
+                "{ctx}: the head output lost its gradient"
+            );
+            for v in [a, b, c, d] {
+                assert!(t.grad_ref(v).is_none(), "{ctx}: {v:?} has a gradient slot");
+            }
+            if frozen {
+                for &v in &no_slot {
+                    assert!(
+                        t.grad_ref(v).is_none(),
+                        "{ctx}: frozen-only {v:?} has a gradient slot"
+                    );
+                }
+            }
+            head_grads.push(
+                head_p
+                    .ids()
+                    .map(|id| t.grad(hb.var(id)))
+                    .collect::<Vec<_>>(),
+            );
+            head_p.absorb_grads(t, &hb);
+            opt.step(&mut head_p);
+        }
+        (head_grads, tape.plan_stats())
+    };
+
+    let (reference, _) = run(false, false);
+    for plan in [false, true] {
+        let (grads, stats) = run(true, plan);
+        for (step, (g, r)) in grads.iter().zip(&reference).enumerate() {
+            assert_grads_bitwise(&format!("plan={plan} step {step}"), g, r);
+        }
+        let want = if plan {
+            (1, (STEPS - 1) as u64, 0)
+        } else {
+            (0, 0, 0)
+        };
+        assert_eq!(
+            stats, want,
+            "plan={plan}: capture/replay/invalidation counts"
+        );
+    }
 }

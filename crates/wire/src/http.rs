@@ -18,10 +18,13 @@
 //! reason, so the server can answer a structured `400` before closing.
 //! Hostile input can never panic the reader, and a stalled client is
 //! bounded by [`MAX_PARTIAL_WAITS`] timeouts, so it can never hang it
-//! either.
+//! either. The writers are bounded the same way: a client that stops
+//! reading fails the write after [`WRITE_TIMEOUT`]
+//! (`tests/stalled_reader.rs`).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block plus body (1 MiB — generous for the
 /// protocol's small JSON requests while bounding a hostile client).
@@ -30,6 +33,14 @@ pub const MAX_REQUEST: usize = 1 << 20;
 /// How many consecutive read timeouts to tolerate *mid-request*
 /// before giving up on a stalled client.
 pub const MAX_PARTIAL_WAITS: u32 = 100;
+
+/// How long writing one buffer to a peer may block in all. A client
+/// that stops reading fills the socket buffers; after this long the
+/// write fails and the server closes the connection, which releases
+/// the handler thread and, for a streaming reply, the producer behind
+/// it. The server sets it as the write timeout of every accepted
+/// socket.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -210,8 +221,8 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    send_all(stream, head.as_bytes())?;
+    send_all(stream, body)?;
     stream.flush()
 }
 
@@ -237,7 +248,7 @@ pub fn write_chunked_head(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    send_all(stream, head.as_bytes())?;
     stream.flush()
 }
 
@@ -249,16 +260,40 @@ pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
+    send_all(stream, format!("{:x}\r\n", data.len()).as_bytes())?;
+    send_all(stream, data)?;
+    send_all(stream, b"\r\n")?;
     stream.flush()
 }
 
 /// Terminates a chunked body with the zero-size chunk.
 pub fn finish_chunks(stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
+    send_all(stream, b"0\r\n\r\n")?;
     stream.flush()
+}
+
+/// `write_all` whose blocked time is bounded in total, not per call.
+/// The server sets [`WRITE_TIMEOUT`] on every accepted socket, which
+/// bounds one blocked `write`. A peer that has stopped reading can
+/// still take a few more bytes at some of those timeouts, as the
+/// kernel grows its receive buffer, and each short write would restart
+/// the clock: on loopback a stalled reader held a writer for three
+/// timeouts. So a write that comes back short once the timeout has
+/// passed in all fails with `TimedOut`.
+fn send_all(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+    let start = Instant::now();
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !buf.is_empty() && start.elapsed() >= WRITE_TIMEOUT {
+            return Err(ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use crate::error::HttpError;
 use crate::http::{
     finish_chunks, read_request, write_chunk, write_chunked_head, write_response, ReadOutcome,
-    Request,
+    Request, WRITE_TIMEOUT,
 };
 
 /// How often idle connections poll the draining flag.
@@ -218,7 +218,8 @@ where
 
 /// The per-connection loop: reads requests until close/drain, passes
 /// each to `handler`, writes the reply. Malformed input gets a
-/// structured `400` and the connection closes.
+/// structured `400` and the connection closes, and so does a write
+/// that blocks past [`WRITE_TIMEOUT`].
 pub fn handle_connection(
     mut stream: TcpStream,
     lifecycle: &Lifecycle,
@@ -226,6 +227,7 @@ pub fn handle_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut buf = Vec::new();
     loop {
         match read_request(&mut stream, &mut buf) {
