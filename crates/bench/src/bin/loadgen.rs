@@ -328,7 +328,10 @@ fn run_probe(addr: &str, label: &str, max_batch: usize, concurrency: usize) -> P
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     let wall = start.elapsed();
     let total = concurrency * (WARMUP_PER_CLIENT + REQUESTS_PER_CLIENT);

@@ -395,20 +395,19 @@ fn gru_run(plan: bool) -> TrainRun {
     let mut opt = Adam::new(1e-3);
     let mut tape = Tape::new();
     let mut binding = p.bind(&mut tape);
-    let (best_ms, steady_misses, allocs_per_step) =
-        train_run(plan, &mut p, &mut tape, |t, p| {
-            p.rebind(t, &mut binding);
-            let mut h = t.zeros(BATCH, HIDDEN);
-            for x in &xs {
-                let xv = t.constant_copy(x);
-                h = cell.step(t, &binding, xv, h);
-            }
-            let pred = head.forward(t, &binding, h);
-            let l = loss::mse_mean(t, pred, &target);
-            t.backward(l);
-            p.absorb_grads(t, &binding);
-            opt.step(p);
-        });
+    let (best_ms, steady_misses, allocs_per_step) = train_run(plan, &mut p, &mut tape, |t, p| {
+        p.rebind(t, &mut binding);
+        let mut h = t.zeros(BATCH, HIDDEN);
+        for x in &xs {
+            let xv = t.constant_copy(x);
+            h = cell.step(t, &binding, xv, h);
+        }
+        let pred = head.forward(t, &binding, h);
+        let l = loss::mse_mean(t, pred, &target);
+        t.backward(l);
+        p.absorb_grads(t, &binding);
+        opt.step(p);
+    });
     TrainRun {
         best_ms,
         steady_misses,
@@ -432,23 +431,22 @@ fn lstm_run(plan: bool) -> TrainRun {
     let mut opt = Adam::new(1e-3);
     let mut tape = Tape::new();
     let mut binding = p.bind(&mut tape);
-    let (best_ms, steady_misses, allocs_per_step) =
-        train_run(plan, &mut p, &mut tape, |t, p| {
-            p.rebind(t, &mut binding);
-            let mut h = t.zeros(BATCH, HIDDEN);
-            let mut c = t.zeros(BATCH, HIDDEN);
-            for x in &xs {
-                let xv = t.constant_copy(x);
-                let (h2, c2) = cell.step(t, &binding, xv, h, c);
-                h = h2;
-                c = c2;
-            }
-            let pred = head.forward(t, &binding, h);
-            let l = loss::mse_mean(t, pred, &target);
-            t.backward(l);
-            p.absorb_grads(t, &binding);
-            opt.step(p);
-        });
+    let (best_ms, steady_misses, allocs_per_step) = train_run(plan, &mut p, &mut tape, |t, p| {
+        p.rebind(t, &mut binding);
+        let mut h = t.zeros(BATCH, HIDDEN);
+        let mut c = t.zeros(BATCH, HIDDEN);
+        for x in &xs {
+            let xv = t.constant_copy(x);
+            let (h2, c2) = cell.step(t, &binding, xv, h, c);
+            h = h2;
+            c = c2;
+        }
+        let pred = head.forward(t, &binding, h);
+        let l = loss::mse_mean(t, pred, &target);
+        t.backward(l);
+        p.absorb_grads(t, &binding);
+        opt.step(p);
+    });
     TrainRun {
         best_ms,
         steady_misses,
@@ -758,7 +756,11 @@ fn main() {
                 continue;
             };
             let overhead = (tp.tape_ms - rec) / rec * 100.0;
-            let verdict = if overhead <= 2.0 { "ok" } else { "above 2% budget" };
+            let verdict = if overhead <= 2.0 {
+                "ok"
+            } else {
+                "above 2% budget"
+            };
             println!(
                 "{:>24}: obs no-op overhead vs recorded {:.4} ms: {:+.2}% ({verdict})",
                 tp.name, rec, overhead

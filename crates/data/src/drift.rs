@@ -10,9 +10,9 @@
 //! reference resamples and assert the monitor flags each within a
 //! bounded number of windows.
 
+use tsgb_linalg::Tensor3;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::{Rng, SeedableRng};
-use tsgb_linalg::Tensor3;
 
 /// A quality failure mode a drill can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -28,10 +28,10 @@
 //!   construction, matching the paper's observation that SD/KD/DTW are
 //!   less informative on Boiler.
 
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use tsgb_linalg::rng::randn;
 use tsgb_linalg::Matrix;
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 use crate::spec::DatasetId;
 

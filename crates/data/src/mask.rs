@@ -11,9 +11,9 @@
 //! engine's golden fixtures and the eval cache's pre-drawn seed
 //! streams rely on.
 
+use tsgb_linalg::Tensor3;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::{Rng, SeedableRng};
-use tsgb_linalg::Tensor3;
 
 /// Configuration of a span mask.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,16 +71,7 @@ impl SpanMask {
         if target > 0 {
             for s in 0..samples {
                 for f in 0..features {
-                    mask_channel(
-                        &mut bits,
-                        s,
-                        f,
-                        seq_len,
-                        features,
-                        target,
-                        span,
-                        &mut rng,
-                    );
+                    mask_channel(&mut bits, s, f, seq_len, features, target, span, &mut rng);
                 }
             }
         }

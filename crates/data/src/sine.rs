@@ -6,10 +6,10 @@
 //! at lengths `l = 24` and `l = 125`. Table 4 evaluates each measure
 //! on (a) identical copies and (b) two independent draws.
 
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use std::f64::consts::PI;
 use tsgb_linalg::Tensor3;
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 /// Generates `(r, l, n)` sine windows per the paper's formula.
 pub fn sine_dataset(r: usize, l: usize, n: usize, rng: &mut SmallRng) -> Tensor3 {

@@ -89,22 +89,58 @@ fn mask_handles_zero_samples_and_features() {
 
 #[test]
 fn mask_rate_zero_masks_nothing() {
-    let m = SpanMask::generate(5, 12, 2, MaskSpec { rate: 0.0, span_len: 3 }, 9);
+    let m = SpanMask::generate(
+        5,
+        12,
+        2,
+        MaskSpec {
+            rate: 0.0,
+            span_len: 3,
+        },
+        9,
+    );
     assert_eq!(m.masked_count(), 0);
 }
 
 #[test]
 fn mask_rate_one_masks_everything() {
-    let m = SpanMask::generate(5, 12, 2, MaskSpec { rate: 1.0, span_len: 3 }, 9);
+    let m = SpanMask::generate(
+        5,
+        12,
+        2,
+        MaskSpec {
+            rate: 1.0,
+            span_len: 3,
+        },
+        9,
+    );
     assert_eq!(m.masked_count(), 5 * 12 * 2);
     assert_eq!(m.masked_fraction(), 1.0);
 }
 
 #[test]
 fn mask_rate_is_clamped_not_panicking() {
-    let over = SpanMask::generate(2, 8, 1, MaskSpec { rate: 7.5, span_len: 2 }, 0);
+    let over = SpanMask::generate(
+        2,
+        8,
+        1,
+        MaskSpec {
+            rate: 7.5,
+            span_len: 2,
+        },
+        0,
+    );
     assert_eq!(over.masked_fraction(), 1.0);
-    let under = SpanMask::generate(2, 8, 1, MaskSpec { rate: -3.0, span_len: 2 }, 0);
+    let under = SpanMask::generate(
+        2,
+        8,
+        1,
+        MaskSpec {
+            rate: -3.0,
+            span_len: 2,
+        },
+        0,
+    );
     assert_eq!(under.masked_count(), 0);
 }
 

@@ -96,7 +96,8 @@ impl DiskTier {
         if &bytes[..8] != MAGIC {
             return Err("bad magic".into());
         }
-        let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
+        let u64_at =
+            |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
         if (u64_at(8), u64_at(16), u64_at(24)) != (key.a, key.b, key.p) {
             return Err("key echo mismatch".into());
         }
@@ -134,8 +135,8 @@ impl DiskTier {
             std::process::id(),
             std::thread::current().id()
         ));
-        let outcome = std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, self.path_for(key)));
+        let outcome =
+            std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, self.path_for(key)));
         if let Err(e) = outcome {
             let _ = std::fs::remove_file(&tmp);
             self.record_skip(key, &format!("write failed: {e}"));

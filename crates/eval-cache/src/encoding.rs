@@ -61,7 +61,10 @@ pub fn decode_tensor(text: &str) -> Result<Tensor3, String> {
     let data = match v.get("data") {
         Some(Json::Arr(vals)) => vals
             .iter()
-            .map(|x| x.as_f64().ok_or_else(|| "non-numeric data value".to_string()))
+            .map(|x| {
+                x.as_f64()
+                    .ok_or_else(|| "non-numeric data value".to_string())
+            })
             .collect::<Result<Vec<f64>, String>>()?,
         _ => return Err("missing data array".into()),
     };
@@ -176,6 +179,8 @@ mod tests {
     fn decode_rejects_malformed() {
         assert!(decode_tensor("{").is_err());
         assert!(decode_tensor("{\"samples\":1}").is_err());
-        assert!(decode_tensor("{\"samples\":1,\"seq_len\":2,\"features\":2,\"data\":[1,2]}").is_err());
+        assert!(
+            decode_tensor("{\"samples\":1,\"seq_len\":2,\"features\":2,\"data\":[1,2]}").is_err()
+        );
     }
 }

@@ -71,10 +71,8 @@ pub fn enabled() -> bool {
 pub fn global() -> &'static EvalCache {
     static GLOBAL: OnceLock<EvalCache> = OnceLock::new();
     GLOBAL.get_or_init(|| match std::env::var("TSGB_EVAL_CACHE_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => {
-            EvalCache::with_disk(std::path::Path::new(dir.trim()))
-                .unwrap_or_else(|_| EvalCache::in_memory())
-        }
+        Ok(dir) if !dir.trim().is_empty() => EvalCache::with_disk(std::path::Path::new(dir.trim()))
+            .unwrap_or_else(|_| EvalCache::in_memory()),
         _ => EvalCache::in_memory(),
     })
 }

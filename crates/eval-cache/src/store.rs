@@ -308,7 +308,10 @@ mod tests {
         let a = CacheKey::new("pairwise.xx", 1, 2, 3);
         let b = CacheKey::new("pairwise.xx", 1, 2, 4);
         assert_ne!(a.file_stem(), b.file_stem());
-        assert!(a.file_stem().chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'));
+        assert!(a
+            .file_stem()
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'));
     }
 
     #[test]

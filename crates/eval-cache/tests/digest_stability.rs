@@ -4,9 +4,7 @@
 //! and flipping any single bit of any f64 changes both digests — over
 //! a seeded corpus.
 
-use tsgb_evalcache::{
-    decode_tensor, digest_tensor, digest_tensor_unordered, encode_tensor,
-};
+use tsgb_evalcache::{decode_tensor, digest_tensor, digest_tensor_unordered, encode_tensor};
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_rand::Rng;

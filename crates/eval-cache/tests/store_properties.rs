@@ -17,14 +17,22 @@ fn memory_hits_return_the_same_arc_and_count() {
     let c = EvalCache::in_memory();
     let key = CacheKey::new("test.v", 1, 2, 3);
     let builds = AtomicUsize::new(0);
-    let a = c.get_or_insert_with(key, |v: &Vec<f64>| v.len() * 8, || {
-        builds.fetch_add(1, Ordering::SeqCst);
-        vec![1.0, 2.0]
-    });
-    let b = c.get_or_insert_with(key, |v: &Vec<f64>| v.len() * 8, || {
-        builds.fetch_add(1, Ordering::SeqCst);
-        vec![9.0]
-    });
+    let a = c.get_or_insert_with(
+        key,
+        |v: &Vec<f64>| v.len() * 8,
+        || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            vec![1.0, 2.0]
+        },
+    );
+    let b = c.get_or_insert_with(
+        key,
+        |v: &Vec<f64>| v.len() * 8,
+        || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            vec![9.0]
+        },
+    );
     assert_eq!(builds.load(Ordering::SeqCst), 1, "second lookup must hit");
     assert!(std::sync::Arc::ptr_eq(&a, &b));
     let s = c.stats();
@@ -55,7 +63,9 @@ fn lru_evicts_the_coldest_entry() {
     assert_eq!(rebuilt.load(Ordering::SeqCst), 1);
     // re-inserting k2 evicted the then-coldest entry (k1); the most
     // recently used key (k2 itself) must be resident
-    c.get_or_insert_codable(k2, || -> f64 { unreachable!("k2 evicted right after insert") });
+    c.get_or_insert_codable(k2, || -> f64 {
+        unreachable!("k2 evicted right after insert")
+    });
     assert_eq!(c.stats().evictions, 2);
 }
 
@@ -113,7 +123,11 @@ fn corrupt_disk_entries_are_skipped_with_reasons() {
         7.25f64
     });
     assert_eq!(*v, 7.25);
-    assert_eq!(rebuilt.load(Ordering::SeqCst), 1, "corrupt entry must rebuild");
+    assert_eq!(
+        rebuilt.load(Ordering::SeqCst),
+        1,
+        "corrupt entry must rebuild"
+    );
     let skips = c2.disk_skips();
     assert_eq!(skips.len(), 1);
     assert!(
@@ -156,10 +170,14 @@ fn reference_only_keys_are_shared_across_generated_sides() {
     let key = CacheKey::new("pairwise.xx", ref_digest, 0, 0);
     let builds = AtomicUsize::new(0);
     for _generated in 0..5 {
-        c.get_or_insert_with(key, |_: &Vec<f64>| 8, || {
-            builds.fetch_add(1, Ordering::SeqCst);
-            vec![1.0]
-        });
+        c.get_or_insert_with(
+            key,
+            |_: &Vec<f64>| 8,
+            || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                vec![1.0]
+            },
+        );
     }
     assert_eq!(builds.load(Ordering::SeqCst), 1);
     assert_eq!(c.stats().hits, 4);

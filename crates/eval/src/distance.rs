@@ -18,7 +18,10 @@ use tsgb_linalg::Tensor3;
 fn record_truncation(measure: &str, real: &Tensor3, generated: &Tensor3) {
     let dropped = real.samples().abs_diff(generated.samples());
     if dropped > 0 {
-        tsgb_obs::counter_add(&format!("eval.distance.truncated_pairs.{measure}"), dropped as u64);
+        tsgb_obs::counter_add(
+            &format!("eval.distance.truncated_pairs.{measure}"),
+            dropped as u64,
+        );
     }
 }
 
@@ -228,7 +231,13 @@ pub fn dtw_nn(query: &Tensor3, qi: usize, pool: &Tensor3, band: usize) -> (usize
 /// exceed it. Both callers produce bit-equal bounds, so both produce
 /// identical results. Pruned and searched candidates land in the
 /// `eval.dtw.band_prune_{hits,misses}` counters.
-fn nn_search(query: &Tensor3, qi: usize, pool: &Tensor3, band: usize, bounds: &[f64]) -> (usize, f64) {
+fn nn_search(
+    query: &Tensor3,
+    qi: usize,
+    pool: &Tensor3,
+    band: usize,
+    bounds: &[f64],
+) -> (usize, f64) {
     let m = pool.samples();
     let mut order: Vec<(f64, usize)> = bounds.iter().copied().zip(0..m).collect();
     order.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));

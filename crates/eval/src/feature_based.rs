@@ -118,8 +118,8 @@ pub(crate) fn pool_channel(t: &Tensor3, feature: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsgb_rand::Rng;
     use tsgb_linalg::rng::seeded;
+    use tsgb_rand::Rng;
 
     fn sine_tensor(r: usize, l: usize, n: usize, seed: u64) -> Tensor3 {
         let mut rng = seeded(seed);

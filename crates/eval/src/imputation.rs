@@ -94,11 +94,7 @@ pub fn infill_mae_cached(
         if truth.is_empty() {
             return 0.0;
         }
-        let sum: f64 = truth
-            .iter()
-            .zip(&fill)
-            .map(|(t, f)| (t - f).abs())
-            .sum();
+        let sum: f64 = truth.iter().zip(&fill).map(|(t, f)| (t - f).abs()).sum();
         sum / truth.len() as f64
     };
     match ec {
@@ -169,8 +165,8 @@ fn global_cache() -> Option<&'static EvalCache> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsgb_rand::Rng;
     use tsgb_linalg::rng::seeded;
+    use tsgb_rand::Rng;
 
     fn wave(r: usize, seed: u64) -> Tensor3 {
         let mut rng = seeded(seed);

@@ -49,8 +49,7 @@ pub fn mmd2_rows_cached(x: &Matrix, y: &Matrix, ec: Option<&EvalCache>) -> f64 {
     let cache = match ec {
         Some(ec) => {
             let key = CacheKey::new("pairwise.xx", digest_matrix(x), 0, 0);
-            let xx: std::sync::Arc<XxBlock> =
-                ec.get_or_insert_codable(key, || XxBlock::build(x));
+            let xx: std::sync::Arc<XxBlock> = ec.get_or_insert_codable(key, || XxBlock::build(x));
             PairwiseCache::pooled_with_xx(x, y, &xx)
         }
         None => PairwiseCache::pooled(x, y),
@@ -59,10 +58,7 @@ pub fn mmd2_rows_cached(x: &Matrix, y: &Matrix, ec: Option<&EvalCache>) -> f64 {
     if tsgb_obs::enabled() {
         let t0 = std::time::Instant::now();
         let v = cache.rbf_mmd2(gamma);
-        tsgb_obs::observe(
-            "eval.mmd.kernel_ms",
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
+        tsgb_obs::observe("eval.mmd.kernel_ms", t0.elapsed().as_secs_f64() * 1e3);
         v
     } else {
         cache.rbf_mmd2(gamma)
@@ -72,8 +68,8 @@ pub fn mmd2_rows_cached(x: &Matrix, y: &Matrix, ec: Option<&EvalCache>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsgb_rand::Rng;
     use tsgb_linalg::rng::seeded;
+    use tsgb_rand::Rng;
 
     fn uniform_tensor(r: usize, offset: f64, seed: u64) -> Tensor3 {
         let mut rng = seeded(seed);

@@ -15,8 +15,6 @@
 //! uses a single GRU layer (the instability findings of §6.3 hold
 //! regardless of cell flavor — indeed they are the point).
 
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use tsgb_linalg::eigen::{row_covariance, sqrtm_psd, sym_eigen};
 use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_methods::common::{gather_step_matrices, minibatch};
@@ -25,6 +23,8 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 use crate::ts2vec::Ts2Vec;
 

@@ -146,7 +146,10 @@ impl OnlineMeasures {
     /// reference tensor is not retained.
     pub fn new(reference: &Tensor3) -> Self {
         let (r, l, n) = reference.shape();
-        assert!(r > 0 && l > 1, "online measures need samples and length >= 2");
+        assert!(
+            r > 0 && l > 1,
+            "online measures need samples and length >= 2"
+        );
         let slots = l * n;
         let mut slot_lo = Vec::with_capacity(slots);
         let mut slot_w = Vec::with_capacity(slots);

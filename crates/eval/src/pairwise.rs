@@ -263,13 +263,10 @@ impl PairwiseCache {
         })
         .into_iter()
         .sum();
-        let kxy: f64 = tsgb_par::parallel_map(nx, |i| {
-            (0..ny).map(|j| k(i, nx + j)).sum::<f64>()
-        })
-        .into_iter()
-        .sum();
-        kxx / (nx * (nx - 1)) as f64 + kyy / (ny * (ny - 1)) as f64
-            - 2.0 * kxy / (nx * ny) as f64
+        let kxy: f64 = tsgb_par::parallel_map(nx, |i| (0..ny).map(|j| k(i, nx + j)).sum::<f64>())
+            .into_iter()
+            .sum();
+        kxx / (nx * (nx - 1)) as f64 + kyy / (ny * (ny - 1)) as f64 - 2.0 * kxy / (nx * ny) as f64
     }
 }
 

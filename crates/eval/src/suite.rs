@@ -5,9 +5,9 @@ use crate::distance;
 use crate::feature_based;
 use crate::model_based::{self, PostHocConfig, PsVariant};
 use tsgb_evalcache::{digest_tensor, CacheKey, EvalCache, Fnv64};
+use tsgb_linalg::Tensor3;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::{Rng, SeedableRng};
-use tsgb_linalg::Tensor3;
 
 /// The quantitative measures of the suite (visualization measures M9
 /// and M10 are exported separately as data series).

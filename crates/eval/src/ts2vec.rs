@@ -9,7 +9,6 @@
 //! a reconstruction bottleneck learns; the FID computation on top is
 //! unchanged.
 
-use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_methods::common::minibatch;
 use tsgb_nn::layers::{Activation, GruCell, Linear, Mlp};
@@ -17,6 +16,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
+use tsgb_rand::rngs::SmallRng;
 
 use crate::model_based::feed_steps;
 

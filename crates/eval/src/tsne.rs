@@ -7,9 +7,9 @@
 //! iteration one, computed serially, so the embedding is trivially
 //! thread-count independent.
 
-use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::rng::randn;
 use tsgb_linalg::{Matrix, Tensor3};
+use tsgb_rand::rngs::SmallRng;
 
 /// t-SNE hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]

@@ -98,7 +98,11 @@ fn pruned_search_agrees_with_unpruned_scan() {
                     best = (c, cost);
                 }
             }
-            assert_eq!((idx, d.to_bits()), (best.0, best.1.to_bits()), "qi {qi} band {band}");
+            assert_eq!(
+                (idx, d.to_bits()),
+                (best.0, best.1.to_bits()),
+                "qi {qi} band {band}"
+            );
         }
     }
 }

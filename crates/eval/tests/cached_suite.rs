@@ -79,7 +79,9 @@ fn changed_generated_set_is_recomputed_not_served_stale() {
     assert_bit_identical(&b, &b_plain);
     // a genuinely different generated set scores differently somewhere
     assert!(
-        a.iter().zip(b.iter()).any(|((_, sa), (_, sb))| sa.mean != sb.mean),
+        a.iter()
+            .zip(b.iter())
+            .any(|((_, sa), (_, sb))| sa.mean != sb.mean),
         "two different generated sets scored identically on every measure"
     );
 }

@@ -91,9 +91,21 @@ fn merged_accumulators_match_sequential_within_tolerance() {
     close(left.sd(), whole.sd(), "merged SD");
     close(left.kd(), whole.kd(), "merged KD");
     // and against the batch measures
-    close(left.acd(), feature_based::acd(&real, &generated), "merged ACD vs batch");
-    close(left.sd(), feature_based::sd(&real, &generated), "merged SD vs batch");
-    close(left.kd(), feature_based::kd(&real, &generated), "merged KD vs batch");
+    close(
+        left.acd(),
+        feature_based::acd(&real, &generated),
+        "merged ACD vs batch",
+    );
+    close(
+        left.sd(),
+        feature_based::sd(&real, &generated),
+        "merged SD vs batch",
+    );
+    close(
+        left.kd(),
+        feature_based::kd(&real, &generated),
+        "merged KD vs batch",
+    );
 }
 
 #[test]

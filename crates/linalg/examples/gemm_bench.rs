@@ -38,7 +38,10 @@ fn main() {
             let (ms, _) = with_gemm_mode(mode, || {
                 tsgb_par::with_threads(1, || best_ms(reps, || a.matmul(&b)))
             });
-            println!("matmul_{n} {label:>6}: {ms:9.3} ms  {:6.2} GFLOP/s", gflop / ms);
+            println!(
+                "matmul_{n} {label:>6}: {ms:9.3} ms  {:6.2} GFLOP/s",
+                gflop / ms
+            );
         }
         for (label, mode) in [("band", GemmMode::Band), ("packed", GemmMode::Packed)] {
             let (ms, _) = with_gemm_mode(mode, || {
@@ -56,7 +59,10 @@ fn main() {
         }
         // sanity: bit-identity on all three entry points
         for (op, f) in [
-            ("matmul", (&|x: &Matrix, y: &Matrix| x.matmul(y)) as &dyn Fn(&Matrix, &Matrix) -> Matrix),
+            (
+                "matmul",
+                (&|x: &Matrix, y: &Matrix| x.matmul(y)) as &dyn Fn(&Matrix, &Matrix) -> Matrix,
+            ),
             ("t_matmul", &|x, y| x.t_matmul(y)),
             ("matmul_t", &|x, y| x.matmul_t(y)),
         ] {

@@ -253,8 +253,7 @@ fn packed_band(
                     }
                     microkernel(ap, bp, &mut acc);
                     for (i, row) in acc.iter().enumerate().take(mr) {
-                        band[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr]
-                            .copy_from_slice(&row[..nr]);
+                        band[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr].copy_from_slice(&row[..nr]);
                     }
                 }
             }

@@ -663,12 +663,8 @@ fn matmul_band(a: &Matrix, b: &Matrix, r0: usize, band: &mut [f64], n: usize) {
                 let b1 = &b.row(k + 1)[jb..je];
                 let b2 = &b.row(k + 2)[jb..je];
                 let b3 = &b.row(k + 3)[jb..je];
-                for ((((o, &v0), &v1), &v2), &v3) in orow[jb..je]
-                    .iter_mut()
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
+                for ((((o, &v0), &v1), &v2), &v3) in
+                    orow[jb..je].iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
                 {
                     *o = (((*o + a0 * v0) + a1 * v1) + a2 * v2) + a3 * v3;
                 }
@@ -744,11 +740,8 @@ fn matmul_t_band(a: &Matrix, b: &Matrix, r0: usize, band: &mut [f64], n: usize) 
         let mut j = 0;
         while j + MM_K_UNROLL <= n {
             let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (orow[j], orow[j + 1], orow[j + 2], orow[j + 3]);
-            for ((((&av, &v0), &v1), &v2), &v3) in
-                arow.iter().zip(b0).zip(b1).zip(b2).zip(b3)
-            {
+            let (mut s0, mut s1, mut s2, mut s3) = (orow[j], orow[j + 1], orow[j + 2], orow[j + 3]);
+            for ((((&av, &v0), &v1), &v2), &v3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
                 s0 += av * v0;
                 s1 += av * v1;
                 s2 += av * v2;

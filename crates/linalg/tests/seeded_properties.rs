@@ -67,7 +67,10 @@ fn fused_transpose_kernels_agree_seeded() {
         assert_eq!(a.matmul_t(&c), a.matmul(&c.transpose()));
         // slicing inverts concatenation
         let h = a.hcat(&b);
-        assert_eq!((h.slice_cols(0, 3), h.slice_cols(3, 8)), (a.clone(), b.clone()));
+        assert_eq!(
+            (h.slice_cols(0, 3), h.slice_cols(3, 8)),
+            (a.clone(), b.clone())
+        );
         let v = a.vcat(&c);
         assert_eq!((v.slice_rows(0, 4), v.slice_rows(4, 9)), (a.clone(), c));
         // both tensor flattenings keep the row-major value order
@@ -167,13 +170,10 @@ fn big_pair(rng: &mut SmallRng) -> (Matrix, Matrix) {
 fn parallel_matmul_bit_identical_to_serial() {
     let mut rng = seeded(0xB0);
     let (a, b) = big_pair(&mut rng);
-    let serial = tsgb_par::with_threads(1, || {
-        (a.matmul(&b), a.t_matmul(&b), a.matmul_t(&b))
-    });
+    let serial = tsgb_par::with_threads(1, || (a.matmul(&b), a.t_matmul(&b), a.matmul_t(&b)));
     for threads in [2, tsgb_par::max_threads().max(2)] {
-        let par = tsgb_par::with_threads(threads, || {
-            (a.matmul(&b), a.t_matmul(&b), a.matmul_t(&b))
-        });
+        let par =
+            tsgb_par::with_threads(threads, || (a.matmul(&b), a.t_matmul(&b), a.matmul_t(&b)));
         // assert_eq! on Matrix compares every f64 exactly: the banded
         // parallel kernels must reproduce the serial results bit for bit
         assert_eq!(par.0, serial.0, "matmul, {threads} threads");

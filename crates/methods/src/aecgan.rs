@@ -21,8 +21,6 @@ use crate::common::{
     TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
@@ -31,6 +29,8 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 struct Nets {
     g_params: Params,

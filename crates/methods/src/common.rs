@@ -1,11 +1,11 @@
 //! The shared method interface: [`TsgMethod`], training configuration,
 //! training reports, and minibatch helpers used by all ten methods.
 
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use std::time::Instant;
 use tsgb_linalg::rng::sample_without_replacement;
 use tsgb_linalg::{Matrix, Tensor3};
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 /// Identifier of one of the ten benchmarked methods (paper A1–A10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

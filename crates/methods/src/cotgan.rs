@@ -18,7 +18,6 @@ use crate::common::{
     TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
@@ -26,6 +25,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 
 /// Entropic regularization strength.
 const EPSILON: f64 = 1.0;

@@ -17,11 +17,8 @@
 //! 3 for Stock-like short windows, 5 otherwise — configured from the
 //! hidden/latent profile.
 
-use crate::common::{
-    minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod,
-};
+use crate::common::{minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod};
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::{Matrix, Tensor3};
@@ -29,6 +26,7 @@ use tsgb_nn::layers::{Activation, Mlp};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 use tsgb_signal::dft::{inverse_real_dft, real_dft};
 
 /// One affine coupling layer: the identity half conditions scale and

@@ -25,7 +25,6 @@ use crate::common::{
     NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
@@ -34,6 +33,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 
 /// Euler substeps between consecutive observations.
 const SUBSTEPS: usize = 2;

@@ -128,7 +128,8 @@ impl SnapshotWriter {
     pub fn params(&mut self, name: &str, p: &Params) {
         self.section(KIND_PARAMS, name);
         let blob = tsgb_nn::persist::save(p);
-        self.buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        self.buf
+            .extend_from_slice(&(blob.len() as u64).to_le_bytes());
         self.buf.extend_from_slice(&blob);
     }
 

@@ -15,7 +15,6 @@ use crate::common::{
     TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
@@ -24,6 +23,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 
 struct Nets {
     g_params: Params,
@@ -129,10 +129,7 @@ impl TsgMethod for Rgan {
                 let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let fake = generate_steps(&nets, t, &gb, &zs);
-                let real: Vec<VarId> = real_steps_data
-                    .iter()
-                    .map(|m| t.constant_copy(m))
-                    .collect();
+                let real: Vec<VarId> = real_steps_data.iter().map(|m| t.constant_copy(m)).collect();
                 let real_logit = discriminate(&nets, t, &db, &real);
                 let fake_logit = discriminate(&nets, t, &db, &fake);
                 let d_loss = loss::gan_discriminator_loss(t, real_logit, fake_logit);

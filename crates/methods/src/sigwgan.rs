@@ -22,7 +22,6 @@ use crate::common::{
     NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
@@ -30,6 +29,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 use tsgb_signal::signature::{expected_signature, signature_dim, time_augment};
 
 struct Nets {

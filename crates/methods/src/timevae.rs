@@ -19,7 +19,6 @@ use crate::common::{
     NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
 use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::{Matrix, Tensor3};
@@ -28,6 +27,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_rand::rngs::SmallRng;
 
 /// Polynomial degree of the trend head (constant + linear + quadratic).
 const TREND_DEGREE: usize = 3;

@@ -19,10 +19,8 @@
 //! positional code statistics at a tiny fraction of the cost, which is
 //! the trade the CPU budget requires (see `DESIGN.md`).
 
-use crate::common::{EpochLog, minibatch, MethodId, TrainConfig, TrainReport, TsgMethod};
+use crate::common::{minibatch, EpochLog, MethodId, TrainConfig, TrainReport, TsgMethod};
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::{Matrix, Tensor3};
@@ -31,6 +29,8 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 use tsgb_signal::fft::Complex;
 use tsgb_signal::stft::{istft, stft, Spectrogram, StftConfig};
 
@@ -509,8 +509,13 @@ impl TsgMethod for TimeVqVae {
         let hop = r.dim("hop")?;
         let low = BandVq::read(&mut r, "low", codes, ema_decay)?;
         let high = BandVq::read(&mut r, "high", codes, ema_decay)?;
-        let prior_low =
-            unflatten_prior(&r.floats("prior_low")?, "prior_low", self.features, frames, codes)?;
+        let prior_low = unflatten_prior(
+            &r.floats("prior_low")?,
+            "prior_low",
+            self.features,
+            frames,
+            codes,
+        )?;
         let prior_high = unflatten_prior(
             &r.floats("prior_high")?,
             "prior_high",

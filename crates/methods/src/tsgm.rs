@@ -14,12 +14,8 @@
 //! encoding of history for forecasting-style generation; the
 //! unconditional window former is the TSG-benchmark configuration).
 
-use crate::common::{
-    minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod,
-};
+use crate::common::{minibatch, EpochLog, FitDims, MethodId, TrainConfig, TrainReport, TsgMethod};
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::Rng;
 use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::{Matrix, Tensor3};
@@ -28,6 +24,8 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::Rng;
 
 /// Diffusion steps (the original uses 1000; 50 suffices at window
 /// scale and keeps ancestral sampling fast on CPU).

@@ -3,9 +3,9 @@
 //! survive constant data, minimal shapes, and single-sample batches
 //! without NaNs or panics.
 
-use tsgb_rand::SeedableRng;
 use tsgb_linalg::Tensor3;
 use tsgb_methods::common::{MethodId, TrainConfig};
+use tsgb_rand::SeedableRng;
 
 fn tiny_cfg() -> TrainConfig {
     TrainConfig {

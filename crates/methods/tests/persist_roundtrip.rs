@@ -44,8 +44,8 @@ fn every_method_roundtrips_bit_identically() {
         let bytes = m
             .save()
             .unwrap_or_else(|| panic!("{}: save after fit returned None", id.name()));
-        let restored = load_method(&bytes)
-            .unwrap_or_else(|e| panic!("{}: load failed: {e}", id.name()));
+        let restored =
+            load_method(&bytes).unwrap_or_else(|e| panic!("{}: load failed: {e}", id.name()));
         assert_eq!(restored.id(), id);
         let want = m.generate(6, &mut seeded(99));
         let got = restored.generate(6, &mut seeded(99));

@@ -40,7 +40,10 @@ fn concat_stream(method: &dyn TsgMethod, spec: GenSpec, chunks: &[usize]) -> Ten
         assert!(part.samples() <= want.max(1));
         parts.push(part);
     }
-    assert!(stream.next_chunk(4).is_none(), "exhausted stream yields None");
+    assert!(
+        stream.next_chunk(4).is_none(),
+        "exhausted stream yields None"
+    );
     let mut out = parts.remove(0);
     for p in &parts {
         out = out.concat_samples(p);
@@ -94,8 +97,16 @@ fn zero_strength_condition_is_bit_identical_to_unconditional() {
             let plain = m.generate(6, &mut seeded(5));
             let shaped = cond.generate_conditioned(6, &c, &mut seeded(5));
             assert_eq!(
-                plain.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                shaped.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                plain
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                shaped
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
                 "{name}: strength 0 must not shape the noise"
             );
         }

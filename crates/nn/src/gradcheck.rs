@@ -365,8 +365,7 @@ mod tests {
         // (seq, in_ch, out_ch, kernel): single-timestep sequences where
         // same-padding covers the whole input, single channels, and a
         // non-square wide kernel.
-        for (seq, in_ch, out_ch, kernel) in
-            [(1, 2, 3, 3), (4, 1, 1, 3), (5, 3, 1, 5), (1, 1, 4, 1)]
+        for (seq, in_ch, out_ch, kernel) in [(1, 2, 3, 3), (4, 1, 1, 3), (5, 3, 1, 5), (1, 1, 4, 1)]
         {
             let mut p = Params::new();
             let conv = Conv1d::new(&mut p, "c", in_ch, out_ch, kernel, &mut rng);
@@ -409,14 +408,8 @@ mod tests {
                 let report = check_model(
                     &mut p,
                     move |t, b| {
-                        let y = t.affine2_act(
-                            b.var(x),
-                            b.var(w),
-                            b.var(h),
-                            b.var(u),
-                            b.var(bias),
-                            act,
-                        );
+                        let y =
+                            t.affine2_act(b.var(x), b.var(w), b.var(h), b.var(u), b.var(bias), act);
                         let sq = t.square(y);
                         t.mean(sq)
                     },

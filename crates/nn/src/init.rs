@@ -4,9 +4,9 @@
 //! recurrent matrices, zeros for biases — matching the defaults of the
 //! frameworks the original methods were written in.
 
+use tsgb_linalg::Matrix;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
-use tsgb_linalg::Matrix;
 
 /// Xavier/Glorot uniform: `U[-a, a]` with `a = sqrt(6 / (fan_in + fan_out))`.
 pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix {

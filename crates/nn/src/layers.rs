@@ -16,8 +16,8 @@
 use crate::init;
 use crate::params::{Binding, ParamId, Params};
 use crate::tape::{FusedAct, Tape, VarId};
-use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::Matrix;
+use tsgb_rand::rngs::SmallRng;
 
 /// Activation applied by [`Mlp`] between layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -615,7 +615,13 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
 /// place. `src`'s own buffer is left stale (dead). Bit-identical to
 /// the unfused pair: the activation sees the exact pre-activation bits
 /// the producer would have stored.
-fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool, packs: &PackCache) {
+fn exec_fused(
+    nodes: &mut [Node],
+    src: usize,
+    out: usize,
+    pool: &mut MatrixPool,
+    packs: &PackCache,
+) {
     let (lo, hi) = nodes.split_at_mut(out);
     let act = match hi[0].op {
         Op::Sigmoid(_) => FusedAct::Sigmoid,
@@ -983,12 +989,12 @@ fn run_step(
     macro_rules! mapped {
         ($t:expr, $fresh:expr, |$dst:ident| $compute:expr) => {{
             if $fresh {
-                let $dst: &mut Matrix =
-                    lo[$t].as_mut().expect("reached grads are materialized");
+                let $dst: &mut Matrix = lo[$t].as_mut().expect("reached grads are materialized");
                 $compute;
             } else {
-                let $dst: &mut Matrix =
-                    sbuf.as_deref_mut().expect("non-fresh mapped edge has scratch");
+                let $dst: &mut Matrix = sbuf
+                    .as_deref_mut()
+                    .expect("non-fresh mapped edge has scratch");
                 $compute;
                 lo[$t]
                     .as_mut()

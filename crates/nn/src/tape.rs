@@ -97,9 +97,7 @@ pub(crate) enum LeafKind {
     /// [`Tape::constant_copy`]) whose gradient nobody reads — they are
     /// not live, so backward prunes every edge into them and into
     /// whatever is computed only from them.
-    Data {
-        grad: bool,
-    },
+    Data { grad: bool },
     /// All-zero leaf (initial recurrent state, padding).
     Zeros,
     /// Constant-filled leaf (GAN targets); payload is the fill value.
@@ -426,7 +424,12 @@ impl Tape {
         let (cursor, watermark) = (r.cursor, r.watermark);
         for i in watermark..cursor {
             if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                crate::plan::exec_node(&mut self.nodes, i, &mut self.pool, &crate::plan::EMPTY_PACKS);
+                crate::plan::exec_node(
+                    &mut self.nodes,
+                    i,
+                    &mut self.pool,
+                    &crate::plan::EMPTY_PACKS,
+                );
             }
         }
         for node in self.nodes.drain(cursor..) {
@@ -652,7 +655,12 @@ impl Tape {
             );
             for i in r.watermark..=id.0 {
                 if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                    crate::plan::exec_node(&mut self.nodes, i, &mut self.pool, &crate::plan::EMPTY_PACKS);
+                    crate::plan::exec_node(
+                        &mut self.nodes,
+                        i,
+                        &mut self.pool,
+                        &crate::plan::EMPTY_PACKS,
+                    );
                 }
             }
             r.watermark = r.watermark.max(id.0 + 1);

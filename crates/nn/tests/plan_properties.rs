@@ -44,7 +44,12 @@ fn make_steps(
 /// steps: stepped with `begin_step` when `plan` is set, else with
 /// `reset`. Returns the final parameters and the tape's (captures,
 /// replays, invalidations).
-fn train(plan: bool, data: &[StepData], features: usize, hidden: usize) -> (Params, (u64, u64, u64)) {
+fn train(
+    plan: bool,
+    data: &[StepData],
+    features: usize,
+    hidden: usize,
+) -> (Params, (u64, u64, u64)) {
     let mut rng = seeded(7);
     let mut p = Params::new();
     let cell = GruCell::new(&mut p, "g", features, hidden, &mut rng);
@@ -98,7 +103,9 @@ fn assert_params_bitwise(ctx: &str, a: &Params, b: &Params) {
 #[test]
 fn plan_matches_tape_bitwise_on_ragged_shapes() {
     const STEPS: usize = 12;
-    for &(batch, seq, features, hidden) in &[(1usize, 5usize, 3usize, 4usize), (4, 6, 2, 1), (3, 7, 5, 2)] {
+    for &(batch, seq, features, hidden) in
+        &[(1usize, 5usize, 3usize, 4usize), (4, 6, 2, 1), (3, 7, 5, 2)]
+    {
         let data = make_steps(STEPS, |_| seq, |_| batch, features);
         let (tape_params, tape_stats) = train(false, &data, features, hidden);
         let (plan_params, plan_stats) = train(true, &data, features, hidden);

@@ -176,9 +176,10 @@ pub fn snapshot() -> Snapshot {
             Metric::Counter(c) => out
                 .counters
                 .push((name.clone(), c.value.load(Ordering::Relaxed))),
-            Metric::Gauge(g) => out
-                .gauges
-                .push((name.clone(), f64::from_bits(g.value.load(Ordering::Relaxed)))),
+            Metric::Gauge(g) => out.gauges.push((
+                name.clone(),
+                f64::from_bits(g.value.load(Ordering::Relaxed)),
+            )),
             Metric::Histogram(h) => {
                 let buckets = h
                     .buckets

@@ -83,10 +83,6 @@ impl Drop for Span {
         let start_ms = start
             .checked_duration_since(log.epoch)
             .map_or(0.0, |d| d.as_secs_f64() * 1e3);
-        log.events.push(SpanEvent {
-            name,
-            start_ms,
-            ms,
-        });
+        log.events.push(SpanEvent { name, start_ms, ms });
     }
 }

@@ -40,12 +40,12 @@ fn probe(worker: &Worker, timeout: Duration) -> std::io::Result<(usize, u32)> {
         )));
     }
     let body = Json::parse(&resp.text()).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad healthz body: {e}"))
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("bad healthz body: {e}"),
+        )
     })?;
-    let depth = body
-        .get("queue_depth")
-        .and_then(Json::as_u64)
-        .unwrap_or(0) as usize;
+    let depth = body.get("queue_depth").and_then(Json::as_u64).unwrap_or(0) as usize;
     let pid = body.get("pid").and_then(Json::as_u64).unwrap_or(0) as u32;
     Ok((depth, pid))
 }

@@ -159,7 +159,11 @@ mod tests {
         let ring = Ring::new(3);
         let shards = shard_assignment(&names, &ring, 2);
         let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, names.len() * 2, "every model gets exactly 2 replicas");
+        assert_eq!(
+            total,
+            names.len() * 2,
+            "every model gets exactly 2 replicas"
+        );
         for (slot, shard) in shards.iter().enumerate() {
             let mut sorted = shard.clone();
             sorted.sort();

@@ -272,7 +272,10 @@ fn healthz(shared: &Shared) -> String {
         ("workers".into(), Json::Arr(workers)),
         ("replicas".into(), Json::Num(shared.cfg.replicas as f64)),
         ("requests".into(), Json::Num(shared.stats.requests() as f64)),
-        ("failovers".into(), Json::Num(shared.stats.failovers() as f64)),
+        (
+            "failovers".into(),
+            Json::Num(shared.stats.failovers() as f64),
+        ),
         ("respawns".into(), Json::Num(shared.stats.respawns() as f64)),
     ])
     .encode()
@@ -295,7 +298,8 @@ fn models(shared: &Shared) -> String {
         if let Some(Json::Arr(list)) = body.get("models") {
             for model in list {
                 if let Some(name) = model.get("name").and_then(Json::as_str) {
-                    seen.entry(name.to_string()).or_insert_with(|| model.clone());
+                    seen.entry(name.to_string())
+                        .or_insert_with(|| model.clone());
                 }
             }
         }
@@ -313,8 +317,8 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     }
     // the router parses just enough of the body to place the request;
     // full validation is the worker's job
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
     let body = Json::parse(text).map_err(|e| HttpError::bad_request(format!("bad JSON: {e}")))?;
     let model = body
         .get("model")

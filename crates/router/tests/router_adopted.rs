@@ -100,14 +100,7 @@ fn models_endpoint_merges_the_fleet_and_healthz_aggregates() {
     let b = worker_with(&[("beta", 2), ("shared", 5)]);
     let router = Router::start_adopted(&[a.addr(), b.addr()], router_cfg(1)).unwrap();
 
-    let resp = request_once(
-        router.addr(),
-        "GET",
-        "/models",
-        b"",
-        Duration::from_secs(5),
-    )
-    .unwrap();
+    let resp = request_once(router.addr(), "GET", "/models", b"", Duration::from_secs(5)).unwrap();
     assert_eq!(resp.status, 200);
     let body = Json::parse(&resp.text()).unwrap();
     let Some(Json::Arr(models)) = body.get("models") else {
@@ -284,6 +277,9 @@ fn drain_answers_in_flight_then_stops_listening() {
 
     // adopted worker is untouched by router shutdown
     let worker_alive = request_once(a.addr(), "GET", "/healthz", b"", Duration::from_secs(2));
-    assert!(worker_alive.is_ok(), "adopted worker must outlive the router");
+    assert!(
+        worker_alive.is_ok(),
+        "adopted worker must outlive the router"
+    );
     a.shutdown();
 }

@@ -159,13 +159,17 @@ fn linear_baseline(reference: &Tensor3, mask: &SpanMask) -> Tensor3 {
         let fully_masked: Vec<bool> = (0..n)
             .map(|f| (0..l).all(|t| mask.is_masked(s, t, f)))
             .collect();
-        let patched = Matrix::from_fn(l, n, |t, f| {
-            if fully_masked[f] {
-                0.5
-            } else {
-                holes[(t, f)]
-            }
-        });
+        let patched = Matrix::from_fn(
+            l,
+            n,
+            |t, f| {
+                if fully_masked[f] {
+                    0.5
+                } else {
+                    holes[(t, f)]
+                }
+            },
+        );
         let filled = fill_missing(&patched, FillPolicy::Linear);
         for t in 0..l {
             for f in 0..n {

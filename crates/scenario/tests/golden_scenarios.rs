@@ -97,7 +97,11 @@ fn golden_reports_match_fixture() {
         &std::fs::read_to_string(FIXTURE)
             .expect("fixture missing; regenerate with TSGB_UPDATE_GOLDEN=1"),
     );
-    assert_eq!(vals.len(), expected.len(), "metric count changed vs fixture");
+    assert_eq!(
+        vals.len(),
+        expected.len(),
+        "metric count changed vs fixture"
+    );
     for ((label, got), (exp_label, exp)) in vals.iter().zip(&expected) {
         assert_eq!(label, exp_label, "metric order changed vs fixture");
         assert!(

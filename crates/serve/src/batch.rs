@@ -113,7 +113,9 @@ impl Batcher {
             return Err(SubmitError::Draining);
         }
         if q.jobs.len() >= self.state.cfg.queue_cap {
-            return Err(SubmitError::QueueFull { depth: q.jobs.len() });
+            return Err(SubmitError::QueueFull {
+                depth: q.jobs.len(),
+            });
         }
         let (tx, rx) = mpsc::channel();
         q.jobs.push_back(Job { spec, deadline, tx });
@@ -125,7 +127,12 @@ impl Batcher {
 
     /// Current pending-queue depth (introspection).
     pub fn depth(&self) -> usize {
-        self.state.q.lock().expect("batch queue poisoned").jobs.len()
+        self.state
+            .q
+            .lock()
+            .expect("batch queue poisoned")
+            .jobs
+            .len()
     }
 
     /// Drains the queue and stops the worker: every job already
@@ -248,7 +255,16 @@ mod tests {
         let entry = entry();
         let b = Batcher::start(Arc::clone(&entry), cfg(8, 16));
         let rxs: Vec<_> = (0..4)
-            .map(|i| b.submit(GenSpec { n: 2, seed: 100 + i }, None).unwrap())
+            .map(|i| {
+                b.submit(
+                    GenSpec {
+                        n: 2,
+                        seed: 100 + i,
+                    },
+                    None,
+                )
+                .unwrap()
+            })
             .collect();
         for (i, rx) in rxs.into_iter().enumerate() {
             match rx.recv().unwrap() {

@@ -49,9 +49,9 @@ use tsgb_data::drift::{self, DriftKind};
 use tsgb_eval::mmd::mmd2_rows_cached;
 use tsgb_eval::{cfid_ref, dtw_nn_mean, CfidRef, DtwNnPool, OnlineMeasures};
 use tsgb_evalcache::{digest_tensor, CacheKey, EvalCache, Fnv64};
+use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::{Rng, SeedableRng};
-use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_wire::server::{spawn_accept_loop, Lifecycle, Reply};
 use tsgb_wire::{HttpError, Json, Request};
 
@@ -190,7 +190,10 @@ impl Monitor {
             cfg.stride >= cfg.min_eval && cfg.min_eval >= 1,
             "need stride >= min_eval >= 1"
         );
-        assert!(cfg.window_cap >= 2, "window_cap must hold at least 2 windows");
+        assert!(
+            cfg.window_cap >= 2,
+            "window_cap must hold at least 2 windows"
+        );
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let template = OnlineMeasures::new(&reference);
@@ -311,7 +314,10 @@ fn quality(shared: &Shared) -> String {
         .collect();
     let cs = shared.cache.stats();
     Json::Obj(vec![
-        ("reference_windows".into(), Json::Num(shared.reference.samples() as f64)),
+        (
+            "reference_windows".into(),
+            Json::Num(shared.reference.samples() as f64),
+        ),
         ("methods".into(), Json::Obj(per_method)),
         (
             "cache".into(),
@@ -346,7 +352,11 @@ fn method_json(st: &MethodState) -> Json {
     if let Some(exp) = &st.expensive_last {
         fields.push((
             "expensive".into(),
-            Json::Obj(exp.iter().map(|(k, v)| ((*k).into(), Json::Num(*v))).collect()),
+            Json::Obj(
+                exp.iter()
+                    .map(|(k, v)| ((*k).into(), Json::Num(*v)))
+                    .collect(),
+            ),
         ));
     }
     fields.push((
@@ -393,7 +403,9 @@ fn ingest(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let parsed: Vec<Matrix> = windows
         .iter()
         .enumerate()
-        .map(|(i, w)| parse_window(w, l, n).map_err(|e| HttpError::bad_request(format!("window {i}: {e}"))))
+        .map(|(i, w)| {
+            parse_window(w, l, n).map_err(|e| HttpError::bad_request(format!("window {i}: {e}")))
+        })
         .collect::<Result<_, _>>()?;
     let flags = absorb(shared, method, &parsed);
     Ok(Reply::ok(ingest_reply(parsed.len(), &flags)))
@@ -405,11 +417,10 @@ fn drill(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     }
     let body = parse_body(req)?;
     let method = required_str(&body, "method")?;
-    let count = body
-        .get("n")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| HttpError::bad_request("missing integer field \"n\""))?
-        as usize;
+    let count =
+        body.get("n")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| HttpError::bad_request("missing integer field \"n\""))? as usize;
     if count == 0 || count > MAX_BATCH_WINDOWS {
         return Err(HttpError::bad_request(format!(
             "\"n\" must be in 1..={MAX_BATCH_WINDOWS}"
@@ -474,18 +485,20 @@ fn ingest_reply(accepted: usize, flags: &[String]) -> String {
 fn absorb(shared: &Shared, method: &str, windows: &[Matrix]) -> Vec<String> {
     let cfg = &shared.cfg;
     let mut methods = shared.methods.lock().expect("monitor state poisoned");
-    let st = methods.entry(method.to_string()).or_insert_with(|| MethodState {
-        total: shared.template.clone(),
-        recent: shared.template.clone(),
-        ring: VecDeque::with_capacity(cfg.window_cap),
-        calib_max: BTreeMap::new(),
-        baseline: None,
-        expensive_base: None,
-        expensive_last: None,
-        flags: Vec::new(),
-        windows: 0,
-        since_refresh: 0,
-    });
+    let st = methods
+        .entry(method.to_string())
+        .or_insert_with(|| MethodState {
+            total: shared.template.clone(),
+            recent: shared.template.clone(),
+            ring: VecDeque::with_capacity(cfg.window_cap),
+            calib_max: BTreeMap::new(),
+            baseline: None,
+            expensive_base: None,
+            expensive_last: None,
+            flags: Vec::new(),
+            windows: 0,
+            since_refresh: 0,
+        });
     for w in windows {
         st.total.push(w);
         if st.ring.len() == cfg.window_cap {
@@ -609,8 +622,7 @@ fn refresh_expensive(shared: &Shared, st: &mut MethodState) {
     );
     let dtw = dtw_nn_mean(&generated, &pool);
 
-    let scores: Vec<(&'static str, f64)> =
-        vec![("MMD", mmd), ("C-FID", cfid), ("DTW-NN", dtw)];
+    let scores: Vec<(&'static str, f64)> = vec![("MMD", mmd), ("C-FID", cfid), ("DTW-NN", dtw)];
     tsgb_obs::counter_add("monitor.refreshes", 1);
     match &st.expensive_base {
         None => st.expensive_base = Some(scores.clone()),
@@ -624,8 +636,8 @@ fn refresh_expensive(shared: &Shared, st: &mut MethodState) {
 }
 
 fn parse_body(req: &Request) -> Result<Json, HttpError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
     Json::parse(text).map_err(|e| HttpError::bad_request(format!("bad JSON: {e}")))
 }
 
@@ -651,7 +663,10 @@ fn parse_window(w: &Json, l: usize, n: usize) -> Result<Matrix, String> {
             _ => return Err(format!("step {t} must be an array of features")),
         };
         if vals.len() != n {
-            return Err(format!("step {t}: expected {n} features, got {}", vals.len()));
+            return Err(format!(
+                "step {t}: expected {n} features, got {}",
+                vals.len()
+            ));
         }
         for (f, v) in vals.iter().enumerate() {
             let x = v

@@ -256,8 +256,8 @@ struct GenRequest<'a> {
 }
 
 fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest<'a>, HttpError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
     let body = Json::parse(text).map_err(|e| HttpError::bad_request(format!("bad JSON: {e}")))?;
     let model_name = body
         .get("model")
@@ -271,7 +271,9 @@ fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest
         .and_then(Json::as_u64)
         .ok_or_else(|| HttpError::bad_request("missing integer field \"n\""))? as usize;
     if n == 0 || n > MAX_N {
-        return Err(HttpError::bad_request(format!("\"n\" must be in 1..={MAX_N}")));
+        return Err(HttpError::bad_request(format!(
+            "\"n\" must be in 1..={MAX_N}"
+        )));
     }
     let seed = match body.get("seed") {
         None => 0,
@@ -371,13 +373,16 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         )));
     }
 
-    let rx = worker.batcher.submit(spec, g.deadline).map_err(|e| match e {
-        SubmitError::QueueFull { depth } => {
-            let secs = (shared.cfg.linger_ms * 2).div_ceil(1000).max(1);
-            HttpError::overloaded(format!("queue full ({depth} pending)"), secs)
-        }
-        SubmitError::Draining => HttpError::overloaded("server is draining", 1),
-    })?;
+    let rx = worker
+        .batcher
+        .submit(spec, g.deadline)
+        .map_err(|e| match e {
+            SubmitError::QueueFull { depth } => {
+                let secs = (shared.cfg.linger_ms * 2).div_ceil(1000).max(1);
+                HttpError::overloaded(format!("queue full ({depth} pending)"), secs)
+            }
+            SubmitError::Draining => HttpError::overloaded("server is draining", 1),
+        })?;
     match rx.recv() {
         Ok(JobOutcome::Done(tensor)) => Ok(Reply::ok(render_samples(
             &worker.entry.info.name,
@@ -413,7 +418,9 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
             as usize,
     };
     if chunk == 0 {
-        return Err(HttpError::bad_request("\"chunk\" must be a positive integer"));
+        return Err(HttpError::bad_request(
+            "\"chunk\" must be a positive integer",
+        ));
     }
     if g.deadline.is_some_and(|d| Instant::now() >= d) {
         return Err(HttpError::deadline_exceeded(
@@ -451,8 +458,7 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
                     .next_chunk(chunk)
                     .expect("remaining > 0 guarantees a chunk");
                 let count = part.samples();
-                let mut body =
-                    format!("{{\"offset\":{offset},\"count\":{count},\"samples\":");
+                let mut body = format!("{{\"offset\":{offset},\"count\":{count},\"samples\":");
                 render_sample_array(&part, &mut body);
                 body.push('}');
                 offset += count;

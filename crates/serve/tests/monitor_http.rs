@@ -144,8 +144,14 @@ fn smoke_healthz_ingest_quality_shutdown() {
     assert_eq!(status, 200);
     let health = Json::parse(&body).unwrap();
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
-    assert_eq!(health.get("seq_len").unwrap().as_u64(), Some(SEQ_LEN as u64));
-    assert_eq!(health.get("features").unwrap().as_u64(), Some(FEATURES as u64));
+    assert_eq!(
+        health.get("seq_len").unwrap().as_u64(),
+        Some(SEQ_LEN as u64)
+    );
+    assert_eq!(
+        health.get("features").unwrap().as_u64(),
+        Some(FEATURES as u64)
+    );
 
     // hand-rolled ingest of two explicit windows
     let window: String = {
@@ -169,7 +175,13 @@ fn smoke_healthz_ingest_quality_shutdown() {
     let m = q.get("methods").unwrap().get("m").unwrap();
     assert_eq!(m.get("windows").unwrap().as_u64(), Some(2));
     assert_eq!(m.get("calibrated"), Some(&Json::Bool(false)));
-    assert!(m.get("online").unwrap().get("MDD").unwrap().as_f64().is_some());
+    assert!(m
+        .get("online")
+        .unwrap()
+        .get("MDD")
+        .unwrap()
+        .as_f64()
+        .is_some());
 
     let (status, body) = post(addr, "/shutdown", "");
     assert_eq!(status, 200);
@@ -298,7 +310,11 @@ fn structured_errors_cover_bad_input() {
     assert_eq!((status, code(&body).as_str()), (400, "bad_request"));
     assert!(body.contains("window 0"), "{body}");
 
-    let (status, body) = post(addr, "/drill", "{\"method\":\"m\",\"n\":4,\"drift\":\"nope\"}");
+    let (status, body) = post(
+        addr,
+        "/drill",
+        "{\"method\":\"m\",\"n\":4,\"drift\":\"nope\"}",
+    );
     assert_eq!((status, code(&body).as_str()), (400, "bad_request"));
 
     let (status, body) = post(addr, "/drill", "{\"method\":\"m\"}");

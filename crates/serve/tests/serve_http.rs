@@ -87,10 +87,7 @@ fn slow_registry(delay_ms: u64) -> Registry {
 
 /// Sends one request over an existing connection and reads one
 /// `Content-Length`-framed response.
-fn exchange(
-    stream: &mut TcpStream,
-    raw: &str,
-) -> (u16, Vec<(String, String)>, String) {
+fn exchange(stream: &mut TcpStream, raw: &str) -> (u16, Vec<(String, String)>, String) {
     stream.write_all(raw.as_bytes()).unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -105,7 +102,12 @@ fn exchange(
     let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap();
-    let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .unwrap()
+        .parse()
+        .unwrap();
     let headers: Vec<(String, String)> = lines
         .filter_map(|l| l.split_once(':'))
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
@@ -186,7 +188,10 @@ fn smoke_healthz_models_generate_shutdown() {
 
     // the serving path is deterministic: same (n, seed) → same body
     let (_, _, again) = post(addr, "/generate", &generate_body("vae", 3, 42));
-    assert_eq!(body, again, "responses must be a pure function of (n, seed)");
+    assert_eq!(
+        body, again,
+        "responses must be a pure function of (n, seed)"
+    );
 
     // obs wiring: the counters moved during this exchange
     let snap = tsgb_obs::snapshot();
@@ -342,19 +347,25 @@ fn graceful_shutdown_completes_in_flight_requests() {
     std::thread::sleep(Duration::from_millis(80));
     server.shutdown();
     let (status, _, body) = in_flight.join().unwrap();
-    assert_eq!(status, 200, "in-flight request dropped during drain: {body}");
+    assert_eq!(
+        status, 200,
+        "in-flight request dropped during drain: {body}"
+    );
     let resp = Json::parse(&body).unwrap();
     assert_eq!(resp.get("n").unwrap().as_u64(), Some(2));
     // the listener is gone afterwards
-    assert!(TcpStream::connect(addr).is_err() || {
-        // the OS may accept briefly; a request must at least fail
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
-        s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
-            .unwrap();
-        let mut out = Vec::new();
-        s.read_to_end(&mut out).map(|n| n == 0).unwrap_or(true)
-    });
+    assert!(
+        TcpStream::connect(addr).is_err() || {
+            // the OS may accept briefly; a request must at least fail
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let mut out = Vec::new();
+            s.read_to_end(&mut out).map(|n| n == 0).unwrap_or(true)
+        }
+    );
 }
 
 #[test]
@@ -392,10 +403,7 @@ fn batched_responses_are_bit_identical_to_serial() {
     batched_server.shutdown();
 
     for (i, (a, b)) in serial.iter().zip(&batched).enumerate() {
-        assert_eq!(
-            a, b,
-            "seed {i}: batched response body differs from serial"
-        );
+        assert_eq!(a, b, "seed {i}: batched response body differs from serial");
     }
 
     // and both match the model's own generate, through the JSON layer

@@ -11,9 +11,7 @@ use std::time::{Duration, Instant};
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
 use tsgb_methods::persist::{PersistError, SnapshotWriter};
-use tsgb_methods::{
-    GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod, WindowStream,
-};
+use tsgb_methods::{GenSpec, MethodId, TrainConfig, TrainReport, TsgMethod, WindowStream};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_serve::{Registry, ServeConfig, Server};
 use tsgb_wire::{http_request, http_request_stream, Json};
@@ -152,7 +150,10 @@ fn streamed_chunks_reassemble_to_the_one_shot_response() {
         assert_eq!(tail.get("done"), Some(&Json::Bool(true)));
         assert_eq!(tail.get("windows").and_then(Json::as_u64), Some(10));
         let expected_chunks = 10usize.div_ceil(chunk) as u64;
-        assert_eq!(tail.get("chunks").and_then(Json::as_u64), Some(expected_chunks));
+        assert_eq!(
+            tail.get("chunks").and_then(Json::as_u64),
+            Some(expected_chunks)
+        );
 
         // data frames: offsets contiguous, samples concatenate to the
         // one-shot array — same parser, so equality here is equality of
@@ -196,7 +197,10 @@ fn per_chunk_deadline_ends_the_stream_with_an_error_object() {
         Some(&Json::Bool(false)),
         "expired stream must not claim completion: {tail:?}"
     );
-    assert!(tail.get("error").is_some(), "missing error object: {tail:?}");
+    assert!(
+        tail.get("error").is_some(),
+        "missing error object: {tail:?}"
+    );
     let sent = tail.get("chunks").and_then(Json::as_u64).unwrap();
     assert!(sent < 5, "all chunks arrived despite the deadline");
     server.shutdown();
@@ -301,7 +305,11 @@ fn conditional_generate_rejects_unsupported_models_and_bad_bodies() {
         assert_eq!(status, 400, "{bad}");
     }
     // chunk 0 is only invalid on the stream route
-    let (status, _) = post(addr, "/generate/stream", "{\"model\":\"slow\",\"n\":2,\"chunk\":0}");
+    let (status, _) = post(
+        addr,
+        "/generate/stream",
+        "{\"model\":\"slow\",\"n\":2,\"chunk\":0}",
+    );
     assert_eq!(status, 400);
     server.shutdown();
 

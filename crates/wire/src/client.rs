@@ -267,9 +267,7 @@ fn fill_to(stream: &mut TcpStream, buf: &mut Vec<u8>, need: usize) -> std::io::R
 /// Reads the status line and headers, returning any body bytes that
 /// arrived with the head.
 #[allow(clippy::type_complexity)]
-fn read_head(
-    stream: &mut TcpStream,
-) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
+fn read_head(stream: &mut TcpStream) -> std::io::Result<(u16, Vec<(String, String)>, Vec<u8>)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {
@@ -292,7 +290,12 @@ fn read_head(
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io_err(ErrorKind::InvalidData, format!("bad status line {status_line:?}")))?;
+        .ok_or_else(|| {
+            io_err(
+                ErrorKind::InvalidData,
+                format!("bad status line {status_line:?}"),
+            )
+        })?;
     let headers: Vec<(String, String)> = lines
         .filter_map(|l| l.split_once(':'))
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))

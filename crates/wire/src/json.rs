@@ -169,10 +169,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                c as char, self.pos
-            ))
+            Err(format!("expected '{}' at offset {}", c as char, self.pos))
         }
     }
 
@@ -392,7 +389,15 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "tru", "{\"a\" 1}", "1 2", "\"\\q\"", "{\"a\":}", "nulll",
+            "",
+            "{",
+            "[1,",
+            "tru",
+            "{\"a\" 1}",
+            "1 2",
+            "\"\\q\"",
+            "{\"a\":}",
+            "nulll",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }

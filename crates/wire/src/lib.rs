@@ -44,7 +44,9 @@ pub mod http;
 pub mod json;
 pub mod server;
 
-pub use client::{http_request, http_request_stream, request_once, HttpResponse, StreamingResponse};
+pub use client::{
+    http_request, http_request_stream, request_once, HttpResponse, StreamingResponse,
+};
 pub use digest::{fnv1a64, Fnv64};
 pub use error::HttpError;
 pub use http::{

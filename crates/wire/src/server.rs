@@ -197,12 +197,13 @@ where
                     lifecycle.active.fetch_add(1, Ordering::SeqCst);
                     let conn_lc = Arc::clone(&lifecycle);
                     let conn_handler = Arc::clone(&handler);
-                    let spawned = std::thread::Builder::new()
-                        .name(conn_name.clone())
-                        .spawn(move || {
-                            handle_connection(stream, &conn_lc, &*conn_handler);
-                            conn_lc.active.fetch_sub(1, Ordering::SeqCst);
-                        });
+                    let spawned =
+                        std::thread::Builder::new()
+                            .name(conn_name.clone())
+                            .spawn(move || {
+                                handle_connection(stream, &conn_lc, &*conn_handler);
+                                conn_lc.active.fetch_sub(1, Ordering::SeqCst);
+                            });
                     if spawned.is_err() {
                         lifecycle.active.fetch_sub(1, Ordering::SeqCst);
                     }
@@ -261,9 +262,7 @@ pub fn handle_connection(
                         stream: &mut stream,
                         chunks: 0,
                     };
-                    if producer(&mut sink).is_err()
-                        || finish_chunks(&mut stream).is_err()
-                        || close
+                    if producer(&mut sink).is_err() || finish_chunks(&mut stream).is_err() || close
                     {
                         return;
                     }

@@ -9,8 +9,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tsgb_wire::server::{spawn_accept_loop, Lifecycle};
 use tsgb_wire::client::read_response;
+use tsgb_wire::server::{spawn_accept_loop, Lifecycle};
 use tsgb_wire::{http_request, http_request_stream, Reply, Request};
 
 fn start_echo_stream_server() -> (std::net::SocketAddr, Arc<Lifecycle>) {
@@ -56,7 +56,10 @@ fn chunks_arrive_in_order_and_keep_alive_survives() {
     while let Some(chunk) = resp.next_chunk(&mut stream).unwrap() {
         got.push(String::from_utf8(chunk).unwrap());
     }
-    assert_eq!(got, vec!["{\"i\":0}", "{\"i\":1}", "{\"i\":2}", "{\"i\":3}"]);
+    assert_eq!(
+        got,
+        vec!["{\"i\":0}", "{\"i\":1}", "{\"i\":2}", "{\"i\":3}"]
+    );
     // the connection is positioned at the next exchange
     let plain = http_request(&mut stream, "GET", "/plain", b"").unwrap();
     assert_eq!(plain.status, 200);
@@ -97,10 +100,8 @@ fn malformed_chunk_size_is_an_error_not_a_hang() {
         let mut drain = [0u8; 1024];
         use std::io::Read;
         let _ = s.read(&mut drain);
-        s.write_all(
-            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\nnot-hex\r\n",
-        )
-        .unwrap();
+        s.write_all(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\nnot-hex\r\n")
+            .unwrap();
     });
     let mut stream = connect(addr);
     let mut resp = http_request_stream(&mut stream, "GET", "/x", b"").unwrap();

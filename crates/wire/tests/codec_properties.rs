@@ -40,7 +40,8 @@ fn spawn_server() -> Fleet {
             .encode(),
         )
     });
-    spawn_accept_loop(listener, "codec-prop", Arc::clone(&lifecycle), handler).expect("accept loop");
+    spawn_accept_loop(listener, "codec-prop", Arc::clone(&lifecycle), handler)
+        .expect("accept loop");
     Fleet { addr, lifecycle }
 }
 
@@ -122,9 +123,16 @@ fn assert_structured_400(response: &[u8], label: &str) {
         String::from_utf8_lossy(&response[..response.len().min(160)])
     );
     let body = std::str::from_utf8(body_of(response)).expect("400 body is UTF-8");
-    let json = Json::parse(body).unwrap_or_else(|e| panic!("{label}: 400 body not JSON ({e}): {body}"));
-    let err = json.get("error").unwrap_or_else(|| panic!("{label}: no error object: {body}"));
-    assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"), "{label}: {body}");
+    let json =
+        Json::parse(body).unwrap_or_else(|e| panic!("{label}: 400 body not JSON ({e}): {body}"));
+    let err = json
+        .get("error")
+        .unwrap_or_else(|| panic!("{label}: no error object: {body}"));
+    assert_eq!(
+        err.get("code").and_then(Json::as_str),
+        Some("bad_request"),
+        "{label}: {body}"
+    );
     let msg = err.get("message").and_then(Json::as_str).unwrap_or("");
     assert!(!msg.is_empty(), "{label}: empty error message");
 }
@@ -141,7 +149,10 @@ fn garbage_preambles_yield_structured_400s() {
         ("wrong protocol", b"GET /x SPDY/3\r\n\r\n"),
         ("redis-like", b"*1\r\n$4\r\nPING\r\n\r\n"),
         ("no verb", b"/healthz HTTP/1.1\r\n\r\n"),
-        ("header missing colon", b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n"),
+        (
+            "header missing colon",
+            b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n",
+        ),
         ("binary head", b"\xff\xfe\x00\x01ding\r\n\r\n"),
     ];
     for (label, payload) in cases {
@@ -153,10 +164,22 @@ fn garbage_preambles_yield_structured_400s() {
 fn bad_content_length_yields_structured_400() {
     let fleet = spawn_server();
     let cases: &[(&str, &str)] = &[
-        ("negative", "POST /generate HTTP/1.1\r\ncontent-length: -5\r\n\r\nhello"),
-        ("non-numeric", "POST /generate HTTP/1.1\r\ncontent-length: banana\r\n\r\n"),
-        ("overflowing", "POST /generate HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n"),
-        ("float", "POST /generate HTTP/1.1\r\ncontent-length: 3.5\r\n\r\nabc"),
+        (
+            "negative",
+            "POST /generate HTTP/1.1\r\ncontent-length: -5\r\n\r\nhello",
+        ),
+        (
+            "non-numeric",
+            "POST /generate HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
+        ),
+        (
+            "overflowing",
+            "POST /generate HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+        ),
+        (
+            "float",
+            "POST /generate HTTP/1.1\r\ncontent-length: 3.5\r\n\r\nabc",
+        ),
         (
             "huge but parsable",
             "POST /generate HTTP/1.1\r\ncontent-length: 1073741824\r\n\r\n",
@@ -207,7 +230,10 @@ fn oversized_and_garbage_headers_yield_structured_400s() {
         }
         payload.extend_from_slice(b"\r\n");
         if guaranteed_bad {
-            assert_structured_400(&exchange(fleet.addr, &payload), &format!("garbage headers round {round}"));
+            assert_structured_400(
+                &exchange(fleet.addr, &payload),
+                &format!("garbage headers round {round}"),
+            );
         }
     }
 }
@@ -243,9 +269,13 @@ fn stalled_partial_request_is_bounded_not_infinite() {
     let fleet = spawn_server();
     let start = Instant::now();
     let mut stream = TcpStream::connect(fleet.addr).unwrap();
-    stream.write_all(b"POST /generate HTTP/1.1\r\ncontent-len").unwrap();
+    stream
+        .write_all(b"POST /generate HTTP/1.1\r\ncontent-len")
+        .unwrap();
     stream.flush().unwrap();
-    stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
     let mut chunk = [0u8; 256];
     loop {
         assert!(
@@ -378,8 +408,12 @@ fn f64_values_roundtrip_bit_exactly_through_the_codec() {
     for v in values {
         let encoded = Json::Arr(vec![Json::Num(v)]).encode();
         let parsed = Json::parse(&encoded).unwrap_or_else(|e| panic!("reparse {encoded}: {e}"));
-        let Json::Arr(items) = parsed else { panic!("not an array") };
-        let Some(Json::Num(back)) = items.first() else { panic!("not a number") };
+        let Json::Arr(items) = parsed else {
+            panic!("not an array")
+        };
+        let Some(Json::Num(back)) = items.first() else {
+            panic!("not a number")
+        };
         assert_eq!(
             back.to_bits(),
             v.to_bits(),

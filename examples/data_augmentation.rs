@@ -9,8 +9,8 @@
 //! cargo run --release --example data_augmentation
 //! ```
 
-use tsgb_rand::SeedableRng;
 use tsgb_eval::model_based::{predictive_score, PostHocConfig, PsVariant};
+use tsgb_rand::SeedableRng;
 use tsgbench::prelude::*;
 
 fn main() {

@@ -139,7 +139,10 @@ mod tests {
     #[test]
     fn paper_pairings_are_pinned() {
         // §6.5's explicit pairings must not drift
-        assert_eq!(recommend(UseCase::Autocorrelation).methods, vec![MethodId::FourierFlow]);
+        assert_eq!(
+            recommend(UseCase::Autocorrelation).methods,
+            vec![MethodId::FourierFlow]
+        );
         assert_eq!(
             recommend(UseCase::MultivariateRelations).methods,
             vec![MethodId::CosciGan]
@@ -161,7 +164,11 @@ mod tests {
     #[test]
     fn classification_starts_with_cfid_not_ds() {
         let r = recommend(UseCase::Classification);
-        assert_eq!(r.measures[0], Measure::CFid, "the paper says start with C-FID");
+        assert_eq!(
+            r.measures[0],
+            Measure::CFid,
+            "the paper says start with C-FID"
+        );
     }
 
     #[test]

@@ -139,9 +139,7 @@ impl Flags {
             if !known.contains(&name) {
                 return Err(format!("unknown flag `--{name}`\n\n{USAGE}"));
             }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?;
+            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             pairs.push((name.to_string(), value.clone()));
         }
         Ok(Flags { pairs })
@@ -322,14 +320,15 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     cfg.refresh_every = flags.parsed("refresh-every", cfg.refresh_every)?;
     cfg.drift_factor = flags.parsed("drift-factor", cfg.drift_factor)?;
     if cfg.min_eval == 0 || cfg.stride < cfg.min_eval || cfg.calibrate < cfg.min_eval {
-        return Err("need --calibrate >= --min-eval, --stride >= --min-eval, --min-eval >= 1".into());
+        return Err(
+            "need --calibrate >= --min-eval, --stride >= --min-eval, --min-eval >= 1".into(),
+        );
     }
     if cfg.drift_factor <= 1.0 {
         return Err("--drift-factor must be above 1.0".into());
     }
 
-    let monitor =
-        Monitor::start(data.train, cfg).map_err(|e| format!("starting monitor: {e}"))?;
+    let monitor = Monitor::start(data.train, cfg).map_err(|e| format!("starting monitor: {e}"))?;
     println!(
         "monitoring on http://{} (POST /ingest, POST /drill, GET /quality, GET /healthz, POST /shutdown)",
         monitor.addr()

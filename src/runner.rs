@@ -3,14 +3,14 @@
 
 use std::path::PathBuf;
 
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::{Rng, SeedableRng};
 use tsgb_data::domain::{DaData, DaScenario, DaTask};
 use tsgb_data::pipeline::PreprocessedDataset;
 use tsgb_data::spec::DatasetSpec;
 use tsgb_eval::suite::{self, EvalConfig, EvalResult, Measure, Score};
 use tsgb_linalg::Tensor3;
 use tsgb_methods::common::{Condition, MethodId, TrainConfig, TrainReport, TsgMethod};
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::{Rng, SeedableRng};
 
 /// Orchestrates train → generate → evaluate with shared configuration.
 #[derive(Debug, Clone)]
@@ -113,10 +113,7 @@ impl Benchmark {
         let report = method.fit(train, &self.train_cfg, &mut rng);
         if let Some(dir) = &self.ckpt_dir {
             if let Err(e) = write_checkpoint(dir, method) {
-                eprintln!(
-                    "warning: failed to write {} checkpoint: {e}",
-                    method.name()
-                );
+                eprintln!("warning: failed to write {} checkpoint: {e}", method.name());
             }
         }
         let n = self.gen_samples.unwrap_or(train.samples());

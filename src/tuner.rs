@@ -11,11 +11,11 @@
 //! convenience.
 
 use crate::runner::Benchmark;
-use tsgb_rand::rngs::SmallRng;
-use tsgb_rand::{Rng, SeedableRng};
 use tsgb_data::pipeline::PreprocessedDataset;
 use tsgb_eval::suite::Measure;
 use tsgb_methods::common::{MethodId, TrainConfig};
+use tsgb_rand::rngs::SmallRng;
+use tsgb_rand::{Rng, SeedableRng};
 
 /// The search space: inclusive ranges sampled log-uniformly (learning
 /// rate) or uniformly (the rest).

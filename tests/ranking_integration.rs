@@ -1,8 +1,8 @@
 //! Integration of the grid runner with the §6.4 ranking analysis:
 //! a deliberately broken generator must land in the bottom tier.
 
-use tsgb_rand::rngs::SmallRng;
 use tsgb_linalg::Tensor3;
+use tsgb_rand::rngs::SmallRng;
 use tsgb_stats::critdiff::critical_difference;
 use tsgb_stats::friedman::friedman_test;
 use tsgbench::prelude::*;

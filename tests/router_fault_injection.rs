@@ -216,12 +216,17 @@ fn worker_kill_during_drain_completes_in_flight_and_shutdown() {
     // start the drain, then kill a worker while the tier is draining
     let resp = request_once(addr, "POST", "/shutdown", b"", Duration::from_secs(5)).unwrap();
     assert_eq!(resp.status, 200);
-    router.kill_worker(1).expect("SIGKILL worker 1 during drain");
+    router
+        .kill_worker(1)
+        .expect("SIGKILL worker 1 during drain");
 
     // the in-flight request survives: either its worker was the
     // survivor, or the failover path retried it on one
     let (status, body) = in_flight.join().unwrap();
-    assert_eq!(status, 200, "in-flight request dropped during drain: {body}");
+    assert_eq!(
+        status, 200,
+        "in-flight request dropped during drain: {body}"
+    );
 
     // drain must complete promptly despite the corpse in the tier
     router.wait();
