@@ -29,6 +29,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 
@@ -42,6 +43,8 @@ struct Nets {
     d_head: Linear,
     corrector: Mlp,
     noise_dim: usize,
+    /// Sampling tapes with `g_params` and `c_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The AEC-GAN method.
@@ -98,6 +101,7 @@ impl AecGan {
             d_head,
             corrector,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -257,18 +261,17 @@ impl TsgMethod for AecGan {
         let zs: Vec<Matrix> = (0..self.seq_len)
             .map(|_| noise(n, nets.noise_dim, rng))
             .collect();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let cb = nets.c_params.bind(&mut t);
-        let steps = self.rollout(nets, &mut t, &gb, &cb, &context, &zs, true);
-        let mats: Vec<Matrix> = steps
-            .iter()
-            .map(|&s| {
-                let mut m = t.value(s).clone();
-                m.map_inplace(|v| v.clamp(0.0, 1.0));
-                m
-            })
-            .collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params, &nets.c_params], |t, b| {
+            let steps = self.rollout(nets, t, &b[0], &b[1], &context, &zs, true);
+            steps
+                .iter()
+                .map(|&s| {
+                    let mut m = t.value(s).clone();
+                    m.map_inplace(|v| v.clamp(0.0, 1.0));
+                    m
+                })
+                .collect()
+        });
         steps_to_tensor(&mats)
     }
 

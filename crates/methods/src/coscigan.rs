@@ -25,6 +25,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// Weight of the central-discriminator term in each generator's loss.
@@ -44,6 +45,8 @@ struct Nets {
     central_params: Params,
     central: Mlp,
     noise_dim: usize,
+    /// Sampling tapes with every channel's `g_params` bound, in channel order.
+    tapes: ResidentTapes,
 }
 
 /// The COSCI-GAN method.
@@ -100,6 +103,7 @@ impl CosciGan {
             central_params,
             central,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 }
@@ -292,31 +296,29 @@ impl TsgMethod for CosciGan {
         let zs: Vec<Matrix> = (0..self.seq_len)
             .map(|_| noise(n, nets.noise_dim, rng))
             .collect();
-        let mut t = Tape::new();
-        let mut bindings = Vec::with_capacity(nets.channels.len());
-        for ch in &nets.channels {
-            bindings.push(ch.g_params.bind(&mut t));
-        }
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-        let per_ch: Vec<Vec<VarId>> = nets
-            .channels
-            .iter()
-            .zip(&bindings)
-            .map(|(ch, gb)| gen_channel(ch, &mut t, gb, &z_vars, n))
-            .collect();
-        // reassemble (batch, n) step matrices
-        let mats: Vec<Matrix> = (0..self.seq_len)
-            .map(|step| {
-                let mut m = Matrix::zeros(n, self.features);
-                for (c, ch) in per_ch.iter().enumerate() {
-                    let col = t.value(ch[step]);
-                    for b in 0..n {
-                        m[(b, c)] = col[(b, 0)];
+        let stores: Vec<&Params> = nets.channels.iter().map(|ch| &ch.g_params).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&stores, |t, bindings| {
+            let z_vars: Vec<VarId> = zs.into_iter().map(|z| t.constant(z)).collect();
+            let per_ch: Vec<Vec<VarId>> = nets
+                .channels
+                .iter()
+                .zip(bindings)
+                .map(|(ch, gb)| gen_channel(ch, t, gb, &z_vars, n))
+                .collect();
+            // reassemble (batch, n) step matrices
+            (0..self.seq_len)
+                .map(|step| {
+                    let mut m = Matrix::zeros(n, self.features);
+                    for (c, ch) in per_ch.iter().enumerate() {
+                        let col = t.value(ch[step]);
+                        for b in 0..n {
+                            m[(b, c)] = col[(b, 0)];
+                        }
                     }
-                }
-                m
-            })
-            .collect();
+                    m
+                })
+                .collect()
+        });
         steps_to_tensor(&mats)
     }
 

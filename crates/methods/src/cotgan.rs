@@ -25,6 +25,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// Entropic regularization strength.
@@ -37,6 +38,8 @@ struct Nets {
     g_cell: GruCell,
     g_head: Linear,
     noise_dim: usize,
+    /// Sampling tapes with `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The COT-GAN extension method.
@@ -68,6 +71,7 @@ impl CotGan {
             g_cell,
             g_head,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -242,18 +246,17 @@ impl NoiseDecoder for CotGan {
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
         let n = zs[0].rows();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
-        let hs = nets.g_cell.run(&mut t, &gb, &z_vars, n);
-        let mats: Vec<Matrix> = hs
-            .iter()
-            .map(|&h| {
-                let o = nets.g_head.forward(&mut t, &gb, h);
-                let s = t.sigmoid(o);
-                t.value(s).clone()
-            })
-            .collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params], |t, b| {
+            let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
+            let hs = nets.g_cell.run(t, &b[0], &z_vars, n);
+            hs.iter()
+                .map(|&h| {
+                    let o = nets.g_head.forward(t, &b[0], h);
+                    let s = t.sigmoid(o);
+                    t.value(s).clone()
+                })
+                .collect()
+        });
         steps_to_tensor(&mats)
     }
 }

@@ -21,6 +21,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 struct Nets {
@@ -31,6 +32,8 @@ struct Nets {
     d_cell: LstmCell,
     d_head: Linear,
     noise_dim: usize,
+    /// Sampling tapes with `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The C-RNN-GAN extension method.
@@ -75,6 +78,7 @@ impl CRnnGan {
             d_cell,
             d_head,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -229,10 +233,10 @@ impl NoiseDecoder for CRnnGan {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params], |t, b| {
+            let steps = self.generate_steps(nets, t, &b[0], zs);
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

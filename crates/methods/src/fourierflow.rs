@@ -26,6 +26,7 @@ use tsgb_nn::layers::{Activation, Mlp};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_signal::dft::{inverse_real_dft, real_dft};
 
@@ -43,6 +44,8 @@ struct ChannelFlow {
     couplings: Vec<Coupling>,
     dim_a: usize,
     dim_b: usize,
+    /// Sampling tapes with `params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The Fourier Flow method.
@@ -116,6 +119,7 @@ impl FourierFlow {
             couplings,
             dim_a,
             dim_b,
+            tapes: ResidentTapes::new(),
         }
     }
 }
@@ -164,13 +168,12 @@ fn inverse_flow(flow: &ChannelFlow, z: &Matrix) -> Matrix {
             (cur.slice_cols(da, total), cur.slice_cols(0, da))
         };
         // evaluate nets on the identity half
-        let mut t = Tape::new();
-        let b = flow.params.bind(&mut t);
-        let idv = t.constant(id_part.clone());
-        let s = c.scale_net.forward(&mut t, &b, idv);
-        let sh = c.shift_net.forward(&mut t, &b, idv);
-        let s_val = t.value(s).clone();
-        let sh_val = t.value(sh).clone();
+        let (s_val, sh_val) = flow.tapes.run(&[&flow.params], |t, b| {
+            let idv = t.constant(id_part.clone());
+            let s = c.scale_net.forward(t, &b[0], idv);
+            let sh = c.shift_net.forward(t, &b[0], idv);
+            (t.value(s).clone(), t.value(sh).clone())
+        });
         let x_part = (&y_part - &sh_val).zip_map(&s_val, |v, si| v * (-si).exp());
         cur = if c.even_identity {
             id_part.hcat(&x_part)

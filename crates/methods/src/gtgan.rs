@@ -33,6 +33,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// Euler substeps between consecutive observations.
@@ -56,6 +57,8 @@ struct Nets {
     d_cell: GruCell,
     d_head: Linear,
     hidden: usize,
+    /// Sampling tapes with `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The GT-GAN method.
@@ -117,6 +120,7 @@ impl GtGan {
             d_cell,
             d_head,
             hidden: h,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -323,10 +327,10 @@ impl NoiseDecoder for GtGan {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, zs[0].clone());
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params], |t, b| {
+            let steps = self.generate_steps(nets, t, &b[0], zs[0].clone());
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

@@ -33,6 +33,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, ParamId, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// A diagonal linear state-space layer.
@@ -108,6 +109,8 @@ struct Nets {
     dec2: SsmLayer,
     out_head: Linear,
     latent: usize,
+    /// Sampling tapes with `params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The LS4 method.
@@ -155,6 +158,7 @@ impl Ls4 {
             dec2,
             out_head,
             latent,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -273,11 +277,11 @@ impl NoiseDecoder for Ls4 {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant_copy(&zs[0]);
-        let steps = decode(nets, &mut t, &b, z, self.seq_len);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.params], |t, b| {
+            let z = t.constant_copy(&zs[0]);
+            let steps = decode(nets, t, &b[0], z, self.seq_len);
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         crate::common::steps_to_tensor(&mats)
     }
 }

@@ -23,6 +23,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 struct Nets {
@@ -33,6 +34,8 @@ struct Nets {
     d_cell: GruCell,
     d_head: Linear,
     noise_dim: usize,
+    /// Sampling tapes with `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The RGAN method.
@@ -70,6 +73,7 @@ impl Rgan {
             d_cell,
             d_head,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -211,10 +215,10 @@ impl NoiseDecoder for Rgan {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = generate_steps(nets, &mut t, &gb, zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params], |t, b| {
+            let steps = generate_steps(nets, t, &b[0], zs);
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

@@ -26,6 +26,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 struct Nets {
@@ -39,6 +40,8 @@ struct Nets {
     generator: Mlp,
     critic: Mlp,
     noise_dim: usize,
+    /// Sampling tapes with `ae_params` and `gen_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The RTSGAN method.
@@ -99,6 +102,7 @@ impl RtsGan {
             generator,
             critic,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -267,13 +271,14 @@ impl NoiseDecoder for RtsGan {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let ab = nets.ae_params.bind(&mut t);
-        let gb = nets.gen_params.bind(&mut t);
-        let nz = t.constant_copy(&zs[0]);
-        let z = nets.generator.forward(&mut t, &gb, nz);
-        let steps = decode(nets, &mut t, &ab, z, self.seq_len, zs[0].rows());
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let stores = [&nets.ae_params, &nets.gen_params];
+        let mats: Vec<Matrix> = nets.tapes.run(&stores, |t, b| {
+            let (ab, gb) = (&b[0], &b[1]);
+            let nz = t.constant_copy(&zs[0]);
+            let z = nets.generator.forward(t, gb, nz);
+            let steps = decode(nets, t, ab, z, self.seq_len, zs[0].rows());
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

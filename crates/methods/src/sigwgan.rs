@@ -29,6 +29,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_signal::signature::{expected_signature, signature_dim, time_augment};
 
@@ -37,6 +38,8 @@ struct Nets {
     g_cell: GruCell,
     g_head: Linear,
     noise_dim: usize,
+    /// Sampling tapes with `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The Sig-WGAN extension method.
@@ -68,6 +71,7 @@ impl SigWgan {
             g_cell,
             g_head,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -222,10 +226,10 @@ impl NoiseDecoder for SigWgan {
 
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let gb = nets.g_params.bind(&mut t);
-        let steps = self.generate_steps(nets, &mut t, &gb, zs);
-        let mats: Vec<Matrix> = steps.iter().map(|&s| t.value(s).clone()).collect();
+        let mats: Vec<Matrix> = nets.tapes.run(&[&nets.g_params], |t, b| {
+            let steps = self.generate_steps(nets, t, &b[0], zs);
+            steps.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

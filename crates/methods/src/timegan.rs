@@ -32,6 +32,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// A GRU with a per-step dense head.
@@ -92,6 +93,8 @@ struct Nets {
     generator: RnnHead,
     discriminator: RnnHead,
     noise_dim: usize,
+    /// Sampling tapes with `er_params` and `g_params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The TimeGAN method.
@@ -136,6 +139,7 @@ impl TimeGan {
             generator,
             discriminator,
             noise_dim,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -384,13 +388,14 @@ impl NoiseDecoder for TimeGan {
     fn decode(&self, zs: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
         let n = zs[0].rows();
-        let mut t = Tape::new();
-        let erb = nets.er_params.bind(&mut t);
-        let gb = nets.g_params.bind(&mut t);
-        let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
-        let h_fake = nets.generator.run(&mut t, &gb, &z_vars, n);
-        let x_fake = nets.recovery.run(&mut t, &erb, &h_fake, n);
-        let mats: Vec<Matrix> = x_fake.iter().map(|&s| t.value(s).clone()).collect();
+        let stores = [&nets.er_params, &nets.g_params];
+        let mats: Vec<Matrix> = nets.tapes.run(&stores, |t, b| {
+            let (erb, gb) = (&b[0], &b[1]);
+            let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
+            let h_fake = nets.generator.run(t, gb, &z_vars, n);
+            let x_fake = nets.recovery.run(t, erb, &h_fake, n);
+            x_fake.iter().map(|&s| t.value(s).clone()).collect()
+        });
         steps_to_tensor(&mats)
     }
 }

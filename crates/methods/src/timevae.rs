@@ -27,6 +27,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 
 /// Polynomial degree of the trend head (constant + linear + quadratic).
@@ -47,6 +48,8 @@ struct Nets {
     trend_basis: Matrix,
     /// `(l, 2 * HARMONICS)` Fourier time basis.
     season_basis: Matrix,
+    /// Sampling tapes with `params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The TimeVAE method.
@@ -131,6 +134,7 @@ impl TimeVae {
             latent,
             trend_basis,
             season_basis,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -281,17 +285,13 @@ impl NoiseDecoder for TimeVae {
 
     fn decode(&self, noise: &[Matrix]) -> Tensor3 {
         let nets = self.nets();
-        let mut t = Tape::new();
-        let b = nets.params.bind(&mut t);
-        let z = t.constant_copy(&noise[0]);
-        let flat = decode(nets, &mut t, &b, z, self.seq_len, self.features);
-        Tensor3::from_vec(
-            noise[0].rows(),
-            self.seq_len,
-            self.features,
-            t.value(flat).as_slice().to_vec(),
-        )
-        .expect("decoder output has exact size")
+        let flat = nets.tapes.run(&[&nets.params], |t, b| {
+            let z = t.constant_copy(&noise[0]);
+            let flat = decode(nets, t, &b[0], z, self.seq_len, self.features);
+            t.value(flat).as_slice().to_vec()
+        });
+        Tensor3::from_vec(noise[0].rows(), self.seq_len, self.features, flat)
+            .expect("decoder output has exact size")
     }
 }
 

@@ -29,6 +29,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 use tsgb_signal::fft::Complex;
@@ -57,6 +58,8 @@ struct BandVq {
     code_dim: usize,
     codes: usize,
     ema_decay: f64,
+    /// Sampling tapes with `params` bound.
+    tapes: ResidentTapes,
 }
 
 impl BandVq {
@@ -96,6 +99,7 @@ impl BandVq {
             code_dim,
             codes,
             ema_decay,
+            tapes: ResidentTapes::new(),
         }
     }
 
@@ -225,11 +229,11 @@ impl BandVq {
     /// Decodes code indices back to token vectors.
     fn decode_codes(&self, idx: &[usize]) -> Matrix {
         let q = self.codebook.select_rows(idx);
-        let mut t = Tape::new();
-        let b = self.params.bind(&mut t);
-        let qv = t.constant(q);
-        let out = self.decoder.forward(&mut t, &b, qv);
-        t.value(out).clone()
+        self.tapes.run(&[&self.params], |t, b| {
+            let qv = t.constant(q);
+            let out = self.decoder.forward(t, &b[0], qv);
+            t.value(out).clone()
+        })
     }
 }
 

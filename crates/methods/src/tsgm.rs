@@ -24,6 +24,7 @@ use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
 use tsgb_nn::tape::Tape;
+use tsgb_nn::ResidentTapes;
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 
@@ -39,6 +40,8 @@ struct Fitted {
     alphas: Vec<f64>,
     abars: Vec<f64>,
     betas: Vec<f64>,
+    /// Sampling tapes with `params` bound.
+    tapes: ResidentTapes,
 }
 
 /// The TSGM extension method (DDPM discretization).
@@ -165,6 +168,7 @@ impl TsgMethod for Tsgm {
             alphas,
             abars,
             betas,
+            tapes: ResidentTapes::new(),
         });
         log.finish(start)
     }
@@ -180,11 +184,11 @@ impl TsgMethod for Tsgm {
             let emb = Self::t_embedding(step);
             let emb_m = Matrix::from_fn(n, T_EMBED, |_, c| emb[c]);
             let input = x.hcat(&emb_m);
-            let mut t = Tape::new();
-            let b = f.params.bind(&mut t);
-            let inp = t.constant(input);
-            let pred = f.net.forward(&mut t, &b, inp);
-            let eps_hat = t.value(pred).clone();
+            let eps_hat = f.tapes.run(&[&f.params], |t, b| {
+                let inp = t.constant(input);
+                let pred = f.net.forward(t, &b[0], inp);
+                t.value(pred).clone()
+            });
             let alpha = f.alphas[step];
             let abar = f.abars[step];
             let beta = f.betas[step];
@@ -245,6 +249,7 @@ impl TsgMethod for Tsgm {
             alphas,
             abars,
             betas,
+            tapes: ResidentTapes::new(),
         });
         Ok(())
     }

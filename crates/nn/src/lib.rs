@@ -18,6 +18,8 @@
 //!   buffer and replays the compiled plan of the step (see [`plan`]).
 //! * [`params`] — named parameter store decoupled from the tape, so
 //!   optimizers ([`optim`]) can hold Adam moments across steps.
+//! * [`resident`] — forward-only tapes for sampling, each holding a
+//!   model's weights bound once, so a forward pass copies none of them.
 //! * [`layers`] — Linear, GRU and LSTM cells, and 1-D convolution,
 //!   written against the tape ops.
 //! * [`loss`] — MSE, BCE-with-logits, Gaussian KL, and the adversarial
@@ -38,7 +40,9 @@ pub mod optim;
 pub mod params;
 pub mod persist;
 pub mod plan;
+pub mod resident;
 pub mod tape;
 
 pub use params::{ParamId, Params};
+pub use resident::ResidentTapes;
 pub use tape::{Tape, VarId};

@@ -341,7 +341,20 @@ impl Tape {
         }
     }
 
-    /// Observability hook: one step boundary per reset/begin_step.
+    /// Ends a forward-only run on a tape whose first `len` nodes outlive
+    /// it (a model's weights, bound once): publishes the run's step
+    /// counters as [`Tape::reset`] does, then drops every later node,
+    /// every gradient and any replay state. The dropped buffers are
+    /// freed, not pooled, so a tape kept between runs holds no memory
+    /// that grows with the size of a run.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.observe_step();
+        self.plan = PlanCtl::Idle;
+        self.nodes.truncate(len);
+        self.grads.clear();
+    }
+
+    /// Observability hook: one step boundary per reset/begin_step/truncate.
     /// Everything here is observed, never read back — results are
     /// unaffected — and with recording disabled the whole block is one
     /// relaxed atomic load.

@@ -7,7 +7,19 @@
 //! *invisible* to clients: the response for `(n, seed)` is identical
 //! at every batch size. The worker lingers up to `linger_ms` after the
 //! first job arrives to let a batch fill, bounded by `max_batch` (both
-//! [`ServeConfig`] fields).
+//! [`ServeConfig`] fields), but only when the previous batch had
+//! company: it held more than one job, or a job was already queued
+//! when its forward pass ended. A request that arrives alone is
+//! dispatched at once, so an idle server adds no linger to its
+//! latency, while under concurrent load every batch has company and
+//! coalesces as before.
+//!
+//! A panic in a model is isolated to the request that causes it. The
+//! fused forward pass runs under `catch_unwind`; when it panics, each
+//! job of the batch is re-run alone, and a job that still panics is
+//! answered with [`JobOutcome::Failed`] (HTTP 500) and counted in the
+//! `serve.panics` counter. The other jobs get exactly what they would
+//! have got unbatched, and the worker lives on.
 //!
 //! Backpressure is explicit: the pending queue is bounded
 //! (`queue_cap`), a full queue rejects at submit time
@@ -17,6 +29,7 @@
 //! model compute.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -35,6 +48,8 @@ pub enum JobOutcome {
     Done(Tensor3),
     /// The job's deadline expired before a worker reached it.
     Expired,
+    /// The model panicked on this job, run alone.
+    Failed,
 }
 
 /// Why a submit was rejected synchronously.
@@ -158,6 +173,8 @@ impl Drop for Batcher {
 }
 
 fn worker_loop(state: &State) {
+    // whether the last batch had company; a lone job dispatches at once
+    let mut company = false;
     loop {
         let mut q = state.q.lock().expect("batch queue poisoned");
         while q.jobs.is_empty() && !q.draining {
@@ -166,9 +183,9 @@ fn worker_loop(state: &State) {
         if q.jobs.is_empty() && q.draining {
             return;
         }
-        // linger to let the batch fill (skipped when draining: latency
-        // no longer matters and the queue should flush)
-        if state.cfg.max_batch > 1 && state.cfg.linger_ms > 0 {
+        // after a batch with company, linger to let this one fill
+        // (skipped when draining: the queue should flush)
+        if company && state.cfg.max_batch > 1 && state.cfg.linger_ms > 0 {
             let fill_by = Instant::now() + Duration::from_millis(state.cfg.linger_ms);
             while q.jobs.len() < state.cfg.max_batch && !q.draining {
                 let now = Instant::now();
@@ -198,33 +215,71 @@ fn worker_loop(state: &State) {
             tsgb_obs::counter_add("serve.rejected", 1);
             let _ = job.tx.send(JobOutcome::Expired);
         }
-        if live.is_empty() {
-            continue;
-        }
-        tsgb_obs::observe("serve.batch_size", live.len() as f64);
-        // fault injection (`TSGB_SERVE_FWD_DELAY_MS`; zero in production)
-        if state.cfg.fwd_delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(state.cfg.fwd_delay_ms));
-        }
-        let specs: Vec<GenSpec> = live.iter().map(|j| j.spec).collect();
-        let fwd = Instant::now();
-        let outputs = state.entry.model.generate_batch(&specs);
-        tsgb_obs::observe("serve.forward_ms", fwd.elapsed().as_secs_f64() * 1e3);
-        debug_assert_eq!(outputs.len(), specs.len());
-        for (job, tensor) in live.into_iter().zip(outputs) {
+        let outcomes = if live.is_empty() {
+            Vec::new()
+        } else {
+            forward(state, &live)
+        };
+        let queued = state.q.lock().expect("batch queue poisoned").jobs.len();
+        company = take > 1 || queued > 0;
+        for (job, outcome) in live.into_iter().zip(outcomes) {
             // a disconnected receiver just means the client went away
-            let _ = job.tx.send(JobOutcome::Done(tensor));
+            let _ = job.tx.send(outcome);
         }
     }
+}
+
+/// Runs one batch's fused forward pass, isolating panics: when the
+/// fused pass panics, each job is re-run alone, and only a job that
+/// panics on its own is [`JobOutcome::Failed`]. A model holds no state
+/// a panic can leave half-written (its sampling tapes are taken off a
+/// free list for the run and dropped on unwind), which is what makes
+/// re-running it sound.
+fn forward(state: &State, jobs: &[Job]) -> Vec<JobOutcome> {
+    tsgb_obs::observe("serve.batch_size", jobs.len() as f64);
+    // fault injection (`TSGB_SERVE_FWD_DELAY_MS`; zero in production)
+    if state.cfg.fwd_delay_ms > 0 {
+        std::thread::sleep(Duration::from_millis(state.cfg.fwd_delay_ms));
+    }
+    let model = &state.entry.model;
+    let run = |specs: &[GenSpec]| catch_unwind(AssertUnwindSafe(|| model.generate_batch(specs)));
+    let specs: Vec<GenSpec> = jobs.iter().map(|j| j.spec).collect();
+    let fwd = Instant::now();
+    let fused = run(&specs);
+    tsgb_obs::observe("serve.forward_ms", fwd.elapsed().as_secs_f64() * 1e3);
+    if let Ok(outputs) = fused {
+        debug_assert_eq!(outputs.len(), specs.len());
+        return outputs.into_iter().map(JobOutcome::Done).collect();
+    }
+    specs
+        .iter()
+        .map(|spec| {
+            let alone = if specs.len() > 1 {
+                run(std::slice::from_ref(spec)).ok()
+            } else {
+                None
+            };
+            match alone.and_then(|mut out| out.pop()) {
+                Some(tensor) => JobOutcome::Done(tensor),
+                None => {
+                    tsgb_obs::counter_add("serve.panics", 1);
+                    JobOutcome::Failed
+                }
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::registry::{ModelInfo, Registry};
     use tsgb_linalg::rng::seeded;
     use tsgb_linalg::Tensor3;
-    use tsgb_methods::{MethodId, TrainConfig};
+    use tsgb_methods::common::serial_generate_batch;
+    use tsgb_methods::persist::PersistError;
+    use tsgb_methods::{MethodId, TrainConfig, TrainReport, TsgMethod};
+    use tsgb_rand::rngs::SmallRng;
 
     fn entry() -> Arc<ModelEntry> {
         let data = Tensor3::from_fn(10, 8, 2, |s, t, f| {
@@ -317,5 +372,112 @@ mod tests {
         for rx in rxs {
             assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
         }
+    }
+
+    /// A stub model that logs the size of every batch it runs and can
+    /// hold its first batch until the test releases it.
+    struct Recorder {
+        batches: Arc<Mutex<Vec<usize>>>,
+        gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl TsgMethod for Recorder {
+        fn id(&self) -> MethodId {
+            MethodId::Rgan
+        }
+        fn fit(&mut self, _: &Tensor3, _: &TrainConfig, _: &mut SmallRng) -> TrainReport {
+            unreachable!("Recorder is never fitted")
+        }
+        fn generate(&self, n: usize, _: &mut SmallRng) -> Tensor3 {
+            Tensor3::zeros(n, 2, 1)
+        }
+        fn generate_batch(&self, specs: &[GenSpec]) -> Vec<Tensor3> {
+            let gate = self.gate.lock().unwrap().take();
+            if let Some((entered, release)) = gate {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.batches.lock().unwrap().push(specs.len());
+            serial_generate_batch(self, specs)
+        }
+        fn save(&self) -> Option<Vec<u8>> {
+            None
+        }
+        fn load(&mut self, _: &[u8]) -> Result<(), PersistError> {
+            Ok(())
+        }
+    }
+
+    fn linger_cfg(max_batch: usize, linger_ms: u64) -> ServeConfig {
+        ServeConfig {
+            max_batch,
+            linger_ms,
+            queue_cap: 32,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn lone_job_does_not_wait_out_the_linger() {
+        let entry = entry();
+        let b = Batcher::start(Arc::clone(&entry), linger_cfg(8, 500));
+        for seed in [3, 4] {
+            let started = Instant::now();
+            let rx = b.submit(GenSpec { n: 1, seed }, None).unwrap();
+            assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_millis(250),
+                "a lone job took {waited:?} under a 500 ms linger"
+            );
+        }
+        b.drain();
+    }
+
+    #[test]
+    fn burst_after_a_coalesced_batch_still_coalesces() {
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let model = Recorder {
+            batches: Arc::clone(&batches),
+            gate: Mutex::new(Some((entered_tx, release_rx))),
+        };
+        let entry = Arc::new(ModelEntry {
+            info: ModelInfo {
+                name: "rec".into(),
+                method: "RGAN",
+                seq_len: 2,
+                features: 1,
+            },
+            model: Box::new(model),
+        });
+        let b = Batcher::start(entry, linger_cfg(4, 500));
+        let submit = |seed| b.submit(GenSpec { n: 1, seed }, None).unwrap();
+        let finish = |rxs: Vec<mpsc::Receiver<JobOutcome>>| {
+            for rx in rxs {
+                assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
+            }
+        };
+
+        // a lone job goes at once; four more queue behind its forward
+        // pass, so the next batch has company and takes all four
+        let first = submit(0);
+        entered.recv().unwrap();
+        let queued: Vec<_> = (1..5).map(submit).collect();
+        release.send(()).unwrap();
+        finish(vec![first]);
+        finish(queued);
+
+        // a burst just after that coalesced batch lingers and coalesces
+        let burst: Vec<_> = (5..9)
+            .map(|seed| {
+                std::thread::sleep(Duration::from_millis(5));
+                submit(seed)
+            })
+            .collect();
+        finish(burst);
+        b.drain();
+        assert_eq!(*batches.lock().unwrap(), vec![1, 4, 4]);
     }
 }

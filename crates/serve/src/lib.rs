@@ -42,7 +42,7 @@
 //! `tsgb-router` crate docs).
 //!
 //! Observability (via `tsgb-obs`, enabled with `TSGB_OBS=1`):
-//! `serve.requests` / `serve.rejected` counters, a
+//! `serve.requests` / `serve.rejected` / `serve.panics` counters, a
 //! `serve.queue_depth` gauge, and `serve.latency_ms` /
 //! `serve.batch_size` histograms.
 //!
@@ -51,7 +51,7 @@
 //! | env variable           | default          | meaning                         |
 //! |------------------------|------------------|---------------------------------|
 //! | `TSGB_SERVE_BATCH`     | `8`              | max requests fused per batch    |
-//! | `TSGB_SERVE_LINGER_MS` | `2`              | batch-fill wait after 1st job   |
+//! | `TSGB_SERVE_LINGER_MS` | `2`              | most a batch waits to fill, after a batch that had company |
 //! | `TSGB_SERVE_QUEUE`     | `64`             | per-model pending-queue bound   |
 //! | `TSGB_SERVE_FWD_DELAY_MS` | `0`           | fault injection: sleep before every fused forward pass |
 //!
@@ -81,8 +81,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Most requests fused into one batched forward pass.
     pub max_batch: usize,
-    /// How long the batch worker waits for a batch to fill after the
-    /// first request arrives (milliseconds).
+    /// The longest the batch worker waits for a batch to fill after
+    /// its first request arrives (milliseconds). It waits only when the
+    /// previous batch had company (see [`batch`]); a lone request is
+    /// dispatched at once.
     pub linger_ms: u64,
     /// Bounded per-model pending-queue capacity; beyond it requests
     /// are rejected with `503`.

@@ -393,6 +393,9 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         Ok(JobOutcome::Expired) => Err(HttpError::deadline_exceeded(format!(
             "deadline passed before the batch worker reached the request (model {model_name:?})"
         ))),
+        Ok(JobOutcome::Failed) => Err(HttpError::internal(format!(
+            "model {model_name:?} panicked while generating this request"
+        ))),
         Err(_) => Err(HttpError::internal("batch worker disconnected")),
     }
 }

@@ -11,7 +11,9 @@
 #         drill and a drift-injection drill), the scenario smoke leg
 #         (streamed chunks from TimeVAE and RGAN, conditional identity,
 #         a non-finite condition rejected with 400, and the scenario
-#         engine end-to-end), and a warning-free clippy pass.
+#         engine end-to-end), a rustfmt check of the workspace
+#         (perfbench/ is a separate workspace and is not checked), and
+#         a warning-free clippy pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -175,6 +177,9 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> tier 2: scenario golden fixtures (TSGB_EVAL_CACHE=on)"
     TSGB_EVAL_CACHE=on cargo test -p tsgb-scenario --test golden_scenarios -q
+
+    echo "==> tier 2: cargo fmt --all --check"
+    cargo fmt --all --check
 
     echo "==> tier 2: cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
