@@ -8,7 +8,7 @@
 //! `TSGBCK02` checkpoints the runner writes after training; legacy
 //! `TSGBCK01` loads unchanged) into an
 //! online API: clients `POST /generate` with a model name, a sample
-//! count, and a seed, and get back synthetic windows. Three design
+//! count, and a seed, and get back synthetic windows. Four design
 //! commitments:
 //!
 //! * **Determinism survives serving.** A response is a pure function
@@ -22,6 +22,9 @@
 //!   costs a forward pass.
 //! * **Shutdown is graceful.** Draining completes every accepted
 //!   request; zero in-flight requests are dropped.
+//! * **A model panic fails one request.** The batch worker catches it,
+//!   re-runs the rest of the batch alone, answers the failing request
+//!   with `500`, and keeps serving (see [`batch`]).
 //!
 //! Everything is `std`-only: the HTTP layer sits on
 //! `std::net::TcpListener`, and the wire format is a hand-rolled JSON
