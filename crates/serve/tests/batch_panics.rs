@@ -10,7 +10,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::Tensor3;
@@ -172,7 +172,9 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
         .iter()
         .map(|&s| std::thread::spawn(move || (s, generate(addr, s))))
         .collect();
+    let give_up = Instant::now() + Duration::from_secs(30);
     while queue_depth(addr) < 4 {
+        assert!(Instant::now() < give_up, "the four requests never queued");
         std::thread::sleep(Duration::from_millis(1));
     }
     release.send(()).unwrap();
