@@ -17,8 +17,8 @@
 //! original's conditional sampling.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    TrainConfig, TrainReport, TsgMethod,
+    copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
+    MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -187,13 +187,17 @@ impl TsgMethod for AecGan {
             let context: Vec<Matrix> = real_steps[..lc].to_vec();
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
 
+            // --- the corrected rollout, once for both steps ---
+            let g = g_tape.begin_step();
+            let gb = nets.g_params.bind(g);
+            let cb = nets.c_params.bind(g);
+            let fake = self.rollout(&nets, g, &gb, &cb, &context, &zs, true);
+
             // --- discriminator ---
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind_frozen(t);
-                let cb = nets.c_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
-                let fake = self.rollout(&nets, t, &gb, &cb, &context, &zs, true);
+                let fake = copy_fakes(g, &fake, t);
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
                 let rl = discriminate(&nets, t, &db, &real, batch);
                 let fl = discriminate(&nets, t, &db, &fake, batch);
@@ -206,11 +210,8 @@ impl TsgMethod for AecGan {
 
             // --- generator (adversarial) + corrector (de-biasing) ---
             let g_loss_val = {
-                let t = g_tape.begin_step();
-                let gb = nets.g_params.bind(t);
-                let cb = nets.c_params.bind(t);
+                let t = g;
                 let db = nets.d_params.bind_frozen(t);
-                let fake = self.rollout(&nets, t, &gb, &cb, &context, &zs, true);
                 let fl = discriminate(&nets, t, &db, &fake, batch);
                 let adv = loss::gan_generator_loss(t, fl);
                 // error-correction supervision: corrected continuation

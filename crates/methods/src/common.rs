@@ -4,6 +4,7 @@
 use std::time::Instant;
 use tsgb_linalg::rng::sample_without_replacement;
 use tsgb_linalg::{Matrix, Tensor3};
+use tsgb_nn::tape::{Tape, VarId};
 use tsgb_rand::rngs::SmallRng;
 use tsgb_rand::Rng;
 
@@ -698,6 +699,15 @@ pub fn steps_to_tensor(steps: &[Matrix]) -> Tensor3 {
         }
     }
     out
+}
+
+/// Copies the fake batch a G step's tape `g` recorded onto a D step's
+/// tape `d` as constants, so the D step reads the generator's one
+/// forward pass instead of running it again. Under plan replay
+/// [`Tape::eval`] computes the values with the record-path kernels,
+/// which give the bits a replayed forward pass gives.
+pub(crate) fn copy_fakes(g: &mut Tape, fakes: &[VarId], d: &mut Tape) -> Vec<VarId> {
+    fakes.iter().map(|&f| d.constant_copy(g.eval(f))).collect()
 }
 
 /// Draws a random minibatch of sample indices.

@@ -13,8 +13,8 @@
 //! the §5 configuration.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    TrainConfig, TrainReport, TsgMethod,
+    copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
+    MethodId, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -140,7 +140,11 @@ fn disc_channel(
 
 /// Flattens per-step-per-channel nodes into the `(batch, l * n)` input
 /// of the central discriminator: column order is step-major,
-/// channel-minor — matching `Tensor3::flatten_samples`.
+/// channel-minor — matching `Tensor3::flatten_samples`. Neighbours are
+/// joined in pairwise rounds: log2(l * n) levels that each copy the
+/// window once, so no buffer on the tape grows with (l * n)².
+/// Concatenation and its gradient are plain copies, so the grouping
+/// changes no bit of the result or of any column's gradient.
 fn flatten_steps(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
     let l = per_channel_steps[0].len();
     let mut cols = Vec::with_capacity(l * per_channel_steps.len());
@@ -149,11 +153,34 @@ fn flatten_steps(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
             cols.push(ch[step]);
         }
     }
-    let mut acc = cols[0];
-    for &c in &cols[1..] {
-        acc = t.concat_cols(acc, c);
+    while cols.len() > 1 {
+        cols = cols
+            .chunks(2)
+            .map(|pair| match *pair {
+                [a, b] => t.concat_cols(a, b),
+                [a] => a,
+                _ => unreachable!("chunks(2) yields one or two columns"),
+            })
+            .collect();
     }
-    acc
+    cols[0]
+}
+
+/// The fake window as one `(batch, l * n)` matrix in
+/// [`flatten_steps`]' column order, read off the G tape's per-channel
+/// step outputs.
+fn flatten_values(g: &mut Tape, per_channel_steps: &[Vec<VarId>], batch: usize) -> Matrix {
+    let (l, n) = (per_channel_steps[0].len(), per_channel_steps.len());
+    let mut flat = Matrix::zeros(batch, l * n);
+    for (c, steps) in per_channel_steps.iter().enumerate() {
+        for (step, &v) in steps.iter().enumerate() {
+            let col = g.eval(v);
+            for b in 0..batch {
+                flat[(b, step * n + c)] = col[(b, 0)];
+            }
+        }
+    }
+    flat
 }
 
 impl TsgMethod for CosciGan {
@@ -187,13 +214,24 @@ impl TsgMethod for CosciGan {
                 sel.flatten_samples()
             };
 
+            // --- every channel's generator forward pass, once for all
+            // three steps ---
+            let g = g_tape.begin_step();
+            let g_bindings: Vec<Binding> =
+                nets.channels.iter().map(|ch| ch.g_params.bind(g)).collect();
+            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant(z.clone())).collect();
+            let per_ch: Vec<Vec<VarId>> = nets
+                .channels
+                .iter()
+                .zip(&g_bindings)
+                .map(|(ch, gb)| gen_channel(ch, g, gb, &z_vars, batch))
+                .collect();
+
             // --- per-channel discriminators ---
             for (c, ch) in nets.channels.iter_mut().enumerate() {
                 let t = chd_tape.begin_step();
-                let gb = ch.g_params.bind_frozen(t);
                 let db = ch.d_params.bind(t);
-                let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-                let fake = gen_channel(ch, t, &gb, &z_vars, batch);
+                let fake = copy_fakes(g, &per_ch[c], t);
                 let real: Vec<VarId> = real_steps
                     .iter()
                     .map(|m| t.constant(m.slice_cols(c, c + 1)))
@@ -211,18 +249,7 @@ impl TsgMethod for CosciGan {
             {
                 let t = cd_tape.begin_step();
                 let cb = nets.central_params.bind(t);
-                let mut bindings = Vec::with_capacity(n);
-                for ch in &nets.channels {
-                    bindings.push(ch.g_params.bind_frozen(t));
-                }
-                let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-                let per_ch: Vec<Vec<VarId>> = nets
-                    .channels
-                    .iter()
-                    .zip(&bindings)
-                    .map(|(ch, gb)| gen_channel(ch, t, gb, &z_vars, batch))
-                    .collect();
-                let fake_flat = flatten_steps(t, &per_ch);
+                let fake_flat = t.constant(flatten_values(g, &per_ch, batch));
                 let real_var = t.constant(real_flat.clone());
                 let rl = nets.central.forward(t, &cb, real_var);
                 let fl = nets.central.forward(t, &cb, fake_flat);
@@ -236,20 +263,12 @@ impl TsgMethod for CosciGan {
             // --- generators: channel adversarial + gamma * central ---
             let epoch_loss;
             {
-                let t = g_tape.begin_step();
+                let t = g;
                 let cb = nets.central_params.bind_frozen(t);
-                let mut g_bindings = Vec::with_capacity(n);
-                let mut d_bindings = Vec::with_capacity(n);
-                for ch in &nets.channels {
-                    g_bindings.push(ch.g_params.bind(t));
-                    d_bindings.push(ch.d_params.bind_frozen(t));
-                }
-                let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-                let per_ch: Vec<Vec<VarId>> = nets
+                let d_bindings: Vec<Binding> = nets
                     .channels
                     .iter()
-                    .zip(&g_bindings)
-                    .map(|(ch, gb)| gen_channel(ch, t, gb, &z_vars, batch))
+                    .map(|ch| ch.d_params.bind_frozen(t))
                     .collect();
                 // channel adversarial terms
                 let mut total: Option<VarId> = None;
@@ -371,6 +390,76 @@ mod tests {
                 1.0 - base
             }
         })
+    }
+
+    /// The left fold `flatten_steps` replaced: the reference its
+    /// pairwise rounds must match bit for bit.
+    fn flatten_left_fold(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
+        let l = per_channel_steps[0].len();
+        let mut acc: Option<VarId> = None;
+        for step in 0..l {
+            for ch in per_channel_steps {
+                acc = Some(match acc {
+                    None => ch[step],
+                    Some(a) => t.concat_cols(a, ch[step]),
+                });
+            }
+        }
+        acc.expect("at least one column")
+    }
+
+    /// Pairwise flattening against the left fold on an odd (3 x 3) and
+    /// an even (7 x 2) column count, over two steps of one tape so the
+    /// second replays. Each column also feeds an earlier consumer, as
+    /// the channel discriminators do, so its gradient sums two edges.
+    /// The window's values and every column's gradient must agree bit
+    /// for bit.
+    #[test]
+    fn pairwise_flatten_matches_the_left_fold_bit_for_bit() {
+        let batch = 3;
+        for (l, n) in [(3, 3), (7, 2)] {
+            let run = |pairwise: bool| {
+                let mut rng = seeded(17);
+                let mut tape = Tape::new();
+                let mut bits = Vec::new();
+                for _step in 0..2 {
+                    let t = tape.begin_step();
+                    let cols: Vec<Vec<VarId>> = (0..n)
+                        .map(|_| {
+                            (0..l)
+                                .map(|_| t.leaf(tsgb_linalg::rng::randn_matrix(batch, 1, &mut rng)))
+                                .collect()
+                        })
+                        .collect();
+                    let mut own = Vec::new();
+                    for &c in cols.iter().flatten() {
+                        let sq = t.mul(c, c);
+                        own.push(t.sum(sq));
+                    }
+                    let flat = if pairwise {
+                        flatten_steps(t, &cols)
+                    } else {
+                        flatten_left_fold(t, &cols)
+                    };
+                    let w = t.constant(tsgb_linalg::rng::randn_matrix(batch, l * n, &mut rng));
+                    let weighted = t.mul(flat, w);
+                    let mut loss = t.sum(weighted);
+                    for o in own {
+                        loss = t.add(loss, o);
+                    }
+                    t.backward(loss);
+                    let of = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+                    bits.push(of(t.value(flat)));
+                    for &c in cols.iter().flatten() {
+                        bits.push(of(&t.grad(c)));
+                    }
+                }
+                bits
+            };
+            let (pairwise, fold): (Vec<Vec<u64>>, Vec<Vec<u64>>) = (run(true), run(false));
+            assert_eq!(pairwise.len(), 2 * (1 + l * n));
+            assert_eq!(pairwise, fold, "l={l} n={n}: pairwise flatten diverged");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! forward-only at reduced scale — documented deviation).
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
+    copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
+    MethodId, NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -149,12 +149,16 @@ impl TsgMethod for CRnnGan {
             let real_steps = gather_step_matrices(train, &idx);
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
 
+            // the generator's forward pass, once for both steps
+            let g = g_tape.begin_step();
+            let gb = nets.g_params.bind(g);
+            let fake = self.generate_steps(&nets, g, &gb, &zs);
+
             // D step
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
-                let fake = self.generate_steps(&nets, t, &gb, &zs);
+                let fake = copy_fakes(g, &fake, t);
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
                 let rl = self.discriminate(&nets, t, &db, &real, batch);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
@@ -167,10 +171,8 @@ impl TsgMethod for CRnnGan {
 
             // G step
             let g_loss_val = {
-                let t = g_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let t = g;
                 let db = nets.d_params.bind_frozen(t);
-                let fake = self.generate_steps(&nets, t, &gb, &zs);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
                 let g_loss = loss::gan_generator_loss(t, fl);
                 t.backward(g_loss);

@@ -21,8 +21,8 @@
 //! ([`GtGan::with_solver`]) exists as an ablation.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
+    copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
+    MethodId, NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -217,12 +217,16 @@ impl TsgMethod for GtGan {
             let real_steps = gather_step_matrices(train, &idx);
             let z0 = noise(batch, nets.hidden, rng);
 
+            // the generator's forward pass, once for both steps
+            let g = g_tape.begin_step();
+            let gb = nets.g_params.bind(g);
+            let fake = self.generate_steps(&nets, g, &gb, z0);
+
             // D step
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
-                let fake = self.generate_steps(&nets, t, &gb, z0.clone());
+                let fake = copy_fakes(g, &fake, t);
                 let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
                 let rl = self.discriminate(&nets, t, &db, &real, batch);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
@@ -236,10 +240,8 @@ impl TsgMethod for GtGan {
             // G step: adversarial + light moment anchoring (the
             // reconstruction warm-up stand-in for P_MLE pretraining)
             let g_loss_val = {
-                let t = g_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let t = g;
                 let db = nets.d_params.bind_frozen(t);
-                let fake = self.generate_steps(&nets, t, &gb, z0);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
                 let adv = loss::gan_generator_loss(t, fl);
                 let fcat = t.concat_rows(&fake);

@@ -10,9 +10,9 @@
 //! preserves the adversarial dynamics that matter to the benchmark.
 
 use crate::common::{
-    decode_conditioned, gather_step_matrices, minibatch, noise, steps_to_tensor, Condition,
-    ConditionalSample, EpochLog, FitDims, MethodId, NoiseDecoder, TrainConfig, TrainReport,
-    TsgMethod,
+    copy_fakes, decode_conditioned, gather_step_matrices, minibatch, noise, steps_to_tensor,
+    Condition, ConditionalSample, EpochLog, FitDims, MethodId, NoiseDecoder, TrainConfig,
+    TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -127,12 +127,16 @@ impl TsgMethod for Rgan {
             let real_steps_data = gather_step_matrices(train, &idx);
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
 
+            // --- the generator's forward pass, once for both steps ---
+            let g = g_tape.begin_step();
+            let gb = nets.g_params.bind(g);
+            let fake = generate_steps(&nets, g, &gb, &zs);
+
             // --- discriminator step ---
             {
                 let t = d_tape.begin_step();
-                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
-                let fake = generate_steps(&nets, t, &gb, &zs);
+                let fake = copy_fakes(g, &fake, t);
                 let real: Vec<VarId> = real_steps_data.iter().map(|m| t.constant_copy(m)).collect();
                 let real_logit = discriminate(&nets, t, &db, &real);
                 let fake_logit = discriminate(&nets, t, &db, &fake);
@@ -145,10 +149,8 @@ impl TsgMethod for Rgan {
 
             // --- generator step ---
             let g_loss_val = {
-                let t = g_tape.begin_step();
-                let gb = nets.g_params.bind(t);
+                let t = g;
                 let db = nets.d_params.bind_frozen(t);
-                let fake = generate_steps(&nets, t, &gb, &zs);
                 let fake_logit = discriminate(&nets, t, &db, &fake);
                 let g_loss = loss::gan_generator_loss(t, fake_logit);
                 t.backward(g_loss);

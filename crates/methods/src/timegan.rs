@@ -20,8 +20,8 @@
 //! moment loss uses first and second moments exactly as the original.
 
 use crate::common::{
-    gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims, MethodId,
-    NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
+    copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
+    MethodId, NoiseDecoder, TrainConfig, TrainReport, TsgMethod,
 };
 use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
@@ -259,16 +259,20 @@ impl TsgMethod for TimeGan {
             let steps = gather_step_matrices(train, &idx);
             let zs: Vec<Matrix> = (0..l).map(|_| noise(batch, nets.noise_dim, rng)).collect();
 
+            // the generator's forward pass, once for both steps
+            let g = g_tape.begin_step();
+            let gb = nets.g_params.bind(g);
+            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant(z.clone())).collect();
+            let h_fake = nets.generator.run(g, &gb, &z_vars, batch);
+
             // D step
             {
                 let t = d_tape.begin_step();
                 let erb = nets.er_params.bind_frozen(t);
-                let gb = nets.g_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
                 let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
                 let h_real = nets.embedder.run(t, &erb, &xs, batch);
-                let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-                let h_fake = nets.generator.run(t, &gb, &z_vars, batch);
+                let h_fake = copy_fakes(g, &h_fake, t);
                 let real_logit = nets.discriminator.run_last(t, &db, &h_real, batch);
                 let fake_logit = nets.discriminator.run_last(t, &db, &h_fake, batch);
                 let d_loss = loss::gan_discriminator_loss(t, real_logit, fake_logit);
@@ -280,13 +284,10 @@ impl TsgMethod for TimeGan {
 
             // G step: adversarial + supervised + moments on recovered data
             let g_loss_val = {
-                let t = g_tape.begin_step();
+                let t = g;
                 let erb = nets.er_params.bind_frozen(t);
                 let sb = nets.s_params.bind_frozen(t);
-                let gb = nets.g_params.bind(t);
                 let db = nets.d_params.bind_frozen(t);
-                let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant(z.clone())).collect();
-                let h_fake = nets.generator.run(t, &gb, &z_vars, batch);
                 let fake_logit = nets.discriminator.run_last(t, &db, &h_fake, batch);
                 let adv = loss::gan_generator_loss(t, fake_logit);
                 // supervised consistency of generated latents

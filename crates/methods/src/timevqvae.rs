@@ -442,28 +442,35 @@ impl TsgMethod for TimeVqVae {
             .as_ref()
             .expect("TimeVQVAE::generate called before fit");
         let cut = BAND_CUT.min(f.bins);
+        // stage 2: sample codes from the prior, every (window, channel)
+        // in turn, its low band's frames before its high band's
+        let rows = n * self.features * f.frames;
+        let (mut li, mut hi) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        for _ in 0..n {
+            for ch in 0..self.features {
+                li.extend((0..f.frames).map(|fr| sample_categorical(&f.prior_low[ch][fr], rng)));
+                hi.extend((0..f.frames).map(|fr| sample_categorical(&f.prior_high[ch][fr], rng)));
+            }
+        }
+        // one decode per band: the decoder is a single linear layer, so
+        // a row's tokens do not depend on the rows stacked with it
+        let lo_tokens = f.low.decode_codes(&li);
+        let hi_tokens = f.high.decode_codes(&hi);
         let mut out = Tensor3::zeros(n, self.seq_len, self.features);
         for s in 0..n {
             for ch in 0..self.features {
-                // stage 2: sample codes from the prior
-                let li: Vec<usize> = (0..f.frames)
-                    .map(|fr| sample_categorical(&f.prior_low[ch][fr], rng))
-                    .collect();
-                let hi: Vec<usize> = (0..f.frames)
-                    .map(|fr| sample_categorical(&f.prior_high[ch][fr], rng))
-                    .collect();
-                let lo_tokens = f.low.decode_codes(&li);
-                let hi_tokens = f.high.decode_codes(&hi);
+                let base = (s * self.features + ch) * f.frames;
                 // assemble the spectrogram
                 let mut data = vec![Complex::ZERO; f.frames * f.bins];
                 for fr in 0..f.frames {
+                    let row = base + fr;
                     for bi in 0..f.bins {
                         let c = if bi < cut {
-                            Complex::new(lo_tokens[(fr, bi * 2)], lo_tokens[(fr, bi * 2 + 1)])
+                            Complex::new(lo_tokens[(row, bi * 2)], lo_tokens[(row, bi * 2 + 1)])
                         } else {
                             let o = bi - cut;
                             if o * 2 + 1 < f.high.token_dim {
-                                Complex::new(hi_tokens[(fr, o * 2)], hi_tokens[(fr, o * 2 + 1)])
+                                Complex::new(hi_tokens[(row, o * 2)], hi_tokens[(row, o * 2 + 1)])
                             } else {
                                 Complex::ZERO
                             }

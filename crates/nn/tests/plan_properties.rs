@@ -313,3 +313,72 @@ fn nodes_that_depend_on_no_trainable_leaf_get_no_gradient_slot() {
         );
     }
 }
+
+/// The two-player step shape: a generator's forward pass recorded on
+/// one tape, its output read with `eval` and copied as a constant onto
+/// a second tape that trains a head on it, then more leaves bound and
+/// ops recorded on the first tape before its `backward`. Stepping both
+/// tapes with `begin_step` must match a fresh pair of tapes per step
+/// bit for bit — the generator output, both heads' gradients and the
+/// generator's — and each recycled tape must capture once and replay
+/// every later step. The recurrent GEMM is sized past the prepack
+/// threshold, so replay's packed kernel meets `eval`'s plain one.
+#[test]
+fn eval_mid_step_feeds_a_second_tape_bitwise() {
+    const STEPS: usize = 6;
+    let (batch, features, hidden) = (8, 3, 32);
+    let data = make_steps(STEPS, |_| 5, |_| batch, features);
+
+    let run = |plan: bool| {
+        let mut rng = seeded(7);
+        let mut g_p = Params::new();
+        let cell = GruCell::new(&mut g_p, "g", features, hidden, &mut rng);
+        let g_head = Linear::new(&mut g_p, "gh", hidden, features, &mut rng);
+        let mut d_p = Params::new();
+        let d_head = Linear::new(&mut d_p, "d", features, features, &mut rng);
+        let (mut g_opt, mut d_opt) = (Adam::new(1e-2), Adam::new(1e-2));
+        let (mut g_tape, mut d_tape) = (Tape::new(), Tape::new());
+        let mut seen: Vec<Matrix> = Vec::new();
+        for (xs, target) in &data {
+            if !plan {
+                (g_tape, d_tape) = (Tape::new(), Tape::new());
+            }
+            let g = g_tape.begin_step();
+            let gb = g_p.bind(g);
+            let mut h = g.zeros(batch, hidden);
+            for x in xs {
+                let xv = g.constant_copy(x);
+                h = cell.step(g, &gb, xv, h);
+            }
+            let fake = g_head.forward(g, &gb, h);
+
+            let t = d_tape.begin_step();
+            let db = d_p.bind(t);
+            let f = t.constant_copy(g.eval(fake));
+            let pred = d_head.forward(t, &db, f);
+            let d_loss = loss::mse_mean(t, pred, target);
+            t.backward(d_loss);
+            seen.push(t.value(f).clone());
+            seen.extend(d_p.ids().map(|id| t.grad(db.var(id))));
+            d_p.absorb_grads(t, &db);
+            d_opt.step(&mut d_p);
+
+            let dfb = d_p.bind_frozen(g);
+            let judged = d_head.forward(g, &dfb, fake);
+            let g_loss = loss::mse_mean(g, judged, target);
+            g.backward(g_loss);
+            seen.push(g.value(fake).clone());
+            seen.extend(g_p.ids().map(|id| g.grad(gb.var(id))));
+            g_p.absorb_grads(g, &gb);
+            g_opt.step(&mut g_p);
+        }
+        (seen, g_tape.plan_stats(), d_tape.plan_stats())
+    };
+
+    let (fresh, _, _) = run(false);
+    let (replayed, g_stats, d_stats) = run(true);
+    assert_grads_bitwise("recycled vs fresh tapes", &replayed, &fresh);
+    let want = (1, (STEPS - 1) as u64, 0);
+    assert_eq!(g_stats, want, "generator tape counters");
+    assert_eq!(d_stats, want, "discriminator tape counters");
+}

@@ -216,6 +216,43 @@ mod tests {
             .any(|(n, h)| n == "span.t.phase_ms" && h.count == 1));
     }
 
+    /// A panic while the registry or the span log is held poisons that
+    /// lock. Recording, snapshots and span drops carry on regardless,
+    /// and a span dropped by an unwinding thread does not abort the
+    /// process.
+    #[test]
+    fn poisoned_locks_do_not_stop_recording() {
+        let (s, events) = with_recording(|| {
+            let poison = |hold: fn()| assert!(std::thread::spawn(hold).join().is_err());
+            poison(|| {
+                let _held = metrics::registry();
+                panic!("poisons the metric registry");
+            });
+            poison(|| {
+                let _held = span::event_log();
+                panic!("poisons the span log");
+            });
+            poison(|| {
+                let _sp = span("t.unwound");
+                panic!("unwinds past a live span");
+            });
+            counter_add("t.after_poison", 2);
+            {
+                let _sp = span("t.after_poison");
+            }
+            (snapshot(), span_events())
+        });
+        assert_eq!(s.counters, vec![("t.after_poison".to_string(), 2)]);
+        for name in ["span.t.unwound_ms", "span.t.after_poison_ms"] {
+            assert!(
+                s.histograms.iter().any(|(n, h)| n == name && h.count == 1),
+                "{name} missing"
+            );
+        }
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["t.unwound", "t.after_poison"]);
+    }
+
     #[test]
     fn concurrent_counting_is_exact() {
         let s = with_recording(|| {

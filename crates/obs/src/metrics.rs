@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Histogram bucket layout: one bucket per power-of-two magnitude,
 /// exponent clamped to `[MIN_EXP, MAX_EXP]`. A sample `v` lands in the
@@ -75,24 +75,31 @@ fn bucket_index(v: f64) -> usize {
     (e.clamp(MIN_EXP, MAX_EXP) - MIN_EXP + 1) as usize
 }
 
-enum Metric {
+pub(crate) enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-fn registry() -> &'static Mutex<HashMap<String, Metric>> {
+/// The locked registry. Every update under the lock is one insert or
+/// one clear, so the map is valid even after a panic while it was held
+/// (a poisoned lock): recording goes on instead of failing every later
+/// call, and a [`crate::Span`] dropped during that unwind cannot abort.
+pub(crate) fn registry() -> MutexGuard<'static, HashMap<String, Metric>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 pub(crate) fn reset_registry() {
-    registry().lock().unwrap().clear();
+    registry().clear();
 }
 
 pub(crate) fn counter_add_slow(name: &str, n: u64) {
     let handle = {
-        let mut reg = registry().lock().unwrap();
+        let mut reg = registry();
         match reg.get(name) {
             Some(Metric::Counter(c)) => c.clone(),
             Some(_) => return, // name already used by another kind
@@ -110,7 +117,7 @@ pub(crate) fn counter_add_slow(name: &str, n: u64) {
 
 pub(crate) fn gauge_set_slow(name: &str, v: f64) {
     let handle = {
-        let mut reg = registry().lock().unwrap();
+        let mut reg = registry();
         match reg.get(name) {
             Some(Metric::Gauge(g)) => g.clone(),
             Some(_) => return,
@@ -128,7 +135,7 @@ pub(crate) fn gauge_set_slow(name: &str, v: f64) {
 
 pub(crate) fn observe_slow(name: &str, v: f64) {
     let handle = {
-        let mut reg = registry().lock().unwrap();
+        let mut reg = registry();
         match reg.get(name) {
             Some(Metric::Histogram(h)) => h.clone(),
             Some(_) => return,
@@ -169,7 +176,7 @@ pub struct Snapshot {
 
 /// Reads every metric, sorted by name within each kind.
 pub fn snapshot() -> Snapshot {
-    let reg = registry().lock().unwrap();
+    let reg = registry();
     let mut out = Snapshot::default();
     for (name, metric) in reg.iter() {
         match metric {

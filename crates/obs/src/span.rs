@@ -7,7 +7,7 @@
 //! line per span. With recording disabled the guard is inert: no clock
 //! is read and nothing is stored.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// One completed span, in completion order.
@@ -22,25 +22,28 @@ pub struct SpanEvent {
     pub ms: f64,
 }
 
-struct EventLog {
+pub(crate) struct EventLog {
     epoch: Instant,
     events: Vec<SpanEvent>,
 }
 
-fn event_log() -> &'static Mutex<Option<EventLog>> {
+/// The locked span log. Every update under the lock is one push or
+/// one reset, so the log is valid even after a panic while it was held
+/// (a poisoned lock), and [`Span`]'s drop never panics on it.
+pub(crate) fn event_log() -> MutexGuard<'static, Option<EventLog>> {
     static LOG: OnceLock<Mutex<Option<EventLog>>> = OnceLock::new();
     LOG.get_or_init(|| Mutex::new(None))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 pub(crate) fn reset_events() {
-    *event_log().lock().unwrap() = None;
+    *event_log() = None;
 }
 
 /// Completed spans so far, in completion order.
 pub fn span_events() -> Vec<SpanEvent> {
     event_log()
-        .lock()
-        .unwrap()
         .as_ref()
         .map(|l| l.events.clone())
         .unwrap_or_default()
@@ -75,7 +78,7 @@ impl Drop for Span {
         let end = Instant::now();
         let ms = end.duration_since(start).as_secs_f64() * 1e3;
         crate::metrics::observe_slow(&format!("span.{name}_ms"), ms);
-        let mut log = event_log().lock().unwrap();
+        let mut log = event_log();
         let log = log.get_or_insert_with(|| EventLog {
             epoch: start,
             events: Vec::new(),

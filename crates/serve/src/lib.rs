@@ -24,7 +24,10 @@
 //!   request; zero in-flight requests are dropped.
 //! * **A model panic fails one request.** The batch worker catches it,
 //!   re-runs the rest of the batch alone, answers the failing request
-//!   with `500`, and keeps serving (see [`batch`]).
+//!   with `500`, and keeps serving (see [`batch`]). A panic on a
+//!   connection thread (a conditional draw, a stream sampler) is
+//!   caught there and closes only that connection
+//!   ([`tsgb_wire::server::handle_connection`]).
 //!
 //! Everything is `std`-only: the HTTP layer sits on
 //! `std::net::TcpListener`, and the wire format is a hand-rolled JSON

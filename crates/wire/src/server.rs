@@ -10,6 +10,7 @@
 //! silent drop.
 
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -172,6 +173,23 @@ impl From<&HttpError> for Reply {
     }
 }
 
+/// One count in [`Lifecycle::active`], released on drop, so a
+/// connection thread that unwinds still gives its count back.
+struct ActiveGuard(Arc<Lifecycle>);
+
+impl ActiveGuard {
+    fn enter(lifecycle: &Arc<Lifecycle>) -> Self {
+        lifecycle.active.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(lifecycle))
+    }
+}
+
+impl Drop for ActiveGuard {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Spawns the accept loop: one named handler thread per connection,
 /// counted in `lifecycle.active`. The loop exits when `accept` fails
 /// or succeeds while draining — waking it with a loopback connection
@@ -194,19 +212,13 @@ where
                     if lifecycle.draining() {
                         return;
                     }
-                    lifecycle.active.fetch_add(1, Ordering::SeqCst);
-                    let conn_lc = Arc::clone(&lifecycle);
+                    let active = ActiveGuard::enter(&lifecycle);
                     let conn_handler = Arc::clone(&handler);
-                    let spawned =
-                        std::thread::Builder::new()
-                            .name(conn_name.clone())
-                            .spawn(move || {
-                                handle_connection(stream, &conn_lc, &*conn_handler);
-                                conn_lc.active.fetch_sub(1, Ordering::SeqCst);
-                            });
-                    if spawned.is_err() {
-                        lifecycle.active.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    // A failed spawn drops the closure, and the guard
+                    // with it.
+                    let _ = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || handle_connection(stream, &active.0, &*conn_handler));
                 }
                 Err(_) => {
                     if lifecycle.draining() {
@@ -220,7 +232,10 @@ where
 /// The per-connection loop: reads requests until close/drain, passes
 /// each to `handler`, writes the reply. Malformed input gets a
 /// structured `400` and the connection closes, and so does a write
-/// that blocks past [`WRITE_TIMEOUT`].
+/// that blocks past [`WRITE_TIMEOUT`]. A handler that panics is
+/// answered with a structured `500` and the connection closes; a
+/// stream producer that panics ends its stream mid-body, like one that
+/// returns an error.
 pub fn handle_connection(
     mut stream: TcpStream,
     lifecycle: &Lifecycle,
@@ -244,7 +259,12 @@ pub fn handle_connection(
                 return;
             }
             ReadOutcome::Request(req) => {
-                let reply = handler(&req);
+                let Ok(reply) = catch_unwind(AssertUnwindSafe(|| handler(&req))) else {
+                    let err = HttpError::internal(format!("handler for {} panicked", req.path));
+                    let _ =
+                        write_response(&mut stream, err.status, &[], err.body().as_bytes(), true);
+                    return;
+                };
                 let close = req.wants_close() || lifecycle.draining();
                 let headers: Vec<(&str, String)> = reply
                     .retry_after
@@ -253,8 +273,8 @@ pub fn handle_connection(
                 if let Some(producer) = reply.stream {
                     // chunked streaming reply: head, producer-driven
                     // chunks, zero-size terminator. A producer error
-                    // closes the connection so the peer sees a
-                    // truncated stream, never a silently-complete one.
+                    // or panic closes the connection so the peer sees
+                    // a truncated stream, never a silently-complete one.
                     if write_chunked_head(&mut stream, reply.status, &headers, close).is_err() {
                         return;
                     }
@@ -262,7 +282,10 @@ pub fn handle_connection(
                         stream: &mut stream,
                         chunks: 0,
                     };
-                    if producer(&mut sink).is_err() || finish_chunks(&mut stream).is_err() || close
+                    let produced = catch_unwind(AssertUnwindSafe(|| producer(&mut sink)));
+                    if !matches!(produced, Ok(Ok(())))
+                        || finish_chunks(&mut stream).is_err()
+                        || close
                     {
                         return;
                     }

@@ -8,11 +8,14 @@
 # .bench_build/), then runs one pair per seed: each side once with
 # `--trace 0` for BENCHMARK.json's `run_seconds`, alternating which side
 # runs first because host speed drifts over minutes. Prints every
-# end-to-end metric's median and quartiles per side, how many pairs the
+# end-to-end metric's median and quartiles per side, the change's
+# median relative to the parent's in percent, how many pairs the
 # change won, and whether the medians differ by more than the parent's
-# interquartile distance. Exits non-zero if any run fails, reports
-# `correct: false`, or reports `failed > 0`. Tracked files are not
-# touched; run output goes to .bench_build/perf_pairs/.
+# interquartile distance, and flags a metric whose median got worse by
+# more than its `bound` in BENCHMARK.json. Exits non-zero if any run
+# fails, reports `correct: false`, or reports `failed > 0`, or if any
+# metric is flagged. Tracked files are not touched; run output goes to
+# .bench_build/perf_pairs/.
 set -euo pipefail
 
 if [[ $# -lt 3 ]]; then
@@ -95,15 +98,24 @@ def cell(xs):
 
 pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p and c]
 print(f"{len(pairs)} complete pairs, seeds {' '.join(seeds)}")
-print(f"{'metric':<12} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28}   won  beyond parent IQR")
+print(f"{'metric':<12} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28}"
+      f" {'change':>8}   won  beyond parent IQR")
 for m in bench["end_to_end"] if pairs else []:
     name, lower = m["name"], m["better"] == "lower"
     p = [a[name] for a, _ in pairs]
     c = [b[name] for _, b in pairs]
     won = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
     pq1, pm, pq3 = quartiles(p)
-    beyond = abs(quartiles(c)[1] - pm) > pq3 - pq1
-    print(f"{name:<12} {cell(p):>28} {cell(c):>28} {won:>3}/{len(pairs):<3} {'yes' if beyond else 'no'}")
+    cm = quartiles(c)[1]
+    beyond = abs(cm - pm) > pq3 - pq1
+    rel = (cm - pm) / pm if pm else 0.0
+    worse = rel if lower else -rel
+    flag = ""
+    if worse > m["bound"]:
+        flag = f"  WORSE by more than its {m['bound']:.0%} bound"
+        ok = False
+    print(f"{name:<12} {cell(p):>28} {cell(c):>28} {rel:>+8.1%} {won:>3}/{len(pairs):<3}"
+          f" {'yes' if beyond else 'no'}{flag}")
 print(f"runs: {out}")
 sys.exit(0 if ok else 1)
 EOF
