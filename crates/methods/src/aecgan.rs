@@ -127,7 +127,7 @@ impl AecGan {
         steps.push(prev);
         for ctx in context.iter().skip(1) {
             let z = t.constant(zs[steps.len() - 1].clone());
-            let inp = t.concat_cols(prev, z);
+            let inp = t.concat_cols(&[prev, z]);
             h = nets.g_cell.step(t, gb, inp, h);
             prev = t.constant(ctx.clone());
             steps.push(prev);
@@ -135,7 +135,7 @@ impl AecGan {
         // free-running generation with correction
         while steps.len() < self.seq_len {
             let z = t.constant(zs[steps.len() - 1].clone());
-            let inp = t.concat_cols(prev, z);
+            let inp = t.concat_cols(&[prev, z]);
             h = nets.g_cell.step(t, gb, inp, h);
             let raw = nets.g_head.forward(t, gb, h);
             let mut out = t.sigmoid(raw);

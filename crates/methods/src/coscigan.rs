@@ -139,31 +139,15 @@ fn disc_channel(
 }
 
 /// Flattens per-step-per-channel nodes into the `(batch, l * n)` input
-/// of the central discriminator: column order is step-major,
-/// channel-minor — matching `Tensor3::flatten_samples`. Neighbours are
-/// joined in pairwise rounds: log2(l * n) levels that each copy the
-/// window once, so no buffer on the tape grows with (l * n)².
-/// Concatenation and its gradient are plain copies, so the grouping
-/// changes no bit of the result or of any column's gradient.
+/// of the central discriminator, as one `concat_cols` node: column
+/// order is step-major, channel-minor — matching
+/// `Tensor3::flatten_samples`.
 fn flatten_steps(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
     let l = per_channel_steps[0].len();
-    let mut cols = Vec::with_capacity(l * per_channel_steps.len());
-    for step in 0..l {
-        for ch in per_channel_steps {
-            cols.push(ch[step]);
-        }
-    }
-    while cols.len() > 1 {
-        cols = cols
-            .chunks(2)
-            .map(|pair| match *pair {
-                [a, b] => t.concat_cols(a, b),
-                [a] => a,
-                _ => unreachable!("chunks(2) yields one or two columns"),
-            })
-            .collect();
-    }
-    cols[0]
+    let cols: Vec<VarId> = (0..l)
+        .flat_map(|step| per_channel_steps.iter().map(move |ch| ch[step]))
+        .collect();
+    t.concat_cols(&cols)
 }
 
 /// The fake window as one `(batch, l * n)` matrix in
@@ -390,76 +374,6 @@ mod tests {
                 1.0 - base
             }
         })
-    }
-
-    /// The left fold `flatten_steps` replaced: the reference its
-    /// pairwise rounds must match bit for bit.
-    fn flatten_left_fold(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
-        let l = per_channel_steps[0].len();
-        let mut acc: Option<VarId> = None;
-        for step in 0..l {
-            for ch in per_channel_steps {
-                acc = Some(match acc {
-                    None => ch[step],
-                    Some(a) => t.concat_cols(a, ch[step]),
-                });
-            }
-        }
-        acc.expect("at least one column")
-    }
-
-    /// Pairwise flattening against the left fold on an odd (3 x 3) and
-    /// an even (7 x 2) column count, over two steps of one tape so the
-    /// second replays. Each column also feeds an earlier consumer, as
-    /// the channel discriminators do, so its gradient sums two edges.
-    /// The window's values and every column's gradient must agree bit
-    /// for bit.
-    #[test]
-    fn pairwise_flatten_matches_the_left_fold_bit_for_bit() {
-        let batch = 3;
-        for (l, n) in [(3, 3), (7, 2)] {
-            let run = |pairwise: bool| {
-                let mut rng = seeded(17);
-                let mut tape = Tape::new();
-                let mut bits = Vec::new();
-                for _step in 0..2 {
-                    let t = tape.begin_step();
-                    let cols: Vec<Vec<VarId>> = (0..n)
-                        .map(|_| {
-                            (0..l)
-                                .map(|_| t.leaf(tsgb_linalg::rng::randn_matrix(batch, 1, &mut rng)))
-                                .collect()
-                        })
-                        .collect();
-                    let mut own = Vec::new();
-                    for &c in cols.iter().flatten() {
-                        let sq = t.mul(c, c);
-                        own.push(t.sum(sq));
-                    }
-                    let flat = if pairwise {
-                        flatten_steps(t, &cols)
-                    } else {
-                        flatten_left_fold(t, &cols)
-                    };
-                    let w = t.constant(tsgb_linalg::rng::randn_matrix(batch, l * n, &mut rng));
-                    let weighted = t.mul(flat, w);
-                    let mut loss = t.sum(weighted);
-                    for o in own {
-                        loss = t.add(loss, o);
-                    }
-                    t.backward(loss);
-                    let of = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
-                    bits.push(of(t.value(flat)));
-                    for &c in cols.iter().flatten() {
-                        bits.push(of(&t.grad(c)));
-                    }
-                }
-                bits
-            };
-            let (pairwise, fold): (Vec<Vec<u64>>, Vec<Vec<u64>>) = (run(true), run(false));
-            assert_eq!(pairwise.len(), 2 * (1 + l * n));
-            assert_eq!(pairwise, fold, "l={l} n={n}: pairwise flatten diverged");
-        }
     }
 
     #[test]

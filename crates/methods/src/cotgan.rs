@@ -88,11 +88,7 @@ impl CotGan {
             })
             .collect();
         // flatten step-major into (batch, l*n) columns
-        let mut flat = steps[0];
-        for &s in &steps[1..] {
-            flat = t.concat_cols(flat, s);
-        }
-        flat
+        t.concat_cols(&steps)
     }
 
     fn nets(&self) -> &Nets {

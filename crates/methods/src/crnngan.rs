@@ -91,7 +91,7 @@ impl CRnnGan {
         let mut out = Vec::with_capacity(self.seq_len);
         for z in zs {
             let zv = t.constant(z.clone());
-            let inp = t.concat_cols(zv, prev);
+            let inp = t.concat_cols(&[zv, prev]);
             let (h2, c2) = nets.g_cell.step(t, gb, inp, h, c);
             h = h2;
             c = c2;

@@ -148,9 +148,9 @@ fn forward_flow(flow: &ChannelFlow, t: &mut Tape, b: &Binding, x: VarId) -> (Var
             Some(acc) => t.add(acc, ld),
         });
         cur = if c.even_identity {
-            t.concat_cols(id_part, y)
+            t.concat_cols(&[id_part, y])
         } else {
-            t.concat_cols(y, id_part)
+            t.concat_cols(&[y, id_part])
         };
     }
     (cur, log_det.expect("at least one coupling"))

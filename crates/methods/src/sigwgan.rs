@@ -107,9 +107,9 @@ fn tape_signature_depth2(t: &mut Tape, steps: &[VarId], batch: usize, d_raw: usi
     let time_inc = t.constant(Matrix::full(batch, 1, dt));
     for step in 1..l {
         let dx = t.sub(steps[step], steps[step - 1]); // (batch, d_raw)
-        let delta = t.concat_cols(time_inc, dx); // (batch, d)
-                                                 // outer products per sample: columns (i, j) = s1[:,i]*delta[:,j]
-                                                 // and delta[:,i]*delta[:,j]/2
+        let delta = t.concat_cols(&[time_inc, dx]); // (batch, d)
+                                                    // outer products per sample: columns (i, j) = s1[:,i]*delta[:,j]
+                                                    // and delta[:,i]*delta[:,j]/2
         let mut cols: Vec<VarId> = Vec::with_capacity(d * d);
         for i in 0..d {
             let s1_i = t.slice_cols(s1, i, i + 1);
@@ -122,14 +122,11 @@ fn tape_signature_depth2(t: &mut Tape, steps: &[VarId], batch: usize, d_raw: usi
                 cols.push(t.add(a, half));
             }
         }
-        let mut upd = cols[0];
-        for &c in &cols[1..] {
-            upd = t.concat_cols(upd, c);
-        }
+        let upd = t.concat_cols(&cols);
         s2 = t.add(s2, upd);
         s1 = t.add(s1, delta);
     }
-    t.concat_cols(s1, s2)
+    t.concat_cols(&[s1, s2])
 }
 
 impl TsgMethod for SigWgan {

@@ -265,13 +265,18 @@ impl TsgMethod for TimeGan {
             let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant(z.clone())).collect();
             let h_fake = nets.generator.run(g, &gb, &z_vars, batch);
 
+            // the real minibatch's embedding, once for the D step and
+            // the E/R refresh: E and R change only at the refresh
+            let er = er_tape.begin_step();
+            let erb = nets.er_params.bind(er);
+            let xs: Vec<VarId> = steps.iter().map(|m| er.constant(m.clone())).collect();
+            let h_real = nets.embedder.run(er, &erb, &xs, batch);
+
             // D step
             {
                 let t = d_tape.begin_step();
-                let erb = nets.er_params.bind_frozen(t);
                 let db = nets.d_params.bind(t);
-                let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
-                let h_real = nets.embedder.run(t, &erb, &xs, batch);
+                let h_real = copy_fakes(er, &h_real, t);
                 let h_fake = copy_fakes(g, &h_fake, t);
                 let real_logit = nets.discriminator.run_last(t, &db, &h_real, batch);
                 let fake_logit = nets.discriminator.run_last(t, &db, &h_fake, batch);
@@ -314,11 +319,8 @@ impl TsgMethod for TimeGan {
 
             // E/R refresh: keep the latent space reconstructive
             {
-                let t = er_tape.begin_step();
-                let erb = nets.er_params.bind(t);
-                let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
-                let hs = nets.embedder.run(t, &erb, &xs, batch);
-                let xh = nets.recovery.run(t, &erb, &hs, batch);
+                let t = er;
+                let xh = nets.recovery.run(t, &erb, &h_real, batch);
                 let xh_cat = t.concat_rows(&xh);
                 let target = steps
                     .iter()

@@ -44,10 +44,9 @@ struct Nets {
     season_head: Linear,
     residual: Mlp,
     latent: usize,
-    /// `(l, TREND_DEGREE)` polynomial time basis.
-    trend_basis: Matrix,
-    /// `(l, 2 * HARMONICS)` Fourier time basis.
-    season_basis: Matrix,
+    /// `(l, TREND_DEGREE + 2 * HARMONICS)` time basis: the polynomial
+    /// trend degrees ascending, then the Fourier harmonics.
+    basis: Matrix,
     /// Sampling tapes with `params` bound.
     tapes: ResidentTapes,
 }
@@ -109,15 +108,16 @@ impl TimeVae {
             Activation::None,
             rng,
         );
-        // fixed time bases
+        // fixed time basis, one column per head coefficient
         let l = self.seq_len as f64;
-        let trend_basis = Matrix::from_fn(self.seq_len, TREND_DEGREE, |t, d| {
-            (t as f64 / l).powi(d as i32)
-        });
-        let season_basis = Matrix::from_fn(self.seq_len, 2 * HARMONICS, |t, k| {
+        let basis = Matrix::from_fn(self.seq_len, TREND_DEGREE + 2 * HARMONICS, |t, k| {
+            if k < TREND_DEGREE {
+                return (t as f64 / l).powi(k as i32);
+            }
+            let k = k - TREND_DEGREE;
             let harm = (k / 2 + 1) as f64;
             let angle = std::f64::consts::TAU * harm * t as f64 / l;
-            if k % 2 == 0 {
+            if k.is_multiple_of(2) {
                 angle.sin()
             } else {
                 angle.cos()
@@ -132,8 +132,7 @@ impl TimeVae {
             season_head,
             residual,
             latent,
-            trend_basis,
-            season_basis,
+            basis,
             tapes: ResidentTapes::new(),
         }
     }
@@ -144,48 +143,16 @@ impl TimeVae {
 }
 
 /// Decodes a latent batch to `(batch, l * n)` reconstructions:
-/// `sigmoid(trend + seasonality + residual)`.
-fn decode(
-    nets: &Nets,
-    t: &mut Tape,
-    b: &Binding,
-    z: VarId,
-    seq_len: usize,
-    features: usize,
-) -> VarId {
-    // trend: coefficients (batch, deg * n) x basis (l, deg)
+/// `sigmoid(trend + seasonality + residual)`. The two heads emit
+/// per-channel coefficients, `(batch, K * n)` side by side, and one
+/// `basis_expand` node spreads them over the `(l, K)` time basis,
+/// step-major like `flatten_samples`.
+fn decode(nets: &Nets, t: &mut Tape, b: &Binding, z: VarId) -> VarId {
     let coef_t = nets.trend_head.forward(t, b, z);
     let coef_s = nets.season_head.forward(t, b, z);
-
-    // Assemble per-sample structured outputs via basis matmuls. We
-    // express the computation batch-wise: for each degree d, the trend
-    // contribution to step t_ is basis[t_, d] * coef[:, d*n..(d+1)*n].
-    // Sum over d gives a (batch, n) per-step block; we build the full
-    // (batch, l*n) by concatenating per-step columns.
-    let mut step_blocks: Vec<VarId> = Vec::with_capacity(seq_len);
-    for step in 0..seq_len {
-        let mut acc: Option<VarId> = None;
-        for d in 0..TREND_DEGREE {
-            let c = t.slice_cols(coef_t, d * features, (d + 1) * features);
-            let scaled = t.scale(c, nets.trend_basis[(step, d)]);
-            acc = Some(match acc {
-                None => scaled,
-                Some(a) => t.add(a, scaled),
-            });
-        }
-        for k in 0..2 * HARMONICS {
-            let c = t.slice_cols(coef_s, k * features, (k + 1) * features);
-            let scaled = t.scale(c, nets.season_basis[(step, k)]);
-            let a = acc.expect("trend accumulated");
-            acc = Some(t.add(a, scaled));
-        }
-        step_blocks.push(acc.expect("non-empty"));
-    }
-    // (batch, l*n) structured part, step-major like flatten_samples
-    let mut structured = step_blocks[0];
-    for &blk in &step_blocks[1..] {
-        structured = t.concat_cols(structured, blk);
-    }
+    let coef = t.concat_cols(&[coef_t, coef_s]);
+    let basis = t.constant_copy(&nets.basis);
+    let structured = t.basis_expand(coef, basis);
     let resid = nets.residual.forward(t, b, z);
     let sum = t.add(structured, resid);
     t.sigmoid(sum)
@@ -223,7 +190,7 @@ impl TsgMethod for TimeVae {
             let std = t.exp(half_lv);
             let noise = t.mul(eps, std);
             let z = t.add(mu, noise);
-            let recon = decode(&nets, t, &b, z, self.seq_len, self.features);
+            let recon = decode(&nets, t, &b, z);
             let rec_loss = loss::mse_mean(t, recon, &x);
             let rec_scaled = t.scale(rec_loss, recon_weight);
             let kl = loss::gaussian_kl_mean(t, mu, logvar);
@@ -287,7 +254,7 @@ impl NoiseDecoder for TimeVae {
         let nets = self.nets();
         let flat = nets.tapes.run(&[&nets.params], |t, b| {
             let z = t.constant_copy(&noise[0]);
-            let flat = decode(nets, t, &b[0], z, self.seq_len, self.features);
+            let flat = decode(nets, t, &b[0], z);
             t.value(flat).as_slice().to_vec()
         });
         Tensor3::from_vec(noise[0].rows(), self.seq_len, self.features, flat)

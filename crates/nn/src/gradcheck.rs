@@ -539,12 +539,24 @@ mod tests {
             nary!("MulRowBroadcast", |r, c| vec![(r, c), (1, c)], |t, v| {
                 t.mul_row_broadcast(v[0], v[1])
             }),
-            nary!("ConcatCols", |r, c| vec![(r, c), (r, c + 1)], |t, v| {
-                t.concat_cols(v[0], v[1])
-            }),
+            nary!(
+                "ConcatCols",
+                |r, c| vec![(r, c), (r, c + 1), (r, 2)],
+                |t, v| { t.concat_cols(&[v[0], v[1], v[2]]) }
+            ),
+            nary!(
+                "ConcatCols+repeat",
+                |r, c| vec![(r, c), (r, c + 1)],
+                |t, v| { t.concat_cols(&[v[0], v[1], v[0]]) }
+            ),
             nary!("ConcatRows", |r, c| vec![(r, c), (r + 1, c)], |t, v| {
                 t.concat_rows(&[v[0], v[1]])
             }),
+            nary!(
+                "BasisExpand",
+                |r, c| vec![(r, 2 * c), (r + 1, c)],
+                |t, v| { t.basis_expand(v[0], v[1]) }
+            ),
             nary!("Affine+Identity", affine, |t, v| {
                 t.affine_act(v[0], v[1], v[2], Identity)
             }),
@@ -585,7 +597,7 @@ mod tests {
             .iter()
             .map(|c| c.label.split('+').next().unwrap())
             .collect();
-        assert_eq!(variants.len(), 30, "one case per differentiable Op variant");
+        assert_eq!(variants.len(), 31, "one case per differentiable Op variant");
         for case in &cases {
             let variant = case.label.split('+').next().unwrap();
             for (r, c) in [(1, 3), (4, 1), (3, 5)] {

@@ -251,7 +251,7 @@ fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
             f(a.0, true);
             f(row.0, false);
         }
-        Op::Add(a, b) | Op::Matmul(a, b) | Op::AddRowBroadcast(a, b) | Op::ConcatCols(a, b) => {
+        Op::Add(a, b) | Op::Matmul(a, b) | Op::AddRowBroadcast(a, b) | Op::BasisExpand(a, b) => {
             f(a.0, false);
             f(b.0, false);
         }
@@ -276,7 +276,7 @@ fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
         | Op::Im2Col(a, _)
         | Op::RowMean(a)
         | Op::Transpose(a) => f(a.0, false),
-        Op::ConcatRows(parts) => parts.iter().for_each(|p| f(p.0, false)),
+        Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.iter().for_each(|p| f(p.0, false)),
         Op::Affine { x, w, b, .. } => [x, w, b].into_iter().for_each(|v| f(v.0, false)),
         Op::Affine2 { x, w, h, u, b, .. } => {
             [x, w, h, u, b].into_iter().for_each(|v| f(v.0, false))
@@ -524,12 +524,15 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
                 }
             }
         }
-        Op::ConcatCols(a, b) => {
-            let (xa, xb) = (&lo[a.0].value, &lo[b.0].value);
-            let ca = xa.cols();
-            for row in 0..xa.rows() {
-                v.row_mut(row)[..ca].copy_from_slice(xa.row(row));
-                v.row_mut(row)[ca..].copy_from_slice(xb.row(row));
+        Op::ConcatCols(parts) => {
+            let mut offset = 0;
+            for p in parts {
+                let m = &lo[p.0].value;
+                let cols = m.cols();
+                for row in 0..m.rows() {
+                    v.row_mut(row)[offset..offset + cols].copy_from_slice(m.row(row));
+                }
+                offset += cols;
             }
         }
         Op::SliceCols(a, start, end) => {
@@ -584,6 +587,26 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
             for row in 0..x.rows() {
                 for col in 0..x.cols() {
                     v[(col, row)] = x[(row, col)];
+                }
+            }
+        }
+        Op::BasisExpand(coef, basis) => {
+            // Each output starts from its first product and adds the
+            // rest in basis order: no FMA, no start from 0.0.
+            let (c, bm) = (&lo[coef.0].value, &lo[basis.0].value);
+            let n = c.cols() / bm.cols();
+            for row in 0..c.rows() {
+                let cr = c.row(row);
+                for (s, out) in v.row_mut(row).chunks_exact_mut(n).enumerate() {
+                    let b = bm.row(s);
+                    for (o, &cv) in out.iter_mut().zip(&cr[..n]) {
+                        *o = cv * b[0];
+                    }
+                    for (k, &bk) in b.iter().enumerate().skip(1) {
+                        for (o, &cv) in out.iter_mut().zip(&cr[k * n..(k + 1) * n]) {
+                            *o += cv * bk;
+                        }
+                    }
                 }
             }
         }
@@ -1237,23 +1260,20 @@ fn run_step(
                 }
             }
         }
-        Op::ConcatCols(a, b) => {
-            let ca = nodes[a.0].value.cols();
-            if live(a.0) {
-                let ga = acc_slot(&mut lo[a.0], flags[0]);
-                for r in 0..g.rows() {
-                    for (o, &v) in ga.row_mut(r).iter_mut().zip(&g.row(r)[..ca]) {
-                        *o += v;
+        Op::ConcatCols(parts) => {
+            let mut offset = 0;
+            for (k, p) in parts.iter().enumerate() {
+                let cols = nodes[p.0].value.cols();
+                if live(p.0) {
+                    let gp = acc_slot(&mut lo[p.0], flags[k]);
+                    for r in 0..g.rows() {
+                        let gs = &g.row(r)[offset..offset + cols];
+                        for (o, &v) in gp.row_mut(r).iter_mut().zip(gs) {
+                            *o += v;
+                        }
                     }
                 }
-            }
-            if live(b.0) {
-                let gb = acc_slot(&mut lo[b.0], flags[1]);
-                for r in 0..g.rows() {
-                    for (o, &v) in gb.row_mut(r).iter_mut().zip(&g.row(r)[ca..]) {
-                        *o += v;
-                    }
-                }
+                offset += cols;
             }
         }
         Op::SliceCols(a, start, end) => {
@@ -1331,6 +1351,40 @@ fn run_step(
                 for r in 0..g.rows() {
                     for c in 0..g.cols() {
                         ga[(c, r)] += g[(r, c)];
+                    }
+                }
+            }
+        }
+        Op::BasisExpand(coef, basis) => {
+            let (c, bm) = (&nodes[coef.0].value, &nodes[basis.0].value);
+            let n = c.cols() / bm.cols();
+            if live(coef.0) {
+                // Steps last-first: the order in which the reverse sweep
+                // adds them when each step is its own `slice_cols` and
+                // `scale` nodes, so both graphs give the same bits.
+                let gc = acc_slot(&mut lo[coef.0], flags[0]);
+                for r in 0..g.rows() {
+                    let (gr, out) = (g.row(r), gc.row_mut(r));
+                    for s in (0..bm.rows()).rev() {
+                        let gs = &gr[s * n..(s + 1) * n];
+                        for (k, &bk) in bm.row(s).iter().enumerate() {
+                            for (o, &gv) in out[k * n..(k + 1) * n].iter_mut().zip(gs) {
+                                *o += gv * bk;
+                            }
+                        }
+                    }
+                }
+            }
+            if live(basis.0) {
+                let gb = acc_slot(&mut lo[basis.0], flags[1]);
+                for r in 0..g.rows() {
+                    let (gr, cr) = (g.row(r), c.row(r));
+                    for s in 0..bm.rows() {
+                        let gs = &gr[s * n..(s + 1) * n];
+                        for (k, o) in gb.row_mut(s).iter_mut().enumerate() {
+                            let ck = &cr[k * n..(k + 1) * n];
+                            *o += gs.iter().zip(ck).map(|(&gv, &cv)| gv * cv).sum::<f64>();
+                        }
                     }
                 }
             }

@@ -144,8 +144,8 @@ pub(crate) enum Op {
     AddRowBroadcast(VarId, VarId),
     /// Multiply every row elementwise by a `1 x cols` row vector.
     MulRowBroadcast(VarId, VarId),
-    /// Side-by-side concatenation `[a | b]`.
-    ConcatCols(VarId, VarId),
+    /// Side-by-side concatenation of row-compatible matrices.
+    ConcatCols(Vec<VarId>),
     /// Column slice `[start, end)` of the input.
     SliceCols(VarId, usize, usize),
     /// Stack many row-compatible matrices vertically.
@@ -159,6 +159,9 @@ pub(crate) enum Op {
     RowMean(VarId),
     /// Transpose.
     Transpose(VarId),
+    /// Coefficients `(batch, K*n)` expanded over a fixed `(l, K)`
+    /// basis into `(batch, l*n)`, step-major.
+    BasisExpand(VarId, VarId),
     /// Fused `act(x W + b)`: matmul, row-broadcast bias, activation in
     /// one node.
     Affine {
@@ -195,7 +198,7 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
         | (Op::Matmul(a0, b0), Op::Matmul(a1, b1))
         | (Op::AddRowBroadcast(a0, b0), Op::AddRowBroadcast(a1, b1))
         | (Op::MulRowBroadcast(a0, b0), Op::MulRowBroadcast(a1, b1))
-        | (Op::ConcatCols(a0, b0), Op::ConcatCols(a1, b1)) => a0 == a1 && b0 == b1,
+        | (Op::BasisExpand(a0, b0), Op::BasisExpand(a1, b1)) => a0 == a1 && b0 == b1,
         (Op::Neg(a0), Op::Neg(a1))
         | (Op::Detach(a0), Op::Detach(a1))
         | (Op::Sigmoid(a0), Op::Sigmoid(a1))
@@ -226,7 +229,9 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
         | (Op::SliceRows(a0, s0, e0), Op::SliceRows(a1, s1, e1)) => {
             a0 == a1 && s0 == s1 && e0 == e1
         }
-        (Op::ConcatRows(p0), Op::ConcatRows(p1)) => p0 == p1,
+        (Op::ConcatRows(p0), Op::ConcatRows(p1)) | (Op::ConcatCols(p0), Op::ConcatCols(p1)) => {
+            p0 == p1
+        }
         (Op::Im2Col(a0, k0), Op::Im2Col(a1, k1)) => a0 == a1 && k0 == k1,
         (
             Op::Affine {
@@ -484,19 +489,20 @@ impl Tape {
         matches!(self.plan, PlanCtl::Replay(_))
     }
 
-    /// Replay-mode handler for a non-leaf op: structural signature
-    /// check against the node at the cursor. On a match the cursor
+    /// Replay-mode handler for a non-leaf op: `same` checks the
+    /// structural signature of the node at the cursor (usually
+    /// [`sig_match`], which treats the scalar payloads of `scale`,
+    /// `add_scalar` and `leaky_relu` as per-step *feeds* and updates
+    /// them in place rather than invalidating). On a match the cursor
     /// advances and no compute happens (it is deferred to the plan run
-    /// inside [`Tape::backward`]); scalar payloads (`scale`,
-    /// `add_scalar`, `leaky_relu`) are treated as per-step *feeds* and
-    /// updated in place rather than invalidating. On any structural
-    /// mismatch the plan is dismantled (`None` is returned) and the
-    /// caller falls through to plain recording.
-    fn replay_op(&mut self, op: &Op) -> Option<VarId> {
+    /// inside [`Tape::backward`]). On any structural mismatch the plan
+    /// is dismantled (`None` is returned) and the caller falls through
+    /// to plain recording.
+    fn replay_op(&mut self, same: impl FnOnce(&mut Op) -> bool) -> Option<VarId> {
         let PlanCtl::Replay(r) = &mut self.plan else {
             return None;
         };
-        if r.cursor < self.nodes.len() && sig_match(&mut self.nodes[r.cursor].op, op) {
+        if r.cursor < self.nodes.len() && same(&mut self.nodes[r.cursor].op) {
             r.cursor += 1;
             return Some(VarId(r.cursor - 1));
         }
@@ -714,7 +720,7 @@ impl Tape {
     /// output shape, and the node is pushed with a pooled buffer that
     /// [`crate::plan::exec_node`] fills — the same kernels replay runs.
     fn record(&mut self, op: Op, shape: impl FnOnce(&Self) -> (usize, usize)) -> VarId {
-        if let Some(id) = self.replay_op(&op) {
+        if let Some(id) = self.replay_op(|rec| sig_match(rec, &op)) {
             return id;
         }
         let (r, c) = shape(self);
@@ -733,6 +739,28 @@ impl Tape {
             self.nodes[i].op
         );
         VarId(i)
+    }
+
+    /// [`Tape::record`] for an op over a parts list (`concat_rows`,
+    /// `concat_cols`). During replay the parts are matched in place,
+    /// so a replayed step builds no `Op` and allocates no list;
+    /// `op(Vec::new())` only names the variant.
+    fn record_parts(
+        &mut self,
+        op: fn(Vec<VarId>) -> Op,
+        parts: &[VarId],
+        shape: impl FnOnce(&Self) -> (usize, usize),
+    ) -> VarId {
+        let matched = self.replay_op(|rec| match (&*rec, op(Vec::new())) {
+            (Op::ConcatRows(p), Op::ConcatRows(_)) | (Op::ConcatCols(p), Op::ConcatCols(_)) => {
+                p.as_slice() == parts
+            }
+            _ => false,
+        });
+        if let Some(id) = matched {
+            return id;
+        }
+        self.record(op(parts.to_vec()), shape)
     }
 
     /// Elementwise sum.
@@ -856,12 +884,21 @@ impl Tape {
         })
     }
 
-    /// `[a | b]` column concatenation.
-    pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        self.record(Op::ConcatCols(a, b), |t| {
-            let ((r, ca), (rb, cb)) = (t.shape(a), t.shape(b));
-            assert_eq!(rb, r, "concat_cols row mismatch");
-            (r, ca + cb)
+    /// `[a | b | ...]`: the parts side by side, in order, as one node.
+    /// A part may repeat.
+    pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
+        self.record_parts(Op::ConcatCols, parts, |t| {
+            assert!(!parts.is_empty(), "concat_cols needs at least one part");
+            let rows = t.shape(parts[0]).0;
+            let cols = parts
+                .iter()
+                .map(|&p| {
+                    let (r, c) = t.shape(p);
+                    assert_eq!(r, rows, "concat_cols row mismatch");
+                    c
+                })
+                .sum();
+            (rows, cols)
         })
     }
 
@@ -876,21 +913,7 @@ impl Tape {
 
     /// Vertically stacks the given nodes.
     pub fn concat_rows(&mut self, parts: &[VarId]) -> VarId {
-        // Replay match without materializing an `Op` (avoids a
-        // per-step `Vec` allocation for the parts list).
-        if let PlanCtl::Replay(r) = &mut self.plan {
-            let matched = r.cursor < self.nodes.len()
-                && match &self.nodes[r.cursor].op {
-                    Op::ConcatRows(rec) => rec.as_slice() == parts,
-                    _ => false,
-                };
-            if matched {
-                r.cursor += 1;
-                return VarId(r.cursor - 1);
-            }
-            self.invalidate_replay();
-        }
-        self.record(Op::ConcatRows(parts.to_vec()), |t| {
+        self.record_parts(Op::ConcatRows, parts, |t| {
             assert!(!parts.is_empty(), "concat_rows needs at least one part");
             let cols = t.shape(parts[0]).1;
             let rows = parts
@@ -938,6 +961,22 @@ impl Tape {
         self.record(Op::Transpose(a), |t| {
             let (r, c) = t.shape(a);
             (c, r)
+        })
+    }
+
+    /// Expands per-channel coefficients over a fixed time basis: with
+    /// `coef` `(batch, K*n)` and `basis` `(l, K)`, output column
+    /// `s*n + f` is `coef[:, f] * basis[s, 0] + coef[:, n + f] *
+    /// basis[s, 1] + ...`, summed left to right from the first product.
+    /// This is TimeVAE's trend and seasonality decoder as one node.
+    pub fn basis_expand(&mut self, coef: VarId, basis: VarId) -> VarId {
+        self.record(Op::BasisExpand(coef, basis), |t| {
+            let ((rows, kn), (l, k)) = (t.shape(coef), t.shape(basis));
+            assert!(
+                k > 0 && kn > 0 && kn % k == 0,
+                "basis_expand: {kn} coefficient columns for a basis of width {k}"
+            );
+            (rows, l * (kn / k))
         })
     }
 
@@ -1115,7 +1154,7 @@ mod tests {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]).unwrap());
         let b = t.leaf(Matrix::from_vec(2, 1, vec![5., 6.]).unwrap());
-        let cat = t.concat_cols(a, b);
+        let cat = t.concat_cols(&[a, b]);
         let right = t.slice_cols(cat, 2, 3); // just b
         let s = t.sum(right);
         t.backward(s);

@@ -14,7 +14,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
-use tsgb_nn::tape::Tape;
+use tsgb_nn::tape::{Tape, VarId};
 
 /// One training step's worth of data: per-timestep inputs plus the
 /// regression target (shaped to the step's batch size).
@@ -381,4 +381,162 @@ fn eval_mid_step_feeds_a_second_tape_bitwise() {
     let want = (1, (STEPS - 1) as u64, 0);
     assert_eq!(g_stats, want, "generator tape counters");
     assert_eq!(d_stats, want, "discriminator tape counters");
+}
+
+/// One `concat_cols` node over many parts against the left fold of
+/// two-part joins it replaced (TimeVAE's, COT-GAN's and Sig-WGAN's
+/// flattens, and COSCI-GAN's before that). The parts have unequal
+/// widths, and each also feeds an earlier consumer, as COSCI-GAN's
+/// channel discriminators do, so its gradient sums two edges. Over
+/// three steps of one tape, so later steps replay, the joined values
+/// and every part's gradient must agree bit for bit, and both tapes
+/// must capture once and replay the rest.
+#[test]
+fn n_ary_concat_cols_matches_the_left_fold_bitwise() {
+    const STEPS: usize = 3;
+    let batch = 3;
+    let width = |k: usize| 1 + k % 3;
+    for parts in [9, 14] {
+        let total: usize = (0..parts).map(width).sum();
+        let run = |n_ary: bool| {
+            let mut rng = seeded(17);
+            let mut tape = Tape::new();
+            let mut seen = Vec::new();
+            for _ in 0..STEPS {
+                let t = tape.begin_step();
+                let cols: Vec<VarId> = (0..parts)
+                    .map(|k| t.leaf(randn_matrix(batch, width(k), &mut rng)))
+                    .collect();
+                let mut own = Vec::new();
+                for &c in &cols {
+                    let sq = t.mul(c, c);
+                    own.push(t.sum(sq));
+                }
+                let flat = if n_ary {
+                    t.concat_cols(&cols)
+                } else {
+                    let mut acc = cols[0];
+                    for &c in &cols[1..] {
+                        acc = t.concat_cols(&[acc, c]);
+                    }
+                    acc
+                };
+                let w = t.constant(randn_matrix(batch, total, &mut rng));
+                let weighted = t.mul(flat, w);
+                let mut loss = t.sum(weighted);
+                for o in own {
+                    loss = t.add(loss, o);
+                }
+                t.backward(loss);
+                seen.push(t.value(flat).clone());
+                seen.extend(cols.iter().map(|&c| t.grad(c)));
+            }
+            (seen, tape.plan_stats())
+        };
+        let (fold, fold_stats) = run(false);
+        let (n_ary, n_ary_stats) = run(true);
+        assert_eq!(fold.len(), STEPS * (1 + parts));
+        assert_grads_bitwise(&format!("{parts} parts"), &n_ary, &fold);
+        let want = (1, (STEPS - 1) as u64, 0);
+        assert_eq!(fold_stats, want, "{parts} parts: left-fold tape counters");
+        assert_eq!(n_ary_stats, want, "{parts} parts: n-ary tape counters");
+    }
+}
+
+/// TimeVAE's structured decoder as one `basis_expand` node against the
+/// per-step fan-out it replaced: for each step, one `slice_cols` and
+/// one `scale` per basis column, summed with `add` from the first
+/// product, and the steps joined by a left fold of `concat_cols`. The
+/// basis is TimeVAE's (trend degrees ascending, then Fourier
+/// harmonics), so row 0 holds zeros. The coefficients come from two
+/// trainable affine heads on a latent that also feeds a residual head,
+/// and a sigmoid and an MSE loss follow, as in TimeVAE. Over three
+/// steps of one tape, so later steps replay, the output and the
+/// gradients of the latent and of every head must agree bit for bit.
+#[test]
+fn basis_expand_matches_the_per_step_fan_out_bitwise() {
+    const STEPS: usize = 3;
+    let (batch, latent, l, n) = (4, 3, 12, 2);
+    let (degree, harmonics) = (3, 2);
+    let width = degree + 2 * harmonics;
+    let basis = Matrix::from_fn(l, width, |s, k| {
+        let x = s as f64 / l as f64;
+        if k < degree {
+            return x.powi(k as i32);
+        }
+        let angle = std::f64::consts::TAU * ((k - degree) / 2 + 1) as f64 * x;
+        if (k - degree) % 2 == 0 {
+            angle.sin()
+        } else {
+            angle.cos()
+        }
+    });
+    assert!(basis.row(0).contains(&0.0), "row 0 must hold zeros");
+
+    let run = |one_op: bool| {
+        let mut rng = seeded(29);
+        let mut tape = Tape::new();
+        let mut seen = Vec::new();
+        for _ in 0..STEPS {
+            let t = tape.begin_step();
+            let mut leaf = |r, c| t.leaf(randn_matrix(r, c, &mut rng));
+            let weights = [
+                leaf(batch, latent),
+                leaf(latent, degree * n),
+                leaf(1, degree * n),
+                leaf(latent, 2 * harmonics * n),
+                leaf(1, 2 * harmonics * n),
+                leaf(latent, l * n),
+                leaf(1, l * n),
+            ];
+            let [z, wt, bt, ws, bs, wr, br] = weights;
+            let coef_t = t.affine(z, wt, bt);
+            let coef_s = t.affine(z, ws, bs);
+            let structured = if one_op {
+                let coef = t.concat_cols(&[coef_t, coef_s]);
+                let b = t.constant_copy(&basis);
+                t.basis_expand(coef, b)
+            } else {
+                let mut blocks = Vec::with_capacity(l);
+                for s in 0..l {
+                    let mut acc: Option<VarId> = None;
+                    for k in 0..width {
+                        let (head, j) = if k < degree {
+                            (coef_t, k)
+                        } else {
+                            (coef_s, k - degree)
+                        };
+                        let c = t.slice_cols(head, j * n, (j + 1) * n);
+                        let scaled = t.scale(c, basis[(s, k)]);
+                        acc = Some(match acc {
+                            None => scaled,
+                            Some(a) => t.add(a, scaled),
+                        });
+                    }
+                    blocks.push(acc.expect("a non-empty basis"));
+                }
+                let mut joined = blocks[0];
+                for &b in &blocks[1..] {
+                    joined = t.concat_cols(&[joined, b]);
+                }
+                joined
+            };
+            let resid = t.affine(z, wr, br);
+            let sum = t.add(structured, resid);
+            let recon = t.sigmoid(sum);
+            let target = randn_matrix(batch, l * n, &mut rng);
+            let loss = loss::mse_mean(t, recon, &target);
+            t.backward(loss);
+            seen.push(t.value(recon).clone());
+            seen.extend(weights.iter().map(|&v| t.grad(v)));
+        }
+        (seen, tape.plan_stats())
+    };
+    let (fan_out, fan_out_stats) = run(false);
+    let (one_op, one_op_stats) = run(true);
+    assert_eq!(fan_out.len(), STEPS * 8);
+    assert_grads_bitwise("basis_expand vs fan-out", &one_op, &fan_out);
+    let want = (1, (STEPS - 1) as u64, 0);
+    assert_eq!(fan_out_stats, want, "fan-out tape counters");
+    assert_eq!(one_op_stats, want, "basis_expand tape counters");
 }

@@ -17,6 +17,10 @@
 //! 4. publishes per-worker queue depth gauges
 //!    (`router.worker{slot}.queue_depth`) from the probe responses.
 //!
+//! A death found by step 1 or 2 counts in `router.failovers` just as
+//! one the request path finds does: each transition to dead counts
+//! once, whichever path makes it.
+//!
 //! The thread exits when the router starts draining — a draining tier
 //! must not respawn workers it is about to shut down.
 
@@ -50,12 +54,21 @@ fn probe(worker: &Worker, timeout: Duration) -> std::io::Result<(usize, u32)> {
     Ok((depth, pid))
 }
 
+/// Declares `worker` dead on direct evidence (a request-path transport
+/// error, a reaped child) and counts the failover when this call made
+/// the transition, so a death counts once whichever path sees it first.
+pub(crate) fn declare_dead(worker: &Worker, stats: &RouterStats) {
+    if worker.mark_dead() {
+        stats.note_failover();
+    }
+}
+
 /// One supervisor pass over the tier. Split out of the loop so the
 /// unit tests can tick deterministically.
 pub fn tick(workers: &[Arc<Worker>], stats: &RouterStats, probe_timeout: Duration) {
     for worker in workers {
         if worker.reap_exited_child() {
-            worker.mark_dead();
+            declare_dead(worker, stats);
         }
         if worker.dead() {
             if worker.respawnable() {
@@ -85,7 +98,9 @@ pub fn tick(workers: &[Arc<Worker>], stats: &RouterStats, probe_timeout: Duratio
                 publish_depth(worker, depth);
             }
             Err(_) => {
-                worker.mark_probe_failed();
+                if worker.mark_probe_failed() {
+                    stats.note_failover();
+                }
             }
         }
     }

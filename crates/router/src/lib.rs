@@ -105,7 +105,8 @@ impl RouterStats {
         tsgb_obs::counter_add("router.requests", 1);
     }
 
-    /// Counts one failover (a worker marked dead on the request path).
+    /// Counts one failover: a worker's transition to dead, whether the
+    /// request path or the supervisor made it.
     pub fn note_failover(&self) {
         self.failovers.fetch_add(1, Ordering::Relaxed);
         tsgb_obs::counter_add("router.failovers", 1);

@@ -10,9 +10,11 @@
 //! rejections — are relayed verbatim: the worker answered, so its
 //! answer stands. Only *transport* errors (connect refused, reset
 //! mid-exchange: the signatures of a dead process) trigger failover:
-//! the worker is marked dead on the spot (`router.failovers` counts
-//! the transition), the request is retried on the next replica, and
-//! the supervisor respawns the dead worker in the background. Retrying
+//! the worker is marked dead on the spot, the request is retried on the
+//! next replica, and the supervisor respawns the dead worker in the
+//! background. `router.failovers` counts each worker's transition to
+//! dead once, whether the request path or the supervisor (a reaped
+//! child, the strike limit) makes it. Retrying
 //! is safe because a response is a pure function of
 //! `(checkpoint, n, seed)` — replicas are interchangeable by
 //! construction. If every replica is dead the router waits, bounded by
@@ -29,7 +31,7 @@ use tsgb_wire::client::HttpResponse;
 use tsgb_wire::server::{spawn_accept_loop, Lifecycle, Reply};
 use tsgb_wire::{HttpError, Json, Request};
 
-use crate::health::spawn_supervisor;
+use crate::health::{declare_dead, spawn_supervisor};
 use crate::ring::{shard_assignment, Ring};
 use crate::worker::{RespawnCmd, Worker};
 use crate::{RouterConfig, RouterStats};
@@ -338,13 +340,9 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
             attempted = true;
             match worker.exchange("POST", "/generate", &req.body, shared.cfg.request_timeout) {
                 Ok(resp) => return Ok(relay(resp)),
-                Err(_) => {
-                    // transport failure: the process is gone. Mark it,
-                    // count the failover once, move to the next replica.
-                    if worker.mark_dead() {
-                        shared.stats.note_failover();
-                    }
-                }
+                // transport failure: the process is gone. Mark it (the
+                // supervisor may have already), move to the next replica.
+                Err(_) => declare_dead(worker, &shared.stats),
             }
         }
         if Instant::now() >= deadline {
@@ -371,5 +369,90 @@ fn relay(resp: HttpResponse) -> Reply {
         retry_after: resp.header("retry-after").and_then(|v| v.parse().ok()),
         body: resp.text(),
         stream: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::tick;
+    use crate::worker::Origin;
+    use std::sync::Mutex;
+
+    /// A one-worker tier whose worker is a spawned process that has
+    /// already exited, at `addr` as far as the router knows. Its
+    /// respawn command names no binary, so the supervisor's respawn
+    /// fails and the worker stays dead.
+    fn tier_with_an_exited_worker(addr: SocketAddr) -> Shared {
+        let mut child = std::process::Command::new("true")
+            .spawn()
+            .expect("spawn a child");
+        // a waited child keeps its status, so `try_wait` reports the exit
+        child.wait().expect("wait for the child");
+        let respawn = RespawnCmd {
+            bin: "no-such-tsgbench-binary".into(),
+            ckpt_dir: ".".into(),
+            models: vec!["m".into()],
+            env: Vec::new(),
+        };
+        let origin = Origin::Spawned {
+            child: Mutex::new(Some(child)),
+            respawn,
+        };
+        Shared {
+            cfg: RouterConfig {
+                replicas: 1,
+                failover_wait: Duration::ZERO,
+                request_timeout: Duration::from_secs(10),
+                ..RouterConfig::default()
+            },
+            ring: Ring::new(1),
+            workers: vec![Arc::new(Worker::new(0, addr, origin))],
+            stats: Arc::new(RouterStats::default()),
+            lifecycle: Arc::new(Lifecycle::new()),
+            rr: AtomicUsize::new(0),
+        }
+    }
+
+    /// A worker dies with a request in flight: the request path gets a
+    /// transport error, and the supervisor's tick reaps the child.
+    /// Whichever comes first, the death counts as exactly one failover.
+    #[test]
+    fn a_death_counts_once_whether_the_supervisor_or_the_request_sees_it_first() {
+        for tick_first in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let shared = tier_with_an_exited_worker(listener.local_addr().expect("addr"));
+            let req = Request {
+                method: "POST".into(),
+                path: "/generate".into(),
+                headers: Vec::new(),
+                body: br#"{"model":"m","n":1,"seed":0}"#.to_vec(),
+            };
+            let status = std::thread::scope(|s| {
+                let request = s.spawn(|| generate(&req, &shared).err().map(|e| e.status));
+                // the request is in flight once the worker's socket has it
+                let (conn, _) = listener.accept().expect("accept the request");
+                if tick_first {
+                    tick(&shared.workers, &shared.stats, Duration::from_secs(1));
+                }
+                drop(conn);
+                let status = request.join().expect("request thread");
+                if !tick_first {
+                    tick(&shared.workers, &shared.stats, Duration::from_secs(1));
+                }
+                status
+            });
+            assert_eq!(
+                status,
+                Some(503),
+                "tick_first={tick_first}: the only replica is dead"
+            );
+            assert!(shared.workers[0].dead(), "tick_first={tick_first}");
+            assert_eq!(
+                shared.stats.failovers(),
+                1,
+                "tick_first={tick_first}: one death, one failover"
+            );
+        }
     }
 }

@@ -91,7 +91,7 @@ impl Worker {
         Self::new(slot, addr, Origin::Adopted)
     }
 
-    fn new(slot: usize, addr: SocketAddr, origin: Origin) -> Self {
+    pub(crate) fn new(slot: usize, addr: SocketAddr, origin: Origin) -> Self {
         Self {
             slot,
             addr: Mutex::new(addr),
