@@ -71,12 +71,12 @@ pub fn discriminative_score(
     };
 
     {
-        // one tape for the whole fit, recycled every step; its buffers
-        // are freed before the test forward below
+        // one tape for the whole fit, replaying its first step's plan;
+        // its buffers are freed before the test forward below
         let mut t = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(n_train, 32, rng);
-            t.reset();
+            t.begin_step();
             let b = params.bind(&mut t);
             let lr = run_logits(&mut t, &b, real, &idx);
             let lf = run_logits(&mut t, &b, generated, &idx);
@@ -196,13 +196,13 @@ pub fn predictive_score(
         (pred_cat, target_cat, b)
     };
 
-    // train on synthetic, on one recycled tape that is freed before
+    // train on synthetic, on one replaying tape that is freed before
     // the full-set test forward
     {
         let mut t = Tape::new();
         for _ in 0..cfg.epochs {
             let idx = minibatch(generated.samples(), 32, rng);
-            t.reset();
+            t.begin_step();
             let (pred, target, b) = forward(&params, &mut t, generated, &idx);
             let l_mae = loss::mae_mean(&mut t, pred, &target);
             t.backward(l_mae);

@@ -54,12 +54,12 @@ impl Ts2Vec {
         };
         let mut opt = Adam::new(2e-3);
         let flat = data.flatten_samples();
-        // one tape for the whole fit, recycled every step
+        // one tape for the whole fit, replaying its first step's plan
         let mut t = Tape::new();
         for _ in 0..epochs {
             let idx = minibatch(r, 32, rng);
             let target = flat.select_rows(&idx);
-            t.reset();
+            t.begin_step();
             let b = model.params.bind(&mut t);
             let xs = feed_steps(&mut t, data, &idx);
             let hs = model.cell.run(&mut t, &b, &xs, idx.len());

@@ -1,74 +1,98 @@
-//! Ad-hoc packed-vs-band GEMM timing: `cargo run --release -p
-//! tsgb-linalg --example gemm_bench [sizes...]`.
+//! GEMM timing, band kernels against the default path: `cargo run
+//! --release -p tsgb-linalg --example gemm_bench [MxKxN ...]`.
+//!
+//! Each `MxKxN` shape times `out += a * b` (`a` is `M x K`, `b` is
+//! `K x N`) and the two transposed forms the backward pass runs, on
+//! one thread into a warm output, and prints nanoseconds per call for
+//! the band kernels and the default path side by side. With no
+//! arguments it times the sub-threshold shapes the post-hoc GRU fits
+//! (batch 32, 5 features, hidden 8) and the smoke grid's GANs (batch
+//! 24, hidden 8 and 16) run, where the default is the in-place
+//! register tile on an AVX-512F CPU.
 
 use std::time::Instant;
 use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::Matrix;
 
-fn best_ms(reps: usize, mut f: impl FnMut() -> Matrix) -> (f64, f64) {
+const DEFAULT_SHAPES: &[&str] = &[
+    "32x5x8", "32x8x8", "32x8x5", "5x32x8", "8x32x8", "32x8x1", "24x8x16", "24x16x16", "24x16x1",
+];
+
+/// Best-of-batches nanoseconds per call of `f`, for about `work`
+/// multiply-adds per batch.
+fn best_ns(work: usize, per_call: usize, mut f: impl FnMut()) -> f64 {
+    let calls = (work / per_call.max(1)).clamp(1, 100_000);
     let mut best = f64::INFINITY;
-    let mut sink = 0.0;
-    for _ in 0..reps {
+    for _ in 0..7 {
         let t = Instant::now();
-        let out = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        sink += out.as_slice()[0];
+        for _ in 0..calls {
+            f();
+        }
+        best = best.min(t.elapsed().as_secs_f64() * 1e9 / calls as f64);
     }
-    (best, sink)
+    best
+}
+
+fn parse(shape: &str) -> (usize, usize, usize) {
+    let dims: Vec<usize> = shape
+        .split('x')
+        .map(|d| d.parse().expect("shape is MxKxN"))
+        .collect();
+    assert_eq!(dims.len(), 3, "shape is MxKxN, got {shape}");
+    (dims[0], dims[1], dims[2])
 }
 
 fn main() {
-    let sizes: Vec<usize> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().expect("size"))
-        .collect();
-    let sizes = if sizes.is_empty() {
-        vec![128, 256, 512]
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let shapes: Vec<&str> = if args.is_empty() {
+        DEFAULT_SHAPES.to_vec()
     } else {
-        sizes
+        args.iter().map(String::as_str).collect()
     };
-    for n in sizes {
+    println!(
+        "{:>10} {:>12} {:>12} {:>12} {:>8}",
+        "op", "MxKxN", "band ns", "default ns", "speedup"
+    );
+    for shape in shapes {
+        let (m, k, n) = parse(shape);
         let mut rng = seeded(42);
-        let a = randn_matrix(n, n, &mut rng);
-        let b = randn_matrix(n, n, &mut rng);
-        let reps = (400_000_000 / (n * n * n)).clamp(3, 50);
-        let gflop = 2.0 * (n as f64).powi(3) / 1e6; // per ms
-        for (label, mode) in [("band", GemmMode::Band), ("packed", GemmMode::Packed)] {
-            let (ms, _) = with_gemm_mode(mode, || {
-                tsgb_par::with_threads(1, || best_ms(reps, || a.matmul(&b)))
-            });
-            println!(
-                "matmul_{n} {label:>6}: {ms:9.3} ms  {:6.2} GFLOP/s",
-                gflop / ms
-            );
-        }
-        for (label, mode) in [("band", GemmMode::Band), ("packed", GemmMode::Packed)] {
-            let (ms, _) = with_gemm_mode(mode, || {
-                tsgb_par::with_threads(1, || {
-                    best_ms(reps, || {
-                        let c = a.matmul(&b);
-                        let t = a.t_matmul(&b);
-                        let m = a.matmul_t(&b);
-                        std::hint::black_box((t, m));
-                        c
+        let a = randn_matrix(m, k, &mut rng);
+        let at = randn_matrix(k, m, &mut rng);
+        let b = randn_matrix(k, n, &mut rng);
+        let bt = randn_matrix(n, k, &mut rng);
+        let warm = randn_matrix(m, n, &mut rng);
+        type Op<'a> = (&'a str, Box<dyn Fn(&mut Matrix) + 'a>);
+        let ops: [Op; 3] = [
+            ("matmul", Box::new(|o| a.matmul_acc_into(&b, o))),
+            ("t_matmul", Box::new(|o| at.t_matmul_acc_into(&b, o))),
+            ("matmul_t", Box::new(|o| a.matmul_t_acc_into(&bt, o))),
+        ];
+        for (name, op) in &ops {
+            let mut times = [0.0; 2];
+            let mut outs = [warm.clone(), warm.clone()];
+            for (i, mode) in [GemmMode::Band, GemmMode::Packed].into_iter().enumerate() {
+                with_gemm_mode(mode, || {
+                    tsgb_par::with_threads(1, || {
+                        op(&mut outs[i]);
+                        let mut out = warm.clone();
+                        times[i] =
+                            best_ns(20_000_000, m * n * k, || op(std::hint::black_box(&mut out)));
                     })
-                })
-            });
-            println!("triple_{n} {label:>6}: {ms:9.3} ms");
-        }
-        // sanity: bit-identity on all three entry points
-        for (op, f) in [
-            (
-                "matmul",
-                (&|x: &Matrix, y: &Matrix| x.matmul(y)) as &dyn Fn(&Matrix, &Matrix) -> Matrix,
-            ),
-            ("t_matmul", &|x, y| x.t_matmul(y)),
-            ("matmul_t", &|x, y| x.matmul_t(y)),
-        ] {
-            let band = with_gemm_mode(GemmMode::Band, || f(&a, &b));
-            let packed = with_gemm_mode(GemmMode::Packed, || f(&a, &b));
-            assert_eq!(band, packed, "packed != band for {op} at {n}");
+                });
+            }
+            let same = outs[0]
+                .as_slice()
+                .iter()
+                .zip(outs[1].as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "default path differs from band for {name} at {shape}");
+            println!(
+                "{name:>10} {shape:>12} {:12.1} {:12.1} {:7.2}x",
+                times[0],
+                times[1],
+                times[0] / times[1]
+            );
         }
     }
 }

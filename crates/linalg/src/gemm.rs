@@ -1,14 +1,36 @@
-//! Packed cache-blocked GEMM microkernels.
+//! GEMM kernels: one AVX-512 register tile behind every product, fed
+//! by packed panels above the parallel threshold and by the operands
+//! in place below it.
 //!
 //! The band kernels in [`crate::matrix`] walk the operands in their
 //! natural row-major layout, which caps throughput on two fronts: the
 //! `B` rows are re-streamed from L2 for every output row, and the
 //! per-element accumulator chains are too short for the CPU's
-//! floating-point pipes to overlap. This module is the classic
-//! Goto-style answer — *pack* panels of `A` and `B` into contiguous
-//! tile-major buffers once, then drive a register-tile microkernel
-//! over the packed panels — implemented under one hard constraint:
-//! the result must be **bit-identical** to the band kernels.
+//! floating-point pipes to overlap. This module answers both with a
+//! register tile — `MR x NR` accumulator chains held in vector
+//! registers — implemented under one hard constraint: the result must
+//! be **bit-identical** to the band kernels.
+//!
+//! # Dispatch
+//!
+//! [`kernel_for`] picks one kernel per product from its multiply work
+//! `m * n * k`, under the default [`GemmMode::Packed`]:
+//!
+//! * at or above [`PAR_WORK_THRESHOLD`], *pack* panels of `A` and `B`
+//!   into contiguous tile-major buffers, then drive the tile over the
+//!   panels (Goto-style; the row bands run in parallel);
+//! * below it, on a CPU with AVX-512F, run the tile on the operands in
+//!   place: `A` through its row and column strides (so `t_matmul`
+//!   reads `aᵀ` without copying it), `B` by its rows, `k` in blocks of
+//!   16 so `B`'s rows stream through the cache. `matmul_t` first
+//!   transposes its `B` into a per-thread buffer, an exact copy. At
+//!   these sizes packing would cost more than the kernel saves;
+//! * below it on any other CPU, the band kernels.
+//!
+//! [`GemmMode::Band`] (set through [`with_gemm_mode`]) forces the band
+//! kernels everywhere: tests and benches compare the tile against them.
+//! A CPU without AVX-512F runs the packed panels through
+//! [`microkernel_portable`], which computes the same chains.
 //!
 //! # Packing layout
 //!
@@ -19,13 +41,13 @@
 //!   `q*NR .. q*NR+NR`, stored `k`-major — `bpack[q*k*NR + kk*NR + j]`
 //!   is `B[kk][q*NR+j]`. Columns past `n` are padded with `0.0`.
 //!
-//! The microkernel then reads both panels *sequentially*: one `MR`-row
-//! sliver of `A` and one `NR`-column sliver of `B` advance together
-//! through `k`, so every cache line fetched is fully consumed. The
-//! `k` loop is additionally blocked by [`KC`] so the active `A` sliver
-//! (`MR x KC` doubles) and `B` sliver (`KC x NR`) stay L1-resident.
+//! The tile then reads both panels *sequentially*: one `MR`-row sliver
+//! of `A` and one `NR`-column sliver of `B` advance together through
+//! `k`, so every cache line fetched is fully consumed. The `k` loop is
+//! additionally blocked by [`KC`] so the active `A` sliver (`MR x KC`
+//! doubles) and `B` sliver (`KC x NR`) stay L1-resident.
 //!
-//! # Why the packed path is bit-identical
+//! # Why every path is bit-identical
 //!
 //! Every output element is produced by exactly one accumulator chain:
 //! it starts from the existing `C` value, then adds `a(i,kk)*b(kk,j)`
@@ -33,26 +55,26 @@
 //! precisely the chain the band kernels build (their 4-way unroll adds
 //! terms one at a time into the same fold). The `KC` blocking stores
 //! the partial sum to `C` between blocks and reloads it, which is
-//! exact for `f64`. Rust never contracts `a*b + c` into a fused
-//! multiply-add on its own, so both paths round every term
-//! identically. Tile shape, panel order and thread banding only change
-//! *which* chain runs when — never the order within a chain — so the
-//! packed path equals the band path bit for bit, at every thread
-//! count.
+//! exact for `f64`. The tile issues a separate multiply and add, never
+//! an FMA, and Rust never contracts `a*b + c` on its own, so every
+//! path rounds every term identically. Tile shape, panel order, row
+//! and column masks and thread banding only change *which* chain runs
+//! when — never the order within a chain — so each path equals the
+//! band path bit for bit, at every thread count.
 //!
-//! Padding never skips work: padded lanes *compute* (against `0.0`
-//! operands) but are never written back, and real zero terms are still
-//! added, so IEEE propagation (`0.0 * NaN = NaN`) is preserved.
+//! Masked and padded lanes never skip work: they are never written
+//! back, and real zero terms are still added, so IEEE propagation
+//! (`0.0 * NaN = NaN`) is preserved.
 
 use crate::matrix::{dispatch_row_bands, PAR_WORK_THRESHOLD};
 use crate::{Matrix, MatrixPool};
 use std::cell::{Cell, RefCell};
 
-/// Microkernel row-tile height: each microkernel invocation produces
-/// an `MR x NR` block of `C` held in registers.
+/// Register-tile row height: one tile call produces up to `MR` rows
+/// of `C`, one vector register per row.
 pub const MR: usize = 8;
 
-/// Microkernel column-tile width — one AVX-512 `f64` vector, so a row
+/// Register-tile column width — one AVX-512 `f64` vector, so a row
 /// of the register tile is exactly one vector register on the wide
 /// path and a pair of 256-bit (or quad of 128-bit) lanes for the
 /// autovectorized fallback.
@@ -67,9 +89,11 @@ pub const KC: usize = 256;
 /// Which GEMM implementation the dispatch layer selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmMode {
-    /// Packed tile-major microkernel path (the default).
+    /// The default: the register tile, over packed panels at and above
+    /// [`PAR_WORK_THRESHOLD`] and on the operands in place below it
+    /// (band kernels below it on a CPU without AVX-512F).
     Packed,
-    /// The original row-band kernels.
+    /// The original row-band kernels, at every size.
     Band,
 }
 
@@ -77,10 +101,10 @@ thread_local! {
     /// The [`with_gemm_mode`] override active on this thread, if any.
     static MODE_OVERRIDE: Cell<Option<GemmMode>> = const { Cell::new(None) };
 
-    /// Per-thread recycling pool for pack buffers. On the caller's
-    /// thread (the serial path, and the B-pack of the parallel path)
-    /// buffers are reused across matmuls; short-lived band workers
-    /// simply allocate and drop.
+    /// Per-thread recycling pool for pack and transpose buffers. On the
+    /// caller's thread (the serial path, and the B-pack of the parallel
+    /// path) buffers are reused across matmuls; short-lived band
+    /// workers simply allocate and drop.
     static PACK_POOL: RefCell<MatrixPool> = RefCell::new(MatrixPool::new());
 }
 
@@ -92,7 +116,7 @@ pub fn gemm_mode() -> GemmMode {
 
 /// Runs `f` with the GEMM mode forced on the current thread (restored
 /// afterwards, also on panic). Tests and benches use this to run the
-/// band kernel as the packed path's reference.
+/// band kernel as the tile's reference.
 pub fn with_gemm_mode<R>(mode: GemmMode, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<GemmMode>);
     impl Drop for Restore {
@@ -104,17 +128,32 @@ pub fn with_gemm_mode<R>(mode: GemmMode, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether an `m x n x k` product should take the packed path: mode
-/// says packed and the multiply work clears the same threshold that
-/// gates parallel dispatch — below it the pack traffic costs more than
-/// the kernel saves, and sub-threshold products are latency-bound
-/// anyway.
-pub(crate) fn packed_enabled(m: usize, n: usize, k: usize) -> bool {
-    m * n * k >= PAR_WORK_THRESHOLD && gemm_mode() == GemmMode::Packed
+/// The kernel one product runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// The row-band kernels in [`crate::matrix`].
+    Band,
+    /// Packed panels through the register tile.
+    Packed,
+    /// The register tile on the operands in place.
+    Tile,
 }
 
-/// Borrows a zero-initialized-by-caller pack buffer of `len` doubles
-/// from the thread's pool.
+/// The kernel for an `m x n x k` product (see the module docs): band
+/// when the mode says so, packed once the multiply work clears the
+/// threshold that also gates parallel dispatch, and below it the
+/// in-place tile wherever the CPU runs AVX-512F.
+pub(crate) fn kernel_for(m: usize, n: usize, k: usize) -> Kernel {
+    match gemm_mode() {
+        GemmMode::Band => Kernel::Band,
+        GemmMode::Packed if m * n * k >= PAR_WORK_THRESHOLD => Kernel::Packed,
+        GemmMode::Packed if cpu_has_avx512() => Kernel::Tile,
+        GemmMode::Packed => Kernel::Band,
+    }
+}
+
+/// Borrows a pack buffer of `len` doubles from the thread's pool; its
+/// contents are stale, so the caller overwrites every slot it reads.
 fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     let mut buf = PACK_POOL.with(|p| p.borrow_mut().take_uninit(1, len));
     let out = f(buf.as_mut_slice());
@@ -164,6 +203,77 @@ pub(crate) fn matmul_t_packed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
 }
 
+/// `out += a * b` through the register tile, on the operands in place.
+pub(crate) fn matmul_tile(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let lay = Layout {
+        a_rs: k,
+        a_cs: 1,
+        b_rs: n,
+        c_rs: n,
+    };
+    tile_in_place(m, n, k, a.as_slice(), b.as_slice(), out.as_mut_slice(), lay);
+}
+
+/// `out += a^T * b` through the register tile, reading `a^T` through
+/// the strides.
+pub(crate) fn t_matmul_tile(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.cols(), a.rows(), b.cols());
+    let lay = Layout {
+        a_rs: 1,
+        a_cs: m,
+        b_rs: n,
+        c_rs: n,
+    };
+    tile_in_place(m, n, k, a.as_slice(), b.as_slice(), out.as_mut_slice(), lay);
+}
+
+/// `out += a * b^T` through the register tile: `b` is first transposed
+/// into a per-thread buffer (an exact copy), then multiplied as in
+/// [`matmul_tile`].
+pub(crate) fn matmul_t_tile(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    with_pack_buf(k * n, |bt| {
+        for (j, row) in b.rows_iter().enumerate() {
+            for (kk, &v) in row.iter().enumerate() {
+                bt[kk * n + j] = v;
+            }
+        }
+        let lay = Layout {
+            a_rs: k,
+            a_cs: 1,
+            b_rs: n,
+            c_rs: n,
+        };
+        tile_in_place(m, n, k, a.as_slice(), bt, out.as_mut_slice(), lay);
+    });
+}
+
+/// `k`-direction block of the in-place tile. Each tile call walks
+/// `KB_IN_PLACE` rows of `B`, and the next column strip continues
+/// along the same rows, so every row streams through the cache as the
+/// band kernels stream it. Walking all `k` rows per strip instead made
+/// a one-row `1 x 384 x 1024` product (a served TimeVAE decode) about
+/// 40% slower than the band kernels, cold or warm; with blocks of 8
+/// to 24 rows it ties or beats them (2-vCPU host, scratch A/B).
+const KB_IN_PLACE: usize = 16;
+
+/// The in-place driver: [`tile_block`] over `k` in blocks of
+/// [`KB_IN_PLACE`], the running sums parked in `C` between blocks
+/// (exact, as for [`KC`]).
+fn tile_in_place(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], lay: Layout) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let mut kb = 0;
+    while kb < k {
+        let ke = (kb + KB_IN_PLACE).min(k);
+        let (a, b) = (&a[kb * lay.a_cs..], &b[kb * lay.b_rs..]);
+        tile_block(m, n, ke - kb, a, b, c, lay);
+        kb = ke;
+    }
+}
+
 /// The shared packed driver: `out[i*n+j] += sum_kk a_at(i,kk) *
 /// b_at(kk,j)` with `kk` ascending per element.
 ///
@@ -207,7 +317,7 @@ fn pack_b(n: usize, k: usize, b_at: &impl Fn(usize, usize) -> f64, bpack: &mut [
 
 /// Computes one row band of the output from packed panels: packs the
 /// band's `A` rows, then sweeps `KC` blocks x `B` panels x `A` panels
-/// with the register-tile microkernel.
+/// with the register tile.
 fn packed_band(
     r0: usize,
     band: &mut [f64],
@@ -243,18 +353,10 @@ fn packed_band(
                     let ap = &apack[p * k * MR + kb * MR..p * k * MR + ke * MR];
                     let i0 = p * MR;
                     let mr = MR.min(rc - i0);
-                    // Park the running sums in C between k-blocks:
+                    // The running sums park in C between k-blocks:
                     // store + reload of an f64 is exact, so the chain
-                    // is unbroken. Padded lanes start at 0.0 and are
-                    // never written back.
-                    let mut acc = [[0.0f64; NR]; MR];
-                    for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                        row[..nr].copy_from_slice(&band[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr]);
-                    }
-                    microkernel(ap, bp, &mut acc);
-                    for (i, row) in acc.iter().enumerate().take(mr) {
-                        band[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr].copy_from_slice(&row[..nr]);
-                    }
+                    // is unbroken.
+                    microkernel(mr, nr, ap, bp, &mut band[i0 * n + j0..], n);
                 }
             }
             kb = ke;
@@ -262,30 +364,44 @@ fn packed_band(
     });
 }
 
-/// The register tile: `acc[i][j] += ap[kk*MR+i] * bp[kk*NR+j]` for
-/// every `kk` in the block, ascending. `MR * NR` independent
-/// accumulator chains give the FP pipes enough parallelism to
-/// saturate, while each individual chain keeps the strict
-/// multiply-then-add left-fold order the band kernels use.
+/// One `mr x nr` block of `C` (rows `c_rs` apart) from an `MR`-row `A`
+/// panel sliver and an `NR`-column `B` panel sliver over the same `k`
+/// range: `C[i][j] += ap[kk*MR+i] * bp[kk*NR+j]` for every `kk`,
+/// ascending.
 ///
-/// Dispatches to the AVX-512 kernel when the CPU has it; the portable
-/// kernel computes the identical chains through autovectorized scalar
-/// code. Both round every `a*b` product before the add (no FMA
-/// contraction anywhere), so the choice never changes a single bit.
+/// Runs the AVX-512 tile when the CPU has it; the portable kernel
+/// computes the identical chains through autovectorized scalar code
+/// on a register-sized copy of the block. Both round every `a*b`
+/// product before the add (no FMA contraction anywhere), so the choice
+/// never changes a single bit.
 #[inline]
-fn microkernel(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
+fn microkernel(mr: usize, nr: usize, ap: &[f64], bp: &[f64], c: &mut [f64], c_rs: usize) {
+    let k = ap.len() / MR;
     if cpu_has_avx512() {
-        // SAFETY: the feature check above guarantees the instructions
-        // exist; the kernel itself only requires `ap` / `bp` to be
-        // whole panels (`len` multiples of MR / NR with equal k), which
-        // the packers produce by construction.
-        unsafe { microkernel_avx512(ap, bp, acc) };
-        return;
+        let lay = Layout {
+            a_rs: 1,
+            a_cs: MR,
+            b_rs: NR,
+            c_rs,
+        };
+        return tile_block(mr, nr, k, ap, bp, c, lay);
     }
-    microkernel_portable(ap, bp, acc);
+    // Padded lanes start at 0.0 and are never written back.
+    let mut acc = [[0.0f64; NR]; MR];
+    for (i, row) in acc.iter_mut().enumerate().take(mr) {
+        row[..nr].copy_from_slice(&c[i * c_rs..i * c_rs + nr]);
+    }
+    microkernel_portable(ap, bp, &mut acc);
+    for (i, row) in acc.iter().enumerate().take(mr) {
+        c[i * c_rs..i * c_rs + nr].copy_from_slice(&row[..nr]);
+    }
 }
 
+/// The portable register tile over packed panels: `acc[i][j] +=
+/// ap[kk*MR+i] * bp[kk*NR+j]` for every `kk` in the block, ascending.
+/// `MR * NR` independent accumulator chains give the FP pipes enough
+/// parallelism to saturate, while each individual chain keeps the
+/// strict multiply-then-add left-fold order the band kernels use.
 #[inline]
 fn microkernel_portable(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
@@ -300,85 +416,152 @@ fn microkernel_portable(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
 
 /// Whether this CPU runs AVX-512F, detected once per process.
 #[cfg(target_arch = "x86_64")]
-fn cpu_has_avx512() -> bool {
+pub(crate) fn cpu_has_avx512() -> bool {
     use std::sync::OnceLock;
     static HAS: OnceLock<bool> = OnceLock::new();
     *HAS.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-/// AVX-512 register tile: each accumulator row is one `f64x8` vector,
-/// and each `kk` step issues one packed multiply then one packed add
-/// per row — `vmulpd` + `vaddpd`, deliberately **not** `vfmadd` — so
-/// every lane's chain rounds exactly like the scalar left fold.
+/// Whether this CPU runs AVX-512F: never, off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn cpu_has_avx512() -> bool {
+    false
+}
+
+/// Where one tile call reads and writes: `A(i, kk)` is `a[i * a_rs +
+/// kk * a_cs]`, `B(kk, j)` is `b[kk * b_rs + j]` and `C(i, j)` is
+/// `c[i * c_rs + j]`.
+#[derive(Clone, Copy)]
+struct Layout {
+    a_rs: usize,
+    a_cs: usize,
+    b_rs: usize,
+    c_rs: usize,
+}
+
+/// `C += A * B` over an `m x n` block with `k` terms per element, in
+/// register tiles of `MR` rows (then 4, 2 and 1 for the remainder)
+/// and `NR` columns (the last one masked). Panics unless the CPU runs
+/// AVX-512F and every index the tiles touch lies inside its slice.
+#[cfg(target_arch = "x86_64")]
+fn tile_block(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64], lay: Layout) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(cpu_has_avx512(), "the register tile needs AVX-512F");
+    // The furthest element of each operand the tiles touch.
+    assert!(
+        (m - 1) * lay.a_rs + (k - 1) * lay.a_cs < a.len(),
+        "tile reads past A"
+    );
+    assert!((k - 1) * lay.b_rs + n <= b.len(), "tile reads past B");
+    assert!((m - 1) * lay.c_rs + n <= c.len(), "tile writes past C");
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = match m - i0 {
+            r if r >= MR => MR,
+            r if r >= 4 => 4,
+            r if r >= 2 => 2,
+            _ => 1,
+        };
+        let mut j0 = 0;
+        while j0 < n {
+            let nr = NR.min(n - j0);
+            let mask = (0xFFu32 >> (NR - nr)) as u8;
+            // SAFETY: the CPU runs AVX-512F (asserted above). The tile
+            // touches A(i, kk), B(kk, j) and C(i, j) for i0 <= i <
+            // i0 + rows <= m, kk < k and j0 <= j < j0 + nr <= n (lanes
+            // past nr are masked off), and the asserts above bound
+            // every such index by its slice's length.
+            unsafe {
+                let ap = a.as_ptr().add(i0 * lay.a_rs);
+                let bp = b.as_ptr().add(j0);
+                let cp = c.as_mut_ptr().add(i0 * lay.c_rs + j0);
+                match rows {
+                    MR => tile_rows::<MR>(k, ap, bp, cp, lay, mask),
+                    4 => tile_rows::<4>(k, ap, bp, cp, lay, mask),
+                    2 => tile_rows::<2>(k, ap, bp, cp, lay, mask),
+                    _ => tile_rows::<1>(k, ap, bp, cp, lay, mask),
+                }
+            }
+            j0 += nr;
+        }
+        i0 += rows;
+    }
+}
+
+/// Off x86-64 [`kernel_for`] never picks the tile, and the packed path
+/// takes the portable kernel.
+#[cfg(not(target_arch = "x86_64"))]
+fn tile_block(_: usize, _: usize, _: usize, _: &[f64], _: &[f64], _: &mut [f64], _: Layout) {
+    unreachable!("the register tile runs only on AVX-512F CPUs")
+}
+
+/// [`microkernel_avx512`] for `R` rows, with `A`'s row stride fixed at
+/// 1 where it is 1 (packed panels, `t_matmul`'s `aᵀ`): the rows'
+/// operands are then immediate offsets from one pointer, where a
+/// run-time stride costs the packed 256 x 256 products about 4%.
+///
+/// # Safety
+///
+/// As for [`microkernel_avx512`].
+#[cfg(target_arch = "x86_64")]
+unsafe fn tile_rows<const R: usize>(
+    k: usize,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    lay: Layout,
+    mask: u8,
+) {
+    if lay.a_rs == 1 {
+        microkernel_avx512::<R, true>(k, a, b, c, lay, mask)
+    } else {
+        microkernel_avx512::<R, false>(k, a, b, c, lay, mask)
+    }
+}
+
+/// The AVX-512 register tile: an `R x 8` block of `C`, each row one
+/// `f64x8` vector loaded from `C` and stored back under `mask` (bit
+/// `j` set for each live column). Each `kk` step issues one packed
+/// multiply then one packed add per row — `vmulpd` + `vaddpd`,
+/// deliberately **not** `vfmadd` — so every lane's chain rounds
+/// exactly like the scalar left fold.
+///
+/// # Safety
+///
+/// The CPU must run AVX-512F, and for every `i < R`, `kk < k` and
+/// every `j < 8` whose `mask` bit is set, `a.add(i * a_rs + kk *
+/// a_cs)` and `b.add(kk * b_rs + j)` must be valid for reads and
+/// `c.add(i * c_rs + j)` for reads and writes. With `UNIT_A_RS`,
+/// `a_rs` must be 1.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
+unsafe fn microkernel_avx512<const R: usize, const UNIT_A_RS: bool>(
+    k: usize,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    lay: Layout,
+    mask: u8,
+) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(ap.len() / MR, bp.len() / NR);
-    let mut c: [__m512d; MR] = [_mm512_setzero_pd(); MR];
-    for (i, row) in acc.iter().enumerate() {
-        c[i] = _mm512_loadu_pd(row.as_ptr());
+    let a_rs = if UNIT_A_RS { 1 } else { lay.a_rs };
+    let mut acc = [_mm512_setzero_pd(); R];
+    for (i, ci) in acc.iter_mut().enumerate() {
+        *ci = _mm512_maskz_loadu_pd(mask, c.add(i * lay.c_rs));
     }
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let b = _mm512_loadu_pd(bv.as_ptr());
-        for (i, ci) in c.iter_mut().enumerate() {
-            let a = _mm512_set1_pd(av[i]);
-            *ci = _mm512_add_pd(*ci, _mm512_mul_pd(a, b));
+    for kk in 0..k {
+        let bv = _mm512_maskz_loadu_pd(mask, b.add(kk * lay.b_rs));
+        let ak = a.add(kk * lay.a_cs);
+        for (i, ci) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*ak.add(i * a_rs));
+            *ci = _mm512_add_pd(*ci, _mm512_mul_pd(av, bv));
         }
     }
-    for (i, row) in acc.iter_mut().enumerate() {
-        _mm512_storeu_pd(row.as_mut_ptr(), c[i]);
+    for (i, ci) in acc.iter().enumerate() {
+        _mm512_mask_storeu_pd(c.add(i * lay.c_rs), mask, *ci);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Prepacked-B API
-// ---------------------------------------------------------------------------
-//
-// The compiled training plan (`tsgb-nn::plan`) multiplies against the
-// same weight matrices hundreds of times per step — every timestep's
-// `h @ U` shares one `U`. The general entry points above re-pack `B`
-// per call because they cannot know the operand will recur; these
-// entry points let a caller that *does* know pack once and replay the
-// microkernel against the frozen panels. Same panels, same kernel,
-// same chains: bit-identical to the band path at any size, so they
-// are safe below [`packed_enabled`]'s threshold where the general
-// path would decline.
-
-/// Length in doubles of the packed-panel buffer for a `k x n` right
-/// operand (`NR`-column panels, `k`-major, zero-padded).
-pub fn packed_b_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * k * NR
-}
-
-/// Packs a `k x n` matrix into `B` panels for
-/// [`matmul_prepacked_acc_into`]. Every slot of `out` is overwritten.
-pub fn pack_b_panels(b: &Matrix, out: &mut [f64]) {
-    let (k, n) = b.shape();
-    assert_eq!(out.len(), packed_b_len(k, n), "pack buffer length");
-    let bd = b.as_slice();
-    pack_b(n, k, &|kk, j| bd[kk * n + j], out);
-}
-
-/// Packs the *transpose* of an `n x k` matrix into `B` panels — the
-/// panels of `bᵀ` (`k x n`) — without materializing the transpose.
-pub fn pack_bt_panels(b: &Matrix, out: &mut [f64]) {
-    let (n, k) = b.shape();
-    assert_eq!(out.len(), packed_b_len(k, n), "pack buffer length");
-    let bd = b.as_slice();
-    pack_b(n, k, &|kk, j| bd[j * k + kk], out);
-}
-
-/// `out += a * B` where `bpack` holds `B`'s packed panels (`B` being
-/// `a.cols() x n`). Runs the microkernel serially over one band: the
-/// plan's per-timestep products sit far below the parallel threshold,
-/// and band boundaries never alter an accumulator chain anyway.
-pub fn matmul_prepacked_acc_into(a: &Matrix, bpack: &[f64], n: usize, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    assert_eq!(out.shape(), (m, n), "output shape");
-    assert_eq!(bpack.len(), packed_b_len(k, n), "pack buffer length");
-    let ad = a.as_slice();
-    packed_band(0, out.as_mut_slice(), n, k, bpack, &|i, kk| ad[i * k + kk]);
 }
 
 #[cfg(test)]
@@ -408,44 +591,6 @@ mod tests {
         let mut out = Matrix::zeros(96, 96);
         matmul_packed(&a, &b, &mut out);
         assert_eq!(out, band);
-    }
-
-    #[test]
-    fn prepacked_matches_band_at_plan_shapes() {
-        // The plan's GEMM shapes are tiny (batch x hidden against
-        // hidden x hidden) — far below the general packed threshold —
-        // and ragged against the 8x8 tile. Prepacked must equal the
-        // band kernels bit for bit from a warm accumulator.
-        for (m, k, n, seed) in [(16, 32, 32, 10u64), (5, 7, 11, 11), (8, 32, 16, 12)] {
-            let a = mat(m, k, seed);
-            let b = mat(k, n, seed + 100);
-            let warm = mat(m, n, seed + 200);
-            let mut pre = warm.clone();
-            let mut panels = vec![0.0f64; packed_b_len(k, n)];
-            pack_b_panels(&b, &mut panels);
-            matmul_prepacked_acc_into(&a, &panels, n, &mut pre);
-            let mut band = warm.clone();
-            with_gemm_mode(GemmMode::Band, || a.matmul_acc_into(&b, &mut band));
-            assert_eq!(pre, band, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn prepacked_transpose_matches_band_matmul_t() {
-        // pack_bt_panels(b) followed by a prepacked multiply must equal
-        // `a * bᵀ` on the band path — the backward plan's `dz @ Uᵀ`.
-        for (m, k, n, seed) in [(16, 32, 32, 20u64), (9, 13, 6, 21)] {
-            let a = mat(m, k, seed);
-            let b = mat(n, k, seed + 100); // n x k, logically transposed
-            let warm = mat(m, n, seed + 200);
-            let mut pre = warm.clone();
-            let mut panels = vec![0.0f64; packed_b_len(k, n)];
-            pack_bt_panels(&b, &mut panels);
-            matmul_prepacked_acc_into(&a, &panels, n, &mut pre);
-            let mut band = warm.clone();
-            with_gemm_mode(GemmMode::Band, || a.matmul_t_acc_into(&b, &mut band));
-            assert_eq!(pre, band, "{m}x{k}x{n}");
-        }
     }
 
     #[test]

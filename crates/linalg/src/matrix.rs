@@ -4,7 +4,19 @@
 //! arithmetic kernels assert on them (with descriptive messages) rather
 //! than returning `Result`s; the construction boundary
 //! ([`Matrix::from_vec`]) is checked and returns an error.
+//!
+//! The three products pick their kernel per call ([`crate::gemm`]): the
+//! AVX-512 register tile, over packed panels at and above
+//! [`PAR_WORK_THRESHOLD`] and on the operands in place below it, or the
+//! row-band kernels here on a CPU without AVX-512F (and whenever
+//! [`crate::gemm::with_gemm_mode`] forces them). The elementwise maps
+//! [`Matrix::map_inplace`], [`Matrix::map_into`] and
+//! [`Matrix::zip_map_into`] run their loop through a copy compiled for
+//! AVX-512F when the CPU has it. Rust never contracts floating-point
+//! operations, so a wider compile of the same closure keeps every
+//! element's IEEE bits, and every kernel choice gives the same result.
 
+use crate::gemm::Kernel;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 
@@ -233,24 +245,23 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Large products take the packed microkernel path
-    /// ([`crate::gemm`]; [`crate::gemm::with_gemm_mode`] can force the
-    /// band kernel); the rest run the cache-blocked band kernel. Both
-    /// use row-band parallel dispatch above [`PAR_WORK_THRESHOLD`] and
-    /// accumulate every output element as the same strict
-    /// `k`-ascending left fold, so the result is bit-identical across
-    /// kernels and thread counts and agrees exactly with
-    /// [`Matrix::t_matmul`] / [`Matrix::matmul_t`] on transposed
-    /// operands.
+    /// Runs the kernel [`crate::gemm`] picks for the shape (see the
+    /// module docs; [`crate::gemm::with_gemm_mode`] can force the band
+    /// kernel). Products above [`PAR_WORK_THRESHOLD`] use row-band
+    /// parallel dispatch, and every kernel accumulates each output
+    /// element as the same strict `k`-ascending left fold, so the
+    /// result is bit-identical across kernels and thread counts and
+    /// agrees exactly with [`Matrix::t_matmul`] / [`Matrix::matmul_t`]
+    /// on transposed operands.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_acc_into(rhs, &mut out);
         out
     }
 
-    /// `out += self * rhs`, reusing the blocked kernel with no
-    /// temporaries. [`Matrix::matmul`] is exactly this on a zeroed
-    /// output, so accumulating into zeros reproduces its bits.
+    /// `out += self * rhs`, with no temporaries. [`Matrix::matmul`] is
+    /// exactly this on a zeroed output, so accumulating into zeros
+    /// reproduces its bits.
     pub fn matmul_acc_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -259,18 +270,19 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.cols) {
-            return crate::gemm::matmul_packed(self, rhs, out);
+        match crate::gemm::kernel_for(m, n, self.cols) {
+            Kernel::Packed => crate::gemm::matmul_packed(self, rhs, out),
+            Kernel::Tile => crate::gemm::matmul_tile(self, rhs, out),
+            Kernel::Band => dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
+                matmul_band(self, rhs, r0, band, n)
+            }),
         }
-        dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
-            matmul_band(self, rhs, r0, band, n)
-        });
     }
 
     /// `self^T * rhs` without materializing the transpose.
     ///
     /// Bit-identical to `self.transpose().matmul(rhs)` (same
-    /// per-element accumulation order), with the same blocked kernel
+    /// per-element accumulation order), with the same kernel choice
     /// and row-band parallel dispatch.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, rhs.cols);
@@ -287,19 +299,20 @@ impl Matrix {
         );
         let (m, n) = (self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "t_matmul_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.rows) {
-            return crate::gemm::t_matmul_packed(self, rhs, out);
+        match crate::gemm::kernel_for(m, n, self.rows) {
+            Kernel::Packed => crate::gemm::t_matmul_packed(self, rhs, out),
+            Kernel::Tile => crate::gemm::t_matmul_tile(self, rhs, out),
+            Kernel::Band => dispatch_row_bands(m, n, self.rows, out.as_mut_slice(), |r0, band| {
+                t_matmul_band(self, rhs, r0, band, n)
+            }),
         }
-        dispatch_row_bands(m, n, self.rows, out.as_mut_slice(), |r0, band| {
-            t_matmul_band(self, rhs, r0, band, n)
-        });
     }
 
     /// `self * rhs^T` without materializing the transpose.
     ///
     /// Bit-identical to `self.matmul(&rhs.transpose())` (same
-    /// per-element accumulation order), with multi-column unrolled dot
-    /// kernels and row-band parallel dispatch.
+    /// per-element accumulation order), with the same kernel choice
+    /// and row-band parallel dispatch.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_t_acc_into(rhs, &mut out);
@@ -315,12 +328,13 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.rows);
         assert_eq!(out.shape(), (m, n), "matmul_t_acc_into output shape");
-        if crate::gemm::packed_enabled(m, n, self.cols) {
-            return crate::gemm::matmul_t_packed(self, rhs, out);
+        match crate::gemm::kernel_for(m, n, self.cols) {
+            Kernel::Packed => crate::gemm::matmul_t_packed(self, rhs, out),
+            Kernel::Tile => crate::gemm::matmul_t_tile(self, rhs, out),
+            Kernel::Band => dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
+                matmul_t_band(self, rhs, r0, band, n)
+            }),
         }
-        dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
-            matmul_t_band(self, rhs, r0, band, n)
-        });
     }
 
     /// Elementwise map into a new matrix.
@@ -332,30 +346,44 @@ impl Matrix {
         }
     }
 
-    /// In-place elementwise map.
+    /// In-place elementwise map (compiled for AVX-512F where the CPU
+    /// runs it; see the module docs).
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
+        #[cfg(target_arch = "x86_64")]
+        if crate::gemm::cpu_has_avx512() {
+            // SAFETY: the CPU runs AVX-512F.
+            return unsafe { elementwise::avx512::map_inplace(&mut self.data, &f) };
         }
+        elementwise::map_inplace(&mut self.data, &f);
     }
 
     /// Elementwise map into an existing equal-shape output buffer,
-    /// overwriting its contents (no allocation).
+    /// overwriting its contents (no allocation; compiled for AVX-512F
+    /// where the CPU runs it).
     pub fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Matrix) {
         self.assert_same_shape(out, "map_into");
-        for (o, &x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(x);
+        #[cfg(target_arch = "x86_64")]
+        if crate::gemm::cpu_has_avx512() {
+            // SAFETY: the CPU runs AVX-512F.
+            return unsafe { elementwise::avx512::map_into(&self.data, &f, &mut out.data) };
         }
+        elementwise::map_into(&self.data, &f, &mut out.data);
     }
 
     /// Elementwise combination into an existing equal-shape output
-    /// buffer, overwriting its contents (no allocation).
+    /// buffer, overwriting its contents (no allocation; compiled for
+    /// AVX-512F where the CPU runs it).
     pub fn zip_map_into(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64, out: &mut Matrix) {
         self.assert_same_shape(rhs, "zip_map_into");
         self.assert_same_shape(out, "zip_map_into (output)");
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            *o = f(a, b);
+        #[cfg(target_arch = "x86_64")]
+        if crate::gemm::cpu_has_avx512() {
+            // SAFETY: the CPU runs AVX-512F.
+            return unsafe {
+                elementwise::avx512::zip_map_into(&self.data, &rhs.data, &f, &mut out.data)
+            };
         }
+        elementwise::zip_map_into(&self.data, &rhs.data, &f, &mut out.data);
     }
 
     /// `self += rhs` elementwise (no allocation).
@@ -599,6 +627,71 @@ impl Matrix {
             rhs.rows,
             rhs.cols
         );
+    }
+}
+
+/// The loops behind [`Matrix::map_inplace`], [`Matrix::map_into`] and
+/// [`Matrix::zip_map_into`], each with a twin compiled for AVX-512F.
+/// The twin runs the same loop and closure, so it computes the same
+/// IEEE operations in the same order on each element; only the vector
+/// width differs.
+mod elementwise {
+    #[inline(always)]
+    pub(super) fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
+        for x in data {
+            *x = f(*x);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn map_into(src: &[f64], f: &impl Fn(f64) -> f64, out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = f(x);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn zip_map_into(
+        a: &[f64],
+        b: &[f64],
+        f: &impl Fn(f64, f64) -> f64,
+        out: &mut [f64],
+    ) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
+        }
+    }
+
+    /// The loops above compiled for AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// Each function here needs a CPU that runs AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) mod avx512 {
+        #[target_feature(enable = "avx512f")]
+        pub(in crate::matrix) unsafe fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
+            super::map_inplace(data, f)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        pub(in crate::matrix) unsafe fn map_into(
+            src: &[f64],
+            f: &impl Fn(f64) -> f64,
+            out: &mut [f64],
+        ) {
+            super::map_into(src, f, out)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        pub(in crate::matrix) unsafe fn zip_map_into(
+            a: &[f64],
+            b: &[f64],
+            f: &impl Fn(f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            super::zip_map_into(a, b, f, out)
+        }
     }
 }
 

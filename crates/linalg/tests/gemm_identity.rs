@@ -1,12 +1,14 @@
-//! Packed-vs-band bit-identity properties.
+//! Default-vs-band bit-identity properties.
 //!
-//! The packed microkernel GEMM promises *bit-identical* results to
-//! the band kernels: every output element is the same strict
-//! k-ascending mul-then-add fold, only the traversal order of
-//! independent elements changes. These tests drive both paths through
-//! [`with_gemm_mode`] over ragged shapes (nothing aligned to the
-//! MR/NR/KC tile sizes), all three op variants, warm accumulation,
-//! and the 0·NaN edge, comparing raw bits.
+//! The default GEMM paths — the register tile over packed panels above
+//! the parallel threshold, and on the operands in place below it —
+//! promise *bit-identical* results to the band kernels: every output
+//! element is the same strict k-ascending mul-then-add fold, only the
+//! traversal order of independent elements changes. These tests drive
+//! both through [`with_gemm_mode`] over ragged shapes (nothing aligned
+//! to the MR/NR/KC tile sizes) on both sides of the threshold, all
+//! three op variants, warm accumulation, and the 0·NaN edge, comparing
+//! raw bits.
 
 use tsgb_linalg::gemm::{with_gemm_mode, GemmMode, KC, MR, NR};
 use tsgb_linalg::rng::{seeded, uniform_matrix};
@@ -22,11 +24,12 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
-/// Ragged shapes: deliberately *not* multiples of the register tile
-/// (MR×NR) or the k-block (KC), plus exact-tile shapes and
-/// single-row/column degenerates. Sizes are chosen so `m*n*k` clears
-/// the packed-path threshold (2^19) for most cases — the small ones
-/// exercise the dispatch fallthrough instead, which must also agree.
+/// Ragged `(m, n, k)` shapes: deliberately *not* multiples of the
+/// register tile (MR×NR) or the k-block (KC), plus exact-tile shapes
+/// and single-row/column degenerates. The first group clears the
+/// packed-path threshold (2^19); the rest run the in-place tile (on an
+/// AVX-512F CPU), including the shapes the post-hoc GRU fits and the
+/// grid's GANs multiply.
 fn ragged_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         // above threshold, nothing tile-aligned
@@ -41,10 +44,25 @@ fn ragged_shapes() -> Vec<(usize, usize, usize)> {
         (9, 300, 200),
         // exact tile multiples
         (MR * 12, NR * 12, 128),
-        // below the packed threshold (dispatch falls through to band)
+        // below the packed threshold
         (13, 7, 5),
         (1, 50, 50),
         (50, 1, 50),
+        // post-hoc GRU (batch 32, 5 features, hidden 8) and grid shapes
+        (32, 8, 5),
+        (32, 8, 8),
+        (32, 1, 8),
+        (24, 16, 16),
+        // row counts off the tile, n in {1, 7, 9, 17}, k = 1
+        (31, 9, 8),
+        (7, 17, 3),
+        (15, 7, 12),
+        (3, 1, 1),
+        (21, 9, 1),
+        (9, 17, 33),
+        // empty operands, k past the in-place k-block
+        (0, 7, 20),
+        (6, 0, 20),
     ]
 }
 
@@ -78,7 +96,7 @@ fn packed_matches_band_bitwise_over_ragged_shapes() {
 
 #[test]
 fn packed_acc_into_matches_band_on_warm_output() {
-    for (m, n, k) in [(97usize, 103, 61), (70, 70, 2 * KC + 9), (13, 7, 5)] {
+    for (m, n, k) in ragged_shapes() {
         let (a, b, at, bt) = operands(m, n, k, 9000 + k as u64);
         let mut warm_rng = seeded(4242);
         let warm = uniform_matrix(m, n, -1.0, 1.0, &mut warm_rng);
@@ -115,26 +133,26 @@ fn packed_parallel_matches_serial_bitwise() {
     assert_bits_eq(&serial, &parallel, "packed serial vs 4 threads");
 }
 
-/// The packed path must not skip zero terms: `0 * NaN` is NaN and the
-/// whole k-fold containing it must come out NaN, exactly as the band
-/// kernels produce. A kernel that branches on zero (or multiplies
+/// The default paths must not skip zero terms: `0 * NaN` is NaN and
+/// the whole k-fold containing it must come out NaN, exactly as the
+/// band kernels produce. A kernel that branches on zero (or multiplies
 /// padding into the answer) breaks this.
 #[test]
 fn packed_propagates_nan_through_zero_products() {
-    let (m, n, k) = (96usize, 96, 64);
-    // a has a zero column; b has NaN in the matching row, so every
-    // C[i][j] fold contains exactly one 0*NaN term.
-    let a = Matrix::from_fn(m, k, |_, c| if c == 37 { 0.0 } else { 1.0 });
-    let b = Matrix::from_fn(k, n, |r, _| if r == 37 { f64::NAN } else { 1.0 });
-    let packed = with_gemm_mode(GemmMode::Packed, || a.matmul(&b));
-    let band = with_gemm_mode(GemmMode::Band, || a.matmul(&b));
-    assert!(
-        packed.as_slice().iter().all(|v| v.is_nan()),
-        "packed path skipped a 0*NaN term"
-    );
-    assert!(band.as_slice().iter().all(|v| v.is_nan()));
-    // NaN payload bits must match too
-    for (p, q) in packed.as_slice().iter().zip(band.as_slice()) {
-        assert_eq!(p.to_bits(), q.to_bits());
+    for (m, n, k) in ragged_shapes() {
+        // a has a zero column; b has NaN in the matching row, so every
+        // C[i][j] fold contains exactly one 0*NaN term.
+        let z = 37 % k;
+        let a = Matrix::from_fn(m, k, |_, c| if c == z { 0.0 } else { 1.0 });
+        let b = Matrix::from_fn(k, n, |r, _| if r == z { f64::NAN } else { 1.0 });
+        let packed = with_gemm_mode(GemmMode::Packed, || a.matmul(&b));
+        let band = with_gemm_mode(GemmMode::Band, || a.matmul(&b));
+        assert!(
+            packed.as_slice().iter().all(|v| v.is_nan()),
+            "default path skipped a 0*NaN term at {m}x{n}x{k}"
+        );
+        assert!(band.as_slice().iter().all(|v| v.is_nan()));
+        // NaN payload bits must match too
+        assert_bits_eq(&packed, &band, &format!("0*NaN {m}x{n}x{k}"));
     }
 }

@@ -35,10 +35,9 @@ use tsgb_rand::Rng;
 use tsgb_signal::fft::Complex;
 use tsgb_signal::stft::{istft, stft, Spectrogram, StftConfig};
 
-/// Default codebook size per band (ablate via
-/// [`TimeVqVae::with_codebook`]).
+/// Codebook size per band.
 const CODES: usize = 32;
-/// Default EMA decay for codebook updates.
+/// EMA decay for codebook updates.
 const EMA_DECAY: f64 = 0.97;
 /// Commitment-loss weight (beta in the VQ-VAE paper).
 const BETA: f64 = 0.25;
@@ -252,8 +251,6 @@ struct Fitted {
 pub struct TimeVqVae {
     seq_len: usize,
     features: usize,
-    codes: usize,
-    ema_decay: f64,
     fitted: Option<Fitted>,
 }
 
@@ -263,19 +260,8 @@ impl TimeVqVae {
         Self {
             seq_len,
             features,
-            codes: CODES,
-            ema_decay: EMA_DECAY,
             fitted: None,
         }
-    }
-
-    /// Overrides the per-band codebook size and EMA decay (an
-    /// ablation).
-    pub fn with_codebook(mut self, codes: usize, ema_decay: f64) -> Self {
-        assert!(codes >= 2 && (0.0..1.0).contains(&ema_decay));
-        self.codes = codes;
-        self.ema_decay = ema_decay;
-        self
     }
 
     fn stft_config(&self) -> StftConfig {
@@ -380,16 +366,16 @@ impl TsgMethod for TimeVqVae {
         let probe = self.tokens(&train.series(0, 0), stft_cfg);
         let (low_dim, high_dim) = (probe.2, probe.3);
         let code_dim = cfg.latent.max(2);
-        let mut low = BandVq::new(low_dim, code_dim, self.codes, self.ema_decay, "low", rng);
-        let mut high = BandVq::new(high_dim, code_dim, self.codes, self.ema_decay, "high", rng);
+        let mut low = BandVq::new(low_dim, code_dim, CODES, EMA_DECAY, "low", rng);
+        let mut high = BandVq::new(high_dim, code_dim, CODES, EMA_DECAY, "high", rng);
         let mut low_opt = Adam::new(cfg.lr);
         let mut high_opt = Adam::new(cfg.lr);
         let mut low_tape = Tape::new();
         let mut high_tape = Tape::new();
         let mut log = EpochLog::new(self.id(), cfg.epochs);
 
-        let mut prior_low = vec![vec![vec![1e-3; self.codes]; frames]; n];
-        let mut prior_high = vec![vec![vec![1e-3; self.codes]; frames]; n];
+        let mut prior_low = vec![vec![vec![1e-3; CODES]; frames]; n];
+        let mut prior_high = vec![vec![vec![1e-3; CODES]; frames]; n];
 
         for epoch in 0..cfg.epochs {
             let idx = minibatch(r, cfg.batch.min(16), rng);
@@ -497,8 +483,8 @@ impl TsgMethod for TimeVqVae {
     fn save(&self) -> Option<Vec<u8>> {
         let f = self.fitted.as_ref()?;
         let mut w = SnapshotWriter::new(self.id(), self.seq_len, self.features);
-        w.dim("codes", self.codes);
-        w.float("ema_decay", self.ema_decay);
+        w.dim("codes", f.low.codes);
+        w.float("ema_decay", f.low.ema_decay);
         w.dim("frames", f.frames);
         w.dim("bins", f.bins);
         w.dim("n_fft", f.stft_cfg.n_fft);
@@ -535,8 +521,6 @@ impl TsgMethod for TimeVqVae {
             codes,
         )?;
         r.finish()?;
-        self.codes = codes;
-        self.ema_decay = ema_decay;
         self.fitted = Some(Fitted {
             low,
             high,

@@ -35,9 +35,9 @@
 //!   would read. A first touch writes the delta straight into the slot
 //!   (a copy for borrowed deltas, and "zero then accumulate" for the
 //!   `*_acc_into` family, so `-0.0` deltas keep `0.0 + -0.0 == 0.0`
-//!   bits); later touches `add_assign`. The transpose and panel caches
-//!   replay reads are bit-identical to the plain `matmul_t` kernels
-//!   the sweep uses.
+//!   bits); later touches `add_assign`. Replay multiplies by cached
+//!   transposes with plain `matmul`, bit-identical to the `matmul_t`
+//!   kernels the sweep uses.
 //!
 //! Scalar payloads (`scale`, `add_scalar`, `leaky_relu` and `filled`
 //! leaves) are per-step *feeds*: the replaying tape writes new values
@@ -55,7 +55,6 @@
 //! and falls back to recording; the next boundary re-captures.
 
 use crate::tape::{FusedAct, LeafKind, Node, Op};
-use tsgb_linalg::gemm::{matmul_prepacked_acc_into, pack_b_panels, pack_bt_panels, packed_b_len};
 use tsgb_linalg::{Matrix, MatrixPool};
 
 // ---------------------------------------------------------------------
@@ -79,45 +78,6 @@ pub(crate) struct FwdPlan {
     /// Nodes fused away: their value buffers are never refreshed
     /// during replay ([`crate::Tape::value`] refuses to read them).
     dead: Vec<bool>,
-    /// Prepacked panels for the leaf right-hand operands of profitable
-    /// forward GEMMs — the recurrent weights, packed once per replay
-    /// and consumed by every timestep's `h @ U`.
-    pcache: PackCache,
-}
-
-/// Packed right-operand panels ([`tsgb_linalg::gemm`] layout) for the
-/// recurring GEMMs of a frozen step, keyed by node id. The node set
-/// and panel lengths are frozen at compile; the panel *contents* are
-/// repacked from the live node values before each use, so weight
-/// updates flow through exactly like they do for the transpose cache.
-pub(crate) struct PackCache {
-    entries: Vec<(u32, Vec<f64>)>,
-}
-
-impl PackCache {
-    fn get(&self, id: usize) -> Option<&[f64]> {
-        self.entries
-            .iter()
-            .find(|(e, _)| *e as usize == id)
-            .map(|(_, p)| p.as_slice())
-    }
-}
-
-/// The no-prepack cache the unplanned callers of [`exec_node`] pass
-/// (the record methods, [`crate::Tape::eval`], invalidation fallback):
-/// every GEMM takes the plain kernels.
-pub(crate) static EMPTY_PACKS: PackCache = PackCache {
-    entries: Vec::new(),
-};
-
-/// Whether an `m x k` times `k x n` product is worth routing through
-/// prepacked panels: measured at the plan's own shapes, the
-/// microkernel wins once the row tile fills (`m >= 8`) and the
-/// `k`-chain and panel width amortize the packed streaming (~1.6x at
-/// the 16x32x32 recurrent `h @ U` / `dz @ Uᵀ` shape), and loses when
-/// rows, depth, or width are tiny (0.5-0.6x at 4x16x32 / 16x4x32).
-fn pack_profitable(m: usize, k: usize, n: usize) -> bool {
-    m >= 8 && k >= 32 && n >= 16
 }
 
 impl FwdPlan {
@@ -153,27 +113,20 @@ struct BwdPlan {
     /// Nodes the sweep reaches — exactly the slots [`sweep`] would
     /// leave `Some`.
     reached: Vec<bool>,
-    /// One buffer per step that needs a temporary (non-first-touch
-    /// mapped deltas, fused-activation `dz`), shaped like that step's
-    /// incoming gradient.
+    /// One buffer per distinct shape among the steps that need a
+    /// temporary (non-first-touch mapped deltas, fused-activation
+    /// `dz`), shaped like those steps' incoming gradients. Steps run
+    /// one at a time and each overwrites its scratch before reading
+    /// it, so every step of a shape can share one buffer.
     scratch: Vec<Matrix>,
     /// Transposes of the nodes consumed as `matmul_t` right-hand
     /// sides (weights of `Affine`/`Affine2`, the RHS of `Matmul`),
     /// refreshed once per run and shared by every step that consults
     /// them. `matmul_t(a, b)` is documented bit-identical to
-    /// `matmul(a, bᵀ)`, and the plain `matmul` band kernel streams
-    /// rows ~40% faster than the column-gathering `matmul_t`, so one
-    /// cheap transpose amortized over the whole sweep (a recurrent
-    /// weight is hit once per timestep) is a clear win.
+    /// `matmul(a, bᵀ)`, and plain `matmul` feeds the register tile
+    /// with no per-call transpose, so one transpose amortized over the
+    /// whole sweep (a recurrent weight is hit once per timestep) wins.
     tcache: Vec<(u32, Matrix)>,
-    /// Same idea, one step further: the `matmul_t` right-hand sides
-    /// whose shape clears [`pack_profitable`] skip the transpose
-    /// detour and go straight to prepacked microkernel panels of the
-    /// transpose, repacked once per run. An id lands here *or* in
-    /// [`Self::tcache`] per edge (both, if a weight is consumed at
-    /// both profitable and tiny shapes); [`run_step`] re-derives the
-    /// same predicate from the frozen shapes to pick the right cache.
-    ptcache: PackCache,
 }
 
 /// Fills `live` with the liveness mask of `nodes[..=loss]`: a node is
@@ -323,54 +276,10 @@ impl Replay {
             })
             .collect();
 
-        // Prepack manifest: leaf right-hand operands of profitable
-        // GEMMs. Only leaves qualify because the panels are refreshed
-        // *before* the forward sweep runs — a computed operand's value
-        // would still be stale then. (Weights are leaves; that is
-        // exactly the recurring case worth packing.) Fused-away
-        // producers still run their GEMM in `exec_fused`, so the scan
-        // ignores `dead`.
-        let mut fneed: Vec<u32> = Vec::new();
-        {
-            let mut site = |a: &crate::VarId, b: &crate::VarId| {
-                let (m, k) = nodes[a.0].value.shape();
-                let n = nodes[b.0].value.cols();
-                if pack_profitable(m, k, n) && matches!(nodes[b.0].op, Op::Leaf(_)) {
-                    fneed.push(b.0 as u32);
-                }
-            };
-            for node in nodes {
-                match &node.op {
-                    Op::Matmul(a, b) => site(a, b),
-                    Op::Affine { x, w, .. } => site(x, w),
-                    Op::Affine2 { x, w, h, u, .. } => {
-                        site(x, w);
-                        site(h, u);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        fneed.sort_unstable();
-        fneed.dedup();
-        let pcache = PackCache {
-            entries: fneed
-                .into_iter()
-                .map(|id| {
-                    let (k, n) = nodes[id as usize].value.shape();
-                    (id, vec![0.0; packed_b_len(k, n)])
-                })
-                .collect(),
-        };
-
         Replay {
             cursor: 0,
             watermark: 0,
-            fwd: FwdPlan {
-                steps,
-                dead,
-                pcache,
-            },
+            fwd: FwdPlan { steps, dead },
             bwd: Vec::new(),
         }
     }
@@ -404,23 +313,15 @@ impl Replay {
         pool: &mut MatrixPool,
         loss: usize,
     ) {
-        if self.watermark < nodes.len() {
-            // Repack the frozen weight panels from this step's live
-            // values (Adam moved them since the last replay). Skipped
-            // when a second loss backward finds everything fresh.
-            for (id, panels) in self.fwd.pcache.entries.iter_mut() {
-                pack_b_panels(&nodes[*id as usize].value, panels);
-            }
-        }
         for step in &self.fwd.steps {
             let out = step.out as usize;
             if out < self.watermark {
                 continue;
             }
             if step.src == step.out {
-                exec_node(nodes, out, pool, &self.fwd.pcache);
+                exec_node(nodes, out, pool);
             } else {
-                exec_fused(nodes, step.src as usize, out, pool, &self.fwd.pcache);
+                exec_fused(nodes, step.src as usize, out, pool);
             }
         }
         self.watermark = nodes.len();
@@ -441,25 +342,12 @@ impl Replay {
 // Forward execution
 // ---------------------------------------------------------------------
 
-/// `dst += a * b`, through node `b_id`'s prepacked panels when the
-/// forward plan cached them, else the plain matmul. The two paths are
-/// bit-identical (see [`tsgb_linalg::gemm`]); the cache only holds ids
-/// whose shape made packing profitable.
-fn mm(a: &Matrix, b_id: usize, b: &Matrix, packs: &PackCache, dst: &mut Matrix) {
-    if let Some(panels) = packs.get(b_id) {
-        matmul_prepacked_acc_into(a, panels, b.cols(), dst);
-    } else {
-        a.matmul_acc_into(b, dst);
-    }
-}
-
 /// Computes node `i`'s value in place from its operands — the only
 /// copy of each op's forward arithmetic. Every shape was checked when
 /// the node was recorded, and every element of the value is written.
 /// The record methods, [`crate::Tape::eval`] and the invalidation
-/// fallback pass [`EMPTY_PACKS`]; replay passes its weight panels and
-/// runs every unfused step here.
-pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, packs: &PackCache) {
+/// fallback run it on one node; replay runs every unfused step here.
+pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool) {
     let (lo, hi) = nodes.split_at_mut(i);
     let node = &mut hi[0];
     let v = &mut node.value;
@@ -480,7 +368,7 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
         Op::Detach(a) => v.copy_from(&lo[a.0].value),
         Op::Matmul(a, b) => {
             v.fill(0.0);
-            mm(&lo[a.0].value, b.0, &lo[b.0].value, packs, v);
+            lo[a.0].value.matmul_acc_into(&lo[b.0].value, v);
         }
         Op::Sigmoid(a) => lo[a.0].value.map_into(tsgb_linalg::detmath::sigmoid, v),
         Op::Tanh(a) => lo[a.0].value.map_into(tsgb_linalg::detmath::tanh, v),
@@ -613,18 +501,18 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
         Op::Affine { x, w, b, act } => {
             let act = *act;
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             v.add_row_broadcast_assign(&lo[b.0].value);
             act.apply(v);
         }
         Op::Affine2 { x, w, h, u, b, act } => {
             let act = *act;
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             // Separate h U accumulator, added afterwards: identical
             // summation order to the record path.
             let mut hu = pool.take_zeroed(v.rows(), v.cols());
-            mm(&lo[h.0].value, u.0, &lo[u.0].value, packs, &mut hu);
+            lo[h.0].value.matmul_acc_into(&lo[u.0].value, &mut hu);
             v.add_assign(&hu);
             pool.put(hu);
             v.add_row_broadcast_assign(&lo[b.0].value);
@@ -638,13 +526,7 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool, pac
 /// place. `src`'s own buffer is left stale (dead). Bit-identical to
 /// the unfused pair: the activation sees the exact pre-activation bits
 /// the producer would have stored.
-fn exec_fused(
-    nodes: &mut [Node],
-    src: usize,
-    out: usize,
-    pool: &mut MatrixPool,
-    packs: &PackCache,
-) {
+fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool) {
     let (lo, hi) = nodes.split_at_mut(out);
     let act = match hi[0].op {
         Op::Sigmoid(_) => FusedAct::Sigmoid,
@@ -656,18 +538,18 @@ fn exec_fused(
     match &lo[src].op {
         Op::Matmul(a, b) => {
             v.fill(0.0);
-            mm(&lo[a.0].value, b.0, &lo[b.0].value, packs, v);
+            lo[a.0].value.matmul_acc_into(&lo[b.0].value, v);
         }
         Op::Affine { x, w, b, .. } => {
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             v.add_row_broadcast_assign(&lo[b.0].value);
         }
         Op::Affine2 { x, w, h, u, b, .. } => {
             v.fill(0.0);
-            mm(&lo[x.0].value, w.0, &lo[w.0].value, packs, v);
+            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
             let mut hu = pool.take_zeroed(v.rows(), v.cols());
-            mm(&lo[h.0].value, u.0, &lo[u.0].value, packs, &mut hu);
+            lo[h.0].value.matmul_acc_into(&lo[u.0].value, &mut hu);
             v.add_assign(&hu);
             pool.put(hu);
             v.add_row_broadcast_assign(&lo[b.0].value);
@@ -713,8 +595,8 @@ impl BwdPlan {
     /// Walks the reverse sweep from `loss` over the frozen graph,
     /// recording its liveness mask, which nodes are reached, the
     /// first-touch flag of every edge, which steps need a scratch
-    /// buffer, and which `matmul_t` right-hand sides to cache — then
-    /// takes those buffers from the pool.
+    /// buffer (one per shape), and which `matmul_t` right-hand sides
+    /// to cache — then takes those buffers from the pool.
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
         let mut live = Vec::new();
         liveness(nodes, loss, &mut live);
@@ -724,10 +606,8 @@ impl BwdPlan {
         let mut flags = Vec::new();
         let mut scratch = Vec::new();
         // Node ids whose transpose the sweep wants cached (`matmul_t`
-        // right-hand sides of live edges); deduped below. Profitable
-        // shapes route to the prepacked panel cache instead.
+        // right-hand sides of live edges); deduped below.
         let mut tneed: Vec<u32> = Vec::new();
-        let mut pneed: Vec<u32> = Vec::new();
         for i in (0..=loss).rev() {
             if !has[i] || !live[i] || matches!(nodes[i].op, Op::Leaf(_)) {
                 continue;
@@ -736,37 +616,26 @@ impl BwdPlan {
             let need_scratch = step_flags(nodes, &live, i, &mut flags, |t| {
                 !std::mem::replace(&mut has[t], true)
             });
-            // A live `matmul_t` right-hand side: prepacked panels when
-            // the multiply's shape is profitable, else the plain
-            // transpose cache. The deltas multiplied against the
-            // transpose are all node-`i`-shaped, so `m` is this node's
-            // row count.
-            let m = nodes[i].value.rows();
-            let mut twant = |rhs: &crate::VarId| {
-                let (n, k) = nodes[rhs.0].value.shape();
-                if pack_profitable(m, k, n) {
-                    pneed.push(rhs.0 as u32);
-                } else {
-                    tneed.push(rhs.0 as u32);
-                }
-            };
             match &nodes[i].op {
-                Op::Matmul(a, b) if live[a.0] => twant(b),
-                Op::Affine { x, w, .. } if live[x.0] => twant(w),
+                Op::Matmul(a, b) if live[a.0] => tneed.push(b.0 as u32),
+                Op::Affine { x, w, .. } if live[x.0] => tneed.push(w.0 as u32),
                 Op::Affine2 { x, w, h, u, .. } => {
                     if live[x.0] {
-                        twant(w);
+                        tneed.push(w.0 as u32);
                     }
                     if live[h.0] {
-                        twant(u);
+                        tneed.push(u.0 as u32);
                     }
                 }
                 _ => {}
             }
             let scratch_idx = if need_scratch {
-                let (r, c) = nodes[i].value.shape();
-                scratch.push(pool.take_uninit(r, c));
-                (scratch.len() - 1) as u32
+                let shape = nodes[i].value.shape();
+                let at = scratch.iter().position(|m: &Matrix| m.shape() == shape);
+                at.unwrap_or_else(|| {
+                    scratch.push(pool.take_uninit(shape.0, shape.1));
+                    scratch.len() - 1
+                }) as u32
             } else {
                 u32::MAX
             };
@@ -785,19 +654,6 @@ impl BwdPlan {
                 (id, pool.take_uninit(c, r))
             })
             .collect();
-        pneed.sort_unstable();
-        pneed.dedup();
-        let ptcache = PackCache {
-            entries: pneed
-                .into_iter()
-                .map(|id| {
-                    // The packed operand is the *transpose*, so the
-                    // panel geometry swaps the node's axes.
-                    let (n, k) = nodes[id as usize].value.shape();
-                    (id, vec![0.0; packed_b_len(k, n)])
-                })
-                .collect(),
-        };
         BwdPlan {
             loss,
             steps,
@@ -806,13 +662,13 @@ impl BwdPlan {
             reached: has,
             scratch,
             tcache,
-            ptcache,
         }
     }
 
     /// Runs the compiled sweep: [`sweep`]'s steps in its order, with
     /// first-touch flags and scratch buffers precomputed and the
-    /// `matmul_t` right-hand sides read from the per-run caches.
+    /// `matmul_t` right-hand sides read from the per-run transpose
+    /// cache.
     fn run(
         &mut self,
         nodes: &[Node],
@@ -850,23 +706,14 @@ impl BwdPlan {
             live,
             scratch,
             tcache,
-            ptcache,
             ..
         } = self;
-        // Refresh the cached transposes and packed panels: values
-        // (weights) change every step, the set of cached nodes never
-        // does.
+        // Refresh the cached transposes: values (weights) change every
+        // step, the set of cached nodes never does.
         for (id, buf) in tcache.iter_mut() {
             nodes[*id as usize].value.transpose_into(buf);
         }
-        for (id, panels) in ptcache.entries.iter_mut() {
-            pack_bt_panels(&nodes[*id as usize].value, panels);
-        }
-        let caches = RunCaches {
-            tcache,
-            ptcache,
-            dead,
-        };
+        let caches = RunCaches { tcache, dead };
         for step in steps.iter() {
             let (i, fa) = (step.node as usize, step.flags_at as usize);
             let sbuf = scratch.get_mut(step.scratch as usize);
@@ -925,11 +772,10 @@ pub(crate) fn sweep(
 }
 
 /// A compiled plan's per-run backward state that [`run_step`] reads:
-/// the cached transposes and prepacked transpose panels of `matmul_t`
-/// right-hand sides, and which forward nodes were fused away.
+/// the cached transposes of `matmul_t` right-hand sides, and which
+/// forward nodes were fused away.
 struct RunCaches<'a> {
     tcache: &'a [(u32, Matrix)],
-    ptcache: &'a PackCache,
     dead: &'a [bool],
 }
 
@@ -956,34 +802,21 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
 }
 
 /// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no caches)
-/// runs the plain `matmul_t_acc_into`; a compiled plan reads whichever
-/// cache [`BwdPlan::compile`] routed the edge to: prepacked transpose
-/// panels when the shape cleared [`pack_profitable`] (the predicate
-/// re-derives identically here — all inputs are frozen shapes), else
-/// the plain matmul against the cached transpose. All three are
-/// bit-identical (equality documented on [`Matrix::matmul_t`] and
-/// [`tsgb_linalg::gemm`]).
+/// runs the plain `matmul_t_acc_into`; a compiled plan runs the plain
+/// matmul against the cached transpose. The two are bit-identical
+/// (documented on [`Matrix::matmul_t`]).
 fn mul_t_acc(nodes: &[Node], caches: Option<&RunCaches>, a: &Matrix, rhs: usize, dst: &mut Matrix) {
     let Some(c) = caches else {
         a.matmul_t_acc_into(&nodes[rhs].value, dst);
         return;
     };
-    let (n, k) = nodes[rhs].value.shape();
-    if pack_profitable(a.rows(), k, n) {
-        let panels = c
-            .ptcache
-            .get(rhs)
-            .expect("profitable matmul_t RHS has packed panels");
-        matmul_prepacked_acc_into(a, panels, n, dst);
-    } else {
-        let t = &c
-            .tcache
-            .iter()
-            .find(|(id, _)| *id as usize == rhs)
-            .expect("live matmul_t RHS has a cached transpose")
-            .1;
-        a.matmul_acc_into(t, dst);
-    }
+    let t = &c
+        .tcache
+        .iter()
+        .find(|(id, _)| *id as usize == rhs)
+        .expect("live matmul_t RHS has a cached transpose")
+        .1;
+    a.matmul_acc_into(t, dst);
 }
 
 /// Executes one backward step for node `i` — the only copy of each

@@ -298,8 +298,8 @@ pub struct Tape {
     /// nothing.
     sweep_live: Vec<bool>,
     sweep_flags: Vec<bool>,
-    /// Pool misses already published to the `nn.pool.miss` counter,
-    /// so each [`Tape::reset`] reports only the delta.
+    /// Pool misses as of the last step boundary, so each boundary
+    /// publishes only the misses since the one before it.
     reported_misses: u64,
     plan: PlanCtl,
     /// Lifetime count of plan captures (diagnostics; mirrored to the
@@ -361,15 +361,17 @@ impl Tape {
 
     /// Observability hook: one step boundary per reset/begin_step/truncate.
     /// Everything here is observed, never read back — results are
-    /// unaffected — and with recording disabled the whole block is one
-    /// relaxed atomic load.
+    /// unaffected. The miss mark advances at every boundary, so a
+    /// boundary publishes only its own step's misses, never those of
+    /// steps run while recording was off; with recording disabled the
+    /// rest is one relaxed atomic load.
     fn observe_step(&mut self) {
+        let misses = self.pool.misses();
+        let step_misses = misses - std::mem::replace(&mut self.reported_misses, misses);
         if tsgb_obs::enabled() {
             tsgb_obs::counter_add("nn.tape.steps", 1);
             tsgb_obs::observe("nn.tape.nodes", self.nodes.len() as f64);
-            let misses = self.pool.misses();
-            tsgb_obs::counter_add("nn.pool.miss", misses - self.reported_misses);
-            self.reported_misses = misses;
+            tsgb_obs::counter_add("nn.pool.miss", step_misses);
         }
     }
 
@@ -442,12 +444,7 @@ impl Tape {
         let (cursor, watermark) = (r.cursor, r.watermark);
         for i in watermark..cursor {
             if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                crate::plan::exec_node(
-                    &mut self.nodes,
-                    i,
-                    &mut self.pool,
-                    &crate::plan::EMPTY_PACKS,
-                );
+                crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
             }
         }
         for node in self.nodes.drain(cursor..) {
@@ -674,12 +671,7 @@ impl Tape {
             );
             for i in r.watermark..=id.0 {
                 if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                    crate::plan::exec_node(
-                        &mut self.nodes,
-                        i,
-                        &mut self.pool,
-                        &crate::plan::EMPTY_PACKS,
-                    );
+                    crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
                 }
             }
             r.watermark = r.watermark.max(id.0 + 1);
@@ -727,12 +719,7 @@ impl Tape {
         let value = self.pool.take_uninit(r, c);
         self.nodes.push(Node { value, op });
         let i = self.nodes.len() - 1;
-        crate::plan::exec_node(
-            &mut self.nodes,
-            i,
-            &mut self.pool,
-            &crate::plan::EMPTY_PACKS,
-        );
+        crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
         debug_assert!(
             self.nodes[i].value.all_finite(),
             "non-finite value produced by {:?}",

@@ -321,8 +321,9 @@ fn nodes_that_depend_on_no_trainable_leaf_get_no_gradient_slot() {
 /// tapes with `begin_step` must match a fresh pair of tapes per step
 /// bit for bit — the generator output, both heads' gradients and the
 /// generator's — and each recycled tape must capture once and replay
-/// every later step. The recurrent GEMM is sized past the prepack
-/// threshold, so replay's packed kernel meets `eval`'s plain one.
+/// every later step. The recurrent GEMM (8 x 32 x 32) runs on the
+/// register tile, so replay's transpose cache meets `eval`'s plain
+/// kernels and the one-shot sweep's `matmul_t`.
 #[test]
 fn eval_mid_step_feeds_a_second_tape_bitwise() {
     const STEPS: usize = 6;

@@ -2,8 +2,9 @@
 //! `reset` or `begin_step`, so its run boundary, `Tape::truncate`, is
 //! what publishes `nn.tape.steps` and `nn.pool.miss`. With recording
 //! on, `k` runs must publish `k` steps, and the misses they publish
-//! must be exactly the allocations the tape made. This file holds one
-//! test, so no other test shares the process-wide registry.
+//! must be exactly the allocations the tape made, also after runs made
+//! with recording off. This file holds one test, so no other test
+//! shares the process-wide registry.
 
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_nn::layers::{Activation, Mlp};
@@ -54,4 +55,17 @@ fn resident_runs_publish_their_steps_and_misses() {
     }
     assert_eq!(counter("nn.tape.steps") - steps0, k);
     assert_eq!(counter("nn.pool.miss") - miss0, allocated);
+
+    // Runs made with recording off publish nothing, and the first run
+    // after recording resumes publishes its own misses only.
+    tsgb_obs::set_enabled(false);
+    for i in 0..k {
+        let (before, after) = run(20 + i as usize, 30 + i);
+        assert!(after > before, "untraced run {i} allocates too");
+    }
+    tsgb_obs::set_enabled(true);
+    let (steps1, miss1) = (counter("nn.tape.steps"), counter("nn.pool.miss"));
+    let (before, after) = run(40, 50);
+    assert_eq!(counter("nn.tape.steps") - steps1, 1);
+    assert_eq!(counter("nn.pool.miss") - miss1, after - before);
 }
