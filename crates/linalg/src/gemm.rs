@@ -23,8 +23,10 @@
 //!   place: `A` through its row and column strides (so `t_matmul`
 //!   reads `aᵀ` without copying it), `B` by its rows, `k` in blocks of
 //!   16 so `B`'s rows stream through the cache. `matmul_t` first
-//!   transposes its `B` into a per-thread buffer, an exact copy. At
-//!   these sizes packing would cost more than the kernel saves;
+//!   transposes its `B` into a per-thread buffer, an exact copy, and
+//!   with one output column runs the band kernel instead (a tile
+//!   filling one lane loses to its dot products). At these sizes
+//!   packing would cost more than the kernel saves;
 //! * below it on any other CPU, the band kernels.
 //!
 //! [`GemmMode::Band`] (set through [`with_gemm_mode`]) forces the band

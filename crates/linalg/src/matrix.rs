@@ -11,8 +11,9 @@
 //! row-band kernels here on a CPU without AVX-512F (and whenever
 //! [`crate::gemm::with_gemm_mode`] forces them). The elementwise maps
 //! [`Matrix::map_inplace`], [`Matrix::map_into`] and
-//! [`Matrix::zip_map_into`] run their loop through a copy compiled for
-//! AVX-512F when the CPU has it. Rust never contracts floating-point
+//! [`Matrix::zip_map_into`], and the slice loops of [`elementwise`]
+//! behind them, run their loop through a copy compiled for AVX-512F
+//! when the CPU has it. Rust never contracts floating-point
 //! operations, so a wider compile of the same closure keeps every
 //! element's IEEE bits, and every kernel choice gives the same result.
 
@@ -330,10 +331,14 @@ impl Matrix {
         assert_eq!(out.shape(), (m, n), "matmul_t_acc_into output shape");
         match crate::gemm::kernel_for(m, n, self.cols) {
             Kernel::Packed => crate::gemm::matmul_t_packed(self, rhs, out),
-            Kernel::Tile => crate::gemm::matmul_t_tile(self, rhs, out),
-            Kernel::Band => dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
-                matmul_t_band(self, rhs, r0, band, n)
-            }),
+            // One output column is a matrix-vector product: the band
+            // kernel's dot products beat a tile that fills one lane.
+            Kernel::Tile if n > 1 => crate::gemm::matmul_t_tile(self, rhs, out),
+            Kernel::Tile | Kernel::Band => {
+                dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
+                    matmul_t_band(self, rhs, r0, band, n)
+                })
+            }
         }
     }
 
@@ -349,12 +354,7 @@ impl Matrix {
     /// In-place elementwise map (compiled for AVX-512F where the CPU
     /// runs it; see the module docs).
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::gemm::cpu_has_avx512() {
-            // SAFETY: the CPU runs AVX-512F.
-            return unsafe { elementwise::avx512::map_inplace(&mut self.data, &f) };
-        }
-        elementwise::map_inplace(&mut self.data, &f);
+        elementwise::map_inplace(&mut self.data, f);
     }
 
     /// Elementwise map into an existing equal-shape output buffer,
@@ -362,12 +362,7 @@ impl Matrix {
     /// where the CPU runs it).
     pub fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Matrix) {
         self.assert_same_shape(out, "map_into");
-        #[cfg(target_arch = "x86_64")]
-        if crate::gemm::cpu_has_avx512() {
-            // SAFETY: the CPU runs AVX-512F.
-            return unsafe { elementwise::avx512::map_into(&self.data, &f, &mut out.data) };
-        }
-        elementwise::map_into(&self.data, &f, &mut out.data);
+        elementwise::map_into(&self.data, f, &mut out.data);
     }
 
     /// Elementwise combination into an existing equal-shape output
@@ -376,14 +371,7 @@ impl Matrix {
     pub fn zip_map_into(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64, out: &mut Matrix) {
         self.assert_same_shape(rhs, "zip_map_into");
         self.assert_same_shape(out, "zip_map_into (output)");
-        #[cfg(target_arch = "x86_64")]
-        if crate::gemm::cpu_has_avx512() {
-            // SAFETY: the CPU runs AVX-512F.
-            return unsafe {
-                elementwise::avx512::zip_map_into(&self.data, &rhs.data, &f, &mut out.data)
-            };
-        }
-        elementwise::zip_map_into(&self.data, &rhs.data, &f, &mut out.data);
+        elementwise::zip_map_into(&self.data, &rhs.data, f, &mut out.data);
     }
 
     /// `self += rhs` elementwise (no allocation).
@@ -630,35 +618,164 @@ impl Matrix {
     }
 }
 
-/// The loops behind [`Matrix::map_inplace`], [`Matrix::map_into`] and
-/// [`Matrix::zip_map_into`], each with a twin compiled for AVX-512F.
-/// The twin runs the same loop and closure, so it computes the same
-/// IEEE operations in the same order on each element; only the vector
-/// width differs.
-mod elementwise {
-    #[inline(always)]
-    pub(super) fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
-        for x in data {
-            *x = f(*x);
-        }
+/// Elementwise loops over row-major slices, the kernels behind
+/// [`Matrix::map_inplace`], [`Matrix::map_into`] and
+/// [`Matrix::zip_map_into`]. Callers that work on a block of a buffer
+/// (a fused GRU step's gate blocks, say) call the public ones on
+/// slices directly. Each
+/// loop has a twin compiled for AVX-512F, which runs when the CPU has
+/// it: the same loop and closure, so each element gets the same IEEE
+/// operations in the same order; only the vector width differs.
+///
+/// Every function asserts that its slices have equal lengths (a row
+/// operand's length must divide the others').
+pub mod elementwise {
+    /// Runs `loops::$name(args)` through its AVX-512F twin when the CPU
+    /// has one.
+    macro_rules! dispatch {
+        ($name:ident($($arg:expr),*)) => {{
+            #[cfg(target_arch = "x86_64")]
+            if crate::gemm::cpu_has_avx512() {
+                // SAFETY: the CPU runs AVX-512F.
+                return unsafe { avx512::$name($($arg),*) };
+            }
+            loops::$name($($arg),*)
+        }};
     }
 
-    #[inline(always)]
-    pub(super) fn map_into(src: &[f64], f: &impl Fn(f64) -> f64, out: &mut [f64]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = f(x);
-        }
+    /// `x = f(x)` for every element.
+    pub(super) fn map_inplace(data: &mut [f64], f: impl Fn(f64) -> f64) {
+        dispatch!(map_inplace(data, &f))
     }
 
-    #[inline(always)]
-    pub(super) fn zip_map_into(
+    /// `out[i] = f(src[i])`.
+    pub(super) fn map_into(src: &[f64], f: impl Fn(f64) -> f64, out: &mut [f64]) {
+        assert_eq!(src.len(), out.len(), "map_into length mismatch");
+        dispatch!(map_into(src, &f, out))
+    }
+
+    /// `out[i] = f(a[i], b[i])`.
+    pub fn zip_map_into(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64, out: &mut [f64]) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "zip_map_into length mismatch"
+        );
+        dispatch!(zip_map_into(a, b, &f, out))
+    }
+
+    /// `out[i] = f(a[i], b[i], c[i])`.
+    pub fn zip3_map_into(
         a: &[f64],
         b: &[f64],
-        f: &impl Fn(f64, f64) -> f64,
+        c: &[f64],
+        f: impl Fn(f64, f64, f64) -> f64,
         out: &mut [f64],
     ) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
+        assert!(
+            a.len() == out.len() && b.len() == out.len() && c.len() == out.len(),
+            "zip3_map_into length mismatch"
+        );
+        dispatch!(zip3_map_into(a, b, c, &f, out))
+    }
+
+    /// `dst[i] = f(dst[i], a[i], b[i])`: an update that reads the old
+    /// value, as an accumulation into a gradient does.
+    pub fn zip_update(dst: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64, f64) -> f64) {
+        assert!(
+            a.len() == dst.len() && b.len() == dst.len(),
+            "zip_update length mismatch"
+        );
+        dispatch!(zip_update(dst, a, b, &f))
+    }
+
+    /// `out[i] = f(a[i], b[i], row[i % row.len()])` over row-major
+    /// buffers whose rows are `row.len()` wide: `row` is broadcast to
+    /// every row, as a bias is.
+    pub fn zip_row_map_into(
+        a: &[f64],
+        b: &[f64],
+        row: &[f64],
+        f: impl Fn(f64, f64, f64) -> f64,
+        out: &mut [f64],
+    ) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len() && out.len().is_multiple_of(row.len()),
+            "zip_row_map_into length mismatch"
+        );
+        if out.is_empty() {
+            return;
+        }
+        dispatch!(zip_row_map_into(a, b, row, &f, out))
+    }
+
+    mod loops {
+        #[inline(always)]
+        pub(super) fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
+            for x in data {
+                *x = f(*x);
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn map_into(src: &[f64], f: &impl Fn(f64) -> f64, out: &mut [f64]) {
+            for (o, &x) in out.iter_mut().zip(src) {
+                *o = f(x);
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn zip_map_into(
+            a: &[f64],
+            b: &[f64],
+            f: &impl Fn(f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn zip3_map_into(
+            a: &[f64],
+            b: &[f64],
+            c: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+                *o = f(x, y, z);
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn zip_update(
+            dst: &mut [f64],
+            a: &[f64],
+            b: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+        ) {
+            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                *d = f(*d, x, y);
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn zip_row_map_into(
+            a: &[f64],
+            b: &[f64],
+            row: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            let n = row.len();
+            for ((o, a), b) in out
+                .chunks_exact_mut(n)
+                .zip(a.chunks_exact(n))
+                .zip(b.chunks_exact(n))
+            {
+                zip3_map_into(a, b, row, f, o);
+            }
         }
     }
 
@@ -668,29 +785,59 @@ mod elementwise {
     ///
     /// Each function here needs a CPU that runs AVX-512F.
     #[cfg(target_arch = "x86_64")]
-    pub(super) mod avx512 {
+    mod avx512 {
+        use super::loops;
+
         #[target_feature(enable = "avx512f")]
-        pub(in crate::matrix) unsafe fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
-            super::map_inplace(data, f)
+        pub(super) unsafe fn map_inplace(data: &mut [f64], f: &impl Fn(f64) -> f64) {
+            loops::map_inplace(data, f)
         }
 
         #[target_feature(enable = "avx512f")]
-        pub(in crate::matrix) unsafe fn map_into(
-            src: &[f64],
-            f: &impl Fn(f64) -> f64,
-            out: &mut [f64],
-        ) {
-            super::map_into(src, f, out)
+        pub(super) unsafe fn map_into(src: &[f64], f: &impl Fn(f64) -> f64, out: &mut [f64]) {
+            loops::map_into(src, f, out)
         }
 
         #[target_feature(enable = "avx512f")]
-        pub(in crate::matrix) unsafe fn zip_map_into(
+        pub(super) unsafe fn zip_map_into(
             a: &[f64],
             b: &[f64],
             f: &impl Fn(f64, f64) -> f64,
             out: &mut [f64],
         ) {
-            super::zip_map_into(a, b, f, out)
+            loops::zip_map_into(a, b, f, out)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn zip3_map_into(
+            a: &[f64],
+            b: &[f64],
+            c: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            loops::zip3_map_into(a, b, c, f, out)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn zip_update(
+            dst: &mut [f64],
+            a: &[f64],
+            b: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+        ) {
+            loops::zip_update(dst, a, b, f)
+        }
+
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn zip_row_map_into(
+            a: &[f64],
+            b: &[f64],
+            row: &[f64],
+            f: &impl Fn(f64, f64, f64) -> f64,
+            out: &mut [f64],
+        ) {
+            loops::zip_row_map_into(a, b, row, f, out)
         }
     }
 }

@@ -136,3 +136,60 @@ fn maps_equal_scalar_calls_bit_for_bit() {
         }
     }
 }
+
+/// `out[i] = f(a[i], b[i], c[i])` by scalar calls, where `c` may be a
+/// row repeated over the rows.
+fn scalar3(a: &[f64], b: &[f64], c: &[f64], f: impl Fn(f64, f64, f64) -> f64) -> Vec<f64> {
+    let n = c.len();
+    (0..a.len())
+        .map(|i| f(black_box(a[i]), black_box(b[i]), black_box(c[i % n])))
+        .collect()
+}
+
+/// The slice kernels a GRU step runs on its stacked gates, against a
+/// scalar call per element: a gate's `act((xW + hU) + b)` with the
+/// bias row broadcast (`zip_row_map_into`), the state mix and its
+/// gradient (`zip3_map_into`), and the accumulation into h's slot
+/// (`zip_update`). Each closure is generic, as at the call sites.
+#[test]
+fn slice_kernels_equal_scalar_calls_bit_for_bit() {
+    use tsgb_linalg::matrix::elementwise::{zip3_map_into, zip_row_map_into, zip_update};
+    for (seed, (rows, cols)) in [(1, 7), (3, 5), (13, 1), (9, 29), (7, 143)]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = seed as u64;
+        let [a, b, c] = [0, 1, 2].map(|k| input(rows, cols, 300 + 3 * seed + k));
+        let row = input(1, cols, 400 + seed);
+        let (a, b, c, row) = (a.as_slice(), b.as_slice(), c.as_slice(), row.as_slice());
+        let what = format!("{rows}x{cols}");
+        let mut out = Matrix::zeros(rows, cols);
+
+        let gate = |p: f64, q: f64, r: f64| sigmoid((p + q) + r);
+        zip_row_map_into(a, b, row, gate, out.as_mut_slice());
+        let want = scalar3(a, b, row, gate);
+        assert_bits(&out, &want, &format!("sigmoid gate {what}"));
+        let gate = |p: f64, q: f64, r: f64| tanh((p + q) + r);
+        zip_row_map_into(a, b, row, gate, out.as_mut_slice());
+        let want = scalar3(a, b, row, gate);
+        assert_bits(&out, &want, &format!("tanh gate {what}"));
+
+        let mix = |h: f64, z: f64, t: f64| h + z * (t - h);
+        zip3_map_into(a, b, c, mix, out.as_mut_slice());
+        assert_bits(&out, &scalar3(a, b, c, mix), &format!("mix {what}"));
+        let dmix = |g: f64, t: f64, h: f64| g * (t - h);
+        zip3_map_into(a, b, c, dmix, out.as_mut_slice());
+        assert_bits(
+            &out,
+            &scalar3(a, b, c, dmix),
+            &format!("mix gradient {what}"),
+        );
+
+        let fold = |d: f64, g: f64, z: f64| (d + g) + -(g * z);
+        let want = scalar3(c, a, b, fold);
+        let mut dst = c.to_vec();
+        zip_update(&mut dst, a, b, fold);
+        let dst = Matrix::from_vec(rows, cols, dst).expect("rows x cols values");
+        assert_bits(&dst, &want, &format!("zip_update {what}"));
+    }
+}

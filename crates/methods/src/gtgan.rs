@@ -17,8 +17,7 @@
 //! Documented substitutions: the original uses adaptive-step solvers
 //! with per-dataset tolerances (§5); a fixed-step Euler at matched
 //! resolution exercises the same continuous-time code path and keeps
-//! gradients exact through the unrolled solver. An RK4 option
-//! ([`GtGan::with_solver`]) exists as an ablation.
+//! gradients exact through the unrolled solver.
 
 use crate::common::{
     copy_fakes, gather_step_matrices, minibatch, noise, steps_to_tensor, EpochLog, FitDims,
@@ -39,14 +38,9 @@ use tsgb_rand::rngs::SmallRng;
 /// Euler substeps between consecutive observations.
 const SUBSTEPS: usize = 2;
 
-/// Fixed-step ODE solver used by the generator and discriminator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OdeSolver {
-    /// First-order Euler (the default).
-    Euler,
-    /// Classical fourth-order Runge–Kutta (an ablation).
-    Rk4,
-}
+/// The checkpoint's `solver` tag: 0 names the fixed-step Euler solver,
+/// the only one there is.
+const EULER: usize = 0;
 
 struct Nets {
     g_params: Params,
@@ -65,7 +59,6 @@ struct Nets {
 pub struct GtGan {
     seq_len: usize,
     features: usize,
-    solver: OdeSolver,
     dims: Option<FitDims>,
     nets: Option<Nets>,
 }
@@ -76,16 +69,9 @@ impl GtGan {
         Self {
             seq_len,
             features,
-            solver: OdeSolver::Euler,
             dims: None,
             nets: None,
         }
-    }
-
-    /// Selects the ODE solver (ablation hook).
-    pub fn with_solver(mut self, solver: OdeSolver) -> Self {
-        self.solver = solver;
-        self
     }
 
     fn build(&self, cfg: &TrainConfig, rng: &mut SmallRng) -> Nets {
@@ -124,35 +110,11 @@ impl GtGan {
         }
     }
 
-    /// One ODE step `h <- h + dt * f(h)` (Euler) or the RK4 update.
+    /// One Euler step `h <- h + dt * f(h)`.
     fn ode_step(&self, f: &Mlp, t: &mut Tape, b: &Binding, h: VarId, dt: f64) -> VarId {
-        match self.solver {
-            OdeSolver::Euler => {
-                let k1 = f.forward(t, b, h);
-                let step = t.scale(k1, dt);
-                t.add(h, step)
-            }
-            OdeSolver::Rk4 => {
-                let k1 = f.forward(t, b, h);
-                let k1h = t.scale(k1, dt / 2.0);
-                let h2 = t.add(h, k1h);
-                let k2 = f.forward(t, b, h2);
-                let k2h = t.scale(k2, dt / 2.0);
-                let h3 = t.add(h, k2h);
-                let k3 = f.forward(t, b, h3);
-                let k3f = t.scale(k3, dt);
-                let h4 = t.add(h, k3f);
-                let k4 = f.forward(t, b, h4);
-                // h + dt/6 (k1 + 2k2 + 2k3 + k4)
-                let k2x2 = t.scale(k2, 2.0);
-                let k3x2 = t.scale(k3, 2.0);
-                let s1 = t.add(k1, k2x2);
-                let s2 = t.add(s1, k3x2);
-                let s3 = t.add(s2, k4);
-                let inc = t.scale(s3, dt / 6.0);
-                t.add(h, inc)
-            }
-        }
+        let k1 = f.forward(t, b, h);
+        let step = t.scale(k1, dt);
+        t.add(h, step)
     }
 
     /// Integrates the generator ODE from `z0`, emitting per-step
@@ -283,13 +245,7 @@ impl TsgMethod for GtGan {
         let mut w = SnapshotWriter::new(self.id(), self.seq_len, self.features);
         w.dim("hidden", dims.hidden);
         w.dim("latent", dims.latent);
-        w.dim(
-            "solver",
-            match self.solver {
-                OdeSolver::Euler => 0,
-                OdeSolver::Rk4 => 1,
-            },
-        );
+        w.dim("solver", EULER);
         w.params("g", &nets.g_params);
         w.params("d", &nets.d_params);
         Some(w.finish())
@@ -301,20 +257,16 @@ impl TsgMethod for GtGan {
             hidden: r.dim("hidden")?,
             latent: r.dim("latent")?,
         };
-        let solver = match r.dim("solver")? {
-            0 => OdeSolver::Euler,
-            1 => OdeSolver::Rk4,
-            other => {
-                return Err(PersistError::StructureMismatch {
-                    detail: format!("unknown ODE solver tag {other}"),
-                })
-            }
-        };
+        let solver = r.dim("solver")?;
+        if solver != EULER {
+            return Err(PersistError::StructureMismatch {
+                detail: format!("unknown ODE solver tag {solver}"),
+            });
+        }
         let mut nets = self.build(&dims.config(), &mut seeded(0));
         r.params("g", &mut nets.g_params)?;
         r.params("d", &mut nets.d_params)?;
         r.finish()?;
-        self.solver = solver;
         self.dims = Some(dims);
         self.nets = Some(nets);
         Ok(())
@@ -363,22 +315,6 @@ mod tests {
         let gen = m.generate(4, &mut rng);
         assert_eq!(gen.shape(), (4, 6, 2));
         assert!(gen.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn rk4_solver_also_works() {
-        let mut rng = seeded(92);
-        let data = toy_data(12, 5, 1);
-        let mut m = GtGan::new(5, 1).with_solver(OdeSolver::Rk4);
-        let cfg = TrainConfig {
-            epochs: 3,
-            hidden: 6,
-            ..TrainConfig::fast()
-        };
-        m.fit(&data, &cfg, &mut rng);
-        let gen = m.generate(3, &mut rng);
-        assert_eq!(gen.shape(), (3, 5, 1));
-        assert!(gen.all_finite());
     }
 
     #[test]

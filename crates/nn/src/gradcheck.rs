@@ -495,11 +495,25 @@ mod tests {
         };
     }
 
+    /// A GRU step's nine weights from operands 2..11, as `gru_step`
+    /// takes them: each gate's `[W, U, b]`, in the order z, r, h̃.
+    fn gru_weights(v: &[VarId]) -> [[VarId; 3]; 3] {
+        [[v[2], v[3], v[4]], [v[5], v[6], v[7]], [v[8], v[9], v[10]]]
+    }
+
     fn op_cases() -> Vec<OpCase> {
         use crate::tape::FusedAct::{Identity, Relu, Sigmoid, Tanh};
         let affine = |r: usize, c: usize| vec![(r, c), (c, r + 1), (1, r + 1)];
         let affine2 =
             |r: usize, c: usize| vec![(r, c), (c, r + 1), (r, c + 1), (c + 1, r + 1), (1, r + 1)];
+        // x, h, then each gate's W, U and b, with hidden width c + 1.
+        let gru = |r: usize, c: usize| {
+            let mut shapes = vec![(r, c), (r, c + 1)];
+            for _ in 0..3 {
+                shapes.extend([(c, c + 1), (c + 1, c + 1), (1, c + 1)]);
+            }
+            shapes
+        };
         vec![
             unary!("Neg", false, |t, x| t.neg(x)),
             unary!("Scale", false, |t, x| t.scale(x, -1.7)),
@@ -581,6 +595,21 @@ mod tests {
             nary!("Affine2+Relu", affine2, |t, v| {
                 t.affine2_act(v[0], v[1], v[2], v[3], v[4], Relu)
             }),
+            // x and h enter scaled down so the gates stay off
+            // saturation: there a weight's gradient falls to about 1e-6,
+            // and central differences lose it to the loss's rounding.
+            nary!("GruGates", gru, |t, v| {
+                let (x, h) = (t.scale(v[0], 0.3), t.scale(v[1], 0.3));
+                t.gru_step(x, h, gru_weights(v))
+            }),
+            // Two chained steps plus a term on the first state: the mix
+            // and the gates then meet slots already touched.
+            nary!("GruMix", gru, |t, v| {
+                let (x, h) = (t.scale(v[0], 0.3), t.scale(v[1], 0.3));
+                let h1 = t.gru_step(x, h, gru_weights(v));
+                let h2 = t.gru_step(x, h1, gru_weights(v));
+                t.add(h2, h1)
+            }),
         ]
     }
 
@@ -597,7 +626,7 @@ mod tests {
             .iter()
             .map(|c| c.label.split('+').next().unwrap())
             .collect();
-        assert_eq!(variants.len(), 31, "one case per differentiable Op variant");
+        assert_eq!(variants.len(), 33, "one case per differentiable Op variant");
         for case in &cases {
             let variant = case.label.split('+').next().unwrap();
             for (r, c) in [(1, 3), (4, 1), (3, 5)] {

@@ -166,7 +166,15 @@ impl Mlp {
 ///
 /// `z = sigma(x Wz + h Uz + bz)`, `r = sigma(x Wr + h Ur + br)`,
 /// `htilde = tanh(x Wh + (r .* h) Uh + bh)`,
-/// `h' = (1 - z) .* h + z .* htilde`.
+/// `h' = (1 - z) .* h + z .* htilde`, computed as
+/// `h + z .* (htilde - h)`.
+///
+/// A step records two tape nodes: the three gates stacked by rows,
+/// then the state mix (`Tape::gru_step`). Its bits are those of the
+/// seven-node step it replaced (three fused `affine2_act` gates, then
+/// `mul(r, h)`, `sub(htilde, h)`, `mul(z, diff)` and `add(h, zd)`),
+/// while it holds four `(batch, hidden)` value buffers and four
+/// gradient slots where that step held seven of each.
 #[derive(Debug, Clone)]
 pub struct GruCell {
     wz: ParamId,
@@ -220,38 +228,19 @@ impl GruCell {
         }
     }
 
-    /// One step: `x (batch, in_dim)`, `h (batch, hidden) -> h'`. Each
-    /// gate is one fused [`Tape::affine2_act`] node.
+    /// One step: `x (batch, in_dim)`, `h (batch, hidden) -> h'`, as
+    /// two tape nodes.
     pub fn step(&self, t: &mut Tape, bind: &Binding, x: VarId, h: VarId) -> VarId {
-        let z = t.affine2_act(
+        let v = |p: ParamId| bind.var(p);
+        t.gru_step(
             x,
-            bind.var(self.wz),
             h,
-            bind.var(self.uz),
-            bind.var(self.bz),
-            FusedAct::Sigmoid,
-        );
-        let r = t.affine2_act(
-            x,
-            bind.var(self.wr),
-            h,
-            bind.var(self.ur),
-            bind.var(self.br),
-            FusedAct::Sigmoid,
-        );
-        let rh = t.mul(r, h);
-        let htilde = t.affine2_act(
-            x,
-            bind.var(self.wh),
-            rh,
-            bind.var(self.uh),
-            bind.var(self.bh),
-            FusedAct::Tanh,
-        );
-        // h' = h + z .* (htilde - h)
-        let diff = t.sub(htilde, h);
-        let zd = t.mul(z, diff);
-        t.add(h, zd)
+            [
+                [v(self.wz), v(self.uz), v(self.bz)],
+                [v(self.wr), v(self.ur), v(self.br)],
+                [v(self.wh), v(self.uh), v(self.bh)],
+            ],
+        )
     }
 
     /// Runs the cell over a sequence of per-step inputs, returning all

@@ -54,7 +54,9 @@
 //! already-matched prefix with `exec_node`, retires the stale suffix,
 //! and falls back to recording; the next boundary re-captures.
 
-use crate::tape::{FusedAct, LeafKind, Node, Op};
+use crate::tape::{FusedAct, LeafKind, Node, Op, VarId};
+use tsgb_linalg::detmath::{sigmoid, tanh};
+use tsgb_linalg::matrix::elementwise::{zip3_map_into, zip_map_into, zip_row_map_into, zip_update};
 use tsgb_linalg::{Matrix, MatrixPool};
 
 // ---------------------------------------------------------------------
@@ -89,7 +91,7 @@ impl FwdPlan {
 
 /// One compiled backward step for a reached node. `flags_at` indexes
 /// the step's per-edge first-touch flags; `scratch` indexes the plan's
-/// scratch pool (`u32::MAX` when the step needs none).
+/// scratch groups (`u32::MAX` when the step needs none).
 #[derive(Clone, Copy)]
 struct BwdStep {
     node: u32,
@@ -113,19 +115,22 @@ struct BwdPlan {
     /// Nodes the sweep reaches — exactly the slots [`sweep`] would
     /// leave `Some`.
     reached: Vec<bool>,
-    /// One buffer per distinct shape among the steps that need a
-    /// temporary (non-first-touch mapped deltas, fused-activation
-    /// `dz`), shaped like those steps' incoming gradients. Steps run
-    /// one at a time and each overwrites its scratch before reading
-    /// it, so every step of a shape can share one buffer.
-    scratch: Vec<Matrix>,
+    /// One group of buffers per distinct shape among the steps that
+    /// need temporaries ([`scratch_for`]: non-first-touch mapped
+    /// deltas and fused-activation `dz`, shaped like those steps'
+    /// incoming gradients, and a GRU step's three `(batch, hidden)`
+    /// buffers), holding as many as one step of that shape borrows.
+    /// Steps run one at a time and each overwrites its scratch before
+    /// reading it, so every step of a shape can share one group.
+    scratch: Vec<Vec<Matrix>>,
     /// Transposes of the nodes consumed as `matmul_t` right-hand
-    /// sides (weights of `Affine`/`Affine2`, the RHS of `Matmul`),
-    /// refreshed once per run and shared by every step that consults
-    /// them. `matmul_t(a, b)` is documented bit-identical to
-    /// `matmul(a, bᵀ)`, and plain `matmul` feeds the register tile
-    /// with no per-call transpose, so one transpose amortized over the
-    /// whole sweep (a recurrent weight is hit once per timestep) wins.
+    /// sides (weights of `Affine`/`Affine2` and of GRU gates, the RHS
+    /// of `Matmul`), sorted by node id, refreshed once per run and
+    /// shared by every step that consults them. `matmul_t(a, b)` is
+    /// documented bit-identical to `matmul(a, bᵀ)`, and plain `matmul`
+    /// feeds the register tile with no per-call transpose, so one
+    /// transpose amortized over the whole sweep (a recurrent weight is
+    /// hit once per timestep) wins.
     tcache: Vec<(u32, Matrix)>,
 }
 
@@ -189,6 +194,12 @@ fn fusable_producer(op: &Op) -> bool {
 /// plan, the one-shot [`sweep`] and [`run_step`]'s positional flags all
 /// follow this order. (`Detach` lists its operand for use counting;
 /// no backward step runs for it.)
+///
+/// A GRU step's two nodes list the edges the seven-node step it
+/// replaces folds into its operands, in that step's reverse order:
+/// `GruMix` is `add(h, zd)`, `mul(z, diff)` and `sub(h̃, h)`, and
+/// `GruGates` is h̃'s gate, `mul(r, h)`, then the r and z gates. The
+/// internal nodes (z, r, h̃, `r ⊙ h`) are not edges.
 fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
     match op {
         Op::Leaf(_) => {}
@@ -234,6 +245,18 @@ fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
         Op::Affine2 { x, w, h, u, b, .. } => {
             [x, w, h, u, b].into_iter().for_each(|v| f(v.0, false))
         }
+        Op::GruGates { x, h, w } => {
+            let [[wz, uz, bz], [wr, ur, br], [wh, uh, bh]] = w;
+            [x, wh, uh, bh].into_iter().for_each(|v| f(v.0, false));
+            f(h.0, true);
+            [x, wr, h, ur, br, x, wz, h, uz, bz]
+                .into_iter()
+                .for_each(|v| f(v.0, false));
+        }
+        Op::GruMix(gates, h) => {
+            f(gates.0, true);
+            f(h.0, false);
+        }
     }
 }
 
@@ -244,6 +267,31 @@ fn activated(op: &Op) -> bool {
         op,
         Op::Affine { act, .. } | Op::Affine2 { act, .. } if *act != FusedAct::Identity
     )
+}
+
+/// The most temporaries one backward step borrows: a GRU step's gates.
+const MAX_TEMPS: usize = 3;
+
+/// The temporaries `node`'s backward step borrows, as `(count, shape)`:
+/// three `(batch, hidden)` buffers for a GRU step's gates (`dz`,
+/// `d(r ⊙ h)`, and `r ⊙ h` recomputed), else one shaped like the
+/// node's incoming gradient when [`step_flags`] says it `need`s one.
+fn scratch_for(node: &Node, need: bool) -> (usize, (usize, usize)) {
+    let (r, c) = node.value.shape();
+    match node.op {
+        Op::GruGates { .. } => (MAX_TEMPS, (r / 3, c)),
+        _ => (need as usize, (r, c)),
+    }
+}
+
+/// Which of a GRU step's gates run backward, as `(z, r, h̃)`: each
+/// when one of its operands is live. `r ⊙ h` is live exactly when the
+/// r gate is, since that gate reads h too, and it feeds h̃'s gate.
+fn gru_gates_live(live: &[bool], x: VarId, h: VarId, w: &[[VarId; 3]; 3]) -> [bool; 3] {
+    let shared = live[x.0] || live[h.0];
+    let gate = |g: &[VarId; 3]| shared || g.iter().any(|v| live[v.0]);
+    let r = gate(&w[1]);
+    [gate(&w[0]), r, r || gate(&w[2])]
 }
 
 impl Replay {
@@ -298,6 +346,7 @@ impl Replay {
             .flat_map(|b| {
                 b.scratch
                     .into_iter()
+                    .flatten()
                     .chain(b.tcache.into_iter().map(|(_, m)| m))
             })
             .collect()
@@ -518,7 +567,63 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool) {
             v.add_row_broadcast_assign(&lo[b.0].value);
             act.apply(v);
         }
+        Op::GruGates { x, h, w } => {
+            let (x, h) = (&lo[x.0].value, &lo[h.0].value);
+            let ((rows, cols), n) = (h.shape(), h.len());
+            let mut xw = pool.take_uninit(rows, cols);
+            let mut hu = pool.take_uninit(rows, cols);
+            let mut rh = pool.take_uninit(rows, cols);
+            let (zr, ht) = v.as_mut_slice().split_at_mut(2 * n);
+            let (z, r) = zr.split_at_mut(n);
+            gru_gate(lo, x, h, w[0], sigmoid, &mut xw, &mut hu, z);
+            gru_gate(lo, x, h, w[1], sigmoid, &mut xw, &mut hu, r);
+            zip_map_into(r, h.as_slice(), |ri, hi| ri * hi, rh.as_mut_slice());
+            gru_gate(lo, x, &rh, w[2], tanh, &mut xw, &mut hu, ht);
+            for buf in [xw, hu, rh] {
+                pool.put(buf);
+            }
+        }
+        Op::GruMix(gates, h) => {
+            let (y, h) = (lo[gates.0].value.as_slice(), lo[h.0].value.as_slice());
+            let n = h.len();
+            zip3_map_into(
+                h,
+                &y[..n],
+                &y[2 * n..],
+                |hi, zi, ti| hi + zi * (ti - hi),
+                v.as_mut_slice(),
+            );
+        }
     }
+}
+
+/// One GRU gate's forward into its block `out`: `x W` from zero into
+/// `xw`, `hin U` from zero into `hu`, then `act((xw + hu) + b)` in one
+/// pass. Element for element, that is the `Affine2` chain: product,
+/// separate `h U` accumulator, add, bias, activation.
+#[allow(clippy::too_many_arguments)] // a gate's operands and its two temporaries
+fn gru_gate(
+    lo: &[Node],
+    x: &Matrix,
+    hin: &Matrix,
+    [w, u, b]: [VarId; 3],
+    act: impl Fn(f64) -> f64,
+    xw: &mut Matrix,
+    hu: &mut Matrix,
+    out: &mut [f64],
+) {
+    xw.fill(0.0);
+    x.matmul_acc_into(&lo[w.0].value, xw);
+    hu.fill(0.0);
+    hin.matmul_acc_into(&lo[u.0].value, hu);
+    let bias = lo[b.0].value.as_slice();
+    zip_row_map_into(
+        xw.as_slice(),
+        hu.as_slice(),
+        bias,
+        |p, q, c| act((p + q) + c),
+        out,
+    );
 }
 
 /// Runs a fused activation pair: computes `src`'s pre-activation
@@ -565,8 +670,8 @@ fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool)
 
 /// Pushes the first-touch flag of each of node `i`'s backward edges,
 /// in [`edges`] order, and returns whether its step needs a scratch
-/// buffer. `touch(t)` reports whether slot `t` was still empty and
-/// marks it reached. Pruned edges (into nodes that are not `live`)
+/// buffer (see [`scratch_for`]). `touch(t)` reports whether slot `t`
+/// was still empty and marks it reached. Pruned edges (into nodes that are not `live`)
 /// push a placeholder that is never read, so the positional indexing
 /// in [`run_step`] matches, and leave the node unreached. The compiled
 /// plan and the one-shot [`sweep`] both flag edges here, so the two
@@ -594,9 +699,9 @@ fn step_flags(
 impl BwdPlan {
     /// Walks the reverse sweep from `loss` over the frozen graph,
     /// recording its liveness mask, which nodes are reached, the
-    /// first-touch flag of every edge, which steps need a scratch
-    /// buffer (one per shape), and which `matmul_t` right-hand sides
-    /// to cache — then takes those buffers from the pool.
+    /// first-touch flag of every edge, which steps need scratch
+    /// buffers (one group per shape), and which `matmul_t` right-hand
+    /// sides to cache — then takes those buffers from the pool.
     fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
         let mut live = Vec::new();
         liveness(nodes, loss, &mut live);
@@ -604,7 +709,7 @@ impl BwdPlan {
         has[loss] = true;
         let mut steps = Vec::new();
         let mut flags = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch: Vec<Vec<Matrix>> = Vec::new();
         // Node ids whose transpose the sweep wants cached (`matmul_t`
         // right-hand sides of live edges); deduped below.
         let mut tneed: Vec<u32> = Vec::new();
@@ -627,15 +732,31 @@ impl BwdPlan {
                         tneed.push(u.0 as u32);
                     }
                 }
+                Op::GruGates { x, h, w } => {
+                    let [[wz, uz, _], [wr, ur, _], [wh, uh, _]] = *w;
+                    if live[x.0] {
+                        tneed.extend([wz, wr, wh].map(|v| v.0 as u32));
+                    }
+                    if live[h.0] {
+                        tneed.extend([uz, ur].map(|v| v.0 as u32));
+                    }
+                    if gru_gates_live(&live, *x, *h, w)[1] {
+                        tneed.push(uh.0 as u32);
+                    }
+                }
                 _ => {}
             }
-            let scratch_idx = if need_scratch {
-                let shape = nodes[i].value.shape();
-                let at = scratch.iter().position(|m: &Matrix| m.shape() == shape);
-                at.unwrap_or_else(|| {
-                    scratch.push(pool.take_uninit(shape.0, shape.1));
+            let (count, shape) = scratch_for(&nodes[i], need_scratch);
+            let scratch_idx = if count > 0 {
+                let at = scratch.iter().position(|g| g[0].shape() == shape);
+                let at = at.unwrap_or_else(|| {
+                    scratch.push(Vec::new());
                     scratch.len() - 1
-                }) as u32
+                });
+                while scratch[at].len() < count {
+                    scratch[at].push(pool.take_uninit(shape.0, shape.1));
+                }
+                at as u32
             } else {
                 u32::MAX
             };
@@ -716,7 +837,10 @@ impl BwdPlan {
         let caches = RunCaches { tcache, dead };
         for step in steps.iter() {
             let (i, fa) = (step.node as usize, step.flags_at as usize);
-            let sbuf = scratch.get_mut(step.scratch as usize);
+            let sbuf = match scratch.get_mut(step.scratch as usize) {
+                Some(group) => group.as_mut_slice(),
+                None => &mut [],
+            };
             run_step(nodes, live, grads, i, &flags[fa..], sbuf, Some(&caches));
         }
     }
@@ -727,7 +851,7 @@ impl BwdPlan {
 /// pass, then the reverse loop over the arena, handing each reached
 /// live node to [`run_step`]. An edge is a first touch when its slot
 /// is still empty, and the slot then gets a pooled buffer for the step
-/// to overwrite; a step that needs a scratch buffer borrows one from
+/// to overwrite; a step that needs scratch buffers borrows them from
 /// the pool for just that step; and `matmul_t` edges take the plain
 /// kernels. `live` and `flags` are the caller's reusable buffers for
 /// the mask and for the current step's flags.
@@ -760,12 +884,18 @@ pub(crate) fn sweep(
             }
             fresh
         });
-        let mut sbuf = need_scratch.then(|| {
-            let (r, c) = nodes[i].value.shape();
-            pool.take_uninit(r, c)
+        // Unused entries stay empty matrices, which neither allocate
+        // nor return to the pool.
+        let (count, (r, c)) = scratch_for(&nodes[i], need_scratch);
+        let mut sbuf: [Matrix; MAX_TEMPS] = std::array::from_fn(|k| {
+            if k < count {
+                pool.take_uninit(r, c)
+            } else {
+                Matrix::zeros(0, 0)
+            }
         });
-        run_step(nodes, live, grads, i, flags, sbuf.as_mut(), None);
-        if let Some(buf) = sbuf {
+        run_step(nodes, live, grads, i, flags, &mut sbuf[..count], None);
+        for buf in sbuf {
             pool.put(buf);
         }
     }
@@ -803,43 +933,77 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
 
 /// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no caches)
 /// runs the plain `matmul_t_acc_into`; a compiled plan runs the plain
-/// matmul against the cached transpose. The two are bit-identical
-/// (documented on [`Matrix::matmul_t`]).
+/// matmul against the cached transpose, found by binary search (the
+/// cache is sorted by node id). The two are bit-identical (documented
+/// on [`Matrix::matmul_t`]).
 fn mul_t_acc(nodes: &[Node], caches: Option<&RunCaches>, a: &Matrix, rhs: usize, dst: &mut Matrix) {
     let Some(c) = caches else {
         a.matmul_t_acc_into(&nodes[rhs].value, dst);
         return;
     };
-    let t = &c
+    let at = c
         .tcache
-        .iter()
-        .find(|(id, _)| *id as usize == rhs)
-        .expect("live matmul_t RHS has a cached transpose")
-        .1;
-    a.matmul_acc_into(t, dst);
+        .binary_search_by_key(&(rhs as u32), |(id, _)| *id)
+        .expect("live matmul_t RHS has a cached transpose");
+    a.matmul_acc_into(&c.tcache[at].1, dst);
+}
+
+/// The five edges of an activated `x W + h U + b` block whose `dz` is
+/// computed, in `Affine2`'s order; `ops` are the operands' node ids and
+/// `flags` their first-touch flags.
+fn affine2_edges(
+    nodes: &[Node],
+    live: &[bool],
+    lo: &mut [Option<Matrix>],
+    caches: Option<&RunCaches>,
+    dz: &Matrix,
+    [x, w, h, u, b]: [usize; 5],
+    flags: &[bool],
+) {
+    if live[x] {
+        mul_t_acc(nodes, caches, dz, w, acc_slot(&mut lo[x], flags[0]));
+    }
+    if live[w] {
+        nodes[x]
+            .value
+            .t_matmul_acc_into(dz, acc_slot(&mut lo[w], flags[1]));
+    }
+    if live[h] {
+        mul_t_acc(nodes, caches, dz, u, acc_slot(&mut lo[h], flags[2]));
+    }
+    if live[u] {
+        nodes[h]
+            .value
+            .t_matmul_acc_into(dz, acc_slot(&mut lo[u], flags[3]));
+    }
+    if live[b] {
+        dz.col_sums_acc_into(acc_slot(&mut lo[b], flags[4]));
+    }
 }
 
 /// Executes one backward step for node `i` — the only copy of each
 /// op's gradient. `grads[i]` holds its (final) incoming gradient and
 /// every live edge's slot below `i` holds a buffer; `flags` are this
 /// step's first-touch flags in [`edges`] order, `sbuf` its scratch
-/// buffer, and `caches` a compiled plan's per-run state (`None` on the
-/// one-shot sweep). Edges into nodes that are not `live` are skipped
-/// entirely, as [`step_flags`] pruned them — nothing reads those slots.
+/// buffers ([`scratch_for`]), and `caches` a compiled plan's per-run
+/// state (`None` on the one-shot sweep). Edges into nodes that are not
+/// `live` are skipped entirely, as [`step_flags`] pruned them — nothing
+/// reads those slots.
 fn run_step(
     nodes: &[Node],
     live: &[bool],
     grads: &mut [Option<Matrix>],
     i: usize,
     flags: &[bool],
-    mut sbuf: Option<&mut Matrix>,
+    sbuf: &mut [Matrix],
     caches: Option<&RunCaches>,
 ) {
     // Contributions to node i come only from consumers (larger
     // indices, already processed), so grads[i] is final here.
     let (lo, hi) = grads.split_at_mut(i);
     let g: &Matrix = hi[0].as_ref().expect("reached grads are materialized");
-    let live = |t: usize| live[t];
+    let live_mask = live;
+    let live = |t: usize| live_mask[t];
     // A mapped (elementwise-delta) edge: first touch computes straight
     // into the slot; later touches compute into scratch and add.
     macro_rules! mapped {
@@ -848,9 +1012,8 @@ fn run_step(
                 let $dst: &mut Matrix = lo[$t].as_mut().expect("reached grads are materialized");
                 $compute;
             } else {
-                let $dst: &mut Matrix = sbuf
-                    .as_deref_mut()
-                    .expect("non-fresh mapped edge has scratch");
+                let $dst: &mut Matrix =
+                    sbuf.first_mut().expect("non-fresh mapped edge has scratch");
                 $compute;
                 lo[$t]
                     .as_mut()
@@ -1226,8 +1389,8 @@ fn run_step(
             let dz: &Matrix = if *act == FusedAct::Identity {
                 g
             } else {
-                let d = sbuf.as_deref_mut().expect("activated affine has scratch");
-                act.dz_into(g, &nodes[i].value, d);
+                let d = sbuf.first_mut().expect("activated affine has scratch");
+                act.dz_into(g.as_slice(), nodes[i].value.as_slice(), d.as_mut_slice());
                 d
             };
             if live(x.0) {
@@ -1247,29 +1410,96 @@ fn run_step(
             let dz: &Matrix = if *act == FusedAct::Identity {
                 g
             } else {
-                let d = sbuf.expect("activated affine2 has scratch");
-                act.dz_into(g, &nodes[i].value, d);
+                let d = sbuf.first_mut().expect("activated affine2 has scratch");
+                act.dz_into(g.as_slice(), nodes[i].value.as_slice(), d.as_mut_slice());
                 d
             };
-            if live(x.0) {
-                let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, caches, dz, w.0, gx);
-            }
-            if live(w.0) {
-                let gw = acc_slot(&mut lo[w.0], flags[1]);
-                nodes[x.0].value.t_matmul_acc_into(dz, gw);
+            let ops = [x, w, h, u, b].map(|v| v.0);
+            affine2_edges(nodes, live_mask, lo, caches, dz, ops, flags);
+        }
+        Op::GruMix(gates, h) => {
+            let (y, hv) = (nodes[gates.0].value.as_slice(), &nodes[h.0].value);
+            let (gs, n) = (g.as_slice(), hv.len());
+            let z = &y[..n];
+            if live(gates.0) {
+                // The gates' one consumer: the slot is always fresh.
+                assert!(flags[0], "only its mix reads a GRU step's gates");
+                let d = lo[gates.0]
+                    .as_mut()
+                    .expect("reached grads are materialized");
+                let (dz, rest) = d.as_mut_slice().split_at_mut(n);
+                zip3_map_into(
+                    gs,
+                    &y[2 * n..],
+                    hv.as_slice(),
+                    |gi, ti, hi| gi * (ti - hi),
+                    dz,
+                );
+                zip_map_into(gs, z, |gi, zi| gi * zi, &mut rest[n..]);
             }
             if live(h.0) {
-                let gh = acc_slot(&mut lo[h.0], flags[2]);
-                mul_t_acc(nodes, caches, dz, u.0, gh);
+                let dh = lo[h.0].as_mut().expect("reached grads are materialized");
+                let dh = dh.as_mut_slice();
+                if flags[1] {
+                    zip_map_into(gs, z, |gi, zi| gi + -(gi * zi), dh);
+                } else {
+                    zip_update(dh, gs, z, |di, gi, zi| (di + gi) + -(gi * zi));
+                }
             }
-            if live(u.0) {
-                let gu = acc_slot(&mut lo[u.0], flags[3]);
-                nodes[h.0].value.t_matmul_acc_into(dz, gu);
+        }
+        Op::GruGates { x, h, w } => {
+            let (x, h) = (*x, *h);
+            let [z_live, r_live, ht_live] = gru_gates_live(live_mask, x, h, w);
+            let [[wz, uz, bz], [wr, ur, br], [wh, uh, bh]] = *w;
+            let [dz, drh, tmp, ..] = sbuf else {
+                unreachable!("a GRU step's backward has three temporaries")
+            };
+            let (xv, hv) = (&nodes[x.0].value, &nodes[h.0].value);
+            let (y, n) = (nodes[i].value.as_slice(), hv.len());
+            let (z, r, ht) = (&y[..n], &y[n..2 * n], &y[2 * n..]);
+            let d = hi[0].as_mut().expect("reached grads are materialized");
+            let (dgz, rest) = d.as_mut_slice().split_at_mut(n);
+            let (dgr, dght) = rest.split_at_mut(n);
+            if ht_live {
+                FusedAct::Tanh.dz_into(dght, ht, dz.as_mut_slice());
+                if live(x.0) {
+                    mul_t_acc(nodes, caches, dz, wh.0, acc_slot(&mut lo[x.0], flags[0]));
+                }
+                if live(wh.0) {
+                    xv.t_matmul_acc_into(dz, acc_slot(&mut lo[wh.0], flags[1]));
+                }
+                if r_live {
+                    drh.fill(0.0);
+                    mul_t_acc(nodes, caches, dz, uh.0, drh);
+                }
+                if live(uh.0) {
+                    zip_map_into(r, hv.as_slice(), |ri, hi| ri * hi, tmp.as_mut_slice());
+                    tmp.t_matmul_acc_into(dz, acc_slot(&mut lo[uh.0], flags[2]));
+                }
+                if live(bh.0) {
+                    dz.col_sums_acc_into(acc_slot(&mut lo[bh.0], flags[3]));
+                }
             }
-            if live(b.0) {
-                let gb = acc_slot(&mut lo[b.0], flags[4]);
-                dz.col_sums_acc_into(gb);
+            if r_live {
+                // `mul(r, h)`'s two edges: r's into its block, h's mapped.
+                zip_map_into(drh.as_slice(), hv.as_slice(), |gi, hi| gi * hi, dgr);
+                if live(h.0) {
+                    let dh = lo[h.0].as_mut().expect("reached grads are materialized");
+                    if flags[4] {
+                        zip_map_into(drh.as_slice(), r, |gi, ri| gi * ri, dh.as_mut_slice());
+                    } else {
+                        zip_map_into(drh.as_slice(), r, |gi, ri| gi * ri, tmp.as_mut_slice());
+                        dh.add_assign(tmp);
+                    }
+                }
+                FusedAct::Sigmoid.dz_into(dgr, r, dz.as_mut_slice());
+                let ops = [x, wr, h, ur, br].map(|v| v.0);
+                affine2_edges(nodes, live_mask, lo, caches, dz, ops, &flags[5..10]);
+            }
+            if z_live {
+                FusedAct::Sigmoid.dz_into(dgz, z, dz.as_mut_slice());
+                let ops = [x, wz, h, uz, bz].map(|v| v.0);
+                affine2_edges(nodes, live_mask, lo, caches, dz, ops, &flags[10..15]);
             }
         }
     }

@@ -36,7 +36,9 @@
 //! * losses must reduce to `1 x 1` before calling `backward`;
 //! * the fused [`Tape::affine_act`] / [`Tape::affine2_act`] ops record
 //!   a whole `act(x W (+ h U) + b)` block as one node, so a Linear or
-//!   a GRU/LSTM gate costs one arena slot instead of 3–5.
+//!   an LSTM gate costs one arena slot instead of 3–5; a GRU step is
+//!   two nodes (`Tape::gru_step`: the stacked gates, then the state
+//!   mix) where it was seven.
 
 use tsgb_linalg::{Matrix, MatrixPool};
 
@@ -74,13 +76,15 @@ impl FusedAct {
 
     /// Writes `g * act'` into `out`, reading the derivative off the
     /// activation *output* `y`. Identity must be handled by the caller
-    /// (no buffer is needed there).
-    pub(crate) fn dz_into(self, g: &Matrix, y: &Matrix, out: &mut Matrix) {
+    /// (no buffer is needed there). Slices, so a GRU step can pass one
+    /// gate's block of its stacked gates.
+    pub(crate) fn dz_into(self, g: &[f64], y: &[f64], out: &mut [f64]) {
+        use tsgb_linalg::matrix::elementwise::zip_map_into;
         match self {
             FusedAct::Identity => unreachable!("identity needs no dz buffer"),
-            FusedAct::Sigmoid => g.zip_map_into(y, |gi, yi| gi * yi * (1.0 - yi), out),
-            FusedAct::Tanh => g.zip_map_into(y, |gi, yi| gi * (1.0 - yi * yi), out),
-            FusedAct::Relu => g.zip_map_into(y, |gi, yi| if yi > 0.0 { gi } else { 0.0 }, out),
+            FusedAct::Sigmoid => zip_map_into(g, y, |gi, yi| gi * yi * (1.0 - yi), out),
+            FusedAct::Tanh => zip_map_into(g, y, |gi, yi| gi * (1.0 - yi * yi), out),
+            FusedAct::Relu => zip_map_into(g, y, |gi, yi| if yi > 0.0 { gi } else { 0.0 }, out),
         }
     }
 }
@@ -170,7 +174,7 @@ pub(crate) enum Op {
         b: VarId,
         act: FusedAct,
     },
-    /// Fused `act(x W + h U + b)` — the shape of every GRU/LSTM gate.
+    /// Fused `act(x W + h U + b)` — the shape of every LSTM gate.
     Affine2 {
         x: VarId,
         w: VarId,
@@ -179,6 +183,19 @@ pub(crate) enum Op {
         b: VarId,
         act: FusedAct,
     },
+    /// A GRU step's three gates over input `x` and state `h`, stacked
+    /// by rows into `(3·batch, hidden)`: `z = σ(x Wz + h Uz + bz)`,
+    /// `r = σ(x Wr + h Ur + br)`, `h̃ = tanh(x Wh + (r ⊙ h) Uh + bh)`.
+    /// `w` holds each gate's `[W, U, b]`, in the order z, r, h̃. Only
+    /// the step's [`Op::GruMix`] reads it.
+    GruGates {
+        x: VarId,
+        h: VarId,
+        w: [[VarId; 3]; 3],
+    },
+    /// `h + z ⊙ (h̃ − h)` over a [`Op::GruGates`] node and the state
+    /// `h` it read: the step's new state.
+    GruMix(VarId, VarId),
 }
 
 /// Structural-signature comparison for replay: `true` when `new`
@@ -198,7 +215,8 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
         | (Op::Matmul(a0, b0), Op::Matmul(a1, b1))
         | (Op::AddRowBroadcast(a0, b0), Op::AddRowBroadcast(a1, b1))
         | (Op::MulRowBroadcast(a0, b0), Op::MulRowBroadcast(a1, b1))
-        | (Op::BasisExpand(a0, b0), Op::BasisExpand(a1, b1)) => a0 == a1 && b0 == b1,
+        | (Op::BasisExpand(a0, b0), Op::BasisExpand(a1, b1))
+        | (Op::GruMix(a0, b0), Op::GruMix(a1, b1)) => a0 == a1 && b0 == b1,
         (Op::Neg(a0), Op::Neg(a1))
         | (Op::Detach(a0), Op::Detach(a1))
         | (Op::Sigmoid(a0), Op::Sigmoid(a1))
@@ -265,6 +283,18 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
                 act: act1,
             },
         ) => x0 == x1 && w0 == w1 && h0 == h1 && u0 == u1 && b0 == b1 && act0 == act1,
+        (
+            Op::GruGates {
+                x: x0,
+                h: h0,
+                w: w0,
+            },
+            Op::GruGates {
+                x: x1,
+                h: h1,
+                w: w1,
+            },
+        ) => x0 == x1 && h0 == h1 && w0 == w1,
         _ => false,
     }
 }
@@ -983,8 +1013,8 @@ impl Tape {
         })
     }
 
-    /// Fused `act(x W + h U + b)` — the recurrent-gate shape shared by
-    /// every GRU and LSTM gate, recorded as a single node. `h U` is
+    /// Fused `act(x W + h U + b)` — the recurrent-gate shape of every
+    /// LSTM gate, recorded as a single node. `h U` is
     /// accumulated into its own buffer and then added, which keeps the
     /// summation order of the unfused `add(matmul(x, w), matmul(h, u))`.
     pub fn affine2_act(
@@ -1001,6 +1031,29 @@ impl Tape {
             assert_eq!(t.shape(h).0, m, "affine2_act: x and h row mismatch");
             (m, t.shape(w).1)
         })
+    }
+
+    /// One GRU step (Cho et al., 2014) as two nodes: the three gates
+    /// over `x` and the state `h` ([`Op::GruGates`]), then the new
+    /// state `h + z ⊙ (h̃ − h)` ([`Op::GruMix`]), which is returned.
+    /// `w` holds each gate's `[W, U, b]`, in the order z, r, h̃.
+    ///
+    /// Values and gradients are bit-identical to the seven-node step
+    /// it replaces: three [`Tape::affine2_act`] gates, then `mul(r, h)`,
+    /// `sub(h̃, h)`, `mul(z, diff)` and `add(h, zd)`. Each element gets
+    /// the same operations in the same order, and the backward folds
+    /// into every operand's slot in the seven nodes' reverse order
+    /// (`DESIGN.md`, "Training memory model").
+    pub(crate) fn gru_step(&mut self, x: VarId, h: VarId, w: [[VarId; 3]; 3]) -> VarId {
+        let gates = self.record(Op::GruGates { x, h, w }, |t| {
+            let (m, hidden) = t.shape(h);
+            assert_eq!(t.shape(x).0, m, "gru_step: x and h row mismatch");
+            for [_, _, b] in w {
+                assert_eq!(t.shape(b), (1, hidden), "gru_step: bias shape");
+            }
+            (3 * m, hidden)
+        });
+        self.record(Op::GruMix(gates, h), |t| t.shape(h))
     }
 
     // ---- backward ----------------------------------------------------

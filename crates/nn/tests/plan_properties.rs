@@ -6,7 +6,9 @@
 //! sweep — and demands bit-for-bit identical parameters, while also
 //! pinning the capture/replay/invalidation counters the plan machinery
 //! reports. The liveness test also checks that backward gives no
-//! gradient slot to a node that depends on no trainable leaf.
+//! gradient slot to a node that depends on no trainable leaf, and the
+//! fused-op tests pin each multi-node fusion (n-ary concat, basis
+//! expansion, the two-node GRU step) to the graph it replaced.
 
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::Matrix;
@@ -14,7 +16,7 @@ use tsgb_nn::layers::{GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::Params;
-use tsgb_nn::tape::{Tape, VarId};
+use tsgb_nn::tape::{FusedAct, Tape, VarId};
 
 /// One training step's worth of data: per-timestep inputs plus the
 /// regression target (shaped to the step's batch size).
@@ -540,4 +542,182 @@ fn basis_expand_matches_the_per_step_fan_out_bitwise() {
     let want = (1, (STEPS - 1) as u64, 0);
     assert_eq!(fan_out_stats, want, "fan-out tape counters");
     assert_eq!(one_op_stats, want, "basis_expand tape counters");
+}
+
+/// `GruCell::step` as it was before a GRU step became two nodes: three
+/// fused gates, then `mul(r, h)`, `sub(h̃, h)`, `mul(z, diff)` and
+/// `add(h, zd)`, seven nodes in all. `w` is `[wz, uz, bz, wr, ur, br,
+/// wh, uh, bh]`.
+fn seven_node_gru_step(t: &mut Tape, w: [VarId; 9], x: VarId, h: VarId) -> VarId {
+    let [wz, uz, bz, wr, ur, br, wh, uh, bh] = w;
+    let z = t.affine2_act(x, wz, h, uz, bz, FusedAct::Sigmoid);
+    let r = t.affine2_act(x, wr, h, ur, br, FusedAct::Sigmoid);
+    let rh = t.mul(r, h);
+    let htilde = t.affine2_act(x, wh, rh, uh, bh, FusedAct::Tanh);
+    let diff = t.sub(htilde, h);
+    let zd = t.mul(z, diff);
+    t.add(h, zd)
+}
+
+/// How one `fused_gru_step_matches_the_seven_node_step_bitwise` case
+/// wires a GRU cell into its training step.
+#[derive(Debug, Clone, Copy)]
+struct GruWiring {
+    /// Inputs are trainable leaves rather than constants.
+    x_trainable: bool,
+    /// The cell's weights are bound with `bind_frozen`.
+    frozen: bool,
+    /// A head and a loss term on every hidden state, so h's slot is
+    /// already touched when each step's mix runs backward.
+    head_on_every_h: bool,
+    /// The cell runs over the inputs twice, the second run from the
+    /// first one's last state, so its weight slots accumulate.
+    twice: bool,
+}
+
+/// The two-node GRU step (`GruCell::step`) against the seven-node step
+/// it replaced, over three training steps of one tape stepped with
+/// `begin_step` (so steps 2 and 3 replay the compiled plan) and with
+/// `reset` (the one-shot sweep every step). The first state is a zeros
+/// leaf, and each wiring moves which slots are live or already touched
+/// when a GRU node's backward runs: a constant or a trainable x, frozen
+/// weights with a live x, a head on every h, and one cell run twice.
+/// Every hidden state and every leaf gradient must agree bit for bit,
+/// and so must the gradient slots' presence. The counters must read
+/// (1, 2, 0) under `begin_step`, and a recorded GRU step must add
+/// exactly two nodes to the tape.
+#[test]
+fn fused_gru_step_matches_the_seven_node_step_bitwise() {
+    const STEPS: usize = 3;
+    let (batch, seq, features, hidden) = (3, 4, 2, 5);
+    let names = ["wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"];
+    let wirings = [
+        (false, false, false, false),
+        (true, false, false, false),
+        (true, true, false, false),
+        (false, false, true, false),
+        (true, false, true, true),
+        (false, false, false, true),
+    ]
+    .map(|(x_trainable, frozen, head_on_every_h, twice)| GruWiring {
+        x_trainable,
+        frozen,
+        head_on_every_h,
+        twice,
+    });
+    for wiring in wirings {
+        let run = |fused: bool, plan: bool| {
+            let mut rng = seeded(41);
+            let mut gru_p = Params::new();
+            let cell = GruCell::new(&mut gru_p, "g", features, hidden, &mut rng);
+            let mut head_p = Params::new();
+            let head = Linear::new(&mut head_p, "h", hidden, features, &mut rng);
+            let ids = names.map(|n| {
+                gru_p
+                    .ids()
+                    .find(|&id| gru_p.name(id) == format!("g.{n}"))
+                    .expect("a GRU parameter")
+            });
+            let (mut gru_opt, mut head_opt) = (Adam::new(1e-2), Adam::new(1e-2));
+            let mut tape = Tape::new();
+            let mut seen: Vec<Option<Vec<u64>>> = Vec::new();
+            let bits =
+                |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+            for step in 0..STEPS {
+                let t = if plan {
+                    tape.begin_step()
+                } else {
+                    tape.reset();
+                    &mut tape
+                };
+                let gb = if wiring.frozen {
+                    gru_p.bind_frozen(t)
+                } else {
+                    gru_p.bind(t)
+                };
+                let hb = head_p.bind(t);
+                let w = ids.map(|id| gb.var(id));
+                let xs: Vec<VarId> = (0..seq)
+                    .map(|_| {
+                        let m = randn_matrix(batch, features, &mut rng);
+                        if wiring.x_trainable {
+                            t.leaf(m)
+                        } else {
+                            t.constant(m)
+                        }
+                    })
+                    .collect();
+                let h0 = t.zeros(batch, hidden);
+                let mut hs = Vec::new();
+                let mut h = h0;
+                for _ in 0..if wiring.twice { 2 } else { 1 } {
+                    for &x in &xs {
+                        let before = t.len();
+                        h = if fused {
+                            cell.step(t, &gb, x, h)
+                        } else {
+                            seven_node_gru_step(t, w, x, h)
+                        };
+                        if fused && (!plan || step == 0) {
+                            assert_eq!(t.len() - before, 2, "{wiring:?}: nodes per GRU step");
+                        }
+                        hs.push(h);
+                    }
+                }
+                let heads = if wiring.head_on_every_h {
+                    &hs[..]
+                } else {
+                    &hs[hs.len() - 1..]
+                };
+                let mut l = None;
+                for &hk in heads {
+                    let pred = head.forward(t, &hb, hk);
+                    let target = randn_matrix(batch, features, &mut rng);
+                    let lk = loss::mse_mean(t, pred, &target);
+                    l = Some(l.map_or(lk, |acc| t.add(acc, lk)));
+                }
+                let l = l.expect("at least one head");
+                t.backward(l);
+                let mut leaves = w.to_vec();
+                leaves.extend(&xs);
+                leaves.push(h0);
+                leaves.extend(head_p.ids().map(|id| hb.var(id)));
+                for v in leaves {
+                    seen.push(t.grad_ref(v).map(bits));
+                }
+                for &hk in &hs {
+                    seen.push(Some(bits(t.value(hk))));
+                }
+                if !wiring.frozen {
+                    gru_p.absorb_grads(t, &gb);
+                    gru_opt.step(&mut gru_p);
+                }
+                head_p.absorb_grads(t, &hb);
+                head_opt.step(&mut head_p);
+            }
+            (seen, tape.plan_stats())
+        };
+        for plan in [true, false] {
+            let (seven, seven_stats) = run(false, plan);
+            let (two, two_stats) = run(true, plan);
+            assert_eq!(
+                seven.len(),
+                two.len(),
+                "{wiring:?} plan={plan}: entry count"
+            );
+            for (k, (a, b)) in two.iter().zip(&seven).enumerate() {
+                assert!(a == b, "{wiring:?} plan={plan}: entry {k} diverged");
+            }
+            let want = if plan {
+                (1, (STEPS - 1) as u64, 0)
+            } else {
+                (0, 0, 0)
+            };
+            assert_eq!(
+                seven_stats, want,
+                "{wiring:?} plan={plan}: seven-node counters"
+            );
+            assert_eq!(two_stats, want, "{wiring:?} plan={plan}: two-node counters");
+        }
+    }
 }
