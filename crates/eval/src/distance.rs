@@ -269,7 +269,7 @@ fn nn_search(
 /// [`DtwNnPool::nn`] is bit-identical to [`dtw_nn`] with the same
 /// band (pinned by `pool_nn_matches_dtw_nn_bitwise`): the envelopes
 /// hold the same floats the sweep reads, and both routes share
-/// [`nn_search`].
+/// `nn_search`.
 pub struct DtwNnPool {
     pool: Tensor3,
     /// Effective band (after the feasibility floor), as applied.

@@ -63,10 +63,8 @@ impl Ts2Vec {
             let b = model.params.bind(&mut t);
             let xs = feed_steps(&mut t, data, &idx);
             let hs = model.cell.run(&mut t, &b, &xs, idx.len());
-            let z_pre = model
-                .proj
-                .forward(&mut t, &b, *hs.last().expect("non-empty"));
-            let z = t.tanh(z_pre);
+            let last = *hs.last().expect("non-empty");
+            let z = model.proj.forward_act(&mut t, &b, last, Activation::Tanh);
             let rec = model.decoder.forward(&mut t, &b, z);
             let l2 = loss::mse_mean(&mut t, rec, &target);
             t.backward(l2);
@@ -85,10 +83,8 @@ impl Ts2Vec {
         let b = self.params.bind(&mut t);
         let xs = feed_steps(&mut t, data, &idx);
         let hs = self.cell.run(&mut t, &b, &xs, r);
-        let z_pre = self
-            .proj
-            .forward(&mut t, &b, *hs.last().expect("non-empty"));
-        let z = t.tanh(z_pre);
+        let last = *hs.last().expect("non-empty");
+        let z = self.proj.forward_act(&mut t, &b, last, Activation::Tanh);
         t.value(z).clone()
     }
 

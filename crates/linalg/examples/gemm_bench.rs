@@ -4,11 +4,13 @@
 //! Each `MxKxN` shape times `out += a * b` (`a` is `M x K`, `b` is
 //! `K x N`) and the two transposed forms the backward pass runs, on
 //! one thread into a warm output, and prints nanoseconds per call for
-//! the band kernels and the default path side by side. With no
-//! arguments it times the sub-threshold shapes the post-hoc GRU fits
-//! (batch 32, 5 features, hidden 8) and the smoke grid's GANs (batch
-//! 24, hidden 8 and 16) run, where the default is the in-place
-//! register tile on an AVX-512F CPU.
+//! the band kernels and the default path side by side: the best of 7
+//! rounds, each timing one batch of each column in turn, the first
+//! column swapping every round. With no arguments it times the
+//! sub-threshold shapes the post-hoc GRU fits (batch 32, 5 features,
+//! hidden 8) and the smoke grid's GANs (batch 24, hidden 8 and 16)
+//! run, where the default is the in-place register tile on an
+//! AVX-512F CPU.
 
 use std::time::Instant;
 use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
@@ -19,17 +21,27 @@ const DEFAULT_SHAPES: &[&str] = &[
     "32x5x8", "32x8x8", "32x8x5", "5x32x8", "8x32x8", "32x8x1", "24x8x16", "24x16x16", "24x16x1",
 ];
 
-/// Best-of-batches nanoseconds per call of `f`, for about `work`
-/// multiply-adds per batch.
-fn best_ns(work: usize, per_call: usize, mut f: impl FnMut()) -> f64 {
+/// The two columns: the band kernels, then the default path.
+const MODES: [GemmMode; 2] = [GemmMode::Band, GemmMode::Packed];
+
+/// Best-of-rounds nanoseconds per call of `f` under each of [`MODES`],
+/// for about `work` multiply-adds per batch. Each round times one batch
+/// per mode, in turn, and swaps which mode goes first every round, so
+/// a slow stretch of the host lands on both columns rather than one.
+fn best_ns(work: usize, per_call: usize, mut f: impl FnMut()) -> [f64; 2] {
     let calls = (work / per_call.max(1)).clamp(1, 100_000);
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let t = Instant::now();
-        for _ in 0..calls {
-            f();
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..7 {
+        for turn in 0..2 {
+            let i = turn ^ (round & 1);
+            with_gemm_mode(MODES[i], || {
+                let t = Instant::now();
+                for _ in 0..calls {
+                    f();
+                }
+                best[i] = best[i].min(t.elapsed().as_secs_f64() * 1e9 / calls as f64);
+            });
         }
-        best = best.min(t.elapsed().as_secs_f64() * 1e9 / calls as f64);
     }
     best
 }
@@ -69,18 +81,16 @@ fn main() {
             ("matmul_t", Box::new(|o| a.matmul_t_acc_into(&bt, o))),
         ];
         for (name, op) in &ops {
-            let mut times = [0.0; 2];
-            let mut outs = [warm.clone(), warm.clone()];
-            for (i, mode) in [GemmMode::Band, GemmMode::Packed].into_iter().enumerate() {
-                with_gemm_mode(mode, || {
-                    tsgb_par::with_threads(1, || {
-                        op(&mut outs[i]);
-                        let mut out = warm.clone();
-                        times[i] =
-                            best_ns(20_000_000, m * n * k, || op(std::hint::black_box(&mut out)));
-                    })
+            let (outs, times) = tsgb_par::with_threads(1, || {
+                let outs = MODES.map(|mode| {
+                    let mut out = warm.clone();
+                    with_gemm_mode(mode, || op(&mut out));
+                    out
                 });
-            }
+                let mut out = warm.clone();
+                let times = best_ns(20_000_000, m * n * k, || op(std::hint::black_box(&mut out)));
+                (outs, times)
+            });
             let same = outs[0]
                 .as_slice()
                 .iter()

@@ -13,7 +13,7 @@
 //!
 //! # Dispatch
 //!
-//! [`kernel_for`] picks one kernel per product from its multiply work
+//! `kernel_for` picks one kernel per product from its multiply work
 //! `m * n * k`, under the default [`GemmMode::Packed`]:
 //!
 //! * at or above [`PAR_WORK_THRESHOLD`], *pack* panels of `A` and `B`
@@ -32,7 +32,7 @@
 //! [`GemmMode::Band`] (set through [`with_gemm_mode`]) forces the band
 //! kernels everywhere: tests and benches compare the tile against them.
 //! A CPU without AVX-512F runs the packed panels through
-//! [`microkernel_portable`], which computes the same chains.
+//! `microkernel_portable`, which computes the same chains.
 //!
 //! # Packing layout
 //!

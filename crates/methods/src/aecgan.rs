@@ -137,8 +137,7 @@ impl AecGan {
             let z = t.constant(zs[steps.len() - 1].clone());
             let inp = t.concat_cols(&[prev, z]);
             h = nets.g_cell.step(t, gb, inp, h);
-            let raw = nets.g_head.forward(t, gb, h);
-            let mut out = t.sigmoid(raw);
+            let mut out = nets.g_head.forward_act(t, gb, h, Activation::Sigmoid);
             if correct {
                 // small tanh-bounded additive correction (de-biasing)
                 let delta = nets.corrector.forward(t, cb, out);

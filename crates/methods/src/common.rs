@@ -704,11 +704,10 @@ pub fn steps_to_tensor(steps: &[Matrix]) -> Tensor3 {
 /// Copies the batch another step's tape `g` recorded (a G step's
 /// fakes, TimeGAN's real embeddings) onto a D step's tape `d` as
 /// constants, so the D step reads that one forward pass instead of
-/// running it again. Under plan replay [`Tape::eval`] computes the
-/// values with the record-path kernels, which give the bits a replayed
-/// forward pass gives.
-pub(crate) fn copy_fakes(g: &mut Tape, fakes: &[VarId], d: &mut Tape) -> Vec<VarId> {
-    fakes.iter().map(|&f| d.constant_copy(g.eval(f))).collect()
+/// running it again. A replayed op computes as it is declared, so
+/// [`Tape::value`] reads this step's bits mid-step.
+pub(crate) fn copy_fakes(g: &Tape, fakes: &[VarId], d: &mut Tape) -> Vec<VarId> {
+    fakes.iter().map(|&f| d.constant_copy(g.value(f))).collect()
 }
 
 /// Draws a random minibatch of sample indices.

@@ -119,10 +119,7 @@ fn gen_channel(
 ) -> Vec<VarId> {
     let hs = ch.g_cell.run(t, gb, z_vars, batch);
     hs.iter()
-        .map(|&h| {
-            let o = ch.g_head.forward(t, gb, h);
-            t.sigmoid(o)
-        })
+        .map(|&h| ch.g_head.forward_act(t, gb, h, Activation::Sigmoid))
         .collect()
 }
 
@@ -153,12 +150,12 @@ fn flatten_steps(t: &mut Tape, per_channel_steps: &[Vec<VarId>]) -> VarId {
 /// The fake window as one `(batch, l * n)` matrix in
 /// [`flatten_steps`]' column order, read off the G tape's per-channel
 /// step outputs.
-fn flatten_values(g: &mut Tape, per_channel_steps: &[Vec<VarId>], batch: usize) -> Matrix {
+fn flatten_values(g: &Tape, per_channel_steps: &[Vec<VarId>], batch: usize) -> Matrix {
     let (l, n) = (per_channel_steps[0].len(), per_channel_steps.len());
     let mut flat = Matrix::zeros(batch, l * n);
     for (c, steps) in per_channel_steps.iter().enumerate() {
         for (step, &v) in steps.iter().enumerate() {
-            let col = g.eval(v);
+            let col = g.value(v);
             for b in 0..batch {
                 flat[(b, step * n + c)] = col[(b, 0)];
             }

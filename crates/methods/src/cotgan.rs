@@ -21,7 +21,7 @@ use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_nn::layers::{GruCell, Linear};
+use tsgb_nn::layers::{Activation, GruCell, Linear};
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
 use tsgb_nn::tape::{Tape, VarId};
@@ -82,10 +82,7 @@ impl CotGan {
         let hs = nets.g_cell.run(t, gb, &z_vars, batch);
         let steps: Vec<VarId> = hs
             .iter()
-            .map(|&h| {
-                let o = nets.g_head.forward(t, gb, h);
-                t.sigmoid(o)
-            })
+            .map(|&h| nets.g_head.forward_act(t, gb, h, Activation::Sigmoid))
             .collect();
         // flatten step-major into (batch, l*n) columns
         t.concat_cols(&steps)
@@ -247,8 +244,7 @@ impl NoiseDecoder for CotGan {
             let hs = nets.g_cell.run(t, &b[0], &z_vars, n);
             hs.iter()
                 .map(|&h| {
-                    let o = nets.g_head.forward(t, &b[0], h);
-                    let s = t.sigmoid(o);
+                    let s = nets.g_head.forward_act(t, &b[0], h, Activation::Sigmoid);
                     t.value(s).clone()
                 })
                 .collect()

@@ -16,7 +16,7 @@ use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_nn::layers::{Linear, LstmCell};
+use tsgb_nn::layers::{Activation, Linear, LstmCell};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
@@ -95,8 +95,7 @@ impl CRnnGan {
             let (h2, c2) = nets.g_cell.step(t, gb, inp, h, c);
             h = h2;
             c = c2;
-            let o = nets.g_head.forward(t, gb, h);
-            prev = t.sigmoid(o);
+            prev = nets.g_head.forward_act(t, gb, h, Activation::Sigmoid);
             out.push(prev);
         }
         out

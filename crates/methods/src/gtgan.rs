@@ -127,8 +127,7 @@ impl GtGan {
             for _ in 0..SUBSTEPS {
                 h = self.ode_step(&nets.ode_func, t, gb, h, dt * SUBSTEPS as f64);
             }
-            let o = nets.g_head.forward(t, gb, h);
-            steps.push(t.sigmoid(o));
+            steps.push(nets.g_head.forward_act(t, gb, h, Activation::Sigmoid));
         }
         steps
     }

@@ -28,7 +28,7 @@ use std::time::Instant;
 use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::{Matrix, Tensor3};
 use tsgb_nn::init;
-use tsgb_nn::layers::Linear;
+use tsgb_nn::layers::{Activation, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, ParamId, Params};
@@ -169,18 +169,13 @@ impl Ls4 {
 
 /// Decodes a latent batch into per-step sigmoid outputs.
 fn decode(nets: &Nets, t: &mut Tape, b: &Binding, z: VarId, seq_len: usize) -> Vec<VarId> {
-    let s0 = nets.z_to_state.forward(t, b, z);
-    let s0 = t.tanh(s0);
-    let u_pre = nets.z_to_input.forward(t, b, z);
-    let u = t.tanh(u_pre);
+    let s0 = nets.z_to_state.forward_act(t, b, z, Activation::Tanh);
+    let u = nets.z_to_input.forward_act(t, b, z, Activation::Tanh);
     let us: Vec<VarId> = (0..seq_len).map(|_| u).collect();
     let (y1, _) = nets.dec1.run(t, b, &us, t.shape(z).0, Some(s0));
     let (y2, _) = nets.dec2.run(t, b, &y1, t.shape(z).0, None);
     y2.iter()
-        .map(|&y| {
-            let o = nets.out_head.forward(t, b, y);
-            t.sigmoid(o)
-        })
+        .map(|&y| nets.out_head.forward_act(t, b, y, Activation::Sigmoid))
         .collect()
 }
 

@@ -18,7 +18,7 @@ use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_nn::layers::{GruCell, Linear};
+use tsgb_nn::layers::{Activation, GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
@@ -89,10 +89,7 @@ fn generate_steps(nets: &Nets, t: &mut Tape, gb: &Binding, zs: &[Matrix]) -> Vec
     let z_vars: Vec<VarId> = zs.iter().map(|z| t.constant_copy(z)).collect();
     let hs = nets.g_cell.run(t, gb, &z_vars, batch);
     hs.iter()
-        .map(|&h| {
-            let o = nets.g_head.forward(t, gb, h);
-            t.sigmoid(o)
-        })
+        .map(|&h| nets.g_head.forward_act(t, gb, h, Activation::Sigmoid))
         .collect()
 }
 

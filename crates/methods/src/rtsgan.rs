@@ -114,8 +114,8 @@ impl RtsGan {
 /// Encodes per-step inputs to a `(batch, latent)` tanh latent.
 fn encode(nets: &Nets, t: &mut Tape, b: &Binding, xs: &[VarId], batch: usize) -> VarId {
     let hs = nets.encoder.run(t, b, xs, batch);
-    let z = nets.enc_head.forward(t, b, *hs.last().expect("non-empty"));
-    t.tanh(z)
+    let last = *hs.last().expect("non-empty");
+    nets.enc_head.forward_act(t, b, last, Activation::Tanh)
 }
 
 /// Decodes a latent to per-step sigmoid outputs by feeding it to the
@@ -131,10 +131,7 @@ fn decode(
     let zs: Vec<VarId> = (0..seq_len).map(|_| z).collect();
     let hs = nets.dec_cell.run(t, b, &zs, batch);
     hs.iter()
-        .map(|&h| {
-            let o = nets.dec_head.forward(t, b, h);
-            t.sigmoid(o)
-        })
+        .map(|&h| nets.dec_head.forward_act(t, b, h, Activation::Sigmoid))
         .collect()
 }
 

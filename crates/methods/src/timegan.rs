@@ -27,7 +27,7 @@ use crate::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::time::Instant;
 use tsgb_linalg::rng::seeded;
 use tsgb_linalg::{Matrix, Tensor3};
-use tsgb_nn::layers::{GruCell, Linear};
+use tsgb_nn::layers::{Activation, GruCell, Linear};
 use tsgb_nn::loss;
 use tsgb_nn::optim::Adam;
 use tsgb_nn::params::{Binding, Params};
@@ -62,15 +62,13 @@ impl RnnHead {
     /// Per-step outputs for per-step inputs.
     fn run(&self, t: &mut Tape, b: &Binding, xs: &[VarId], batch: usize) -> Vec<VarId> {
         let hs = self.cell.run(t, b, xs, batch);
+        let act = if self.sigmoid_out {
+            Activation::Sigmoid
+        } else {
+            Activation::None
+        };
         hs.iter()
-            .map(|&h| {
-                let o = self.head.forward(t, b, h);
-                if self.sigmoid_out {
-                    t.sigmoid(o)
-                } else {
-                    o
-                }
-            })
+            .map(|&h| self.head.forward_act(t, b, h, act))
             .collect()
     }
 

@@ -129,9 +129,7 @@ impl BandVq {
         let b = self.params.bind(t);
         let xv = t.constant(x.clone());
         let e = self.encoder.forward(t, &b, xv);
-        // materialize on demand: under plan replay the encoder output
-        // is deferred until this read
-        let e_val = t.eval(e).clone();
+        let e_val = t.value(e).clone();
         let idx = self.nearest(&e_val);
         let q = self.codebook.select_rows(&idx);
         // straight-through: decoder sees e + (q - e).detach()

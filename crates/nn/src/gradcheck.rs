@@ -116,7 +116,7 @@ pub fn check_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Conv1d, GruCell, LstmCell, Mlp};
+    use crate::layers::{Activation, GruCell, LstmCell, Mlp};
     use crate::loss;
     use crate::tape::VarId;
     use tsgb_linalg::rng::{randn_matrix, seeded};
@@ -198,31 +198,6 @@ mod tests {
             },
             EPS,
             3,
-        );
-        assert!(
-            report.passes(TOL),
-            "worst {:?}: {}",
-            report.worst,
-            report.max_rel_err
-        );
-    }
-
-    #[test]
-    fn conv1d_gradients_check() {
-        let mut rng = seeded(14);
-        let mut p = Params::new();
-        let conv = Conv1d::new(&mut p, "c", 2, 3, 3, &mut rng);
-        let x = randn_matrix(6, 2, &mut rng);
-        let y = randn_matrix(6, 3, &mut rng);
-        let report = check_model(
-            &mut p,
-            move |t, b| {
-                let xv = t.constant(x.clone());
-                let out = conv.forward(t, b, xv);
-                loss::mse_mean(t, out, &y)
-            },
-            EPS,
-            1,
         );
         assert!(
             report.passes(TOL),
@@ -353,37 +328,6 @@ mod tests {
             assert!(
                 report.passes(TOL),
                 "affine2 {act:?} worst {:?}: {}",
-                report.worst,
-                report.max_rel_err
-            );
-        }
-    }
-
-    #[test]
-    fn conv1d_edge_shape_gradients_check() {
-        let mut rng = seeded(21);
-        // (seq, in_ch, out_ch, kernel): single-timestep sequences where
-        // same-padding covers the whole input, single channels, and a
-        // non-square wide kernel.
-        for (seq, in_ch, out_ch, kernel) in [(1, 2, 3, 3), (4, 1, 1, 3), (5, 3, 1, 5), (1, 1, 4, 1)]
-        {
-            let mut p = Params::new();
-            let conv = Conv1d::new(&mut p, "c", in_ch, out_ch, kernel, &mut rng);
-            let x = randn_matrix(seq, in_ch, &mut rng);
-            let y = randn_matrix(seq, out_ch, &mut rng);
-            let report = check_model(
-                &mut p,
-                move |t, b| {
-                    let xv = t.constant(x.clone());
-                    let out = conv.forward(t, b, xv);
-                    loss::mse_mean(t, out, &y)
-                },
-                EPS,
-                1,
-            );
-            assert!(
-                report.passes(TOL),
-                "conv ({seq},{in_ch},{out_ch},k{kernel}) worst {:?}: {}",
                 report.worst,
                 report.max_rel_err
             );
@@ -532,7 +476,6 @@ mod tests {
             unary!("Mean", false, |t, x| t.mean(x)),
             unary!("RowMean", false, |t, x| t.row_mean(x)),
             unary!("Transpose", false, |t, x| t.transpose(x)),
-            unary!("Im2Col", false, |t, x| t.im2col(x, 3)),
             unary!("SliceCols", false, |t, x| {
                 let c = t.shape(x).1;
                 t.slice_cols(x, c / 3, c - c / 4)
@@ -626,7 +569,7 @@ mod tests {
             .iter()
             .map(|c| c.label.split('+').next().unwrap())
             .collect();
-        assert_eq!(variants.len(), 33, "one case per differentiable Op variant");
+        assert_eq!(variants.len(), 32, "one case per differentiable Op variant");
         for case in &cases {
             let variant = case.label.split('+').next().unwrap();
             for (r, c) in [(1, 3), (4, 1), (3, 5)] {

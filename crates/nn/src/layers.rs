@@ -5,8 +5,8 @@
 //! the tape and the parameter binding, so the same layer object can be
 //! used across the fresh tape built for every minibatch.
 //!
-//! Provided: [`Linear`], [`GruCell`], [`LstmCell`], [`Conv1d`] (same
-//! padding via the tape's `im2col`), and the [`Mlp`] convenience stack.
+//! Provided: [`Linear`], [`GruCell`], [`LstmCell`], and the [`Mlp`]
+//! convenience stack.
 //! These cover the architectures of all ten TSG methods at reduced
 //! scale; batch-norm and dropout are intentionally omitted (documented
 //! substitution: the reduced-capacity models do not overfit enough to
@@ -371,54 +371,6 @@ impl LstmCell {
     }
 }
 
-/// Same-padded 1-D convolution over a `(T, C_in)` sequence.
-#[derive(Debug, Clone)]
-pub struct Conv1d {
-    w: ParamId,
-    b: ParamId,
-    kernel: usize,
-    /// Input channels.
-    pub in_ch: usize,
-    /// Output channels.
-    pub out_ch: usize,
-}
-
-impl Conv1d {
-    /// Registers a conv layer; `kernel` must be odd (same padding).
-    pub fn new(
-        params: &mut Params,
-        name: &str,
-        in_ch: usize,
-        out_ch: usize,
-        kernel: usize,
-        rng: &mut SmallRng,
-    ) -> Self {
-        assert!(
-            kernel % 2 == 1,
-            "Conv1d kernel must be odd for same padding"
-        );
-        let w = params.register(
-            format!("{name}.w"),
-            init::xavier_uniform(kernel * in_ch, out_ch, rng),
-        );
-        let b = params.register(format!("{name}.b"), init::zeros(1, out_ch));
-        Self {
-            w,
-            b,
-            kernel,
-            in_ch,
-            out_ch,
-        }
-    }
-
-    /// `x (T, C_in) -> (T, C_out)`.
-    pub fn forward(&self, t: &mut Tape, bind: &Binding, x: VarId) -> VarId {
-        debug_assert_eq!(t.shape(x).1, self.in_ch, "Conv1d channel mismatch");
-        let unfolded = t.im2col(x, self.kernel);
-        t.affine(unfolded, bind.var(self.w), bind.var(self.b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,24 +452,5 @@ mod tests {
             p.grad_norm() > 0.0,
             "gradients must flow through 5 LSTM steps"
         );
-    }
-
-    #[test]
-    fn conv1d_is_translation_consistent() {
-        let mut rng = seeded(5);
-        let mut p = Params::new();
-        let conv = Conv1d::new(&mut p, "c", 1, 1, 3, &mut rng);
-        let mut t = Tape::new();
-        let b = p.bind(&mut t);
-        // An impulse at position 3 of a length-9 sequence.
-        let mut imp = Matrix::zeros(9, 1);
-        imp[(3, 0)] = 1.0;
-        let x = t.constant(imp);
-        let y = conv.forward(&mut t, &b, x);
-        assert_eq!(t.value(y).shape(), (9, 1));
-        // Response is the (flipped) kernel centered at 3, plus bias 0:
-        // positions far from the impulse are exactly bias.
-        assert_eq!(t.value(y)[(7, 0)], 0.0);
-        assert!(t.value(y).row(2)[0].abs() + t.value(y).row(3)[0].abs() > 0.0);
     }
 }

@@ -20,17 +20,18 @@
 //!   optimizers ([`optim`]) can hold Adam moments across steps.
 //! * [`resident`] — forward-only tapes for sampling, each holding a
 //!   model's weights bound once, so a forward pass copies none of them.
-//! * [`layers`] — Linear, GRU and LSTM cells, and 1-D convolution,
-//!   written against the tape ops.
+//! * [`layers`] — Linear, GRU and LSTM cells and an MLP stack, written
+//!   against the tape ops.
 //! * [`loss`] — MSE, BCE-with-logits, Gaussian KL, and the adversarial
 //!   losses used by the GAN methods.
 //! * [`gradcheck`] — central finite-difference verification used by the
 //!   test suite to prove every op and layer differentiates correctly.
 //! * [`plan`] — each op's forward and backward arithmetic, written
-//!   once, and the compiled execution plans that run it: a recorded
-//!   training step is frozen into preresolved forward/backward
-//!   schedules and replayed with zero re-recording, bit-identical to
-//!   recording it again.
+//!   once, and the compiled backward plans of replayed steps: a
+//!   replaying tape matches each declared op against the captured step
+//!   and computes it in place, with zero re-recording, then runs a
+//!   preresolved backward schedule, bit-identical to recording the
+//!   step again.
 
 pub mod gradcheck;
 pub mod init;

@@ -3,24 +3,22 @@
 //!
 //! Training loops re-declare the same graph topology every minibatch.
 //! Recording it on the [`crate::Tape`] is allocation-free (arena
-//! recycling), but still pays per-step op dispatch, shape
-//! re-derivation, pool hashing, and node bookkeeping. This module
-//! freezes one recorded step into an executable **plan**:
+//! recycling), but still pays per-step shape re-derivation, pool
+//! hashing and node bookkeeping, and a backward that finds its
+//! first-touch flags and temporaries as it goes. A replaying tape
+//! instead matches each declared op against the captured step and
+//! computes it at once into the node's own buffer, with the same
+//! `exec_node` recording runs. What this module freezes is the
+//! backward: a reverse-order step list that accumulates into
+//! preresolved gradient slots, with per-edge *first-touch* flags
+//! resolved at compile time.
 //!
-//! * a forward step list with preresolved buffer slots (node indices —
-//!   every shape was checked once, at record time) and activation
-//!   fusion across the op pairs the fused `affine*` ops don't cover
-//!   (`sigmoid(matmul(..))` and friends);
-//! * a reverse-order backward step list that accumulates into
-//!   preresolved gradient slots, with per-edge *first-touch* flags
-//!   resolved at compile time.
-//!
-//! Each op's forward arithmetic lives only in [`exec_node`] and its
-//! gradient only in [`run_step`]. The tape's record methods run
-//! `exec_node` on a freshly pushed node, and a tape that is not
-//! replaying runs [`sweep`], the one-shot backward: the same reverse
-//! loop the compiled plan freezes, reading each first-touch flag off
-//! the grad slots as it goes.
+//! Each op's forward arithmetic lives only in `exec_node` and its
+//! gradient only in `run_step`. The tape runs `exec_node` on every
+//! node it records or matches, and a tape that is not replaying runs
+//! `sweep`, the one-shot backward: the same reverse loop the compiled
+//! plan freezes, reading each first-touch flag off the grad slots as
+//! it goes.
 //!
 //! # Determinism argument
 //!
@@ -28,9 +26,8 @@
 //! the *same* step functions in the *same* order on the *same*
 //! operands:
 //!
-//! * forward steps reuse each node's own value buffer and `exec_node`
-//!   (fusion only changes *where* the pre-activation lands, never the
-//!   arithmetic — the activation is applied to identical input bits);
+//! * the forward is `exec_node` on each node, in declaration order, on
+//!   both paths;
 //! * backward steps visit edges in the sweep's order with the flags it
 //!   would read. A first touch writes the delta straight into the slot
 //!   (a copy for borrowed deltas, and "zero then accumulate" for the
@@ -41,8 +38,8 @@
 //!
 //! Scalar payloads (`scale`, `add_scalar`, `leaky_relu` and `filled`
 //! leaves) are per-step *feeds*: the replaying tape writes new values
-//! through into the recorded ops and the plan reads them live, so a
-//! data-dependent scalar never invalidates the structure.
+//! through into the recorded ops and `exec_node` and the plan read them
+//! live, so a data-dependent scalar never invalidates the structure.
 //!
 //! # Lifecycle
 //!
@@ -50,9 +47,9 @@
 //!
 //! [`crate::Tape::begin_step`] captures after the first recorded step
 //! and rewinds on subsequent boundaries. Any structural mismatch while
-//! replaying (changed batch size, a different graph) materializes the
-//! already-matched prefix with `exec_node`, retires the stale suffix,
-//! and falls back to recording; the next boundary re-captures.
+//! replaying (changed batch size, a different graph) retires the stale
+//! suffix (the matched prefix already holds this step's values) and
+//! falls back to recording; the next boundary re-captures.
 
 use crate::tape::{FusedAct, LeafKind, Node, Op, VarId};
 use tsgb_linalg::detmath::{sigmoid, tanh};
@@ -62,32 +59,6 @@ use tsgb_linalg::{Matrix, MatrixPool};
 // ---------------------------------------------------------------------
 // Plan structure
 // ---------------------------------------------------------------------
-
-/// One compiled forward step: recompute node `out`'s value in place.
-/// `src == out` runs the node's own op; `src < out` is a fused
-/// activation pair (compute `src`'s pre-activation directly into
-/// `out`'s buffer, apply `out`'s activation in place — `src` stays
-/// stale/dead).
-#[derive(Clone, Copy)]
-struct FwdStep {
-    out: u32,
-    src: u32,
-}
-
-/// The frozen forward schedule of a captured step.
-pub(crate) struct FwdPlan {
-    steps: Vec<FwdStep>,
-    /// Nodes fused away: their value buffers are never refreshed
-    /// during replay ([`crate::Tape::value`] refuses to read them).
-    dead: Vec<bool>,
-}
-
-impl FwdPlan {
-    /// Whether node `i` was fused away (its buffer holds stale bits).
-    pub(crate) fn dead(&self, i: usize) -> bool {
-        self.dead[i]
-    }
-}
 
 /// One compiled backward step for a reached node. `flags_at` indexes
 /// the step's per-edge first-touch flags; `scratch` indexes the plan's
@@ -160,31 +131,14 @@ fn liveness(nodes: &[Node], loss: usize, live: &mut Vec<bool>) {
     }
 }
 
-/// A captured step: the forward schedule plus lazily compiled backward
-/// sweeps (one per loss node observed) and the replay cursors.
+/// A captured step: the replay cursor and the lazily compiled backward
+/// sweeps, one per loss node observed.
+#[derive(Default)]
 pub(crate) struct Replay {
-    /// Ops re-declared (signature-matched) so far this step.
+    /// Ops re-declared (signature-matched, and so computed) so far this
+    /// step.
     pub(crate) cursor: usize,
-    /// Nodes whose values are fresh this step: everything below was
-    /// materialized (by the plan run or [`crate::Tape::eval`]).
-    pub(crate) watermark: usize,
-    pub(crate) fwd: FwdPlan,
     bwd: Vec<BwdPlan>,
-}
-
-fn fusable_producer(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Matmul(..)
-            | Op::Affine {
-                act: FusedAct::Identity,
-                ..
-            }
-            | Op::Affine2 {
-                act: FusedAct::Identity,
-                ..
-            }
-    )
 }
 
 /// Visits the operands of `op` in the order its backward step folds
@@ -237,7 +191,6 @@ fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
         | Op::Mean(a)
         | Op::SliceCols(a, _, _)
         | Op::SliceRows(a, _, _)
-        | Op::Im2Col(a, _)
         | Op::RowMean(a)
         | Op::Transpose(a) => f(a.0, false),
         Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.iter().for_each(|p| f(p.0, false)),
@@ -295,48 +248,9 @@ fn gru_gates_live(live: &[bool], x: VarId, h: VarId, w: &[[VarId; 3]; 3]) -> [bo
 }
 
 impl Replay {
-    /// Freezes the recorded node list into a forward plan.
-    pub(crate) fn capture(nodes: &[Node]) -> Replay {
-        let n = nodes.len();
-        let mut uses = vec![0u32; n];
-        for node in nodes {
-            edges(&node.op, |t, _| uses[t] += 1);
-        }
-
-        // Activation fusion: a single-use Matmul / identity-Affine(2)
-        // feeding an output-derivative activation collapses into one
-        // step; the producer's buffer goes dead.
-        let mut dead = vec![false; n];
-        let mut fuse_src: Vec<u32> = (0..n as u32).collect();
-        for i in 0..n {
-            if let Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) = nodes[i].op {
-                if uses[a.0] == 1 && fusable_producer(&nodes[a.0].op) {
-                    dead[a.0] = true;
-                    fuse_src[i] = a.0 as u32;
-                }
-            }
-        }
-        let steps = (0..n)
-            .filter(|&i| !dead[i] && !matches!(nodes[i].op, Op::Leaf(_)))
-            .map(|i| FwdStep {
-                out: i as u32,
-                src: fuse_src[i],
-            })
-            .collect();
-
-        Replay {
-            cursor: 0,
-            watermark: 0,
-            fwd: FwdPlan { steps, dead },
-            bwd: Vec::new(),
-        }
-    }
-
-    /// Starts a new replayed step: every op must be re-declared, every
-    /// value is stale until the plan runs.
+    /// Starts a new replayed step: every op must be re-declared.
     pub(crate) fn rewind(&mut self) {
         self.cursor = 0;
-        self.watermark = 0;
     }
 
     /// Dismantles the plan, yielding its scratch buffers for pooling.
@@ -352,29 +266,16 @@ impl Replay {
             .collect()
     }
 
-    /// Runs one fully matched step: the compiled forward (skipping
-    /// anything [`crate::Tape::eval`] already materialized), then the
-    /// compiled backward for `loss` (compiled on first use).
-    pub(crate) fn execute(
+    /// Runs the compiled backward for `loss` (compiled on first use)
+    /// over a fully matched step, whose values were computed as its ops
+    /// were declared.
+    pub(crate) fn backward(
         &mut self,
-        nodes: &mut [Node],
+        nodes: &[Node],
         grads: &mut Vec<Option<Matrix>>,
         pool: &mut MatrixPool,
         loss: usize,
     ) {
-        for step in &self.fwd.steps {
-            let out = step.out as usize;
-            if out < self.watermark {
-                continue;
-            }
-            if step.src == step.out {
-                exec_node(nodes, out, pool);
-            } else {
-                exec_fused(nodes, step.src as usize, out, pool);
-            }
-        }
-        self.watermark = nodes.len();
-
         let idx = match self.bwd.iter().position(|b| b.loss == loss) {
             Some(idx) => idx,
             None => {
@@ -383,7 +284,7 @@ impl Replay {
                 self.bwd.len() - 1
             }
         };
-        self.bwd[idx].run(nodes, grads, pool, &self.fwd.dead);
+        self.bwd[idx].run(nodes, grads, pool);
     }
 }
 
@@ -394,8 +295,8 @@ impl Replay {
 /// Computes node `i`'s value in place from its operands — the only
 /// copy of each op's forward arithmetic. Every shape was checked when
 /// the node was recorded, and every element of the value is written.
-/// The record methods, [`crate::Tape::eval`] and the invalidation
-/// fallback run it on one node; replay runs every unfused step here.
+/// The tape runs it on each node it records, and on each node a
+/// replayed step re-declares.
 pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool) {
     let (lo, hi) = nodes.split_at_mut(i);
     let node = &mut hi[0];
@@ -494,22 +395,6 @@ pub(crate) fn exec_node(nodes: &mut [Node], i: usize, pool: &mut MatrixPool) {
             let x = &lo[a.0].value;
             for row in start..end {
                 v.row_mut(row - start).copy_from_slice(x.row(row));
-            }
-        }
-        Op::Im2Col(a, kernel) => {
-            let kernel = *kernel;
-            let x = &lo[a.0].value;
-            let (t_len, c) = x.shape();
-            let half = kernel / 2;
-            v.fill(0.0);
-            for row in 0..t_len {
-                for k in 0..kernel {
-                    let src = row as isize + k as isize - half as isize;
-                    if src < 0 || src >= t_len as isize {
-                        continue;
-                    }
-                    v.row_mut(row)[k * c..(k + 1) * c].copy_from_slice(x.row(src as usize));
-                }
             }
         }
         Op::RowMean(a) => {
@@ -624,44 +509,6 @@ fn gru_gate(
         |p, q, c| act((p + q) + c),
         out,
     );
-}
-
-/// Runs a fused activation pair: computes `src`'s pre-activation
-/// directly into `out`'s buffer, then applies `out`'s activation in
-/// place. `src`'s own buffer is left stale (dead). Bit-identical to
-/// the unfused pair: the activation sees the exact pre-activation bits
-/// the producer would have stored.
-fn exec_fused(nodes: &mut [Node], src: usize, out: usize, pool: &mut MatrixPool) {
-    let (lo, hi) = nodes.split_at_mut(out);
-    let act = match hi[0].op {
-        Op::Sigmoid(_) => FusedAct::Sigmoid,
-        Op::Tanh(_) => FusedAct::Tanh,
-        Op::Relu(_) => FusedAct::Relu,
-        _ => unreachable!("only output-derivative activations fuse"),
-    };
-    let v = &mut hi[0].value;
-    match &lo[src].op {
-        Op::Matmul(a, b) => {
-            v.fill(0.0);
-            lo[a.0].value.matmul_acc_into(&lo[b.0].value, v);
-        }
-        Op::Affine { x, w, b, .. } => {
-            v.fill(0.0);
-            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
-            v.add_row_broadcast_assign(&lo[b.0].value);
-        }
-        Op::Affine2 { x, w, h, u, b, .. } => {
-            v.fill(0.0);
-            lo[x.0].value.matmul_acc_into(&lo[w.0].value, v);
-            let mut hu = pool.take_zeroed(v.rows(), v.cols());
-            lo[h.0].value.matmul_acc_into(&lo[u.0].value, &mut hu);
-            v.add_assign(&hu);
-            pool.put(hu);
-            v.add_row_broadcast_assign(&lo[b.0].value);
-        }
-        _ => unreachable!("only matmul/identity-affine producers fuse"),
-    }
-    act.apply(v);
 }
 
 // ---------------------------------------------------------------------
@@ -790,13 +637,7 @@ impl BwdPlan {
     /// first-touch flags and scratch buffers precomputed and the
     /// `matmul_t` right-hand sides read from the per-run transpose
     /// cache.
-    fn run(
-        &mut self,
-        nodes: &[Node],
-        grads: &mut Vec<Option<Matrix>>,
-        pool: &mut MatrixPool,
-        dead: &[bool],
-    ) {
+    fn run(&mut self, nodes: &[Node], grads: &mut Vec<Option<Matrix>>, pool: &mut MatrixPool) {
         let n = nodes.len();
         if grads.len() < n {
             grads.resize_with(n, || None);
@@ -834,14 +675,13 @@ impl BwdPlan {
         for (id, buf) in tcache.iter_mut() {
             nodes[*id as usize].value.transpose_into(buf);
         }
-        let caches = RunCaches { tcache, dead };
         for step in steps.iter() {
             let (i, fa) = (step.node as usize, step.flags_at as usize);
             let sbuf = match scratch.get_mut(step.scratch as usize) {
                 Some(group) => group.as_mut_slice(),
                 None => &mut [],
             };
-            run_step(nodes, live, grads, i, &flags[fa..], sbuf, Some(&caches));
+            run_step(nodes, live, grads, i, &flags[fa..], sbuf, Some(tcache));
         }
     }
 }
@@ -901,14 +741,6 @@ pub(crate) fn sweep(
     }
 }
 
-/// A compiled plan's per-run backward state that [`run_step`] reads:
-/// the cached transposes of `matmul_t` right-hand sides, and which
-/// forward nodes were fused away.
-struct RunCaches<'a> {
-    tcache: &'a [(u32, Matrix)],
-    dead: &'a [bool],
-}
-
 /// Folds a borrowed delta into a slot: first touch copies, later
 /// touches `add_assign`.
 fn fold_ref(dst: &mut Matrix, fresh: bool, delta: &Matrix) {
@@ -931,21 +763,24 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
     dst
 }
 
-/// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no caches)
+/// A compiled plan's transposes of the `matmul_t` right-hand sides,
+/// sorted by node id and refreshed once per run; `None` on the one-shot
+/// sweep.
+type TCache<'a> = Option<&'a [(u32, Matrix)]>;
+
+/// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no cache)
 /// runs the plain `matmul_t_acc_into`; a compiled plan runs the plain
-/// matmul against the cached transpose, found by binary search (the
-/// cache is sorted by node id). The two are bit-identical (documented
-/// on [`Matrix::matmul_t`]).
-fn mul_t_acc(nodes: &[Node], caches: Option<&RunCaches>, a: &Matrix, rhs: usize, dst: &mut Matrix) {
-    let Some(c) = caches else {
+/// matmul against the cached transpose, found by binary search. The
+/// two are bit-identical (documented on [`Matrix::matmul_t`]).
+fn mul_t_acc(nodes: &[Node], tcache: TCache, a: &Matrix, rhs: usize, dst: &mut Matrix) {
+    let Some(tcache) = tcache else {
         a.matmul_t_acc_into(&nodes[rhs].value, dst);
         return;
     };
-    let at = c
-        .tcache
+    let at = tcache
         .binary_search_by_key(&(rhs as u32), |(id, _)| *id)
         .expect("live matmul_t RHS has a cached transpose");
-    a.matmul_acc_into(&c.tcache[at].1, dst);
+    a.matmul_acc_into(&tcache[at].1, dst);
 }
 
 /// The five edges of an activated `x W + h U + b` block whose `dz` is
@@ -955,13 +790,13 @@ fn affine2_edges(
     nodes: &[Node],
     live: &[bool],
     lo: &mut [Option<Matrix>],
-    caches: Option<&RunCaches>,
+    tcache: TCache,
     dz: &Matrix,
     [x, w, h, u, b]: [usize; 5],
     flags: &[bool],
 ) {
     if live[x] {
-        mul_t_acc(nodes, caches, dz, w, acc_slot(&mut lo[x], flags[0]));
+        mul_t_acc(nodes, tcache, dz, w, acc_slot(&mut lo[x], flags[0]));
     }
     if live[w] {
         nodes[x]
@@ -969,7 +804,7 @@ fn affine2_edges(
             .t_matmul_acc_into(dz, acc_slot(&mut lo[w], flags[1]));
     }
     if live[h] {
-        mul_t_acc(nodes, caches, dz, u, acc_slot(&mut lo[h], flags[2]));
+        mul_t_acc(nodes, tcache, dz, u, acc_slot(&mut lo[h], flags[2]));
     }
     if live[u] {
         nodes[h]
@@ -985,8 +820,8 @@ fn affine2_edges(
 /// op's gradient. `grads[i]` holds its (final) incoming gradient and
 /// every live edge's slot below `i` holds a buffer; `flags` are this
 /// step's first-touch flags in [`edges`] order, `sbuf` its scratch
-/// buffers ([`scratch_for`]), and `caches` a compiled plan's per-run
-/// state (`None` on the one-shot sweep). Edges into nodes that are not
+/// buffers ([`scratch_for`]), and `tcache` a compiled plan's cached
+/// transposes (`None` on the one-shot sweep). Edges into nodes that are not
 /// `live` are skipped entirely, as [`step_flags`] pruned them — nothing
 /// reads those slots.
 fn run_step(
@@ -996,7 +831,7 @@ fn run_step(
     i: usize,
     flags: &[bool],
     sbuf: &mut [Matrix],
-    caches: Option<&RunCaches>,
+    tcache: TCache,
 ) {
     // Contributions to node i come only from consumers (larger
     // indices, already processed), so grads[i] is final here.
@@ -1091,7 +926,7 @@ fn run_step(
         Op::Matmul(a, b) => {
             if live(a.0) {
                 let ga = acc_slot(&mut lo[a.0], flags[0]);
-                mul_t_acc(nodes, caches, g, b.0, ga);
+                mul_t_acc(nodes, tcache, g, b.0, ga);
             }
             if live(b.0) {
                 let gb = acc_slot(&mut lo[b.0], flags[1]);
@@ -1116,18 +951,8 @@ fn run_step(
                 ));
             }
         }
-        Op::Relu(a) if !live(a.0) => {}
         Op::Relu(a) => {
-            if caches.is_some_and(|c| c.dead[a.0]) {
-                // Fused pair: the pre-activation buffer is stale, but
-                // `y = max(x, 0)` makes `y > 0` decide identically to
-                // `x > 0` (x > 0 => y = x; x <= 0 => y = 0).
-                mapped!(a.0, flags[0], |dst| g.zip_map_into(
-                    &nodes[i].value,
-                    |gi, yi| if yi > 0.0 { gi } else { 0.0 },
-                    dst
-                ));
-            } else {
+            if live(a.0) {
                 mapped!(a.0, flags[0], |dst| g.zip_map_into(
                     &nodes[a.0].value,
                     |gi, xi| if xi > 0.0 { gi } else { 0.0 },
@@ -1309,25 +1134,6 @@ fn run_step(
                 }
             }
         }
-        Op::Im2Col(a, _) if !live(a.0) => {}
-        Op::Im2Col(a, kernel) => {
-            let kernel = *kernel;
-            let (t_len, c) = nodes[a.0].value.shape();
-            let half = kernel / 2;
-            let ga = acc_slot(&mut lo[a.0], flags[0]);
-            for row in 0..t_len {
-                for k in 0..kernel {
-                    let src = row as isize + k as isize - half as isize;
-                    if src < 0 || src >= t_len as isize {
-                        continue;
-                    }
-                    let gs = &g.row(row)[k * c..(k + 1) * c];
-                    for (o, &v) in ga.row_mut(src as usize).iter_mut().zip(gs) {
-                        *o += v;
-                    }
-                }
-            }
-        }
         Op::RowMean(a) => {
             if live(a.0) {
                 let (r, c) = nodes[a.0].value.shape();
@@ -1395,7 +1201,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, caches, dz, w.0, gx);
+                mul_t_acc(nodes, tcache, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1415,7 +1221,7 @@ fn run_step(
                 d
             };
             let ops = [x, w, h, u, b].map(|v| v.0);
-            affine2_edges(nodes, live_mask, lo, caches, dz, ops, flags);
+            affine2_edges(nodes, live_mask, lo, tcache, dz, ops, flags);
         }
         Op::GruMix(gates, h) => {
             let (y, hv) = (nodes[gates.0].value.as_slice(), &nodes[h.0].value);
@@ -1463,14 +1269,14 @@ fn run_step(
             if ht_live {
                 FusedAct::Tanh.dz_into(dght, ht, dz.as_mut_slice());
                 if live(x.0) {
-                    mul_t_acc(nodes, caches, dz, wh.0, acc_slot(&mut lo[x.0], flags[0]));
+                    mul_t_acc(nodes, tcache, dz, wh.0, acc_slot(&mut lo[x.0], flags[0]));
                 }
                 if live(wh.0) {
                     xv.t_matmul_acc_into(dz, acc_slot(&mut lo[wh.0], flags[1]));
                 }
                 if r_live {
                     drh.fill(0.0);
-                    mul_t_acc(nodes, caches, dz, uh.0, drh);
+                    mul_t_acc(nodes, tcache, dz, uh.0, drh);
                 }
                 if live(uh.0) {
                     zip_map_into(r, hv.as_slice(), |ri, hi| ri * hi, tmp.as_mut_slice());
@@ -1494,12 +1300,12 @@ fn run_step(
                 }
                 FusedAct::Sigmoid.dz_into(dgr, r, dz.as_mut_slice());
                 let ops = [x, wr, h, ur, br].map(|v| v.0);
-                affine2_edges(nodes, live_mask, lo, caches, dz, ops, &flags[5..10]);
+                affine2_edges(nodes, live_mask, lo, tcache, dz, ops, &flags[5..10]);
             }
             if z_live {
                 FusedAct::Sigmoid.dz_into(dgz, z, dz.as_mut_slice());
                 let ops = [x, wz, h, uz, bz].map(|v| v.0);
-                affine2_edges(nodes, live_mask, lo, caches, dz, ops, &flags[10..15]);
+                affine2_edges(nodes, live_mask, lo, tcache, dz, ops, &flags[10..15]);
             }
         }
     }

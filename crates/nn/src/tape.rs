@@ -10,9 +10,11 @@
 //! The tape records nodes, checks each op's inputs, and matches a
 //! replayed step against its captured signature; the arithmetic of
 //! each op lives once, in [`crate::plan`]. Recording runs
-//! `plan::exec_node` on the new node, and a backward that does not
-//! replay a compiled plan is the one-shot `plan::sweep`, which runs the
-//! same per-op backward steps replay does.
+//! `plan::exec_node` on the new node, and replay on each matched node
+//! as it is declared, so a value is readable as soon as its op is
+//! declared on either path. A backward that does not replay a compiled
+//! plan is the one-shot `plan::sweep`, which runs the same per-op
+//! backward steps replay does.
 //!
 //! # Training memory model
 //!
@@ -156,9 +158,6 @@ pub(crate) enum Op {
     ConcatRows(Vec<VarId>),
     /// Row slice `[start, end)` of the input.
     SliceRows(VarId, usize, usize),
-    /// Unfolds a `(T, C)` sequence into `(T, K*C)` receptive fields
-    /// with symmetric zero padding — the im2col step of Conv1d.
-    Im2Col(VarId, usize),
     /// Row-wise mean: `(R, C) -> (R, 1)`.
     RowMean(VarId),
     /// Transpose.
@@ -200,13 +199,13 @@ pub(crate) enum Op {
 
 /// Structural-signature comparison for replay: `true` when `new`
 /// denotes the same node as the recorded op. Input ids, slice bounds,
-/// kernel widths, part lists and fused activations are *structure* and
+/// part lists and fused activations are *structure* and
 /// must match exactly; scalar payloads (`Scale`, `AddScalar`,
 /// `LeakyRelu`) are per-step *feeds* — compared bitwise and written
 /// through into the recorded op on change, so a data-dependent scalar
-/// (e.g. a per-minibatch mean) never invalidates the plan. The
-/// compiled forward and backward steps read these payloads live from
-/// the recorded ops, never from a frozen copy.
+/// (e.g. a per-minibatch mean) never invalidates the plan. The forward
+/// and the compiled backward steps read these payloads live from the
+/// recorded ops, never from a frozen copy.
 fn sig_match(rec: &mut Op, new: &Op) -> bool {
     match (rec, new) {
         (Op::Add(a0, b0), Op::Add(a1, b1))
@@ -250,7 +249,6 @@ fn sig_match(rec: &mut Op, new: &Op) -> bool {
         (Op::ConcatRows(p0), Op::ConcatRows(p1)) | (Op::ConcatCols(p0), Op::ConcatCols(p1)) => {
             p0 == p1
         }
-        (Op::Im2Col(a0, k0), Op::Im2Col(a1, k1)) => a0 == a1 && k0 == k1,
         (
             Op::Affine {
                 x: x0,
@@ -311,10 +309,11 @@ enum PlanCtl {
     /// Recording mode — ops compute eagerly and push nodes.
     #[default]
     Idle,
-    /// Replay mode — ops only signature-check against the captured
-    /// structure and feed leaf data; compute is deferred to
-    /// [`Tape::backward`], which runs the compiled plan.
-    Replay(Box<crate::plan::Replay>),
+    /// Replay mode — ops signature-check against the captured structure
+    /// and compute into the captured node's buffer, and leaves feed
+    /// their data into theirs; [`Tape::backward`] runs the compiled
+    /// backward plan.
+    Replay(crate::plan::Replay),
 }
 
 /// The gradient tape.
@@ -419,17 +418,18 @@ impl Tape {
     /// and returns the tape, ready for the step:
     ///
     /// * an empty tape just starts recording (the capture step);
-    /// * the first boundary after a recorded step **captures** it —
-    ///   freezes the node list into a compiled forward/backward plan
-    ///   and switches to replay mode;
+    /// * the first boundary after a recorded step **captures** it and
+    ///   switches to replay mode, in which each declared op is matched
+    ///   against the captured node list and computed in place, and
+    ///   `backward` runs a compiled backward plan;
     /// * subsequent boundaries rewind the replay cursor, keeping every
     ///   buffer in place for the next step's feeds.
     ///
     /// A structural mismatch mid-step (changed batch size, different
-    /// graph) transparently falls back: the already-matched prefix is
-    /// materialized, the stale suffix is retired, recording resumes,
-    /// and the next boundary re-captures. Replay is bit-identical to
-    /// recording every step after a [`Tape::reset`].
+    /// graph) transparently falls back: the stale suffix is retired
+    /// (the matched prefix already holds this step's values), recording
+    /// resumes, and the next boundary re-captures. Replay is
+    /// bit-identical to recording every step after a [`Tape::reset`].
     pub fn begin_step(&mut self) -> &mut Self {
         self.observe_step();
         match &mut self.plan {
@@ -451,33 +451,26 @@ impl Tape {
         self
     }
 
-    /// Freezes the recorded step into a compiled plan and enters
-    /// replay mode. Called from the step boundary following a fully
-    /// recorded step.
+    /// Enters replay mode over the recorded step; its backward plans
+    /// compile on first use. Called from the step boundary following a
+    /// fully recorded step.
     fn capture_plan(&mut self) {
-        let replay = crate::plan::Replay::capture(&self.nodes);
-        self.plan = PlanCtl::Replay(Box::new(replay));
+        self.plan = PlanCtl::Replay(crate::plan::Replay::default());
         self.captures += 1;
         if tsgb_obs::enabled() {
             tsgb_obs::counter_add("nn.plan.captures", 1);
         }
     }
 
-    /// Falls back from replay to recording: materializes the
-    /// already-matched prefix (so recording continues from correct
-    /// values), retires the stale suffix and all gradient buffers, and
-    /// drops the plan. The next [`Tape::begin_step`] re-captures.
+    /// Falls back from replay to recording: retires the stale suffix
+    /// and all gradient buffers, and drops the plan. The matched prefix
+    /// already holds this step's values, so recording continues from
+    /// it. The next [`Tape::begin_step`] re-captures.
     fn invalidate_replay(&mut self) {
         let PlanCtl::Replay(r) = std::mem::take(&mut self.plan) else {
             return;
         };
-        let (cursor, watermark) = (r.cursor, r.watermark);
-        for i in watermark..cursor {
-            if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
-            }
-        }
-        for node in self.nodes.drain(cursor..) {
+        for node in self.nodes.drain(r.cursor..) {
             self.pool.put(node.value);
         }
         for g in self.grads.drain(..).flatten() {
@@ -511,6 +504,19 @@ impl Tape {
         VarId(self.nodes.len() - 1)
     }
 
+    /// Computes node `i`'s value from its operands with
+    /// [`crate::plan::exec_node`]: the one forward path of a recorded
+    /// and a replayed op.
+    fn exec(&mut self, i: usize) -> VarId {
+        crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
+        debug_assert!(
+            self.nodes[i].value.all_finite(),
+            "non-finite value produced by {:?}",
+            self.nodes[i].op
+        );
+        VarId(i)
+    }
+
     /// Whether this tape is currently replaying a captured plan.
     fn replaying(&self) -> bool {
         matches!(self.plan, PlanCtl::Replay(_))
@@ -521,17 +527,18 @@ impl Tape {
     /// [`sig_match`], which treats the scalar payloads of `scale`,
     /// `add_scalar` and `leaky_relu` as per-step *feeds* and updates
     /// them in place rather than invalidating). On a match the cursor
-    /// advances and no compute happens (it is deferred to the plan run
-    /// inside [`Tape::backward`]). On any structural mismatch the plan
-    /// is dismantled (`None` is returned) and the caller falls through
-    /// to plain recording.
+    /// advances and the node is computed at once, as recording would
+    /// compute it, but into the captured buffer with no push. On any
+    /// structural mismatch the plan is dismantled (`None` is returned)
+    /// and the caller falls through to plain recording.
     fn replay_op(&mut self, same: impl FnOnce(&mut Op) -> bool) -> Option<VarId> {
         let PlanCtl::Replay(r) = &mut self.plan else {
             return None;
         };
-        if r.cursor < self.nodes.len() && same(&mut self.nodes[r.cursor].op) {
+        let i = r.cursor;
+        if i < self.nodes.len() && same(&mut self.nodes[i].op) {
             r.cursor += 1;
-            return Some(VarId(r.cursor - 1));
+            return Some(self.exec(i));
         }
         self.invalidate_replay();
         None
@@ -655,58 +662,27 @@ impl Tape {
         self.push(v, Op::Leaf(LeafKind::Filled(value)))
     }
 
-    /// The forward value of a node.
+    /// The forward value of a node, readable as soon as its op is
+    /// declared: recording and replay both compute each op as it is
+    /// declared.
     ///
-    /// During plan replay only *fresh* values may be read this way:
-    /// leaves already fed this step, nodes materialized by
-    /// [`Tape::eval`], or anything after [`Tape::backward`] has run
-    /// the plan. Reading a deferred (not yet computed) or fused-away
-    /// node panics — use [`Tape::eval`] for mid-graph reads and
-    /// [`Tape::shape`] for shape-only queries.
+    /// During plan replay the node must have been re-declared this
+    /// step; a later node's buffer still holds the previous step's
+    /// bits, so reading it panics. [`Tape::shape`] is always valid.
     pub fn value(&self, id: VarId) -> &Matrix {
         if let PlanCtl::Replay(r) = &self.plan {
-            let node = &self.nodes[id.0];
-            let fresh = if matches!(node.op, Op::Leaf(_)) {
-                id.0 < r.cursor
-            } else {
-                id.0 < r.watermark && !r.fwd.dead(id.0)
-            };
             assert!(
-                fresh,
-                "Tape::value({id:?}) during plan replay would read a stale \
-                 buffer; use Tape::eval for mid-graph reads or Tape::shape \
-                 for shapes"
+                id.0 < r.cursor,
+                "Tape::value({id:?}) of a node not yet re-declared this step"
             );
         }
         &self.nodes[id.0].value
     }
 
     /// The shape of a node's value. Always valid, even during plan
-    /// replay (shapes are frozen by the capture, values may be
-    /// deferred).
+    /// replay (shapes are frozen by the capture).
     pub fn shape(&self, id: VarId) -> (usize, usize) {
         self.nodes[id.0].value.shape()
-    }
-
-    /// The forward value of `id`, computing it on demand during plan
-    /// replay: every deferred node up to and including `id` is
-    /// materialized with the record-path kernels, so the returned
-    /// value is bit-identical to recording mode. Outside replay this
-    /// is exactly [`Tape::value`].
-    pub fn eval(&mut self, id: VarId) -> &Matrix {
-        if let PlanCtl::Replay(r) = &mut self.plan {
-            assert!(
-                id.0 < r.cursor,
-                "Tape::eval({id:?}) of a node not yet re-declared this step"
-            );
-            for i in r.watermark..=id.0 {
-                if !matches!(self.nodes[i].op, Op::Leaf(_)) {
-                    crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
-                }
-            }
-            r.watermark = r.watermark.max(id.0 + 1);
-        }
-        &self.nodes[id.0].value
     }
 
     /// The gradient of the last `backward` call w.r.t. node `id`,
@@ -737,10 +713,11 @@ impl Tape {
 
     // ---- forward ops -------------------------------------------------
 
-    /// Records `op`: during replay only its signature is checked;
-    /// otherwise `shape` runs the op's input checks and returns its
-    /// output shape, and the node is pushed with a pooled buffer that
-    /// [`crate::plan::exec_node`] fills — the same kernels replay runs.
+    /// Records `op`: during replay its signature is checked against
+    /// the captured node, which is then computed in place; otherwise
+    /// `shape` runs the op's input checks and returns its output shape,
+    /// and the node is pushed with a pooled buffer and computed the
+    /// same way.
     fn record(&mut self, op: Op, shape: impl FnOnce(&Self) -> (usize, usize)) -> VarId {
         if let Some(id) = self.replay_op(|rec| sig_match(rec, &op)) {
             return id;
@@ -748,14 +725,7 @@ impl Tape {
         let (r, c) = shape(self);
         let value = self.pool.take_uninit(r, c);
         self.nodes.push(Node { value, op });
-        let i = self.nodes.len() - 1;
-        crate::plan::exec_node(&mut self.nodes, i, &mut self.pool);
-        debug_assert!(
-            self.nodes[i].value.all_finite(),
-            "non-finite value produced by {:?}",
-            self.nodes[i].op
-        );
-        VarId(i)
+        self.exec(self.nodes.len() - 1)
     }
 
     /// [`Tape::record`] for an op over a parts list (`concat_rows`,
@@ -954,20 +924,6 @@ impl Tape {
         })
     }
 
-    /// Unfolds a `(T, C)` sequence into `(T, K*C)` same-padded
-    /// receptive fields; `matmul` with a `(K*C, C_out)` weight then
-    /// realizes a 1-D convolution.
-    pub fn im2col(&mut self, a: VarId, kernel: usize) -> VarId {
-        self.record(Op::Im2Col(a, kernel), |t| {
-            assert!(
-                kernel % 2 == 1,
-                "im2col expects an odd kernel for same padding"
-            );
-            let (t_len, c) = t.shape(a);
-            (t_len, kernel * c)
-        })
-    }
-
     /// Row-wise mean: `(R, C) -> (R, 1)`.
     pub fn row_mean(&mut self, a: VarId) -> VarId {
         self.record(Op::RowMean(a), |t| (t.shape(a).0, 1))
@@ -1068,8 +1024,8 @@ impl Tape {
     /// so those read as zero.
     ///
     /// A replaying tape whose whole step matched runs the compiled
-    /// plan. Otherwise this is the one-shot sweep
-    /// ([`crate::plan::sweep`]): the same per-op steps, with gradient
+    /// backward plan. Otherwise this is the one-shot sweep
+    /// (`plan::sweep`): the same per-op steps, with gradient
     /// accumulators and temporaries drawn from the pool and the
     /// matmul family accumulating in place through the `*_acc_into`
     /// kernels.
@@ -1091,7 +1047,7 @@ impl Tape {
                 else {
                     unreachable!("checked replay state above");
                 };
-                r.execute(nodes, grads, pool, loss.0);
+                r.backward(nodes, grads, pool, loss.0);
                 self.replays += 1;
                 if tsgb_obs::enabled() {
                     tsgb_obs::counter_add("nn.plan.replays", 1);
@@ -1229,17 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn im2col_forward_layout() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]).unwrap());
-        let u = t.im2col(x, 3);
-        // row 0: [pad, x0, x1] = [0, 1, 2]
-        assert_eq!(t.value(u).row(0), &[0.0, 1.0, 2.0]);
-        assert_eq!(t.value(u).row(1), &[1.0, 2.0, 3.0]);
-        assert_eq!(t.value(u).row(2), &[2.0, 3.0, 0.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "scalar (1x1) loss")]
     fn backward_requires_scalar() {
         let mut t = Tape::new();
@@ -1247,11 +1192,49 @@ mod tests {
         t.backward(x);
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `act(a)` as its own node.
+    fn activate(t: &mut Tape, a: VarId, act: FusedAct) -> VarId {
+        match act {
+            FusedAct::Identity => a,
+            FusedAct::Sigmoid => t.sigmoid(a),
+            FusedAct::Tanh => t.tanh(a),
+            FusedAct::Relu => t.relu(a),
+        }
+    }
+
+    /// `affine_act` against the graphs it fuses: `matmul`, then
+    /// `add_row_broadcast`, then the activation; and `affine`, then the
+    /// activation, the form a `Linear` head took before
+    /// `Linear::forward_act`. Each tape is stepped with `begin_step`
+    /// on a new `x` every step, so steps 2 and 3 replay, and the value
+    /// and `dx`, `dw`, `db` must agree bit for bit on every step.
     #[test]
     fn affine_matches_unfused_graph_bitwise() {
-        let x_m = Matrix::from_fn(3, 4, |r, c| (r as f64 + 1.0) * 0.3 - c as f64 * 0.7);
+        const STEPS: usize = 3;
+        let x_at = |step: usize| {
+            Matrix::from_fn(3, 4, |r, c| {
+                (r as f64 + 1.0) * 0.3 - c as f64 * 0.7 + step as f64 * 0.45
+            })
+        };
         let w_m = Matrix::from_fn(4, 2, |r, c| (r as f64 - 1.5) * (c as f64 + 0.5) * 0.11);
         let b_m = Matrix::from_vec(1, 2, vec![0.25, -0.75]).unwrap();
+        type Graph = fn(&mut Tape, [VarId; 3], FusedAct) -> VarId;
+        let graphs: [(&str, Graph); 3] = [
+            ("three nodes", |t, [x, w, b], act| {
+                let mm = t.matmul(x, w);
+                let aff = t.add_row_broadcast(mm, b);
+                activate(t, aff, act)
+            }),
+            ("two nodes", |t, [x, w, b], act| {
+                let aff = t.affine(x, w, b);
+                activate(t, aff, act)
+            }),
+            ("one node", |t, [x, w, b], act| t.affine_act(x, w, b, act)),
+        ];
 
         for act in [
             FusedAct::Identity,
@@ -1259,40 +1242,56 @@ mod tests {
             FusedAct::Tanh,
             FusedAct::Relu,
         ] {
-            // Unfused reference graph.
-            let mut t1 = Tape::new();
-            let (x1, w1, b1) = (
-                t1.leaf(x_m.clone()),
-                t1.leaf(w_m.clone()),
-                t1.leaf(b_m.clone()),
-            );
-            let mm = t1.matmul(x1, w1);
-            let aff = t1.add_row_broadcast(mm, b1);
-            let y1 = match act {
-                FusedAct::Identity => aff,
-                FusedAct::Sigmoid => t1.sigmoid(aff),
-                FusedAct::Tanh => t1.tanh(aff),
-                FusedAct::Relu => t1.relu(aff),
-            };
-            let l1 = t1.sum(y1);
-            t1.backward(l1);
-
-            // Fused graph.
-            let mut t2 = Tape::new();
-            let (x2, w2, b2) = (
-                t2.leaf(x_m.clone()),
-                t2.leaf(w_m.clone()),
-                t2.leaf(b_m.clone()),
-            );
-            let y2 = t2.affine_act(x2, w2, b2, act);
-            let l2 = t2.sum(y2);
-            t2.backward(l2);
-
-            assert_eq!(t1.value(y1), t2.value(y2), "{act:?} forward");
-            assert_eq!(t1.grad(x1), t2.grad(x2), "{act:?} dx");
-            assert_eq!(t1.grad(w1), t2.grad(w2), "{act:?} dw");
-            assert_eq!(t1.grad(b1), t2.grad(b2), "{act:?} db");
+            let mut tapes: [Tape; 3] = Default::default();
+            for step in 0..STEPS {
+                let x_m = x_at(step);
+                let seen: Vec<[Vec<u64>; 4]> = tapes
+                    .iter_mut()
+                    .zip(graphs)
+                    .map(|(tape, (_, graph))| {
+                        let t = tape.begin_step();
+                        let leaves = [&x_m, &w_m, &b_m].map(|m| t.leaf_copy(m));
+                        let y = graph(t, leaves, act);
+                        let sq = t.square(y);
+                        let l = t.sum(sq);
+                        t.backward(l);
+                        let [x, w, b] = leaves.map(|v| bits(&t.grad(v)));
+                        [bits(t.value(y)), x, w, b]
+                    })
+                    .collect();
+                for ((name, _), other) in graphs.iter().zip(&seen).skip(1) {
+                    for (k, what) in ["forward", "dx", "dw", "db"].into_iter().enumerate() {
+                        assert!(
+                            other[k] == seen[0][k],
+                            "{act:?} step {step}: {name} {what} differs from three nodes"
+                        );
+                    }
+                }
+            }
+            for (tape, (name, _)) in tapes.iter().zip(graphs) {
+                let want = (1, (STEPS - 1) as u64, 0);
+                assert_eq!(tape.plan_stats(), want, "{act:?}: {name} counters");
+            }
         }
+    }
+
+    /// A replayed step computes each op as it is declared, so a node
+    /// the step has not declared yet holds the previous step's bits,
+    /// and reading it must fail rather than return them.
+    #[test]
+    #[should_panic(expected = "of a node not yet re-declared this step")]
+    fn value_of_a_node_not_yet_redeclared_panics() {
+        let mut tape = Tape::new();
+        let t = tape.begin_step();
+        let x = t.leaf(Matrix::full(2, 2, 0.5));
+        let y = t.square(x);
+        let l = t.sum(y);
+        t.backward(l);
+        // The boundary captures the step; x is re-declared, y is not.
+        let t = tape.begin_step();
+        let x = t.leaf(Matrix::full(2, 2, 0.25));
+        assert_eq!(t.value(x)[(0, 0)], 0.25);
+        let _ = t.value(y);
     }
 
     #[test]

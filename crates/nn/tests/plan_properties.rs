@@ -317,17 +317,18 @@ fn nodes_that_depend_on_no_trainable_leaf_get_no_gradient_slot() {
 }
 
 /// The two-player step shape: a generator's forward pass recorded on
-/// one tape, its output read with `eval` and copied as a constant onto
-/// a second tape that trains a head on it, then more leaves bound and
-/// ops recorded on the first tape before its `backward`. Stepping both
-/// tapes with `begin_step` must match a fresh pair of tapes per step
-/// bit for bit — the generator output, both heads' gradients and the
-/// generator's — and each recycled tape must capture once and replay
-/// every later step. The recurrent GEMM (8 x 32 x 32) runs on the
-/// register tile, so replay's transpose cache meets `eval`'s plain
-/// kernels and the one-shot sweep's `matmul_t`.
+/// one tape, its output read mid-step with `Tape::value` and copied as
+/// a constant onto a second tape that trains a head on it, then more
+/// leaves bound and ops recorded on the first tape before its
+/// `backward`. A replayed op computes as it is declared, so the read
+/// sees this step's bits. Stepping both tapes with `begin_step` must
+/// match a fresh pair of tapes per step bit for bit — the generator
+/// output, both heads' gradients and the generator's — and each
+/// recycled tape must capture once and replay every later step. The
+/// recurrent GEMM (8 x 32 x 32) runs on the register tile, so replay's
+/// transpose cache meets the one-shot sweep's `matmul_t`.
 #[test]
-fn eval_mid_step_feeds_a_second_tape_bitwise() {
+fn value_read_mid_step_feeds_a_second_tape_bitwise() {
     const STEPS: usize = 6;
     let (batch, features, hidden) = (8, 3, 32);
     let data = make_steps(STEPS, |_| 5, |_| batch, features);
@@ -357,7 +358,7 @@ fn eval_mid_step_feeds_a_second_tape_bitwise() {
 
             let t = d_tape.begin_step();
             let db = d_p.bind(t);
-            let f = t.constant_copy(g.eval(fake));
+            let f = t.constant_copy(g.value(fake));
             let pred = d_head.forward(t, &db, f);
             let d_loss = loss::mse_mean(t, pred, target);
             t.backward(d_loss);

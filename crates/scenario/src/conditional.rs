@@ -1,5 +1,5 @@
 //! The conditional task family: class-conditioned sampling through
-//! the [`ConditionalSample`] capability.
+//! the [`ConditionalSample`](tsgb_methods::ConditionalSample) capability.
 //!
 //! The scenario asks a method for `per_class` windows of each of
 //! `classes` labels and scores three things: per-class fidelity to

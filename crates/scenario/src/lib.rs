@@ -16,8 +16,9 @@
 //!   draw (streamed chunks must concatenate to the exact one-shot
 //!   bits).
 //! * [`ConditionalScenario`] — class-conditioned sampling through the
-//!   [`ConditionalSample`] capability; scores per-class fidelity and
-//!   whether distinct classes actually separate.
+//!   [`ConditionalSample`](tsgb_methods::ConditionalSample)
+//!   capability; scores per-class fidelity and whether distinct classes
+//!   actually separate.
 //! * [`ImputationScenario`] — contiguous spans are masked out of the
 //!   reference ([`tsgb_data::mask::SpanMask`]); the generator's samples
 //!   infill the holes, scored with infill MAE and MMD-on-infill

@@ -12,8 +12,8 @@
 #         (streamed chunks from TimeVAE and RGAN, conditional identity,
 #         a non-finite condition rejected with 400, and the scenario
 #         engine end-to-end), a rustfmt check of the workspace
-#         (perfbench/ is a separate workspace and is not checked), and
-#         a warning-free clippy pass.
+#         (perfbench/ is a separate workspace and is not checked), a
+#         warning-free clippy pass, and a warning-free rustdoc pass.
 #
 #   scripts/verify.sh          # tier 1 + tier 2
 #   scripts/verify.sh --quick  # tier 1 only
@@ -183,6 +183,11 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> tier 2: cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    # an unresolved or private intra-doc link fails here, so a deleted
+    # item cannot leave a dangling link behind
+    echo "==> tier 2: cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 fi
 
 echo "verify: OK"
