@@ -99,7 +99,6 @@ fn main() {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),
             max_batch,
-            linger_ms: if max_batch == 1 { 0 } else { 5 },
             queue_cap: 256,
             ..ServeConfig::default()
         };
@@ -189,10 +188,6 @@ fn run_router_probe(ckpt: &[u8], workers: usize) -> Probe {
                 ROUTER_FWD_DELAY_MS.to_string(),
             ),
             ("TSGB_SERVE_BATCH".into(), ROUTER_WORKER_BATCH.to_string()),
-            // a short linger lets the second request of a pair arrive;
-            // with linger 0 the tier wastes whole fwd-delays on
-            // singleton passes and 2-worker scaling drops to ~1.6x
-            ("TSGB_SERVE_LINGER_MS".into(), "3".into()),
             ("TSGB_SERVE_QUEUE".into(), "256".into()),
         ],
         ..RouterConfig::default()

@@ -9,8 +9,12 @@
 //! column swapping every round. With no arguments it times the
 //! sub-threshold shapes the post-hoc GRU fits (batch 32, 5 features,
 //! hidden 8) and the smoke grid's GANs (batch 24, hidden 8 and 16)
-//! run, where the default is the in-place register tile on an
-//! AVX-512F CPU.
+//! run, and products above the threshold that fit one row panel: the
+//! served TimeVAE's decode (`l = 256`, 4 features, hidden 192) on a
+//! fused batch of 2 windows, and batches of 3 and 8 rows against a
+//! 192 x 1024 weight. On an AVX-512F CPU the default for all of them
+//! is the in-place register tile, except `matmul_t` above the
+//! threshold, which packs.
 
 use std::time::Instant;
 use tsgb_linalg::gemm::{with_gemm_mode, GemmMode};
@@ -18,7 +22,18 @@ use tsgb_linalg::rng::{randn_matrix, seeded};
 use tsgb_linalg::Matrix;
 
 const DEFAULT_SHAPES: &[&str] = &[
-    "32x5x8", "32x8x8", "32x8x5", "5x32x8", "8x32x8", "32x8x1", "24x8x16", "24x16x16", "24x16x1",
+    "32x5x8",
+    "32x8x8",
+    "32x8x5",
+    "5x32x8",
+    "8x32x8",
+    "32x8x1",
+    "24x8x16",
+    "24x16x16",
+    "24x16x1",
+    "2x384x1024",
+    "3x192x1024",
+    "8x192x1024",
 ];
 
 /// The two columns: the band kernels, then the default path.

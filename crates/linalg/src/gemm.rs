@@ -14,20 +14,26 @@
 //! # Dispatch
 //!
 //! `kernel_for` picks one kernel per product from its multiply work
-//! `m * n * k`, under the default [`GemmMode::Packed`]:
+//! `m * n * k` and its row count `m`, under the default
+//! [`GemmMode::Packed`]:
 //!
 //! * at or above [`PAR_WORK_THRESHOLD`], *pack* panels of `A` and `B`
 //!   into contiguous tile-major buffers, then drive the tile over the
-//!   panels (Goto-style; the row bands run in parallel);
-//! * below it, on a CPU with AVX-512F, run the tile on the operands in
+//!   panels (Goto-style; the row bands run in parallel). Not when `A`
+//!   fits one row panel (`m <= MR`) and the tile reads `B` in place
+//!   (`matmul`, `t_matmul`): the tile then streams `B` once either
+//!   way, so packing would copy all of `B` for no reuse. `matmul_t`
+//!   packs at any `m`, since its tile reads `B` through a transposed
+//!   copy, whose strided writes cost more than packing;
+//! * otherwise, on a CPU with AVX-512F, run the tile on the operands in
 //!   place: `A` through its row and column strides (so `t_matmul`
 //!   reads `aᵀ` without copying it), `B` by its rows, `k` in blocks of
 //!   16 so `B`'s rows stream through the cache. `matmul_t` first
 //!   transposes its `B` into a per-thread buffer, an exact copy, and
 //!   with one output column runs the band kernel instead (a tile
-//!   filling one lane loses to its dot products). At these sizes
-//!   packing would cost more than the kernel saves;
-//! * below it on any other CPU, the band kernels.
+//!   filling one lane loses to its dot products). Below the
+//!   threshold packing would cost more than the kernel saves;
+//! * otherwise on any other CPU, the band kernels.
 //!
 //! [`GemmMode::Band`] (set through [`with_gemm_mode`]) forces the band
 //! kernels everywhere: tests and benches compare the tile against them.
@@ -92,8 +98,9 @@ pub const KC: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmMode {
     /// The default: the register tile, over packed panels at and above
-    /// [`PAR_WORK_THRESHOLD`] and on the operands in place below it
-    /// (band kernels below it on a CPU without AVX-512F).
+    /// [`PAR_WORK_THRESHOLD`] (bar single-row-panel `matmul` and
+    /// `t_matmul`) and on the operands in place otherwise (band
+    /// kernels there on a CPU without AVX-512F).
     Packed,
     /// The original row-band kernels, at every size.
     Band,
@@ -142,13 +149,15 @@ pub(crate) enum Kernel {
 }
 
 /// The kernel for an `m x n x k` product (see the module docs): band
-/// when the mode says so, packed once the multiply work clears the
-/// threshold that also gates parallel dispatch, and below it the
-/// in-place tile wherever the CPU runs AVX-512F.
-pub(crate) fn kernel_for(m: usize, n: usize, k: usize) -> Kernel {
+/// when the mode says so; packed once the multiply work clears the
+/// threshold that also gates parallel dispatch, unless `A` fits one
+/// row panel and the tile reads `B` in place (`b_in_place`); and
+/// otherwise the in-place tile wherever the CPU runs AVX-512F.
+pub(crate) fn kernel_for(m: usize, n: usize, k: usize, b_in_place: bool) -> Kernel {
+    let one_panel = m <= MR && b_in_place;
     match gemm_mode() {
         GemmMode::Band => Kernel::Band,
-        GemmMode::Packed if m * n * k >= PAR_WORK_THRESHOLD => Kernel::Packed,
+        GemmMode::Packed if !one_panel && m * n * k >= PAR_WORK_THRESHOLD => Kernel::Packed,
         GemmMode::Packed if cpu_has_avx512() => Kernel::Tile,
         GemmMode::Packed => Kernel::Band,
     }

@@ -7,7 +7,8 @@
 //!
 //! The three products pick their kernel per call ([`crate::gemm`]): the
 //! AVX-512 register tile, over packed panels at and above
-//! [`PAR_WORK_THRESHOLD`] and on the operands in place below it, or the
+//! [`PAR_WORK_THRESHOLD`] (bar a single row panel that reads `rhs` in
+//! place) and on the operands in place otherwise, or the
 //! row-band kernels here on a CPU without AVX-512F (and whenever
 //! [`crate::gemm::with_gemm_mode`] forces them). The elementwise maps
 //! [`Matrix::map_inplace`], [`Matrix::map_into`] and
@@ -271,7 +272,7 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_acc_into output shape");
-        match crate::gemm::kernel_for(m, n, self.cols) {
+        match crate::gemm::kernel_for(m, n, self.cols, true) {
             Kernel::Packed => crate::gemm::matmul_packed(self, rhs, out),
             Kernel::Tile => crate::gemm::matmul_tile(self, rhs, out),
             Kernel::Band => dispatch_row_bands(m, n, self.cols, out.as_mut_slice(), |r0, band| {
@@ -300,7 +301,7 @@ impl Matrix {
         );
         let (m, n) = (self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "t_matmul_acc_into output shape");
-        match crate::gemm::kernel_for(m, n, self.rows) {
+        match crate::gemm::kernel_for(m, n, self.rows, true) {
             Kernel::Packed => crate::gemm::t_matmul_packed(self, rhs, out),
             Kernel::Tile => crate::gemm::t_matmul_tile(self, rhs, out),
             Kernel::Band => dispatch_row_bands(m, n, self.rows, out.as_mut_slice(), |r0, band| {
@@ -329,7 +330,7 @@ impl Matrix {
         );
         let (m, n) = (self.rows, rhs.rows);
         assert_eq!(out.shape(), (m, n), "matmul_t_acc_into output shape");
-        match crate::gemm::kernel_for(m, n, self.cols) {
+        match crate::gemm::kernel_for(m, n, self.cols, false) {
             Kernel::Packed => crate::gemm::matmul_t_packed(self, rhs, out),
             // One output column is a matrix-vector product: the band
             // kernel's dot products beat a tile that fills one lane.

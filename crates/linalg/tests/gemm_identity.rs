@@ -60,6 +60,12 @@ fn ragged_shapes() -> Vec<(usize, usize, usize)> {
         (3, 1, 1),
         (21, 9, 1),
         (9, 17, 33),
+        // above the threshold within one row panel, where `matmul`
+        // and `t_matmul` run the in-place tile (the first is a served
+        // TimeVAE decode of two windows)
+        (2, 1024, 384),
+        (3, 1024, 192),
+        (8, 1024, 192),
         // empty operands, k past the in-place k-block
         (0, 7, 20),
         (6, 0, 20),

@@ -197,7 +197,7 @@ impl TsgMethod for AecGan {
                 let t = d_tape.begin_step();
                 let db = nets.d_params.bind(t);
                 let fake = copy_fakes(g, &fake, t);
-                let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
+                let real: Vec<VarId> = real_steps.iter().map(|m| t.constant_copy(m)).collect();
                 let rl = discriminate(&nets, t, &db, &real, batch);
                 let fl = discriminate(&nets, t, &db, &fake, batch);
                 let d_loss = loss::gan_discriminator_loss(t, rl, fl);

@@ -200,7 +200,7 @@ impl TsgMethod for CosciGan {
             let g = g_tape.begin_step();
             let g_bindings: Vec<Binding> =
                 nets.channels.iter().map(|ch| ch.g_params.bind(g)).collect();
-            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant(z.clone())).collect();
+            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant_copy(z)).collect();
             let per_ch: Vec<Vec<VarId>> = nets
                 .channels
                 .iter()
@@ -231,7 +231,7 @@ impl TsgMethod for CosciGan {
                 let t = cd_tape.begin_step();
                 let cb = nets.central_params.bind(t);
                 let fake_flat = t.constant(flatten_values(g, &per_ch, batch));
-                let real_var = t.constant(real_flat.clone());
+                let real_var = t.constant_copy(&real_flat);
                 let rl = nets.central.forward(t, &cb, real_var);
                 let fl = nets.central.forward(t, &cb, fake_flat);
                 let cd_loss = loss::gan_discriminator_loss(t, rl, fl);

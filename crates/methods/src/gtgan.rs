@@ -188,7 +188,7 @@ impl TsgMethod for GtGan {
                 let t = d_tape.begin_step();
                 let db = nets.d_params.bind(t);
                 let fake = copy_fakes(g, &fake, t);
-                let real: Vec<VarId> = real_steps.iter().map(|m| t.constant(m.clone())).collect();
+                let real: Vec<VarId> = real_steps.iter().map(|m| t.constant_copy(m)).collect();
                 let rl = self.discriminate(&nets, t, &db, &real, batch);
                 let fl = self.discriminate(&nets, t, &db, &fake, batch);
                 let d_loss = loss::gan_discriminator_loss(t, rl, fl);

@@ -199,7 +199,7 @@ impl TsgMethod for Ls4 {
             let steps = gather_step_matrices(train, &idx);
             let t = tape.begin_step();
             let b = nets.params.bind(t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            let xs: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
             let (h1, _) = nets.enc1.run(t, &b, &xs, batch, None);
             let (_, last) = nets.enc2.run(t, &b, &h1, batch, None);
             let mu = nets.mu_head.forward(t, &b, last);

@@ -161,7 +161,7 @@ impl TsgMethod for RtsGan {
             let steps = gather_step_matrices(train, &idx);
             let t = ae_tape.begin_step();
             let ab = nets.ae_params.bind(t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            let xs: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
             let z = encode(&nets, t, &ab, &xs, idx.len());
             let xh = decode(&nets, t, &ab, z, l, idx.len());
             let xh_cat = t.concat_rows(&xh);
@@ -186,7 +186,7 @@ impl TsgMethod for RtsGan {
                 let ab = nets.ae_params.bind_frozen(t);
                 let gb = nets.gen_params.bind_frozen(t);
                 let cb = nets.critic_params.bind(t);
-                let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+                let xs: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
                 let z_real = encode(&nets, t, &ab, &xs, idx.len());
                 let noise_m = noise(idx.len(), nets.noise_dim, rng);
                 let nz = t.constant(noise_m);

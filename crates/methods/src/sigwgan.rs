@@ -160,7 +160,7 @@ impl TsgMethod for SigWgan {
             // batch-mean signature: (1, sig_dim)
             let avg_row = t.constant(Matrix::full(1, batch, 1.0 / batch as f64));
             let mean_sig = t.matmul(avg_row, sig);
-            let tgt = t.constant(target_m.clone());
+            let tgt = t.constant_copy(&target_m);
             let diff = t.sub(mean_sig, tgt);
             let sq = t.square(diff);
             let loss = t.mean(sq);

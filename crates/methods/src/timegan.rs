@@ -201,7 +201,7 @@ impl TsgMethod for TimeGan {
             let steps = gather_step_matrices(train, &idx);
             let t = ae_tape.begin_step();
             let erb = nets.er_params.bind(t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            let xs: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
             let hs = nets.embedder.run(t, &erb, &xs, idx.len());
             let xh = nets.recovery.run(t, &erb, &hs, idx.len());
             let xh_cat = t.concat_rows(&xh);
@@ -229,7 +229,7 @@ impl TsgMethod for TimeGan {
             let t = s_tape.begin_step();
             let erb = nets.er_params.bind_frozen(t);
             let sb = nets.s_params.bind(t);
-            let xs: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+            let xs: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
             // E is frozen here, so S trains alone and the embeddings
             // carry no gradient
             let hs = nets.embedder.run(t, &erb, &xs, idx.len());
@@ -260,14 +260,14 @@ impl TsgMethod for TimeGan {
             // the generator's forward pass, once for both steps
             let g = g_tape.begin_step();
             let gb = nets.g_params.bind(g);
-            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant(z.clone())).collect();
+            let z_vars: Vec<VarId> = zs.iter().map(|z| g.constant_copy(z)).collect();
             let h_fake = nets.generator.run(g, &gb, &z_vars, batch);
 
             // the real minibatch's embedding, once for the D step and
             // the E/R refresh: E and R change only at the refresh
             let er = er_tape.begin_step();
             let erb = nets.er_params.bind(er);
-            let xs: Vec<VarId> = steps.iter().map(|m| er.constant(m.clone())).collect();
+            let xs: Vec<VarId> = steps.iter().map(|m| er.constant_copy(m)).collect();
             let h_real = nets.embedder.run(er, &erb, &xs, batch);
 
             // D step
@@ -302,7 +302,7 @@ impl TsgMethod for TimeGan {
                 let sup = t.mean(d2);
                 // moment matching on recovered series
                 let x_fake = nets.recovery.run(t, &erb, &h_fake, batch);
-                let xs_real: Vec<VarId> = steps.iter().map(|m| t.constant(m.clone())).collect();
+                let xs_real: Vec<VarId> = steps.iter().map(|m| t.constant_copy(m)).collect();
                 let mom = moment_loss(t, &x_fake, &xs_real);
                 let sup_s = t.scale(sup, 10.0);
                 let mom_s = t.scale(mom, 10.0);

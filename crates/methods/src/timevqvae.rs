@@ -127,7 +127,7 @@ impl BandVq {
     fn train_step(&mut self, x: &Matrix, opt: &mut Adam, tape: &mut Tape) -> (f64, Vec<usize>) {
         let t = tape.begin_step();
         let b = self.params.bind(t);
-        let xv = t.constant(x.clone());
+        let xv = t.constant_copy(x);
         let e = self.encoder.forward(t, &b, xv);
         let e_val = t.value(e).clone();
         let idx = self.nearest(&e_val);

@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn listen_line_parses() {
-        let line = "listening on http://127.0.0.1:40123 (max_batch 8, linger 2ms; f64 tier)\n";
+        let line = "listening on http://127.0.0.1:40123 (POST /generate, GET /models, GET /healthz, POST /shutdown)\n";
         assert_eq!(
             parse_listen_line(line),
             Some("127.0.0.1:40123".parse().unwrap())

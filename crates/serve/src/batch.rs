@@ -5,14 +5,11 @@
 //! Correctness rests on the `generate_batch` contract (bit-exact
 //! equivalence with one serial `generate` per request), so batching is
 //! *invisible* to clients: the response for `(n, seed)` is identical
-//! at every batch size. The worker lingers up to `linger_ms` after the
-//! first job arrives to let a batch fill, bounded by `max_batch` (both
-//! [`ServeConfig`] fields), but only when the previous batch had
-//! company: it held more than one job, or a job was already queued
-//! when its forward pass ended. A request that arrives alone is
-//! dispatched at once, so an idle server adds no linger to its
-//! latency, while under concurrent load every batch has company and
-//! coalesces as before.
+//! at every batch size. Batching is natural: whenever the worker is
+//! free it takes every queued job, up to `max_batch` (a
+//! [`ServeConfig`] field), and runs them at once. The jobs that queue
+//! during one forward pass form the next batch, so batches grow with
+//! the load, and no batch ever waits for a job that may not come.
 //!
 //! A panic in a model is isolated to the request that causes it. The
 //! fused forward pass runs under `catch_unwind`; when it panics, each
@@ -90,8 +87,7 @@ pub struct Batcher {
 
 impl Batcher {
     /// Spawns the worker thread for one model. It reads the batching
-    /// fields of `cfg`: `max_batch`, `linger_ms`, `queue_cap` and
-    /// `fwd_delay_ms`.
+    /// fields of `cfg`: `max_batch`, `queue_cap` and `fwd_delay_ms`.
     pub fn start(entry: Arc<ModelEntry>, cfg: ServeConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         let state = Arc::new(State {
@@ -173,8 +169,6 @@ impl Drop for Batcher {
 }
 
 fn worker_loop(state: &State) {
-    // whether the last batch had company; a lone job dispatches at once
-    let mut company = false;
     loop {
         let mut q = state.q.lock().expect("batch queue poisoned");
         while q.jobs.is_empty() && !q.draining {
@@ -182,25 +176,6 @@ fn worker_loop(state: &State) {
         }
         if q.jobs.is_empty() && q.draining {
             return;
-        }
-        // after a batch with company, linger to let this one fill
-        // (skipped when draining: the queue should flush)
-        if company && state.cfg.max_batch > 1 && state.cfg.linger_ms > 0 {
-            let fill_by = Instant::now() + Duration::from_millis(state.cfg.linger_ms);
-            while q.jobs.len() < state.cfg.max_batch && !q.draining {
-                let now = Instant::now();
-                if now >= fill_by {
-                    break;
-                }
-                let (qq, wait) = state
-                    .cv
-                    .wait_timeout(q, fill_by - now)
-                    .expect("batch queue poisoned");
-                q = qq;
-                if wait.timed_out() {
-                    break;
-                }
-            }
         }
         let take = q.jobs.len().min(state.cfg.max_batch);
         let batch: Vec<Job> = q.jobs.drain(..take).collect();
@@ -220,8 +195,6 @@ fn worker_loop(state: &State) {
         } else {
             forward(state, &live)
         };
-        let queued = state.q.lock().expect("batch queue poisoned").jobs.len();
-        company = take > 1 || queued > 0;
         for (job, outcome) in live.into_iter().zip(outcomes) {
             // a disconnected receiver just means the client went away
             let _ = job.tx.send(outcome);
@@ -299,7 +272,6 @@ mod tests {
     fn cfg(max_batch: usize, queue_cap: usize) -> ServeConfig {
         ServeConfig {
             max_batch,
-            linger_ms: 10,
             queue_cap,
             ..ServeConfig::default()
         }
@@ -408,34 +380,11 @@ mod tests {
         }
     }
 
-    fn linger_cfg(max_batch: usize, linger_ms: u64) -> ServeConfig {
-        ServeConfig {
-            max_batch,
-            linger_ms,
-            queue_cap: 32,
-            ..ServeConfig::default()
-        }
-    }
-
-    #[test]
-    fn lone_job_does_not_wait_out_the_linger() {
-        let entry = entry();
-        let b = Batcher::start(Arc::clone(&entry), linger_cfg(8, 500));
-        for seed in [3, 4] {
-            let started = Instant::now();
-            let rx = b.submit(GenSpec { n: 1, seed }, None).unwrap();
-            assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
-            let waited = started.elapsed();
-            assert!(
-                waited < Duration::from_millis(250),
-                "a lone job took {waited:?} under a 500 ms linger"
-            );
-        }
-        b.drain();
-    }
-
-    #[test]
-    fn burst_after_a_coalesced_batch_still_coalesces() {
+    /// A [`Recorder`] batcher (`max_batch` 4) that has run one lone
+    /// job and then one coalesced batch: the lone job is held in its
+    /// forward pass while four more queue behind it, and the worker,
+    /// once free, takes all four. Returns the batcher and its batch log.
+    fn after_a_coalesced_batch() -> (Batcher, Arc<Mutex<Vec<usize>>>) {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
@@ -452,32 +401,45 @@ mod tests {
             },
             model: Box::new(model),
         });
-        let b = Batcher::start(entry, linger_cfg(4, 500));
+        let b = Batcher::start(entry, cfg(4, 32));
         let submit = |seed| b.submit(GenSpec { n: 1, seed }, None).unwrap();
-        let finish = |rxs: Vec<mpsc::Receiver<JobOutcome>>| {
-            for rx in rxs {
-                assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
-            }
-        };
-
-        // a lone job goes at once; four more queue behind its forward
-        // pass, so the next batch has company and takes all four
         let first = submit(0);
         entered.recv().unwrap();
         let queued: Vec<_> = (1..5).map(submit).collect();
         release.send(()).unwrap();
-        finish(vec![first]);
-        finish(queued);
+        for rx in std::iter::once(first).chain(queued) {
+            assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
+        }
+        assert_eq!(*batches.lock().unwrap(), vec![1, 4]);
+        (b, batches)
+    }
 
-        // a burst just after that coalesced batch lingers and coalesces
-        let burst: Vec<_> = (5..9)
-            .map(|seed| {
-                std::thread::sleep(Duration::from_millis(5));
-                submit(seed)
-            })
-            .collect();
-        finish(burst);
+    /// Submits one job, waits for it, and returns how long that took.
+    fn run_alone(b: &Batcher, seed: u64) -> Duration {
+        let started = Instant::now();
+        let rx = b.submit(GenSpec { n: 1, seed }, None).unwrap();
+        assert!(matches!(rx.recv().unwrap(), JobOutcome::Done(_)));
+        started.elapsed()
+    }
+
+    #[test]
+    fn job_after_a_coalesced_batch_runs_at_once() {
+        let (b, _) = after_a_coalesced_batch();
+        let waited = run_alone(&b, 5);
+        assert!(
+            waited < Duration::from_millis(250),
+            "a job submitted after a coalesced batch took {waited:?}"
+        );
         b.drain();
-        assert_eq!(*batches.lock().unwrap(), vec![1, 4, 4]);
+    }
+
+    #[test]
+    fn queued_jobs_coalesce_and_lone_jobs_run_alone() {
+        let (b, batches) = after_a_coalesced_batch();
+        for seed in 5..9 {
+            run_alone(&b, seed);
+        }
+        b.drain();
+        assert_eq!(*batches.lock().unwrap(), vec![1, 4, 1, 1, 1, 1]);
     }
 }

@@ -57,7 +57,6 @@
 //! | env variable           | default          | meaning                         |
 //! |------------------------|------------------|---------------------------------|
 //! | `TSGB_SERVE_BATCH`     | `8`              | max requests fused per batch    |
-//! | `TSGB_SERVE_LINGER_MS` | `2`              | most a batch waits to fill, after a batch that had company |
 //! | `TSGB_SERVE_QUEUE`     | `64`             | per-model pending-queue bound   |
 //! | `TSGB_SERVE_FWD_DELAY_MS` | `0`           | fault injection: sleep before every fused forward pass |
 //!
@@ -85,13 +84,10 @@ pub use server::Server;
 pub struct ServeConfig {
     /// Bind address (`host:port`; port `0` picks an ephemeral port).
     pub addr: String,
-    /// Most requests fused into one batched forward pass.
+    /// Most requests fused into one batched forward pass. A free
+    /// worker takes every queued request up to this many at once and
+    /// never waits for more (see [`batch`]).
     pub max_batch: usize,
-    /// The longest the batch worker waits for a batch to fill after
-    /// its first request arrives (milliseconds). It waits only when the
-    /// previous batch had company (see [`batch`]); a lone request is
-    /// dispatched at once.
-    pub linger_ms: u64,
     /// Bounded per-model pending-queue capacity; beyond it requests
     /// are rejected with `503`.
     pub queue_cap: usize,
@@ -106,7 +102,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".into(),
             max_batch: 8,
-            linger_ms: 2,
             queue_cap: 64,
             fwd_delay_ms: 0,
         }
@@ -121,7 +116,6 @@ impl ServeConfig {
         let d = Self::default();
         Self {
             max_batch: env_parse("TSGB_SERVE_BATCH", d.max_batch).max(1),
-            linger_ms: env_parse("TSGB_SERVE_LINGER_MS", d.linger_ms),
             queue_cap: env_parse("TSGB_SERVE_QUEUE", d.queue_cap),
             fwd_delay_ms: env_parse("TSGB_SERVE_FWD_DELAY_MS", d.fwd_delay_ms),
             ..d
@@ -145,7 +139,6 @@ mod tests {
         let c = ServeConfig::default();
         assert_eq!(c.addr, "127.0.0.1:7878");
         assert_eq!(c.max_batch, 8);
-        assert_eq!(c.linger_ms, 2);
         assert_eq!(c.queue_cap, 64);
         assert_eq!(c.fwd_delay_ms, 0, "fault injection must be off by default");
     }

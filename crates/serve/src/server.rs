@@ -88,7 +88,6 @@ struct Worker {
 }
 
 struct Shared {
-    cfg: ServeConfig,
     workers: BTreeMap<String, Worker>,
     lifecycle: Arc<Lifecycle>,
 }
@@ -115,7 +114,6 @@ impl Server {
             })
             .collect();
         let shared = Arc::new(Shared {
-            cfg,
             workers,
             lifecycle: Arc::new(Lifecycle::new()),
         });
@@ -378,8 +376,7 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         .submit(spec, g.deadline)
         .map_err(|e| match e {
             SubmitError::QueueFull { depth } => {
-                let secs = (shared.cfg.linger_ms * 2).div_ceil(1000).max(1);
-                HttpError::overloaded(format!("queue full ({depth} pending)"), secs)
+                HttpError::overloaded(format!("queue full ({depth} pending)"), 1)
             }
             SubmitError::Draining => HttpError::overloaded("server is draining", 1),
         })?;

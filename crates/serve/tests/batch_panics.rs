@@ -125,7 +125,6 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
         max_batch: 1,
-        linger_ms: 0,
         ..ServeConfig::default()
     };
     let server = Server::start(plain, cfg).unwrap();
@@ -161,7 +160,6 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
         max_batch: 4,
-        linger_ms: 200,
         ..ServeConfig::default()
     };
     let server = Server::start(faulty, cfg).unwrap();

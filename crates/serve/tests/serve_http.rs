@@ -19,11 +19,10 @@ use tsgb_wire::Json;
 
 // ---------------------------------------------------------------- helpers
 
-fn ephemeral(max_batch: usize, linger_ms: u64, queue_cap: usize) -> ServeConfig {
+fn ephemeral(max_batch: usize, queue_cap: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         max_batch,
-        linger_ms,
         queue_cap,
         ..ServeConfig::default()
     }
@@ -155,7 +154,7 @@ fn generate_body(model: &str, n: usize, seed: u64) -> String {
 #[test]
 fn smoke_healthz_models_generate_shutdown() {
     tsgb_obs::set_enabled(true);
-    let server = Server::start(vae_registry(), ephemeral(8, 2, 64)).unwrap();
+    let server = Server::start(vae_registry(), ephemeral(8, 64)).unwrap();
     let addr = server.addr();
 
     let (status, _, body) = get(addr, "/healthz");
@@ -212,7 +211,7 @@ fn smoke_healthz_models_generate_shutdown() {
 
 #[test]
 fn keep_alive_serves_multiple_requests_per_connection() {
-    let server = Server::start(vae_registry(), ephemeral(4, 1, 16)).unwrap();
+    let server = Server::start(vae_registry(), ephemeral(4, 16)).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     for seed in [1u64, 2, 3] {
         let body = generate_body("vae", 1, seed);
@@ -234,7 +233,7 @@ fn keep_alive_serves_multiple_requests_per_connection() {
 
 #[test]
 fn structured_errors_cover_the_4xx_space() {
-    let server = Server::start(vae_registry(), ephemeral(4, 1, 16)).unwrap();
+    let server = Server::start(vae_registry(), ephemeral(4, 16)).unwrap();
     let addr = server.addr();
     let code = |body: &str| {
         Json::parse(body)
@@ -270,7 +269,7 @@ fn malformed_wire_input_gets_a_structured_400() {
     // not-HTTP bytes on the socket must be answered with the same
     // structured error shape as application-level 4xx, then closed —
     // the wire layer's Malformed contract, observed end to end
-    let server = Server::start(vae_registry(), ephemeral(4, 1, 16)).unwrap();
+    let server = Server::start(vae_registry(), ephemeral(4, 16)).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.write_all(b"NOT-HTTP ???\r\ncontent-length: banana\r\n\r\n")
         .unwrap();
@@ -291,7 +290,7 @@ fn malformed_wire_input_gets_a_structured_400() {
 fn full_queue_rejects_503_with_retry_after() {
     // queue capacity 0: every generate bounces synchronously, which
     // makes the rejection deterministic
-    let server = Server::start(slow_registry(50), ephemeral(1, 0, 0)).unwrap();
+    let server = Server::start(slow_registry(50), ephemeral(1, 0)).unwrap();
     let (status, headers, body) = post(server.addr(), "/generate", &generate_body("slow", 1, 1));
     assert_eq!(status, 503, "{body}");
     let err = Json::parse(&body).unwrap();
@@ -312,7 +311,7 @@ fn full_queue_rejects_503_with_retry_after() {
 fn queued_past_deadline_rejects_504() {
     // worker busy ~300ms with the first request; the second carries a
     // 50ms deadline and must expire in the queue
-    let server = Server::start(slow_registry(300), ephemeral(1, 0, 8)).unwrap();
+    let server = Server::start(slow_registry(300), ephemeral(1, 8)).unwrap();
     let addr = server.addr();
     let first = std::thread::spawn(move || post(addr, "/generate", &generate_body("slow", 1, 1)));
     std::thread::sleep(Duration::from_millis(60));
@@ -339,7 +338,7 @@ fn queued_past_deadline_rejects_504() {
 
 #[test]
 fn graceful_shutdown_completes_in_flight_requests() {
-    let server = Server::start(slow_registry(300), ephemeral(1, 0, 8)).unwrap();
+    let server = Server::start(slow_registry(300), ephemeral(1, 8)).unwrap();
     let addr = server.addr();
     let in_flight =
         std::thread::spawn(move || post(addr, "/generate", &generate_body("slow", 2, 7)));
@@ -373,7 +372,7 @@ fn batched_responses_are_bit_identical_to_serial() {
     let seeds: Vec<u64> = (0..8).collect();
 
     // serial reference: batching disabled
-    let serial_server = Server::start(vae_registry(), ephemeral(1, 0, 64)).unwrap();
+    let serial_server = Server::start(vae_registry(), ephemeral(1, 64)).unwrap();
     let serial_addr = serial_server.addr();
     let serial: Vec<String> = seeds
         .iter()
@@ -385,8 +384,13 @@ fn batched_responses_are_bit_identical_to_serial() {
         .collect();
     serial_server.shutdown();
 
-    // batched: long linger so concurrent requests coalesce
-    let batched_server = Server::start(vae_registry(), ephemeral(8, 40, 64)).unwrap();
+    // batched: a 40 ms forward delay holds the worker while the other
+    // requests queue, so they coalesce
+    let batched_cfg = ServeConfig {
+        fwd_delay_ms: 40,
+        ..ephemeral(8, 64)
+    };
+    let batched_server = Server::start(vae_registry(), batched_cfg).unwrap();
     let batched_addr = batched_server.addr();
     let handles: Vec<_> = seeds
         .iter()

@@ -93,8 +93,8 @@ scenario output: one JSON object per line,
 
 Every command rejects a flag its options list does not name.
 
-serve also reads TSGB_SERVE_BATCH / TSGB_SERVE_LINGER_MS /
-TSGB_SERVE_QUEUE from the environment (route's workers inherit them);
+serve also reads TSGB_SERVE_BATCH / TSGB_SERVE_QUEUE from the
+environment (route's workers inherit them);
 scenario runs each family at its default task sizes and honors
 TSGB_EVAL_CACHE for the imputation measures.";
 
