@@ -394,7 +394,7 @@ pub fn decode_conditioned(
 ///
 /// `Send + Sync` is part of the contract: methods hold only owned
 /// numeric state after `fit`, so a trained model can be shared across
-/// the serving worker threads of `tsgb-serve`.
+/// the connection threads of `tsgb-serve`, which run its batches.
 pub trait TsgMethod: Send + Sync {
     /// The registry id.
     fn id(&self) -> MethodId;

@@ -22,12 +22,17 @@
 //!   costs a forward pass.
 //! * **Shutdown is graceful.** Draining completes every accepted
 //!   request; zero in-flight requests are dropped.
-//! * **A model panic fails one request.** The batch worker catches it,
+//! * **A model panic fails one request.** The batcher catches it,
 //!   re-runs the rest of the batch alone, answers the failing request
 //!   with `500`, and keeps serving (see [`batch`]). A panic on a
 //!   connection thread (a conditional draw, a stream sampler) is
 //!   caught there and closes only that connection
 //!   ([`tsgb_wire::server::handle_connection`]).
+//! * **No thread per model.** A batch runs on the connection thread
+//!   of one of its requests: a request to an idle model runs at once
+//!   on its own thread, and the requests that queue behind a running
+//!   batch run as the next one on the thread of the oldest (see
+//!   [`batch`]).
 //!
 //! Everything is `std`-only: the HTTP layer sits on
 //! `std::net::TcpListener`, and the wire format is a hand-rolled JSON
@@ -84,9 +89,9 @@ pub use server::Server;
 pub struct ServeConfig {
     /// Bind address (`host:port`; port `0` picks an ephemeral port).
     pub addr: String,
-    /// Most requests fused into one batched forward pass. A free
-    /// worker takes every queued request up to this many at once and
-    /// never waits for more (see [`batch`]).
+    /// Most requests fused into one batched forward pass. When a batch
+    /// ends, the next one takes every queued request up to this many at
+    /// once and never waits for more (see [`batch`]).
     pub max_batch: usize,
     /// Bounded per-model pending-queue capacity; beyond it requests
     /// are rejected with `503`.

@@ -4,8 +4,8 @@
 //!
 //! A registry entry is immutable after registration — `generate` is
 //! `&self` and every method is `Send + Sync` — so one `Arc<ModelEntry>`
-//! is shared by the batching worker and any introspection endpoint
-//! without locking.
+//! is shared by the connection threads that run its batches and any
+//! introspection endpoint without locking.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -1,8 +1,10 @@
 //! The HTTP server: a `TcpListener` accept loop, one handler thread
-//! per connection, per-model batching workers, and a graceful
-//! drain-on-shutdown protocol. The accept/connection mechanics and
-//! the drain lifecycle live in [`tsgb_wire::server`], shared with the
-//! router so the two processes cannot drift on drain semantics.
+//! per connection, a per-model batcher whose batches run on those
+//! handler threads, and a graceful drain-on-shutdown protocol. The
+//! accept/connection mechanics and the drain lifecycle live in
+//! [`tsgb_wire::server`], shared with the router so the two processes
+//! cannot drift on drain semantics. Response floats are written by
+//! [`tsgb_wire::json::write_num`], the codec's own writer.
 //!
 //! ## Endpoints
 //!
@@ -46,11 +48,11 @@
 //! [`Server::shutdown`] (1) sets the draining flag so handler loops
 //! stop picking up *new* requests and submits are rejected with 503,
 //! (2) wakes the blocking `accept` with a loopback connection and
-//! joins the accept thread, (3) drains every batcher — each job
-//! already accepted is executed (or expired by its own deadline) and
-//! its response delivered — and (4) waits for the active-connection
-//! count to reach zero. The observable contract: zero in-flight
-//! requests are dropped.
+//! joins the accept thread, (3) drains every batcher — waits until each
+//! job already accepted has run (or expired by its own deadline) and
+//! been answered — and (4) waits for the active-connection count to
+//! reach zero, so each of those answers is written. The observable
+//! contract: zero in-flight requests are dropped.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,6 +62,7 @@ use std::time::{Duration, Instant};
 
 use tsgb_linalg::Tensor3;
 use tsgb_methods::common::{Condition, GenSpec};
+use tsgb_wire::json::write_num;
 use tsgb_wire::server::{spawn_accept_loop, Lifecycle, Reply, StreamProducer};
 use tsgb_wire::{HttpError, Json, Request};
 
@@ -82,13 +85,13 @@ const STREAM_CHUNK: usize = 8;
 /// the socket writer — the stream's backpressure window.
 const STREAM_INFLIGHT: usize = 2;
 
-struct Worker {
+struct Served {
     entry: Arc<ModelEntry>,
     batcher: Batcher,
 }
 
 struct Shared {
-    workers: BTreeMap<String, Worker>,
+    served: BTreeMap<String, Served>,
     lifecycle: Arc<Lifecycle>,
 }
 
@@ -100,21 +103,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr` (port 0 picks an ephemeral port), spawns one
-    /// batching worker per registered model, and starts accepting.
+    /// Binds `cfg.addr` (port 0 picks an ephemeral port), sets up one
+    /// batcher per registered model, and starts accepting.
     pub fn start(registry: Registry, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let workers: BTreeMap<String, Worker> = registry
+        let served: BTreeMap<String, Served> = registry
             .entries()
             .map(|entry| {
                 let entry = Arc::clone(entry);
-                let batcher = Batcher::start(Arc::clone(&entry), cfg.clone());
-                (entry.info.name.clone(), Worker { entry, batcher })
+                let batcher = Batcher::new(Arc::clone(&entry), cfg.clone());
+                (entry.info.name.clone(), Served { entry, batcher })
             })
             .collect();
         let shared = Arc::new(Shared {
-            workers,
+            served,
             lifecycle: Arc::new(Lifecycle::new()),
         });
         let handler_shared = Arc::clone(&shared);
@@ -157,8 +160,8 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for worker in self.shared.workers.values() {
-            worker.batcher.drain();
+        for served in self.shared.served.values() {
+            served.batcher.drain();
         }
         self.shared.lifecycle.wait_idle(DRAIN_WAIT);
     }
@@ -211,7 +214,7 @@ fn route(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
 }
 
 fn healthz(shared: &Shared) -> String {
-    let depth: usize = shared.workers.values().map(|w| w.batcher.depth()).sum();
+    let depth: usize = shared.served.values().map(|w| w.batcher.depth()).sum();
     Json::Obj(vec![
         (
             "status".into(),
@@ -221,7 +224,7 @@ fn healthz(shared: &Shared) -> String {
                 "ok".into()
             }),
         ),
-        ("models".into(), Json::Num(shared.workers.len() as f64)),
+        ("models".into(), Json::Num(shared.served.len() as f64)),
         ("queue_depth".into(), Json::Num(depth as f64)),
         ("pid".into(), Json::Num(std::process::id() as f64)),
     ])
@@ -230,7 +233,7 @@ fn healthz(shared: &Shared) -> String {
 
 fn models(shared: &Shared) -> String {
     let list = shared
-        .workers
+        .served
         .values()
         .map(|w| {
             let info = &w.entry.info;
@@ -247,7 +250,7 @@ fn models(shared: &Shared) -> String {
 
 /// The fields shared by `/generate` and `/generate/stream`.
 struct GenRequest<'a> {
-    worker: &'a Worker,
+    served: &'a Served,
     spec: GenSpec,
     deadline: Option<Instant>,
     body: Json,
@@ -261,7 +264,7 @@ fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest
         .get("model")
         .and_then(Json::as_str)
         .ok_or_else(|| HttpError::bad_request("missing string field \"model\""))?;
-    let worker = shared.workers.get(model_name).ok_or_else(|| {
+    let served = shared.served.get(model_name).ok_or_else(|| {
         HttpError::not_found(format!("unknown model {model_name:?} (see GET /models)"))
     })?;
     let n = body
@@ -292,7 +295,7 @@ fn parse_gen_request<'a>(req: &Request, shared: &'a Shared) -> Result<GenRequest
         return Err(HttpError::overloaded("server is draining", 1));
     }
     Ok(GenRequest {
-        worker,
+        served,
         spec: GenSpec { n, seed },
         deadline,
         body,
@@ -344,16 +347,16 @@ fn parse_condition(body: &Json) -> Result<Option<Condition>, HttpError> {
 
 fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let g = parse_gen_request(req, shared)?;
-    let (worker, spec) = (g.worker, g.spec);
-    let model_name = &worker.entry.info.name;
+    let (served, spec) = (g.served, g.spec);
+    let model_name = &served.entry.info.name;
 
     if let Some(cond) = parse_condition(&g.body)? {
         // conditional draws shape their noise per request, so they run
         // directly on the handler thread instead of the batcher
-        let Some(cs) = worker.entry.model.conditional() else {
+        let Some(cs) = served.entry.model.conditional() else {
             return Err(HttpError::bad_request(format!(
                 "model {model_name:?} ({}) does not support conditional generation",
-                worker.entry.info.method
+                served.entry.info.method
             )));
         };
         if g.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -365,13 +368,13 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
         let tensor = cs.generate_conditioned(spec.n, &cond, &mut spec.rng());
         return Ok(Reply::ok(render_samples(
             model_name,
-            worker.entry.info.method,
+            served.entry.info.method,
             spec,
             &tensor,
         )));
     }
 
-    let rx = worker
+    let outcome = served
         .batcher
         .submit(spec, g.deadline)
         .map_err(|e| match e {
@@ -380,20 +383,19 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
             }
             SubmitError::Draining => HttpError::overloaded("server is draining", 1),
         })?;
-    match rx.recv() {
-        Ok(JobOutcome::Done(tensor)) => Ok(Reply::ok(render_samples(
-            &worker.entry.info.name,
-            worker.entry.info.method,
+    match outcome {
+        JobOutcome::Done(tensor) => Ok(Reply::ok(render_samples(
+            &served.entry.info.name,
+            served.entry.info.method,
             spec,
             &tensor,
         ))),
-        Ok(JobOutcome::Expired) => Err(HttpError::deadline_exceeded(format!(
-            "deadline passed before the batch worker reached the request (model {model_name:?})"
+        JobOutcome::Expired => Err(HttpError::deadline_exceeded(format!(
+            "deadline passed before the request's batch ran (model {model_name:?})"
         ))),
-        Ok(JobOutcome::Failed) => Err(HttpError::internal(format!(
+        JobOutcome::Failed => Err(HttpError::internal(format!(
             "model {model_name:?} panicked while generating this request"
         ))),
-        Err(_) => Err(HttpError::internal("batch worker disconnected")),
     }
 }
 
@@ -429,7 +431,7 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     }
     tsgb_obs::counter_add("serve.stream.requests", 1);
 
-    let entry = Arc::clone(&g.worker.entry);
+    let entry = Arc::clone(&g.served.entry);
     let spec = g.spec;
     let deadline = g.deadline;
     let head = format!(
@@ -541,9 +543,10 @@ fn render_samples(name: &str, method: &str, spec: GenSpec, t: &Tensor3) -> Strin
 
 /// Renders the nested `[[[f,...],...],...]` sample array — shared by
 /// the one-shot body and the per-chunk stream frames, which is what
-/// keeps their float encodings byte-comparable.
+/// keeps their float encodings byte-comparable. Each float goes
+/// through [`write_num`], as in [`Json::encode`], so a non-finite
+/// sample renders as `null`.
 fn render_sample_array(t: &Tensor3, out: &mut String) {
-    use std::fmt::Write as _;
     let (r, l, f) = t.shape();
     out.push('[');
     for s in 0..r {
@@ -560,7 +563,7 @@ fn render_sample_array(t: &Tensor3, out: &mut String) {
                 if feat > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}", t.at(s, step, feat));
+                write_num(t.at(s, step, feat), out);
             }
             out.push(']');
         }

@@ -1,10 +1,11 @@
-//! Panic isolation in the batch worker, over a live listener. A model
-//! that panics on chosen seeds is served with batching on: the request
-//! that panics gets a structured `500`, the requests batched with it
-//! and every later request get bodies byte-identical to the same model
+//! Panic isolation in the batcher, over a live listener. A model that
+//! panics on chosen seeds is served with batching on: the request that
+//! panics gets a structured `500`, the requests batched with it and
+//! every later request get bodies byte-identical to the same model
 //! served without the fault, `serve.panics` counts the failed request,
-//! and the server still drains. This file holds one test, so no other
-//! test shares the process-wide metrics registry.
+//! every batch runs on a connection thread of one of its requests, and
+//! the server still drains. This file holds one test, so no other test
+//! shares the process-wide metrics registry.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -39,12 +40,16 @@ fn fitted_vae() -> Box<dyn TsgMethod> {
     m
 }
 
+/// The seeds of each batch the model ran, with the name of its thread.
+type BatchLog = Arc<Mutex<Vec<(Vec<u64>, String)>>>;
+
 /// A fitted TimeVAE whose batched generation panics whenever a batch
 /// holds the poisoned seed, and holds the lead seed's batch until the
-/// test releases it; it logs the seeds of every batch it gets.
+/// test releases it; it logs the seeds and the thread name of every
+/// batch it gets.
 struct Faulty {
     inner: Box<dyn TsgMethod>,
-    batches: Arc<Mutex<Vec<Vec<u64>>>>,
+    batches: BatchLog,
     gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
 }
 
@@ -65,7 +70,8 @@ impl TsgMethod for Faulty {
             entered.send(()).unwrap();
             release.recv().unwrap();
         }
-        self.batches.lock().unwrap().push(seeds);
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.batches.lock().unwrap().push((seeds, thread));
         if specs.iter().any(|s| s.seed == POISON) {
             panic!("injected fault on seed {POISON}");
         }
@@ -114,7 +120,7 @@ fn counter(name: &str) -> u64 {
 }
 
 #[test]
-fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
+fn a_panicking_request_gets_500_and_spares_its_batch_and_the_batcher() {
     tsgb_obs::set_enabled(true);
     let batched_seeds = [11, 12, POISON, 14];
     let later_seeds = [15, 16];
@@ -140,9 +146,9 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
         .collect();
     server.shutdown();
 
-    // the faulty model, batched: a lead request holds the worker in its
-    // forward pass until the four others are queued behind it, so they
-    // run as one fused batch that holds the poisoned seed
+    // the faulty model, batched: a lead request holds its forward pass
+    // until the four others are queued behind it, so they run as one
+    // fused batch that holds the poisoned seed
     let batches = Arc::new(Mutex::new(Vec::new()));
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
@@ -183,8 +189,14 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
 
     let batches = batches.lock().unwrap().clone();
     assert!(
-        batches.iter().any(|b| b.len() > 1 && b.contains(&POISON)),
+        batches
+            .iter()
+            .any(|(b, _)| b.len() > 1 && b.contains(&POISON)),
         "the poisoned request never shared a batch: {batches:?}"
+    );
+    assert!(
+        batches.iter().all(|(_, t)| t == "tsgb-serve-conn"),
+        "a batch ran off the connection threads: {batches:?}"
     );
     for (seed, (status, body)) in &got {
         if *seed == POISON {
@@ -199,6 +211,6 @@ fn a_panicking_request_gets_500_and_spares_its_batch_and_the_worker() {
         }
     }
     assert_eq!(counter("serve.panics"), 1);
-    // the worker is alive, and drain no longer meets a dead worker
+    // the batcher still serves, and drains
     server.shutdown();
 }

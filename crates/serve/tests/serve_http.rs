@@ -342,7 +342,7 @@ fn graceful_shutdown_completes_in_flight_requests() {
     let addr = server.addr();
     let in_flight =
         std::thread::spawn(move || post(addr, "/generate", &generate_body("slow", 2, 7)));
-    // let the request reach the worker before draining
+    // let the request reach its forward pass before draining
     std::thread::sleep(Duration::from_millis(80));
     server.shutdown();
     let (status, _, body) = in_flight.join().unwrap();
@@ -384,7 +384,7 @@ fn batched_responses_are_bit_identical_to_serial() {
         .collect();
     serial_server.shutdown();
 
-    // batched: a 40 ms forward delay holds the worker while the other
+    // batched: a 40 ms forward delay holds each batch while the other
     // requests queue, so they coalesce
     let batched_cfg = ServeConfig {
         fwd_delay_ms: 40,

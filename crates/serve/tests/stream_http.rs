@@ -2,8 +2,9 @@
 //! `/generate` over a live listener: streamed chunks reassemble to
 //! the exact one-shot response, frame metadata is consistent, the
 //! per-chunk deadline check ends a stream with an error object, a
-//! stream in flight survives a graceful drain, and the `condition`
-//! field routes (or 400s) correctly.
+//! stream in flight survives a graceful drain, the `condition`
+//! field routes (or 400s) correctly, and a non-finite sample renders
+//! as JSON `null` in both bodies.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -102,6 +103,40 @@ fn slow_registry(delay_ms: u64) -> Registry {
     )
     .unwrap();
     r
+}
+
+/// A stub whose every window is `[[NaN, inf], [-inf, 0.5]]`.
+struct NonFinite;
+
+/// The stub's window in render order.
+const NON_FINITE: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5];
+
+impl TsgMethod for NonFinite {
+    fn id(&self) -> MethodId {
+        MethodId::Rgan
+    }
+    fn fit(&mut self, _: &Tensor3, _: &TrainConfig, _: &mut SmallRng) -> TrainReport {
+        unreachable!("NonFinite is pre-fitted")
+    }
+    fn generate(&self, n: usize, _: &mut SmallRng) -> Tensor3 {
+        Tensor3::from_fn(n, 2, 2, |_, t, f| NON_FINITE[2 * t + f])
+    }
+    fn save(&self) -> Option<Vec<u8>> {
+        Some(SnapshotWriter::new(self.id(), 2, 2).finish())
+    }
+    fn load(&mut self, _: &[u8]) -> Result<(), PersistError> {
+        Ok(())
+    }
+}
+
+/// The numbers of a parsed sample array, in render order, with `None`
+/// for a `null`.
+fn sample_values(samples: &Json) -> Vec<Option<f64>> {
+    match samples {
+        Json::Arr(items) => items.iter().flat_map(sample_values).collect(),
+        Json::Null => vec![None],
+        other => vec![Some(other.as_f64().expect("a number or null"))],
+    }
 }
 
 /// Collects a whole chunked stream: returns (status, parsed frames).
@@ -326,5 +361,28 @@ fn conditional_generate_rejects_unsupported_models_and_bad_bodies() {
         assert_eq!(status, 400, "{bad}: {text}");
         assert!(text.contains("\"condition."), "{bad}: {text}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn non_finite_samples_render_as_null() {
+    let mut registry = Registry::new();
+    registry.insert("nan", Box::new(NonFinite)).unwrap();
+    let server = Server::start(registry, ephemeral()).unwrap();
+    let addr = server.addr();
+    let want: Vec<Option<f64>> = [None, None, None, Some(0.5)].repeat(3);
+
+    let (status, body) = one_shot(addr, "{\"model\":\"nan\",\"n\":3,\"seed\":1}");
+    assert_eq!(status, 200);
+    assert_eq!(sample_values(body.get("samples").unwrap()), want);
+
+    let (status, frames) = stream_frames(addr, "{\"model\":\"nan\",\"n\":3,\"chunk\":2}");
+    assert_eq!(status, 200);
+    let streamed: Vec<Option<f64>> = frames
+        .iter()
+        .filter_map(|f| f.get("samples"))
+        .flat_map(sample_values)
+        .collect();
+    assert_eq!(streamed, want);
     server.shutdown();
 }

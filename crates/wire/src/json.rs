@@ -5,11 +5,15 @@
 //! of RFC 8259 values into a [`Json`] tree and deterministic encoding
 //! back out. Object keys keep insertion order, numbers are `f64`
 //! (integers survive exactly up to 2^53, far beyond any request
-//! field), and `f64` encoding uses Rust's shortest-roundtrip `Display`
-//! so a value parses back bit-identically — which is what makes whole
-//! response *bodies* comparable byte-for-byte in the batching
-//! bit-identity tests.
+//! field), and [`write_num`] writes an `f64` byte for byte as Rust's
+//! shortest-roundtrip `Display` does, so a value parses back
+//! bit-identically — which is what makes whole response *bodies*
+//! comparable byte-for-byte in the batching bit-identity tests. It
+//! computes the digits of a generator's usual outputs with exact
+//! integer arithmetic, at under half the cost of going through
+//! `core::fmt`, which serving pays once per float of every response.
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -119,14 +123,162 @@ impl Json {
     }
 }
 
-/// Writes a number; non-finite values (which JSON cannot express)
-/// become `null`.
-fn write_num(x: f64, out: &mut String) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
+/// Appends `x` exactly as `Display` writes it (the fewest digits that
+/// parse back to `x`, never an exponent), or `null` when `x` is NaN or
+/// infinite, which JSON cannot express.
+///
+/// For |x| in [2^-19, 2^53), where a generator's outputs live, the
+/// digits come from exact integer arithmetic at under half the
+/// cost; anything else, and the rare exact tie that arithmetic leaves
+/// to `core`, goes through `write!`.
+pub fn write_num(x: f64, out: &mut String) {
+    if !x.is_finite() {
         out.push_str("null");
+    } else if !write_shortest(x, out) {
+        let _ = write!(out, "{x}");
     }
+}
+
+/// `10^i` for `i` in `0..=22`.
+const POW10: [u128; 23] = {
+    let mut p = [1u128; 23];
+    let mut i = 1;
+    while i < p.len() {
+        p[i] = p[i - 1] * 10;
+        i += 1;
+    }
+    p
+};
+
+/// Writes `x` as `Display` does when |x| is in [2^-19, 2^53), and
+/// returns `false`, having written nothing, for any other `x`.
+///
+/// `core`'s shortest mode (`flt2dec`) picks, among the decimals inside
+/// the rounding interval of `x`, those with the fewest digits, and of
+/// these the one nearest `x`. This does the same exactly: it scales
+/// |x| to 17 or 18 integer digits in `u128`, drops the last digit
+/// while the interval still holds a multiple of the next power of ten,
+/// and rounds |x| to the nearer multiple left inside. On an exact tie
+/// between the two it returns `false` too.
+fn write_shortest(x: f64, out: &mut String) -> bool {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i32 & 0x7ff;
+    if !(1004..=1075).contains(&biased) {
+        return false;
+    }
+    // |x| = m / 2^q, and 2^e <= |x| < 2^(e + 1)
+    let m = bits & ((1 << 52) - 1) | 1 << 52;
+    let q = (1075 - biased) as u32;
+    let e = biased - 1023;
+    // k = floor(e * log10 2), so t = |x| * 10^s lies in [10^16, 2 * 10^17)
+    let k = (e * 78_913) >> 18;
+    let s = (16 - k) as usize;
+    let pow = POW10[s];
+    // |x| * 10^s and the ends of its rounding interval, half an ulp
+    // either side, all over 2^shift. `flt2dec` also narrows the
+    // interval below a binade's first significand and closes it when m
+    // is even; neither changes a result in this range. A first
+    // significand's x = 2^e has at most 16 significant digits here, so
+    // it is its own shortest form, and an end is a decimal with at most
+    // s fractional digits only when e = 52, where the integer |x| is
+    // shorter.
+    let shift = q + 1;
+    let v = (u128::from(m) * pow) << 1;
+    let t = (v >> shift) as u64;
+    debug_assert!((10_u64.pow(16)..2 * 10_u64.pow(17)).contains(&t), "{x}");
+    let frac = v & ((1 << shift) - 1);
+    // the integers inside are those in (a, b]: at least one, since the
+    // interval is wider than 1 at 17 digits
+    let mut a = ((v - pow) >> shift) as u64;
+    let mut b = ((v + pow) >> shift) as u64;
+    // the fewest digits: the largest 10^j with a multiple in (a, b]
+    let mut j = 0;
+    while a / 10 < b / 10 {
+        a /= 10;
+        b /= 10;
+        j += 1;
+    }
+    // of the two multiples of 10^j around |x|, the one inside, or the
+    // nearer when both are
+    let p = POW10[j] as u64;
+    let below = t / p;
+    let up = match (below > a, below < b) {
+        (true, true) => {
+            let side = if j == 0 {
+                (frac << 1).cmp(&(1 << shift))
+            } else {
+                // 10^j is even, so only an equal remainder needs frac
+                (t % p * 2).cmp(&p).then(frac.cmp(&0))
+            };
+            match side {
+                Ordering::Less => false,
+                Ordering::Greater => true,
+                Ordering::Equal => return false,
+            }
+        }
+        (inside, _) => !inside,
+    };
+
+    let c = below + u64::from(up);
+    let n = c.ilog10() as usize + 1;
+    let eighteen = eighteen_digits(c);
+    let digits = &eighteen[18 - n..];
+    // |x| = 0.digits * 10^point, laid out as `flt2dec` lays it out:
+    // never more than 26 bytes, since |x| >= 2^-19 puts at most five
+    // zeros after the point
+    let point = n as i32 + j as i32 - s as i32;
+    let mut text = [b'0'; 32];
+    let mut len = 0;
+    if x < 0.0 {
+        text[0] = b'-';
+        len = 1;
+    }
+    if point <= 0 {
+        text[len + 1] = b'.';
+        len += 2 + (-point) as usize;
+        text[len..len + n].copy_from_slice(digits);
+        len += n;
+    } else if point < n as i32 {
+        let (int, fract) = digits.split_at(point as usize);
+        text[len..len + int.len()].copy_from_slice(int);
+        len += int.len();
+        text[len] = b'.';
+        text[len + 1..len + 1 + fract.len()].copy_from_slice(fract);
+        len += 1 + fract.len();
+    } else {
+        text[len..len + n].copy_from_slice(digits);
+        len += point as usize;
+    }
+    out.push_str(std::str::from_utf8(&text[..len]).expect("ASCII"));
+    true
+}
+
+/// `"00" "01" ... "99"`.
+const PAIRS: [u8; 200] = {
+    let mut p = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        p[2 * i] = b'0' + (i / 10) as u8;
+        p[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    p
+};
+
+/// `c < 10^18` in 18 decimal digits, zero-padded: two independent
+/// halves of nine, two digits at a time.
+fn eighteen_digits(c: u64) -> [u8; 18] {
+    let mut d = [b'0'; 18];
+    for (at, half) in [(0, c / 1_000_000_000), (9, c % 1_000_000_000)] {
+        let mut h = half as u32;
+        for i in (0..4).rev() {
+            let pair = (h % 100) as usize * 2;
+            h /= 100;
+            d[at + 1 + 2 * i..at + 3 + 2 * i].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        d[at] = b'0' + h as u8;
+    }
+    d
 }
 
 /// Writes a quoted, escaped JSON string.

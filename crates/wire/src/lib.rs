@@ -13,9 +13,12 @@
 //!
 //! Four layers, bottom-up:
 //!
-//! * [`json`] — a hand-rolled RFC 8259 codec whose `f64` encoding is
-//!   shortest-roundtrip (values parse back bit-identically; response
-//!   bodies are comparable byte-for-byte).
+//! * [`json`] — a hand-rolled RFC 8259 codec. Its `f64` writer,
+//!   [`json::write_num`], writes the bytes `Display` writes (shortest
+//!   round-trip digits: values parse back bit-identically, and response
+//!   bodies are comparable byte-for-byte), computing the common range
+//!   itself with exact integer arithmetic rather than through
+//!   `core::fmt`, and `null` for a non-finite value.
 //! * [`http`] — HTTP/1.1 request reading with persistent connections
 //!   and explicit `Content-Length` framing. Malformed input is a
 //!   first-class outcome ([`http::ReadOutcome::Malformed`]): the
