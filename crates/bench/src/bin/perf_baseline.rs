@@ -8,14 +8,14 @@
 //! DTW pairs, packed vs band GEMM — and asserts each speedup floor.
 //!
 //! It also runs the GRU / LSTM train-step probes twice — once
-//! recording every step on a recycled tape (`reset()`, one-shot
-//! backward sweep) and once through the compiled execution plan
-//! (`begin_step()`, record-once / replay-many) — asserts the two leave
-//! **bit-identical weights** after the full run, asserts the plan
-//! replays with zero steady-state pool misses, checks the plan beats
-//! the interpreted leg of the same run by the ≥1.5× floor, and writes
-//! both timings plus the plan lifecycle counters to
-//! `BENCH_train.json`. Build with
+//! recording every step on a recycled tape (`reset()`, which compiles
+//! the step's backward plan afresh every step) and once replaying the
+//! captured step (`begin_step()`, record-once / replay-many, whose
+//! plan is compiled once) — asserts the two leave **bit-identical
+//! weights** after the full run, asserts the replay leg runs with zero
+//! steady-state pool misses, checks it beats the recording leg of the
+//! same run by the ≥1.5× floor, and writes both timings plus the plan
+//! lifecycle counters to `BENCH_train.json`. Build with
 //! `--features alloc-count` to additionally report steady-state heap
 //! allocations per step.
 //!
@@ -355,7 +355,7 @@ fn train_run(
 }
 
 /// Asserts every parameter of `a` and `b` agrees bit for bit — the
-/// equivalence gate between the one-shot and compiled runs.
+/// equivalence gate between the recording and replaying runs.
 fn assert_params_bitwise(name: &str, a: &Params, b: &Params) {
     for id in a.ids() {
         let same = a
@@ -366,7 +366,7 @@ fn assert_params_bitwise(name: &str, a: &Params, b: &Params) {
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(
             same,
-            "{name}: compiled-plan weights diverge from the one-shot sweep at {}",
+            "{name}: replayed-plan weights diverge from recording every step at {}",
             a.name(id)
         );
     }

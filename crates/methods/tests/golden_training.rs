@@ -5,12 +5,13 @@
 //! conditional-sampling capability also pin one class-shaped and one
 //! covariate-shaped draw.
 //!
-//! Every `fit` records the first step of each optimization phase on
-//! the tape's one-shot sweep and replays the compiled plan for the
-//! rest, so the fixture guards both executors and the hand-off between
-//! them. It was recorded with a fresh tape for every step — a tape that
-//! never replays — so matching it also proves replay bit-identical to
-//! the one-shot sweep on every method's real graphs.
+//! Every `fit` records the first step of each optimization phase,
+//! compiling its backward plans there, and replays that step with
+//! those plans for the rest, so the fixture guards recording, replay
+//! and the hand-off between them. It was recorded with a fresh tape
+//! for every step — a tape that never replays — so matching it also
+//! proves replay bit-identical to recording every step on every
+//! method's real graphs.
 //!
 //! Regenerate the fixture after an *intentional* numeric change:
 //!

@@ -12,10 +12,11 @@
 //!
 //! * [`tape`] — an arena-based gradient tape. Each forward op checks
 //!   its inputs and pushes a node (value + operand ids);
-//!   [`tape::Tape::backward`] walks the arena in reverse to accumulate
-//!   gradients. Training loops keep one tape per phase and start each
-//!   minibatch with [`tape::Tape::begin_step`], which recycles every
-//!   buffer and replays the compiled plan of the step (see [`plan`]).
+//!   [`tape::Tape::backward`] runs the compiled plan that walks the
+//!   arena in reverse to accumulate gradients. Training loops keep one
+//!   tape per phase and start each minibatch with
+//!   [`tape::Tape::begin_step`], which recycles every buffer and
+//!   replays the captured step with its compiled plans (see [`plan`]).
 //! * [`params`] — named parameter store decoupled from the tape, so
 //!   optimizers ([`optim`]) can hold Adam moments across steps.
 //! * [`resident`] — forward-only tapes for sampling, each holding a
@@ -27,11 +28,12 @@
 //! * [`gradcheck`] — central finite-difference verification used by the
 //!   test suite to prove every op and layer differentiates correctly.
 //! * [`plan`] — each op's forward and backward arithmetic, written
-//!   once, and the compiled backward plans of replayed steps: a
-//!   replaying tape matches each declared op against the captured step
-//!   and computes it in place, with zero re-recording, then runs a
-//!   preresolved backward schedule, bit-identical to recording the
-//!   step again.
+//!   once, and the compiled backward plan every backward runs: a
+//!   preresolved schedule compiled once per graph and loss, on the
+//!   recorded step, and reused by every replay. A replaying tape
+//!   matches each declared op against the captured step and computes
+//!   it in place, with zero re-recording, bit-identical to recording
+//!   the step again.
 
 pub mod gradcheck;
 pub mod init;

@@ -1,40 +1,40 @@
 //! Compiled execution plans: record-once/replay-many training steps,
-//! and the one copy of every op's arithmetic.
+//! the compiled backward, and the one copy of every op's arithmetic.
 //!
 //! Training loops re-declare the same graph topology every minibatch.
 //! Recording it on the [`crate::Tape`] is allocation-free (arena
 //! recycling), but still pays per-step shape re-derivation, pool
-//! hashing and node bookkeeping, and a backward that finds its
-//! first-touch flags and temporaries as it goes. A replaying tape
-//! instead matches each declared op against the captured step and
-//! computes it at once into the node's own buffer, with the same
-//! `exec_node` recording runs. What this module freezes is the
-//! backward: a reverse-order step list that accumulates into
-//! preresolved gradient slots, with per-edge *first-touch* flags
-//! resolved at compile time.
+//! hashing and node bookkeeping. A replaying tape instead matches each
+//! declared op against the captured step and computes it at once into
+//! the node's own buffer, with the same `exec_node` recording runs.
+//! The backward is always compiled: a `BwdPlan` is a reverse-order
+//! step list that accumulates into preresolved gradient slots, with
+//! per-edge *first-touch* flags resolved at compile time.
 //!
 //! Each op's forward arithmetic lives only in `exec_node` and its
 //! gradient only in `run_step`. The tape runs `exec_node` on every
-//! node it records or matches, and a tape that is not replaying runs
-//! `sweep`, the one-shot backward: the same reverse loop the compiled
-//! plan freezes, reading each first-touch flag off the grad slots as
-//! it goes.
+//! node it records or matches, and every `Tape::backward` runs the
+//! plan compiled for its loss node, compiling it on the first backward
+//! from that node over the current graph. A recorded step's plans
+//! carry into replay when the next step boundary captures the step.
 //!
 //! # Determinism argument
 //!
-//! Replay is **bit-identical** to the one-shot path because both run
-//! the *same* step functions in the *same* order on the *same*
+//! Replay is **bit-identical** to recording every step because both
+//! run the *same* step functions in the *same* order on the *same*
 //! operands:
 //!
 //! * the forward is `exec_node` on each node, in declaration order, on
 //!   both paths;
-//! * backward steps visit edges in the sweep's order with the flags it
-//!   would read. A first touch writes the delta straight into the slot
-//!   (a copy for borrowed deltas, and "zero then accumulate" for the
-//!   `*_acc_into` family, so `-0.0` deltas keep `0.0 + -0.0 == 0.0`
-//!   bits); later touches `add_assign`. Replay multiplies by cached
-//!   transposes with plain `matmul`, bit-identical to the `matmul_t`
-//!   kernels the sweep uses.
+//! * the backward is a plan compiled from the graph's structure alone,
+//!   so a recorded and a replayed step of one graph run the same steps
+//!   with the same flags. A first touch writes the delta straight into
+//!   the slot (a copy for borrowed deltas, and "zero then accumulate"
+//!   for the `*_acc_into` family, so `-0.0` deltas keep
+//!   `0.0 + -0.0 == 0.0` bits); later touches `add_assign`. The
+//!   `a * bᵀ` edges multiply by cached transposes with plain `matmul`,
+//!   bit-identical to the `matmul_t` kernels by their documented
+//!   contract.
 //!
 //! Scalar payloads (`scale`, `add_scalar`, `leaky_relu` and `filled`
 //! leaves) are per-step *feeds*: the replaying tape writes new values
@@ -48,8 +48,8 @@
 //! [`crate::Tape::begin_step`] captures after the first recorded step
 //! and rewinds on subsequent boundaries. Any structural mismatch while
 //! replaying (changed batch size, a different graph) retires the stale
-//! suffix (the matched prefix already holds this step's values) and
-//! falls back to recording; the next boundary re-captures.
+//! suffix and the plans (the matched prefix already holds this step's
+//! values) and falls back to recording; the next boundary re-captures.
 
 use crate::tape::{FusedAct, LeafKind, Node, Op, VarId};
 use tsgb_linalg::detmath::{sigmoid, tanh};
@@ -70,10 +70,12 @@ struct BwdStep {
     scratch: u32,
 }
 
-/// A compiled backward sweep for one loss node, with preresolved
-/// first-touch flags and pre-taken scratch buffers.
-struct BwdPlan {
-    loss: usize,
+/// A compiled backward for one loss node, with preresolved first-touch
+/// flags and pre-taken scratch buffers. It stays valid while the nodes
+/// up to the loss keep their structure: a recording tape only appends,
+/// and a replayed step matches every op it declares.
+pub(crate) struct BwdPlan {
+    pub(crate) loss: usize,
     steps: Vec<BwdStep>,
     /// Per-edge first-touch flags, in the exact order [`edges`]
     /// visits them; `true` means the slot is empty until this edge.
@@ -83,8 +85,8 @@ struct BwdPlan {
     /// The [`liveness`] mask of the frozen graph, computed once at
     /// compile; [`run_step`] prunes by it on every run.
     live: Vec<bool>,
-    /// Nodes the sweep reaches — exactly the slots [`sweep`] would
-    /// leave `Some`.
+    /// Nodes the walk from the loss reaches: after a run, exactly
+    /// these hold a gradient slot.
     reached: Vec<bool>,
     /// One group of buffers per distinct shape among the steps that
     /// need temporaries ([`scratch_for`]: non-first-touch mapped
@@ -100,23 +102,23 @@ struct BwdPlan {
     /// shared by every step that consults them. `matmul_t(a, b)` is
     /// documented bit-identical to `matmul(a, bᵀ)`, and plain `matmul`
     /// feeds the register tile with no per-call transpose, so one
-    /// transpose amortized over the whole sweep (a recurrent weight is
-    /// hit once per timestep) wins.
+    /// transpose amortized over the whole backward (a recurrent weight
+    /// is hit once per timestep) wins.
     tcache: Vec<(u32, Matrix)>,
 }
 
-/// Fills `live` with the liveness mask of `nodes[..=loss]`: a node is
-/// live when it is a trainable leaf ([`crate::Tape::leaf`] /
-/// [`crate::Tape::leaf_copy`]) or when any of its operands is live.
-/// Constant, zeros and filled leaves and `Detach` outputs are not, and
-/// neither is anything computed only from them — a frozen network's
-/// whole forward pass, say. Both backward paths prune every edge into
-/// a node that is not live. That removes only writes into slots
-/// nothing reads: every live slot sees the same edges, in the same
-/// order, with the same first-touch flags, so every gradient that is
-/// computed keeps its bits.
-fn liveness(nodes: &[Node], loss: usize, live: &mut Vec<bool>) {
-    live.clear();
+/// The liveness mask of `nodes[..=loss]`: a node is live when it is a
+/// trainable leaf ([`crate::Tape::leaf`] / [`crate::Tape::leaf_copy`])
+/// or when any of its operands is live. Constant, zeros and filled
+/// leaves and `Detach` outputs are not, and neither is anything
+/// computed only from them — a frozen network's whole forward pass,
+/// say. The plan prunes every edge into a node that is not live. That
+/// removes only writes into slots nothing reads: every live slot sees
+/// the same edges, in the same order, with the same first-touch flags
+/// as without pruning, so every gradient that is computed keeps its
+/// bits.
+fn liveness(nodes: &[Node], loss: usize) -> Vec<bool> {
+    let mut live = Vec::with_capacity(loss + 1);
     for node in &nodes[..=loss] {
         let is_live = match &node.op {
             Op::Leaf(kind) => *kind == LeafKind::Data { grad: true },
@@ -129,25 +131,16 @@ fn liveness(nodes: &[Node], loss: usize, live: &mut Vec<bool>) {
         };
         live.push(is_live);
     }
-}
-
-/// A captured step: the replay cursor and the lazily compiled backward
-/// sweeps, one per loss node observed.
-#[derive(Default)]
-pub(crate) struct Replay {
-    /// Ops re-declared (signature-matched, and so computed) so far this
-    /// step.
-    pub(crate) cursor: usize,
-    bwd: Vec<BwdPlan>,
+    live
 }
 
 /// Visits the operands of `op` in the order its backward step folds
 /// gradients into them, each with whether the edge's delta is *mapped*:
 /// an elementwise delta computed straight into an empty slot, which on
 /// a later touch needs a scratch temporary to add from. The compiled
-/// plan, the one-shot [`sweep`] and [`run_step`]'s positional flags all
-/// follow this order. (`Detach` lists its operand for use counting;
-/// no backward step runs for it.)
+/// flags and [`run_step`]'s positional reads of them both follow this
+/// order. (`Detach` lists its operand for use counting; no backward
+/// step runs for it.)
 ///
 /// A GRU step's two nodes list the edges the seven-node step it
 /// replaces folds into its operands, in that step's reverse order:
@@ -213,26 +206,15 @@ fn edges(op: &Op, mut f: impl FnMut(usize, bool)) {
     }
 }
 
-/// Whether `op` is a fused affine with an activation, whose backward
-/// step needs a scratch buffer for its `dz`.
-fn activated(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Affine { act, .. } | Op::Affine2 { act, .. } if *act != FusedAct::Identity
-    )
-}
-
-/// The most temporaries one backward step borrows: a GRU step's gates.
-const MAX_TEMPS: usize = 3;
-
 /// The temporaries `node`'s backward step borrows, as `(count, shape)`:
 /// three `(batch, hidden)` buffers for a GRU step's gates (`dz`,
 /// `d(r ⊙ h)`, and `r ⊙ h` recomputed), else one shaped like the
-/// node's incoming gradient when [`step_flags`] says it `need`s one.
+/// node's incoming gradient when the compiled flags say it `need`s
+/// one.
 fn scratch_for(node: &Node, need: bool) -> (usize, (usize, usize)) {
     let (r, c) = node.value.shape();
     match node.op {
-        Op::GruGates { .. } => (MAX_TEMPS, (r / 3, c)),
+        Op::GruGates { .. } => (3, (r / 3, c)),
         _ => (need as usize, (r, c)),
     }
 }
@@ -245,47 +227,6 @@ fn gru_gates_live(live: &[bool], x: VarId, h: VarId, w: &[[VarId; 3]; 3]) -> [bo
     let gate = |g: &[VarId; 3]| shared || g.iter().any(|v| live[v.0]);
     let r = gate(&w[1]);
     [gate(&w[0]), r, r || gate(&w[2])]
-}
-
-impl Replay {
-    /// Starts a new replayed step: every op must be re-declared.
-    pub(crate) fn rewind(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// Dismantles the plan, yielding its scratch buffers for pooling.
-    pub(crate) fn into_scratch(self) -> Vec<Matrix> {
-        self.bwd
-            .into_iter()
-            .flat_map(|b| {
-                b.scratch
-                    .into_iter()
-                    .flatten()
-                    .chain(b.tcache.into_iter().map(|(_, m)| m))
-            })
-            .collect()
-    }
-
-    /// Runs the compiled backward for `loss` (compiled on first use)
-    /// over a fully matched step, whose values were computed as its ops
-    /// were declared.
-    pub(crate) fn backward(
-        &mut self,
-        nodes: &[Node],
-        grads: &mut Vec<Option<Matrix>>,
-        pool: &mut MatrixPool,
-        loss: usize,
-    ) {
-        let idx = match self.bwd.iter().position(|b| b.loss == loss) {
-            Some(idx) => idx,
-            None => {
-                let plan = BwdPlan::compile(nodes, loss, pool);
-                self.bwd.push(plan);
-                self.bwd.len() - 1
-            }
-        };
-        self.bwd[idx].run(nodes, grads, pool);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -515,58 +456,42 @@ fn gru_gate(
 // Backward compilation + execution
 // ---------------------------------------------------------------------
 
-/// Pushes the first-touch flag of each of node `i`'s backward edges,
-/// in [`edges`] order, and returns whether its step needs a scratch
-/// buffer (see [`scratch_for`]). `touch(t)` reports whether slot `t`
-/// was still empty and marks it reached. Pruned edges (into nodes that are not `live`)
-/// push a placeholder that is never read, so the positional indexing
-/// in [`run_step`] matches, and leave the node unreached. The compiled
-/// plan and the one-shot [`sweep`] both flag edges here, so the two
-/// cannot drift apart.
-fn step_flags(
-    nodes: &[Node],
-    live: &[bool],
-    i: usize,
-    flags: &mut Vec<bool>,
-    mut touch: impl FnMut(usize) -> bool,
-) -> bool {
-    let mut need_scratch = activated(&nodes[i].op);
-    edges(&nodes[i].op, |t, mapped| {
-        if !live[t] {
-            flags.push(true);
-            return;
-        }
-        let fresh = touch(t);
-        flags.push(fresh);
-        need_scratch |= mapped && !fresh;
-    });
-    need_scratch
-}
-
 impl BwdPlan {
-    /// Walks the reverse sweep from `loss` over the frozen graph,
-    /// recording its liveness mask, which nodes are reached, the
-    /// first-touch flag of every edge, which steps need scratch
-    /// buffers (one group per shape), and which `matmul_t` right-hand
-    /// sides to cache — then takes those buffers from the pool.
-    fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
-        let mut live = Vec::new();
-        liveness(nodes, loss, &mut live);
+    /// Walks the reverse order from `loss` over the graph, recording
+    /// its liveness mask, which nodes are reached, the first-touch flag
+    /// of every edge, which steps need scratch buffers (one group per
+    /// shape), and which `matmul_t` right-hand sides to cache — then
+    /// takes those buffers from the pool.
+    pub(crate) fn compile(nodes: &[Node], loss: usize, pool: &mut MatrixPool) -> BwdPlan {
+        let live = liveness(nodes, loss);
         let mut has = vec![false; nodes.len()];
         has[loss] = true;
         let mut steps = Vec::new();
         let mut flags = Vec::new();
         let mut scratch: Vec<Vec<Matrix>> = Vec::new();
-        // Node ids whose transpose the sweep wants cached (`matmul_t`
-        // right-hand sides of live edges); deduped below.
+        // Node ids whose transpose the backward wants cached
+        // (`matmul_t` right-hand sides of live edges); deduped below.
         let mut tneed: Vec<u32> = Vec::new();
         for i in (0..=loss).rev() {
             if !has[i] || !live[i] || matches!(nodes[i].op, Op::Leaf(_)) {
                 continue;
             }
+            // Each edge's first-touch flag, in `edges` order: whether
+            // its slot is still empty. A pruned edge (into a node that
+            // is not live) pushes a placeholder that is never read, so
+            // the positional indexing in `run_step` matches, and leaves
+            // the node unreached. A step needs a scratch buffer
+            // (`scratch_for`) for an activated affine's `dz` or a
+            // mapped delta into an already touched slot.
             let flags_at = flags.len() as u32;
-            let need_scratch = step_flags(nodes, &live, i, &mut flags, |t| {
-                !std::mem::replace(&mut has[t], true)
+            let mut need_scratch = matches!(
+                nodes[i].op,
+                Op::Affine { act, .. } | Op::Affine2 { act, .. } if act != FusedAct::Identity
+            );
+            edges(&nodes[i].op, |t, mapped| {
+                let fresh = !live[t] || !std::mem::replace(&mut has[t], true);
+                flags.push(fresh);
+                need_scratch |= mapped && !fresh;
             });
             match &nodes[i].op {
                 Op::Matmul(a, b) if live[a.0] => tneed.push(b.0 as u32),
@@ -633,20 +558,24 @@ impl BwdPlan {
         }
     }
 
-    /// Runs the compiled sweep: [`sweep`]'s steps in its order, with
-    /// first-touch flags and scratch buffers precomputed and the
-    /// `matmul_t` right-hand sides read from the per-run transpose
-    /// cache.
-    fn run(&mut self, nodes: &[Node], grads: &mut Vec<Option<Matrix>>, pool: &mut MatrixPool) {
+    /// Runs the compiled backward into `grads`, seeding the loss slot
+    /// with 1, with first-touch flags and scratch buffers precomputed
+    /// and the `matmul_t` right-hand sides read from the transpose
+    /// cache, refreshed first.
+    pub(crate) fn run(
+        &mut self,
+        nodes: &[Node],
+        grads: &mut Vec<Option<Matrix>>,
+        pool: &mut MatrixPool,
+    ) {
         let n = nodes.len();
         if grads.len() < n {
             grads.resize_with(n, || None);
         }
-        // Slot maintenance: exactly the one-shot sweep's end state has
-        // `Some` on reached nodes and `None` elsewhere. Unreached
-        // leftovers (from a previous different loss) retire to the
-        // pool; reached slots get a buffer whose every element the
-        // sweep overwrites before reading.
+        // Exactly the reached nodes hold a slot after the run. Unreached
+        // leftovers (from a previous run for another loss) retire to the
+        // pool; reached slots get a buffer whose every element the run
+        // overwrites before reading.
         for (i, slot) in grads.iter_mut().enumerate() {
             if self.reached.get(i).copied().unwrap_or(false) {
                 if slot.is_none() {
@@ -681,63 +610,15 @@ impl BwdPlan {
                 Some(group) => group.as_mut_slice(),
                 None => &mut [],
             };
-            run_step(nodes, live, grads, i, &flags[fa..], sbuf, Some(tcache));
+            run_step(nodes, live, grads, i, &flags[fa..], sbuf, tcache);
         }
     }
-}
 
-/// The one-shot backward sweep of a tape that is not replaying, from
-/// the `1 x 1` node `loss` into all-`None` `grads`: the [`liveness`]
-/// pass, then the reverse loop over the arena, handing each reached
-/// live node to [`run_step`]. An edge is a first touch when its slot
-/// is still empty, and the slot then gets a pooled buffer for the step
-/// to overwrite; a step that needs scratch buffers borrows them from
-/// the pool for just that step; and `matmul_t` edges take the plain
-/// kernels. `live` and `flags` are the caller's reusable buffers for
-/// the mask and for the current step's flags.
-pub(crate) fn sweep(
-    nodes: &[Node],
-    grads: &mut [Option<Matrix>],
-    pool: &mut MatrixPool,
-    live: &mut Vec<bool>,
-    flags: &mut Vec<bool>,
-    loss: usize,
-) {
-    liveness(nodes, loss, live);
-    let mut seed = pool.take_uninit(1, 1);
-    seed.fill(1.0);
-    grads[loss] = Some(seed);
-    for i in (0..=loss).rev() {
-        if !live[i] || matches!(nodes[i].op, Op::Leaf(_)) {
-            continue;
-        }
-        let (lo, hi) = grads.split_at_mut(i);
-        if hi[0].is_none() {
-            continue;
-        }
-        flags.clear();
-        let need_scratch = step_flags(nodes, live, i, flags, |t| {
-            let fresh = lo[t].is_none();
-            if fresh {
-                let (r, c) = nodes[t].value.shape();
-                lo[t] = Some(pool.take_uninit(r, c));
-            }
-            fresh
-        });
-        // Unused entries stay empty matrices, which neither allocate
-        // nor return to the pool.
-        let (count, (r, c)) = scratch_for(&nodes[i], need_scratch);
-        let mut sbuf: [Matrix; MAX_TEMPS] = std::array::from_fn(|k| {
-            if k < count {
-                pool.take_uninit(r, c)
-            } else {
-                Matrix::zeros(0, 0)
-            }
-        });
-        run_step(nodes, live, grads, i, flags, &mut sbuf[..count], None);
-        for buf in sbuf {
-            pool.put(buf);
-        }
+    /// Dismantles the plan, yielding its scratch and transpose buffers
+    /// for pooling.
+    pub(crate) fn into_buffers(self) -> impl Iterator<Item = Matrix> {
+        let tcache = self.tcache.into_iter().map(|(_, m)| m);
+        self.scratch.into_iter().flatten().chain(tcache)
     }
 }
 
@@ -763,20 +644,11 @@ fn acc_slot(slot: &mut Option<Matrix>, fresh: bool) -> &mut Matrix {
     dst
 }
 
-/// A compiled plan's transposes of the `matmul_t` right-hand sides,
-/// sorted by node id and refreshed once per run; `None` on the one-shot
-/// sweep.
-type TCache<'a> = Option<&'a [(u32, Matrix)]>;
-
-/// `dst += a * (node rhs's value)ᵀ`. The one-shot sweep (no cache)
-/// runs the plain `matmul_t_acc_into`; a compiled plan runs the plain
-/// matmul against the cached transpose, found by binary search. The
-/// two are bit-identical (documented on [`Matrix::matmul_t`]).
-fn mul_t_acc(nodes: &[Node], tcache: TCache, a: &Matrix, rhs: usize, dst: &mut Matrix) {
-    let Some(tcache) = tcache else {
-        a.matmul_t_acc_into(&nodes[rhs].value, dst);
-        return;
-    };
+/// `dst += a * (node rhs's value)ᵀ`, as the plain matmul against the
+/// plan's cached transpose of `rhs` (sorted by node id, found by binary
+/// search): bit-identical to `matmul_t_acc_into` on the node's value
+/// (documented on [`Matrix::matmul_t`]).
+fn mul_t_acc(tcache: &[(u32, Matrix)], a: &Matrix, rhs: usize, dst: &mut Matrix) {
     let at = tcache
         .binary_search_by_key(&(rhs as u32), |(id, _)| *id)
         .expect("live matmul_t RHS has a cached transpose");
@@ -790,13 +662,13 @@ fn affine2_edges(
     nodes: &[Node],
     live: &[bool],
     lo: &mut [Option<Matrix>],
-    tcache: TCache,
+    tcache: &[(u32, Matrix)],
     dz: &Matrix,
     [x, w, h, u, b]: [usize; 5],
     flags: &[bool],
 ) {
     if live[x] {
-        mul_t_acc(nodes, tcache, dz, w, acc_slot(&mut lo[x], flags[0]));
+        mul_t_acc(tcache, dz, w, acc_slot(&mut lo[x], flags[0]));
     }
     if live[w] {
         nodes[x]
@@ -804,7 +676,7 @@ fn affine2_edges(
             .t_matmul_acc_into(dz, acc_slot(&mut lo[w], flags[1]));
     }
     if live[h] {
-        mul_t_acc(nodes, tcache, dz, u, acc_slot(&mut lo[h], flags[2]));
+        mul_t_acc(tcache, dz, u, acc_slot(&mut lo[h], flags[2]));
     }
     if live[u] {
         nodes[h]
@@ -820,10 +692,10 @@ fn affine2_edges(
 /// op's gradient. `grads[i]` holds its (final) incoming gradient and
 /// every live edge's slot below `i` holds a buffer; `flags` are this
 /// step's first-touch flags in [`edges`] order, `sbuf` its scratch
-/// buffers ([`scratch_for`]), and `tcache` a compiled plan's cached
-/// transposes (`None` on the one-shot sweep). Edges into nodes that are not
-/// `live` are skipped entirely, as [`step_flags`] pruned them — nothing
-/// reads those slots.
+/// buffers ([`scratch_for`]), and `tcache` the plan's cached
+/// transposes. Edges into nodes that are not `live` are skipped
+/// entirely, as the compiled flags pruned them — nothing reads those
+/// slots.
 fn run_step(
     nodes: &[Node],
     live: &[bool],
@@ -831,7 +703,7 @@ fn run_step(
     i: usize,
     flags: &[bool],
     sbuf: &mut [Matrix],
-    tcache: TCache,
+    tcache: &[(u32, Matrix)],
 ) {
     // Contributions to node i come only from consumers (larger
     // indices, already processed), so grads[i] is final here.
@@ -926,7 +798,7 @@ fn run_step(
         Op::Matmul(a, b) => {
             if live(a.0) {
                 let ga = acc_slot(&mut lo[a.0], flags[0]);
-                mul_t_acc(nodes, tcache, g, b.0, ga);
+                mul_t_acc(tcache, g, b.0, ga);
             }
             if live(b.0) {
                 let gb = acc_slot(&mut lo[b.0], flags[1]);
@@ -1161,7 +1033,7 @@ fn run_step(
             let (c, bm) = (&nodes[coef.0].value, &nodes[basis.0].value);
             let n = c.cols() / bm.cols();
             if live(coef.0) {
-                // Steps last-first: the order in which the reverse sweep
+                // Steps last-first: the order in which the backward
                 // adds them when each step is its own `slice_cols` and
                 // `scale` nodes, so both graphs give the same bits.
                 let gc = acc_slot(&mut lo[coef.0], flags[0]);
@@ -1201,7 +1073,7 @@ fn run_step(
             };
             if live(x.0) {
                 let gx = acc_slot(&mut lo[x.0], flags[0]);
-                mul_t_acc(nodes, tcache, dz, w.0, gx);
+                mul_t_acc(tcache, dz, w.0, gx);
             }
             if live(w.0) {
                 let gw = acc_slot(&mut lo[w.0], flags[1]);
@@ -1269,14 +1141,14 @@ fn run_step(
             if ht_live {
                 FusedAct::Tanh.dz_into(dght, ht, dz.as_mut_slice());
                 if live(x.0) {
-                    mul_t_acc(nodes, tcache, dz, wh.0, acc_slot(&mut lo[x.0], flags[0]));
+                    mul_t_acc(tcache, dz, wh.0, acc_slot(&mut lo[x.0], flags[0]));
                 }
                 if live(wh.0) {
                     xv.t_matmul_acc_into(dz, acc_slot(&mut lo[wh.0], flags[1]));
                 }
                 if r_live {
                     drh.fill(0.0);
-                    mul_t_acc(nodes, tcache, dz, uh.0, drh);
+                    mul_t_acc(tcache, dz, uh.0, drh);
                 }
                 if live(uh.0) {
                     zip_map_into(r, hv.as_slice(), |ri, hi| ri * hi, tmp.as_mut_slice());

@@ -1,7 +1,7 @@
 //! Arena-based reverse-mode automatic differentiation over matrices.
 //!
 //! A [`Tape`] records forward ops as nodes (eagerly computing values);
-//! [`Tape::backward`] sweeps the arena in reverse insertion order —
+//! [`Tape::backward`] walks the arena in reverse insertion order —
 //! which is always a valid reverse topological order — accumulating
 //! gradients. This "define-by-run" structure is the same contract as
 //! PyTorch's dynamic graph, scaled down to the dense-matrix ops the
@@ -12,9 +12,10 @@
 //! each op lives once, in [`crate::plan`]. Recording runs
 //! `plan::exec_node` on the new node, and replay on each matched node
 //! as it is declared, so a value is readable as soon as its op is
-//! declared on either path. A backward that does not replay a compiled
-//! plan is the one-shot `plan::sweep`, which runs the same per-op
-//! backward steps replay does.
+//! declared on either path. Every backward runs a compiled
+//! `plan::BwdPlan`, on recorded and replayed steps alike: the tape
+//! keeps the plans compiled for the current graph, one per loss node,
+//! and carries a recorded step's plans into its replays.
 //!
 //! # Training memory model
 //!
@@ -23,12 +24,15 @@
 //! into an internal [`MatrixPool`] and clears the arena while keeping
 //! its capacity; the next forward pass of the same graph shape then
 //! draws every buffer back out of the pool. In steady state a
-//! recycled tape performs **zero** heap allocations per training step:
-//! forward values, backward temporaries, and gradient accumulators all
-//! live in pooled storage, and [`Tape::backward`] accumulates through
-//! the in-place kernels of `tsgb-linalg` (`add_assign`, `*_acc_into`)
-//! rather than `grad + delta` temporaries. See `DESIGN.md` ("Training
-//! memory model") for the full contract.
+//! tape stepped with [`Tape::begin_step`] performs **zero** heap
+//! allocations per training step: forward values, backward
+//! temporaries, and gradient accumulators all live in pooled storage,
+//! and [`Tape::backward`] accumulates through the in-place kernels of
+//! `tsgb-linalg` (`add_assign`, `*_acc_into`) rather than
+//! `grad + delta` temporaries. A tape stepped with [`Tape::reset`]
+//! draws every buffer from the pool too, but compiles its backward
+//! plan's step and flag lists again each step. See `DESIGN.md`
+//! ("Training memory model") for the full contract.
 //!
 //! Design notes (see `DESIGN.md`):
 //! * values and gradients are plain [`Matrix`]; no views/strides, so
@@ -42,6 +46,7 @@
 //!   two nodes (`Tape::gru_step`: the stacked gates, then the state
 //!   mix) where it was seven.
 
+use crate::plan::BwdPlan;
 use tsgb_linalg::{Matrix, MatrixPool};
 
 /// Index of a node on the tape.
@@ -302,35 +307,24 @@ pub(crate) struct Node {
     pub(crate) op: Op,
 }
 
-/// Plan-execution state: either plain recording, or replaying a
-/// frozen [`crate::plan`] capture of this tape's step structure.
-#[derive(Default)]
-enum PlanCtl {
-    /// Recording mode — ops compute eagerly and push nodes.
-    #[default]
-    Idle,
-    /// Replay mode — ops signature-check against the captured structure
-    /// and compute into the captured node's buffer, and leaves feed
-    /// their data into theirs; [`Tape::backward`] runs the compiled
-    /// backward plan.
-    Replay(crate::plan::Replay),
-}
-
 /// The gradient tape.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Matrix>>,
     pub(crate) pool: MatrixPool,
-    /// The one-shot sweep's liveness mask and per-step first-touch
-    /// flags, kept so that a recycled tape's backward allocates
-    /// nothing.
-    sweep_live: Vec<bool>,
-    sweep_flags: Vec<bool>,
+    /// The backward plans compiled for the current graph, one per loss
+    /// node `backward` ran from. They outlive a capture, and retire to
+    /// the pool when the graph is reset or invalidated.
+    plans: Vec<BwdPlan>,
+    /// `Some` while replaying a captured step: how many of its ops
+    /// (leaves included) have been re-declared, signature-matched and
+    /// computed so far this step. `None` while recording, when ops
+    /// compute eagerly and push nodes.
+    cursor: Option<usize>,
     /// Pool misses as of the last step boundary, so each boundary
     /// publishes only the misses since the one before it.
     reported_misses: u64,
-    plan: PlanCtl,
     /// Lifetime count of plan captures (diagnostics; mirrored to the
     /// `nn.plan.captures` obs counter).
     captures: u64,
@@ -357,16 +351,18 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Clears all nodes and gradients while keeping every buffer:
-    /// node values and gradient matrices are retired into the tape's
-    /// pool, and the arena `Vec`s keep their capacity. Re-recording a
-    /// graph of the same shape after `reset` performs no heap
-    /// allocation, and produces bit-identical values and gradients to
-    /// a freshly constructed tape (the pooled buffers are fully
-    /// overwritten or zeroed before reuse).
+    /// Clears all nodes, gradients and plans while keeping every
+    /// buffer: node values, gradient matrices and the plans' scratch
+    /// are retired into the tape's pool, and the arena `Vec`s keep
+    /// their capacity. Re-recording a graph of the same shape after
+    /// `reset` misses the pool nowhere (only its backward plan's index
+    /// lists are allocated again), and produces bit-identical values
+    /// and gradients to a freshly constructed tape (the pooled buffers
+    /// are fully overwritten or zeroed before reuse).
     pub fn reset(&mut self) {
         self.observe_step();
-        self.teardown_plan();
+        self.cursor = None;
+        self.retire_plans();
         for node in self.nodes.drain(..) {
             self.pool.put(node.value);
         }
@@ -378,12 +374,13 @@ impl Tape {
     /// Ends a forward-only run on a tape whose first `len` nodes outlive
     /// it (a model's weights, bound once): publishes the run's step
     /// counters as [`Tape::reset`] does, then drops every later node,
-    /// every gradient and any replay state. The dropped buffers are
-    /// freed, not pooled, so a tape kept between runs holds no memory
-    /// that grows with the size of a run.
+    /// every gradient, every plan and any replay state. The dropped
+    /// buffers are freed, not pooled, so a tape kept between runs holds
+    /// no memory that grows with the size of a run.
     pub(crate) fn truncate(&mut self, len: usize) {
         self.observe_step();
-        self.plan = PlanCtl::Idle;
+        self.cursor = None;
+        self.plans.clear();
         self.nodes.truncate(len);
         self.grads.clear();
     }
@@ -404,13 +401,12 @@ impl Tape {
         }
     }
 
-    /// Dismantles any replay state, retiring plan-owned scratch
-    /// buffers into the pool. Nodes and gradients are untouched.
-    fn teardown_plan(&mut self) {
-        if let PlanCtl::Replay(r) = std::mem::take(&mut self.plan) {
-            for buf in r.into_scratch() {
-                self.pool.put(buf);
-            }
+    /// Dismantles every compiled plan, retiring its scratch and
+    /// transpose buffers into the pool. Nodes and gradients are
+    /// untouched.
+    fn retire_plans(&mut self) {
+        for buf in self.plans.drain(..).flat_map(BwdPlan::into_buffers) {
+            self.pool.put(buf);
         }
     }
 
@@ -421,7 +417,7 @@ impl Tape {
     /// * the first boundary after a recorded step **captures** it and
     ///   switches to replay mode, in which each declared op is matched
     ///   against the captured node list and computed in place, and
-    ///   `backward` runs a compiled backward plan;
+    ///   `backward` runs the plans the recorded step compiled;
     /// * subsequent boundaries rewind the replay cursor, keeping every
     ///   buffer in place for the next step's feeds.
     ///
@@ -432,53 +428,44 @@ impl Tape {
     /// bit-identical to recording every step after a [`Tape::reset`].
     pub fn begin_step(&mut self) -> &mut Self {
         self.observe_step();
-        match &mut self.plan {
-            PlanCtl::Replay(r) => r.rewind(),
-            PlanCtl::Idle if self.nodes.is_empty() => {}
-            // Only a step that ran `backward()` is a complete training
-            // step worth freezing. Leaves recorded before the first
-            // step (e.g. the initial `Params::bind`) would otherwise
-            // capture a degenerate leaf-only plan that immediately
-            // invalidates; recycle them instead and wait for the first
-            // full step.
-            PlanCtl::Idle if self.grads.is_empty() => {
-                for node in self.nodes.drain(..) {
-                    self.pool.put(node.value);
-                }
+        if self.cursor.is_some() {
+            self.cursor = Some(0);
+        } else if self.plans.is_empty() {
+            // Only a step that ran `backward()` (and so compiled a
+            // plan) is a complete training step worth freezing. Leaves
+            // recorded before the first step (e.g. the initial
+            // `Params::bind`) would otherwise capture a degenerate
+            // leaf-only step that immediately invalidates; recycle them
+            // instead and wait for the first full step.
+            for node in self.nodes.drain(..) {
+                self.pool.put(node.value);
             }
-            PlanCtl::Idle => self.capture_plan(),
+        } else {
+            // Capture: replay the recorded step, keeping its plans.
+            self.cursor = Some(0);
+            self.captures += 1;
+            if tsgb_obs::enabled() {
+                tsgb_obs::counter_add("nn.plan.captures", 1);
+            }
         }
         self
     }
 
-    /// Enters replay mode over the recorded step; its backward plans
-    /// compile on first use. Called from the step boundary following a
-    /// fully recorded step.
-    fn capture_plan(&mut self) {
-        self.plan = PlanCtl::Replay(crate::plan::Replay::default());
-        self.captures += 1;
-        if tsgb_obs::enabled() {
-            tsgb_obs::counter_add("nn.plan.captures", 1);
-        }
-    }
-
-    /// Falls back from replay to recording: retires the stale suffix
-    /// and all gradient buffers, and drops the plan. The matched prefix
+    /// Falls back from replay to recording: retires the stale suffix,
+    /// all gradient buffers and the plans. The matched prefix
     /// already holds this step's values, so recording continues from
     /// it. The next [`Tape::begin_step`] re-captures.
     fn invalidate_replay(&mut self) {
-        let PlanCtl::Replay(r) = std::mem::take(&mut self.plan) else {
+        let Some(cursor) = self.cursor.take() else {
             return;
         };
-        for node in self.nodes.drain(r.cursor..) {
+        for node in self.nodes.drain(cursor..) {
             self.pool.put(node.value);
         }
         for g in self.grads.drain(..).flatten() {
             self.pool.put(g);
         }
-        for buf in r.into_scratch() {
-            self.pool.put(buf);
-        }
+        self.retire_plans();
         self.invalidations += 1;
         if tsgb_obs::enabled() {
             tsgb_obs::counter_add("nn.plan.invalidations", 1);
@@ -517,9 +504,9 @@ impl Tape {
         VarId(i)
     }
 
-    /// Whether this tape is currently replaying a captured plan.
+    /// Whether this tape is currently replaying a captured step.
     fn replaying(&self) -> bool {
-        matches!(self.plan, PlanCtl::Replay(_))
+        self.cursor.is_some()
     }
 
     /// Replay-mode handler for a non-leaf op: `same` checks the
@@ -529,15 +516,12 @@ impl Tape {
     /// them in place rather than invalidating). On a match the cursor
     /// advances and the node is computed at once, as recording would
     /// compute it, but into the captured buffer with no push. On any
-    /// structural mismatch the plan is dismantled (`None` is returned)
-    /// and the caller falls through to plain recording.
+    /// structural mismatch the replay is invalidated (`None` is
+    /// returned) and the caller falls through to plain recording.
     fn replay_op(&mut self, same: impl FnOnce(&mut Op) -> bool) -> Option<VarId> {
-        let PlanCtl::Replay(r) = &mut self.plan else {
-            return None;
-        };
-        let i = r.cursor;
+        let i = self.cursor?;
         if i < self.nodes.len() && same(&mut self.nodes[i].op) {
-            r.cursor += 1;
+            self.cursor = Some(i + 1);
             return Some(self.exec(i));
         }
         self.invalidate_replay();
@@ -555,11 +539,9 @@ impl Tape {
         shape: (usize, usize),
         data: Option<&Matrix>,
     ) -> Option<VarId> {
-        let PlanCtl::Replay(r) = &mut self.plan else {
-            return None;
-        };
-        let matched = r.cursor < self.nodes.len() && {
-            let node = &mut self.nodes[r.cursor];
+        let i = self.cursor?;
+        let matched = i < self.nodes.len() && {
+            let node = &mut self.nodes[i];
             node.value.shape() == shape
                 && match (&mut node.op, kind) {
                     (Op::Leaf(LeafKind::Data { grad: old }), LeafKind::Data { grad: new })
@@ -580,8 +562,8 @@ impl Tape {
                 }
         };
         if matched {
-            r.cursor += 1;
-            return Some(VarId(r.cursor - 1));
+            self.cursor = Some(i + 1);
+            return Some(VarId(i));
         }
         self.invalidate_replay();
         None
@@ -670,9 +652,9 @@ impl Tape {
     /// step; a later node's buffer still holds the previous step's
     /// bits, so reading it panics. [`Tape::shape`] is always valid.
     pub fn value(&self, id: VarId) -> &Matrix {
-        if let PlanCtl::Replay(r) = &self.plan {
+        if let Some(cursor) = self.cursor {
             assert!(
-                id.0 < r.cursor,
+                id.0 < cursor,
                 "Tape::value({id:?}) of a node not yet re-declared this step"
             );
         }
@@ -1023,55 +1005,43 @@ impl Tape {
     /// outputs, and whatever is computed only from them are skipped,
     /// so those read as zero.
     ///
-    /// A replaying tape whose whole step matched runs the compiled
-    /// backward plan. Otherwise this is the one-shot sweep
-    /// (`plan::sweep`): the same per-op steps, with gradient
-    /// accumulators and temporaries drawn from the pool and the
-    /// matmul family accumulating in place through the `*_acc_into`
-    /// kernels.
+    /// Every call runs a compiled plan (`plan::BwdPlan`): the one an
+    /// earlier backward from `loss` compiled for this graph, or one
+    /// compiled now, with its gradient accumulators and temporaries
+    /// drawn from the pool and the matmul family accumulating in place
+    /// through the `*_acc_into` kernels. A replayed step that declared
+    /// fewer ops than were captured invalidates first, so the plan is
+    /// compiled for the graph the step declared.
     pub fn backward(&mut self, loss: VarId) {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
             "backward requires a scalar (1x1) loss node"
         );
-        if let PlanCtl::Replay(r) = &mut self.plan {
-            if r.cursor == self.nodes.len() {
-                let Tape {
-                    nodes,
-                    grads,
-                    pool,
-                    plan: PlanCtl::Replay(r),
-                    ..
-                } = self
-                else {
-                    unreachable!("checked replay state above");
-                };
-                r.backward(nodes, grads, pool, loss.0);
-                self.replays += 1;
-                if tsgb_obs::enabled() {
-                    tsgb_obs::counter_add("nn.plan.replays", 1);
-                }
-                return;
-            }
-            // The step re-declared fewer ops than captured: the graph
-            // shrank. Sweep this step once and re-capture.
+        if self.cursor.is_some_and(|c| c < self.nodes.len()) {
             self.invalidate_replay();
         }
-        // Retire the previous sweep's accumulators (repeated backward
-        // without reset is allowed) and start from all-None.
-        for g in self.grads.drain(..).flatten() {
-            self.pool.put(g);
+        let Tape {
+            nodes,
+            grads,
+            pool,
+            plans,
+            ..
+        } = self;
+        let at = match plans.iter().position(|p| p.loss == loss.0) {
+            Some(at) => at,
+            None => {
+                plans.push(BwdPlan::compile(nodes, loss.0, pool));
+                plans.len() - 1
+            }
+        };
+        plans[at].run(nodes, grads, pool);
+        if self.replaying() {
+            self.replays += 1;
+            if tsgb_obs::enabled() {
+                tsgb_obs::counter_add("nn.plan.replays", 1);
+            }
         }
-        self.grads.resize_with(self.nodes.len(), || None);
-        crate::plan::sweep(
-            &self.nodes,
-            &mut self.grads,
-            &mut self.pool,
-            &mut self.sweep_live,
-            &mut self.sweep_flags,
-            loss.0,
-        );
     }
 }
 
@@ -1382,6 +1352,6 @@ mod tests {
         t.backward(y);
         assert_eq!(t.grad(x)[(0, 0)], 4.0);
         t.backward(y);
-        assert_eq!(t.grad(x)[(0, 0)], 4.0, "second sweep must not double");
+        assert_eq!(t.grad(x)[(0, 0)], 4.0, "second backward must not double");
     }
 }

@@ -1,11 +1,11 @@
-//! Compiled-plan equivalence properties: replaying a frozen execution
-//! plan must be a pure performance optimization. Every test here
-//! trains the same seeded workload twice — once stepping with
-//! `begin_step` (record once, replay every later step) and once with
-//! `reset`, which records every step and runs the one-shot backward
-//! sweep — and demands bit-for-bit identical parameters, while also
-//! pinning the capture/replay/invalidation counters the plan machinery
-//! reports. The liveness test also checks that backward gives no
+//! Compiled-plan equivalence properties: replaying a captured step
+//! must be a pure performance optimization. Every test here trains the
+//! same seeded workload twice — once stepping with `begin_step`
+//! (record once, replay every later step with the backward plans the
+//! recorded step compiled) and once with `reset`, which records every
+//! step and compiles its backward plan afresh — and demands
+//! bit-for-bit identical parameters, while also pinning the
+//! capture/replay/invalidation counters the plan machinery reports. The liveness test also checks that backward gives no
 //! gradient slot to a node that depends on no trainable leaf, and the
 //! fused-op tests pin each multi-node fusion (n-ary concat, basis
 //! expansion, the two-node GRU step) to the graph it replaced.
@@ -82,9 +82,9 @@ fn train(
     (p, stats)
 }
 
-/// Bitwise parameter comparison — not tolerance-based: the plan runs
-/// the one-shot sweep's own step functions on the same bits, so any
-/// difference at all is a bug.
+/// Bitwise parameter comparison — not tolerance-based: both legs run
+/// the same step functions on the same bits, so any difference at all
+/// is a bug.
 fn assert_params_bitwise(ctx: &str, a: &Params, b: &Params) {
     for id in a.ids() {
         let (av, bv) = (a.value(id).as_slice(), b.value(id).as_slice());
@@ -93,15 +93,15 @@ fn assert_params_bitwise(ctx: &str, a: &Params, b: &Params) {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "{ctx}: param {:?}[{i}] diverged: plan {x:e} vs one-shot {y:e}",
+                "{ctx}: param {:?}[{i}] diverged: replay {x:e} vs reset {y:e}",
                 a.name(id)
             );
         }
     }
 }
 
-/// Replay == one-shot sweep, bitwise, across ragged shapes: batch=1,
-/// hidden=1, and non-square everything.
+/// Replay == recording every step, bitwise, across ragged shapes:
+/// batch=1, hidden=1, and non-square everything.
 #[test]
 fn plan_matches_tape_bitwise_on_ragged_shapes() {
     const STEPS: usize = 12;
@@ -116,10 +116,10 @@ fn plan_matches_tape_bitwise_on_ragged_shapes() {
         assert_eq!(
             tape_stats,
             (0, 0, 0),
-            "{ctx}: reset tape compiled something"
+            "{ctx}: reset tape captured or replayed"
         );
-        // Step 0 records and sweeps once; the capture happens at
-        // the next step boundary; every later step replays.
+        // Step 0 records and compiles its backward plan; the capture
+        // happens at the next step boundary; every later step replays.
         assert_eq!(
             plan_stats,
             (1, (STEPS - 1) as u64, 0),
@@ -166,8 +166,72 @@ fn mid_training_seq_change_invalidates_and_recaptures() {
     );
 }
 
-/// Steady-state replay allocates nothing new: once the plan has run a
-/// couple of steps, the pool never misses again.
+/// A replayed step that declares a strict prefix of the captured graph
+/// and runs `backward` from a node inside it: step 0 adds an activity
+/// penalty on the last hidden state after the fit loss, and every later
+/// step stops at the fit loss. Step 1 matches every op it declares, so
+/// only `backward` sees the graph shrank: it invalidates, and the plan
+/// is compiled for the prefix, whose capture at the next boundary
+/// replays from step 2 on. Every step's gradients must match a `reset`
+/// tape's bit for bit.
+#[test]
+fn replayed_step_that_stops_early_invalidates_and_recaptures() {
+    const STEPS: usize = 5;
+    let (batch, features, hidden) = (3, 2, 4);
+    let data = make_steps(STEPS, |_| 5, |_| batch, features);
+    let run = |plan: bool| {
+        let mut rng = seeded(7);
+        let mut p = Params::new();
+        let cell = GruCell::new(&mut p, "g", features, hidden, &mut rng);
+        let head = Linear::new(&mut p, "h", hidden, features, &mut rng);
+        let mut opt = Adam::new(1e-2);
+        let mut tape = Tape::new();
+        let mut seen = Vec::new();
+        for (step, (xs, target)) in data.iter().enumerate() {
+            if plan {
+                tape.begin_step();
+            } else {
+                tape.reset();
+            }
+            let t = &mut tape;
+            let b = p.bind(t);
+            let mut h = t.zeros(batch, hidden);
+            for x in xs {
+                let xv = t.constant_copy(x);
+                h = cell.step(t, &b, xv, h);
+            }
+            let pred = head.forward(t, &b, h);
+            let fit = loss::mse_mean(t, pred, target);
+            let l = if step == 0 {
+                let sq = t.square(h);
+                let penalty = t.mean(sq);
+                t.add(fit, penalty)
+            } else {
+                fit
+            };
+            t.backward(l);
+            seen.extend(p.ids().map(|id| t.grad(b.var(id))));
+            p.absorb_grads(t, &b);
+            opt.step(&mut p);
+        }
+        (seen, tape.plan_stats())
+    };
+    let (reference, reset_stats) = run(false);
+    let (replayed, stats) = run(true);
+    assert_grads_bitwise("prefix steps vs reset", &replayed, &reference);
+    assert_eq!(reset_stats, (0, 0, 0), "reset tape captured or replayed");
+    assert_eq!(
+        stats,
+        (2, (STEPS - 2) as u64, 1),
+        "expected one invalidation at step 1 and a re-capture after it"
+    );
+}
+
+/// Steady-state replay allocates nothing new: the recorded step's
+/// backward plan takes its buffers on that step, and a GRU forward's
+/// temporaries miss once more on the first replayed step, when the
+/// plan holds the ones the recorded step returned. From then on the
+/// pool never misses again.
 #[test]
 fn steady_state_replay_has_zero_pool_misses() {
     let data = make_steps(20, |_| 6, |_| 4, 3);
@@ -193,7 +257,7 @@ fn steady_state_replay_has_zero_pool_misses() {
         t.backward(l);
         p.absorb_grads(t, &binding);
         opt.step(&mut p);
-        if i == 4 {
+        if i == 1 {
             warm_misses = tape.pool_misses();
         }
     }
@@ -215,8 +279,8 @@ fn assert_grads_bitwise(ctx: &str, a: &[Matrix], b: &[Matrix]) {
 
 /// The liveness rule: a GRU bound with `bind_frozen` feeds a trainable
 /// `Linear` head, and a `matmul` of two constants and a `detach` of
-/// the prediction join the loss. On the one-shot sweep (`reset`) and
-/// on replay (`begin_step`) alike, no node that depends on no
+/// the prediction join the loss. On recorded steps (`reset`) and on
+/// replayed ones (`begin_step`) alike, no node that depends on no
 /// trainable leaf gets a gradient slot: the frozen weights, every
 /// hidden state, the constants, their product and the detached copy.
 /// The head's gradients stay bit-equal to the same graph with the GRU
@@ -325,8 +389,7 @@ fn nodes_that_depend_on_no_trainable_leaf_get_no_gradient_slot() {
 /// match a fresh pair of tapes per step bit for bit — the generator
 /// output, both heads' gradients and the generator's — and each
 /// recycled tape must capture once and replay every later step. The
-/// recurrent GEMM (8 x 32 x 32) runs on the register tile, so replay's
-/// transpose cache meets the one-shot sweep's `matmul_t`.
+/// recurrent GEMM (8 x 32 x 32) runs on the register tile.
 #[test]
 fn value_read_mid_step_feeds_a_second_tape_bitwise() {
     const STEPS: usize = 6;
@@ -579,7 +642,7 @@ struct GruWiring {
 /// The two-node GRU step (`GruCell::step`) against the seven-node step
 /// it replaced, over three training steps of one tape stepped with
 /// `begin_step` (so steps 2 and 3 replay the compiled plan) and with
-/// `reset` (the one-shot sweep every step). The first state is a zeros
+/// `reset` (recording every step). The first state is a zeros
 /// leaf, and each wiring moves which slots are live or already touched
 /// when a GRU node's backward runs: a constant or a trainable x, frozen
 /// weights with a live x, a head on every h, and one cell run twice.

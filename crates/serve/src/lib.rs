@@ -25,7 +25,7 @@
 //! * **A model panic fails one request.** The batcher catches it,
 //!   re-runs the rest of the batch alone, answers the failing request
 //!   with `500`, and keeps serving (see [`batch`]). A panic on a
-//!   connection thread (a conditional draw, a stream sampler) is
+//!   connection thread (a conditional draw, a stream's chunk sampling) is
 //!   caught there and closes only that connection
 //!   ([`tsgb_wire::server::handle_connection`]).
 //! * **No thread per model.** A batch runs on the connection thread

@@ -21,16 +21,19 @@
 //! `/generate/stream` emits windows over `Transfer-Encoding: chunked`
 //! as they are sampled: a head object (model identity + shape + chunk
 //! size), one `{"offset","count","samples"}` object per chunk, and a
-//! `{"done":true,...}` trailer. A sampling thread runs the method's
-//! [`open_stream`](tsgb_methods::TsgMethod::open_stream) and hands
-//! rendered chunks to the connection thread over a channel bounded by
-//! `STREAM_INFLIGHT` chunks — a slow client therefore pauses sampling
-//! (backpressure) instead of buffering the whole response. The
-//! deadline is re-checked per chunk; on expiry the stream ends with an
-//! `{"error":...}` object instead of the trailer. Because streamed
-//! windows ride the [`WindowStream`](tsgb_methods::WindowStream)
-//! contract, the concatenated chunks are bit-identical to one-shot
-//! `/generate` for the same `(checkpoint, n, seed)`.
+//! `{"done":true,...}` trailer. The connection thread walks the
+//! method's [`open_stream`](tsgb_methods::TsgMethod::open_stream)
+//! itself, sampling each chunk and writing it before sampling the
+//! next: the blocking socket write is the backpressure, so a slow
+//! client pauses sampling instead of buffering the whole response. A
+//! stream that panics reaches the connection's `catch_unwind`, which
+//! closes the connection before the terminator, so the client sees a
+//! truncated stream. The deadline is re-checked per chunk; on expiry
+//! the stream ends with an `{"error":...}` object instead of the
+//! trailer. Because streamed windows ride the
+//! [`WindowStream`](tsgb_methods::WindowStream) contract, the
+//! concatenated chunks are bit-identical to one-shot `/generate` for
+//! the same `(checkpoint, n, seed)`.
 //!
 //! ## Conditional generation
 //!
@@ -80,10 +83,6 @@ const MAX_N: usize = 4096;
 /// Windows per `/generate/stream` chunk when the request does not pass
 /// `"chunk"`.
 const STREAM_CHUNK: usize = 8;
-
-/// Rendered chunks in flight between a stream's sampling thread and
-/// the socket writer — the stream's backpressure window.
-const STREAM_INFLIGHT: usize = 2;
 
 struct Served {
     entry: Arc<ModelEntry>,
@@ -401,10 +400,8 @@ fn generate(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
 
 /// `POST /generate/stream`: chunked window streaming (see the module
 /// docs). The handler validates the request, then returns a streaming
-/// [`Reply`] whose producer runs on the connection thread: a sampling
-/// thread walks the method's `open_stream` and the producer forwards
-/// each rendered chunk to the socket, bounded by `STREAM_INFLIGHT`
-/// chunks in flight.
+/// [`Reply`] whose producer runs on the connection thread: it walks the
+/// method's `open_stream`, writing each chunk as it is sampled.
 fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
     let g = parse_gen_request(req, shared)?;
     if parse_condition(&g.body)?.is_some() {
@@ -447,45 +444,28 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
 
     let producer: StreamProducer = Box::new(move |sink| {
         let started = Instant::now();
-        // the sampling thread owns the model Arc; the bounded channel
-        // is the backpressure window — when the client reads slowly the
-        // sampler blocks on `send` instead of materializing the tensor
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, String)>(STREAM_INFLIGHT);
-        let sampler_entry = Arc::clone(&entry);
-        let sampler = std::thread::spawn(move || {
-            let mut stream = sampler_entry.model.open_stream(spec);
-            let mut offset = 0usize;
-            while stream.remaining() > 0 {
-                let part = stream
-                    .next_chunk(chunk)
-                    .expect("remaining > 0 guarantees a chunk");
-                let count = part.samples();
-                let mut body = format!("{{\"offset\":{offset},\"count\":{count},\"samples\":");
-                render_sample_array(&part, &mut body);
-                body.push('}');
-                offset += count;
-                if tx.send((count, body)).is_err() {
-                    return; // receiver gone: deadline or socket error
-                }
-            }
-        });
-
         sink.send(head.as_bytes())?;
+        let mut stream = entry.model.open_stream(spec);
         let mut windows = 0usize;
         let mut chunks = 0u64;
-        let mut expired = false;
-        let outcome = loop {
-            let Ok((count, body)) = rx.recv() else {
-                break Ok(()); // sampler finished; channel drained
-            };
+        while stream.remaining() > 0 {
+            let part = stream
+                .next_chunk(chunk)
+                .expect("remaining > 0 guarantees a chunk");
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                expired = true;
-                break Ok(());
+                tsgb_obs::counter_add("serve.stream.expired", 1);
+                return sink.send(
+                    format!(
+                        "{{\"error\":\"deadline exceeded mid-stream\",\"done\":false,\"chunks\":{chunks},\"windows\":{windows}}}"
+                    )
+                    .as_bytes(),
+                );
             }
-            match sink.send(body.as_bytes()) {
-                Ok(()) => {}
-                Err(e) => break Err(e),
-            }
+            let count = part.samples();
+            let mut body = format!("{{\"offset\":{windows},\"count\":{count},\"samples\":");
+            render_sample_array(&part, &mut body);
+            body.push('}');
+            sink.send(body.as_bytes())?;
             chunks += 1;
             windows += count;
             if chunks == 1 {
@@ -495,26 +475,8 @@ fn generate_stream(req: &Request, shared: &Shared) -> Result<Reply, HttpError> {
                 );
             }
             tsgb_obs::counter_add("serve.stream.chunks", 1);
-        };
-        // release the sampler before leaving: dropping the receiver
-        // fails its next send, so the join cannot deadlock
-        drop(rx);
-        let _ = sampler.join();
-        outcome?;
-        if expired {
-            tsgb_obs::counter_add("serve.stream.expired", 1);
-            sink.send(
-                format!(
-                    "{{\"error\":\"deadline exceeded mid-stream\",\"done\":false,\"chunks\":{chunks},\"windows\":{windows}}}"
-                )
-                .as_bytes(),
-            )?;
-        } else {
-            sink.send(
-                format!("{{\"done\":true,\"chunks\":{chunks},\"windows\":{windows}}}").as_bytes(),
-            )?;
         }
-        Ok(())
+        sink.send(format!("{{\"done\":true,\"chunks\":{chunks},\"windows\":{windows}}}").as_bytes())
     });
     Ok(Reply::streaming(200, producer))
 }

@@ -2,7 +2,8 @@
 //! `/generate` over a live listener: streamed chunks reassemble to
 //! the exact one-shot response, frame metadata is consistent, the
 //! per-chunk deadline check ends a stream with an error object, a
-//! stream in flight survives a graceful drain, the `condition`
+//! stream whose model panics mid-flight is cut before its terminator,
+//! a stream in flight survives a graceful drain, the `condition`
 //! field routes (or 400s) correctly, and a non-finite sample renders
 //! as JSON `null` in both bodies.
 
@@ -44,14 +45,18 @@ fn vae_registry() -> Registry {
 }
 
 /// A pre-fitted method whose stream yields one window per chunk with a
-/// fixed delay — the knob the deadline and drain tests turn.
+/// fixed delay — the knob the deadline and drain tests turn — and
+/// panics when asked for chunk `panic_on` (1-based), if set.
 struct SlowStreamMethod {
     delay: Duration,
+    panic_on: Option<usize>,
 }
 
 struct SlowStream {
     delay: Duration,
     remaining: usize,
+    panic_on: Option<usize>,
+    chunks: usize,
 }
 
 impl WindowStream for SlowStream {
@@ -59,6 +64,8 @@ impl WindowStream for SlowStream {
         if self.remaining == 0 {
             return None;
         }
+        self.chunks += 1;
+        assert_ne!(Some(self.chunks), self.panic_on, "model fault mid-stream");
         std::thread::sleep(self.delay);
         let take = len.max(1).min(self.remaining);
         self.remaining -= take;
@@ -83,6 +90,8 @@ impl TsgMethod for SlowStreamMethod {
         Box::new(SlowStream {
             delay: self.delay,
             remaining: spec.n,
+            panic_on: self.panic_on,
+            chunks: 0,
         })
     }
     fn save(&self) -> Option<Vec<u8>> {
@@ -99,6 +108,7 @@ fn slow_registry(delay_ms: u64) -> Registry {
         "slow",
         Box::new(SlowStreamMethod {
             delay: Duration::from_millis(delay_ms),
+            panic_on: None,
         }),
     )
     .unwrap();
@@ -250,6 +260,47 @@ fn an_expired_deadline_is_rejected_before_streaming() {
         "{\"model\":\"vae\",\"n\":4,\"deadline_ms\":0}",
     );
     assert_eq!(status, 504);
+    server.shutdown();
+}
+
+/// A model whose stream panics on chunk 2 of 4: the client gets the
+/// head and chunk 1, then the connection closes before any trailer or
+/// terminator, so no frame claims completion. The server keeps
+/// answering and still shuts down.
+#[test]
+fn a_stream_that_panics_mid_flight_is_cut_before_its_terminator() {
+    let mut registry = Registry::new();
+    let faulty = SlowStreamMethod {
+        delay: Duration::ZERO,
+        panic_on: Some(2),
+    };
+    registry.insert("faulty", Box::new(faulty)).unwrap();
+    let server = Server::start(registry, ephemeral()).unwrap();
+    let addr = server.addr();
+
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    let body = b"{\"model\":\"faulty\",\"n\":4,\"seed\":3,\"chunk\":1}";
+    let mut resp = http_request_stream(&mut conn, "POST", "/generate/stream", body).unwrap();
+    assert_eq!(resp.status, 200);
+    let mut frames = Vec::new();
+    let cut = loop {
+        match resp.next_chunk(&mut conn) {
+            Ok(Some(chunk)) => {
+                frames.push(Json::parse(std::str::from_utf8(&chunk).unwrap()).unwrap())
+            }
+            Ok(None) => panic!("the stream ended with its terminator: {frames:?}"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(cut.kind(), std::io::ErrorKind::UnexpectedEof, "{cut}");
+    assert!(
+        frames.iter().all(|f| f.get("done").is_none()),
+        "a frame claims completion: {frames:?}"
+    );
+    assert_eq!(frames.len(), 2, "the head and chunk 1: {frames:?}");
+
+    let (status, later) = one_shot(addr, "{\"model\":\"faulty\",\"n\":2,\"seed\":3}");
+    assert_eq!(status, 200, "{later:?}");
     server.shutdown();
 }
 
